@@ -12,48 +12,33 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import string
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .errors import ModcompleteError
-from .gherkin import ParseError, RequirementDoc, parse_corpus, parse_requirement
+# parse_requirement and match_requirement are unused here; they stay
+# attributes of this module because bench/traced_cli.py wraps them by name.
+from .gherkin import ParseError, RequirementDoc, parse_corpus, parse_requirement  # noqa: F401
 from .generator import (
     CompletionReport,
     Finding,
+    RequirementOutcome,
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     check_acceptability,
     complete_model,
 )
-from .kb import (
-    KnowledgeBase,
-    Literal,
-    MetaReq,
-    OptionalLiteral,
-    SlotPattern,
-    default_kb,
-    parse_kb,
-)
-from .matcher import AmbiguousMatch, NoMatch, match_requirement
+from .kb import KnowledgeBase, default_kb, parse_kb, shadowed_rules
+from .matcher import AmbiguousMatch, NoMatch, match_requirement  # noqa: F401
 from .model import SystemModel, load_model, save_model
-from .normalize import ARTICLES
 from .trace import emit_requirement_diagram, emit_trace_json
 
 KB_ENV_VAR = "MODCOMPLETE_KB"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    model_path: str
-    corpus_path: str
-    kb_path: str | None = None
-    out_model_path: str = "completed_model.json"
-    report_path: str = "report.json"
-    trace_path: str = "trace.json"
-    diagram_dir: str | None = None
-    strict: bool = False
-    explain: bool = False
+#: Characters kept as they are in diagram file names; all others are
+#: percent-encoded, so distinct requirement ids never share a file.
+_FILENAME_CHARS = frozenset(string.ascii_letters + string.digits + "._-")
 
 
 class InputError(ModcompleteError):
@@ -82,14 +67,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_inputs(config: RunConfig) -> tuple[SystemModel, list[RequirementDoc], KnowledgeBase]:
+def _load_inputs(args: argparse.Namespace) -> tuple[SystemModel, list[RequirementDoc], KnowledgeBase]:
     try:
-        model = load_model(_read_file(config.model_path, "model"))
-        corpus = parse_corpus(_read_file(config.corpus_path, "requirements"))
-        kb_path = config.kb_path or os.environ.get(KB_ENV_VAR)
-        kb = parse_kb(_read_file(kb_path, "knowledge base")) if kb_path else default_kb()
-    except InputError:
-        raise
+        model = load_model(_read_file(args.model, "model"))
+        corpus = parse_corpus(_read_file(args.reqs, "requirements"))
+        kb = parse_kb(_read_file(args.kb, "knowledge base")) if args.kb else default_kb()
     except ModcompleteError as exc:
         raise InputError(str(exc)) from None
     return model, corpus, kb
@@ -160,160 +142,116 @@ def _report_doc(report: CompletionReport, findings: list[Finding]) -> dict:
 
 
 def _diagram_filename(requirement_id: str) -> str:
-    safe = "".join(ch if (ch.isalnum() or ch in "-_.") else "_" for ch in requirement_id)
+    safe = "".join(
+        ch if ch in _FILENAME_CHARS else "".join(f"%{b:02X}" for b in ch.encode("utf-8"))
+        for ch in requirement_id
+    )
     return f"RD-{safe}.puml"
 
 
-def cmd_complete(config: RunConfig) -> int:
+def _print_findings(findings: list[Finding]) -> None:
+    for finding in findings:
+        ids = ", ".join(finding.requirement_ids)
+        print(f"  [{finding.severity}] {finding.kind}: {finding.message} ({ids})")
+
+
+def cmd_complete(args: argparse.Namespace) -> int:
     """Complete the model and write model, report, trace and diagram files."""
     try:
-        model, corpus, kb = _load_inputs(config)
+        model, corpus, kb = _load_inputs(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = complete_model(model, corpus, kb)
     findings = check_acceptability(result.report, result.model)
 
-    _atomic_write(config.out_model_path, save_model(result.model))
+    _atomic_write(args.out, save_model(result.model))
     _atomic_write(
-        config.report_path,
+        args.report,
         json.dumps(_report_doc(result.report, findings), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
     )
-    _atomic_write(config.trace_path, emit_trace_json(result.trace))
-    if config.diagram_dir is not None:
+    _atomic_write(args.trace, emit_trace_json(result.trace))
+    if args.diagrams is not None:
         for record in sorted(result.trace, key=lambda r: r.requirement_id):
             diagram = emit_requirement_diagram(record, result.model)
             if diagram is not None:
                 _atomic_write(
-                    os.path.join(config.diagram_dir, _diagram_filename(record.requirement_id)),
+                    os.path.join(args.diagrams, _diagram_filename(record.requirement_id)),
                     diagram,
                 )
 
     report = result.report
     print(
-        f"completed {config.model_path}: "
+        f"completed {args.model}: "
         f"{len(report.added)} added, {len(report.duplicates)} duplicate(s), "
         f"{len(report.conflicts)} conflict(s), {len(report.unmatched)} unmatched"
     )
-    for finding in findings:
-        ids = ", ".join(finding.requirement_ids)
-        print(f"  [{finding.severity}] {finding.kind}: {finding.message} ({ids})")
-    return _exit_code(findings, config.strict)
+    _print_findings(findings)
+    return _exit_code(findings, args.strict)
 
 
-def cmd_check(config: RunConfig) -> int:
-    """Dry run: print a per-requirement verdict, write nothing."""
-    try:
-        model, corpus, kb = _load_inputs(config)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for doc in corpus:
-        try:
-            ast = parse_requirement(doc)
-        except ParseError as exc:
-            print(f"{doc.id}: parse error: {exc}")
-            continue
-        try:
-            match = match_requirement(ast, kb, model)
-        except NoMatch as exc:
-            print(f"{doc.id}: NoMatch")
-            if config.explain:
-                for diagnostic in exc.diagnostics:
-                    print(f"    {diagnostic.render()}")
-            elif exc.diagnostics:
-                print(f"    closest: {exc.diagnostics[0].render()}")
-            continue
-        except AmbiguousMatch as exc:
-            print(f"{doc.id}: AmbiguousMatch ({exc.metareq_id})")
-            if config.explain:
-                for i, binding_set in enumerate(exc.binding_sets, start=1):
-                    rendered = ", ".join(f"{b.role}={b.element}" for b in binding_set)
-                    print(f"    set {i}: {rendered}")
-            continue
+def _print_verdict(outcome: RequirementOutcome, explain: bool) -> None:
+    rid, error, match = outcome.doc.id, outcome.error, outcome.match
+    if isinstance(error, ParseError):
+        print(f"{rid}: parse error: {error}")
+    elif isinstance(error, NoMatch):
+        print(f"{rid}: NoMatch")
+        if explain:
+            for diagnostic in error.diagnostics:
+                print(f"    {diagnostic.render()}")
+        elif error.diagnostics:
+            print(f"    closest: {error.diagnostics[0].render()}")
+    elif isinstance(error, AmbiguousMatch):
+        print(f"{rid}: AmbiguousMatch ({error.metareq_id})")
+        if explain:
+            for i, binding_set in enumerate(error.binding_sets, start=1):
+                rendered = ", ".join(f"{b.role}={b.element}" for b in binding_set)
+                print(f"    set {i}: {rendered}")
+    else:
+        # Matched; a failed instantiation shows up among the findings.
+        assert match is not None
         suffix = ""
         if match.alternatives_consumed:
             suffix = f", {match.alternatives_consumed} alternatives"
-        print(f"{doc.id}: {match.metareq_id} ({len(match.bindings)} bindings{suffix})")
-        if config.explain:
+        print(f"{rid}: {match.metareq_id} ({len(match.bindings)} bindings{suffix})")
+        if explain:
             for binding in match.bindings:
                 print(f"    {binding.role} ({binding.metaclass.value}) = {binding.element}"
                       f"  <- {binding.phrase!r}")
 
+
+def cmd_check(args: argparse.Namespace) -> int:
+    """Dry run of the complete pipeline: print a per-requirement verdict,
+    write nothing."""
+    try:
+        model, corpus, kb = _load_inputs(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     result = complete_model(model, corpus, kb)
+    for outcome in result.outcomes:
+        _print_verdict(outcome, args.explain)
     findings = check_acceptability(result.report, result.model)
-    for finding in findings:
-        ids = ", ".join(finding.requirement_ids)
-        print(f"  [{finding.severity}] {finding.kind}: {finding.message} ({ids})")
-    return _exit_code(findings, config.strict)
+    _print_findings(findings)
+    return _exit_code(findings, args.strict)
 
 
-def _strip_article_optionals(items) -> tuple:
-    return tuple(
-        item
-        for item in items
-        if not (isinstance(item, OptionalLiteral) and set(item.words) <= ARTICLES)
-    )
-
-
-def _template_subsumes(ta, tb) -> bool:
-    a_items = _strip_article_optionals(ta.items)
-    b_items = _strip_article_optionals(tb.items)
-
-    def rec(ai: int, bi: int) -> bool:
-        if ai == len(a_items):
-            return bi == len(b_items)
-        a = a_items[ai]
-        b = b_items[bi] if bi < len(b_items) else None
-        if isinstance(a, OptionalLiteral):
-            if rec(ai + 1, bi):
-                return True
-            if isinstance(b, Literal) and b.word in a.words and rec(ai + 1, bi + 1):
-                return True
-            if isinstance(b, OptionalLiteral) and set(b.words) <= set(a.words) and rec(ai + 1, bi + 1):
-                return True
-            return False
-        if b is None:
-            return False
-        if isinstance(a, Literal):
-            return isinstance(b, Literal) and a.word == b.word and rec(ai + 1, bi + 1)
-        return (
-            isinstance(b, SlotPattern) and a.metaclass is b.metaclass and rec(ai + 1, bi + 1)
-        )
-
-    return rec(0, 0)
-
-
-def _metareq_subsumes(a: MetaReq, b: MetaReq) -> bool:
-    """True when every requirement matching b's templates also matches a's
-    (syntactic check; a shadows b because a has higher priority)."""
-    for sa, sb in ((a.given, b.given), (a.when, b.when), (a.then, b.then)):
-        if len(sa) != len(sb):
-            return False
-        if not all(_template_subsumes(ta, tb) for ta, tb in zip(sa, sb)):
-            return False
-    return True
-
-
-def cmd_kb_lint(kb_path: str | None) -> int:
+def cmd_kb_lint(args: argparse.Namespace) -> int:
     """Parse and validate a knowledge base; report shadowed rules."""
     try:
-        kb = parse_kb(_read_file(kb_path, "knowledge base")) if kb_path else default_kb()
+        kb = parse_kb(_read_file(args.kb, "knowledge base")) if args.kb else default_kb()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ModcompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = 0
     if not kb.metareqs:
         print("warning: knowledge base defines no templates")
-    for i, high in enumerate(kb.metareqs):
-        for low in kb.metareqs[i + 1 :]:
-            if _metareq_subsumes(high, low):
-                print(f"error: {low.id} is shadowed by higher-priority {high.id}")
-                problems += 1
-    if problems:
+    shadowed = shadowed_rules(kb)
+    for high, low in shadowed:
+        print(f"error: {low.id} is shadowed by higher-priority {high.id}")
+    if shadowed:
         return 2
     print(f"ok: {len(kb.metareqs)} rule(s), {len(kb.fragments)} fragment(s)")
     return 0
@@ -331,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reqs", required=True, help="requirements feature file")
         p.add_argument("--kb", default=None, help=f"knowledge base file (default: ${KB_ENV_VAR} or built-in)")
         p.add_argument("--strict", action="store_true", help="treat warnings as errors")
-        p.add_argument("--explain", action="store_true", help="verbose per-slot explanations")
 
     complete = sub.add_parser("complete", help="complete the model and write outputs")
     add_io_args(complete)
@@ -339,33 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     complete.add_argument("--report", default="report.json", help="report path")
     complete.add_argument("--trace", default="trace.json", help="trace path")
     complete.add_argument("--diagrams", default=None, help="directory for requirement diagrams")
+    complete.set_defaults(run=cmd_complete)
 
     check = sub.add_parser("check", help="match requirements without writing outputs")
     add_io_args(check)
+    check.add_argument("--explain", action="store_true", help="verbose per-slot explanations")
+    check.set_defaults(run=cmd_check)
 
     lint = sub.add_parser("kb-lint", help="validate a knowledge base")
     lint.add_argument("--kb", default=None, help=f"knowledge base file (default: ${KB_ENV_VAR} or built-in)")
+    lint.set_defaults(run=cmd_kb_lint)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "kb-lint":
-        return cmd_kb_lint(args.kb or os.environ.get(KB_ENV_VAR))
-    config = RunConfig(
-        model_path=args.model,
-        corpus_path=args.reqs,
-        kb_path=args.kb,
-        out_model_path=getattr(args, "out", "completed_model.json"),
-        report_path=getattr(args, "report", "report.json"),
-        trace_path=getattr(args, "trace", "trace.json"),
-        diagram_dir=getattr(args, "diagrams", None),
-        strict=args.strict,
-        explain=args.explain,
-    )
-    if args.command == "complete":
-        return cmd_complete(config)
-    return cmd_check(config)
+    args.kb = args.kb or os.environ.get(KB_ENV_VAR)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from .errors import ModcompleteError
 from .gherkin import ParseError, RequirementDoc, parse_requirement
 from .kb import KnowledgeBase, MetaFragment
-from .matcher import (
-    AmbiguousMatch,
-    BindingSet,
-    MatchResult,
-    NoMatch,
-    match_requirement,
-)
+from .matcher import BindingSet, MatchError, MatchResult, NoMatch, match_requirement
 from .model import (
     MergeKind,
     SendEffect,
@@ -170,10 +164,33 @@ class CompletionReport:
 
 
 @dataclass(frozen=True)
+class RequirementOutcome:
+    """What became of one requirement before merging.
+
+    ``error`` is the ParseError, NoMatch, AmbiguousMatch or
+    StateNotInOwnerMachine that stopped it, or None. ``match`` is set
+    whenever matching succeeded, even if instantiation then failed.
+    """
+
+    doc: RequirementDoc
+    match: MatchResult | None = None
+    error: ModcompleteError | None = None
+
+    def diagnostics(self) -> tuple[str, ...]:
+        """Report lines explaining ``error``."""
+        if isinstance(self.error, ParseError):
+            return (f"parse error: {self.error}",)
+        if isinstance(self.error, NoMatch):
+            return tuple(d.render() for d in self.error.diagnostics) or ("knowledge base is empty",)
+        return (str(self.error),)
+
+
+@dataclass(frozen=True)
 class CompletionResult:
     model: SystemModel
     report: CompletionReport
     trace: tuple[TraceRecord, ...]
+    outcomes: tuple[RequirementOutcome, ...]
 
 
 @dataclass
@@ -189,36 +206,26 @@ def complete_model(
     """Run the whole pipeline over a corpus, in corpus order.
 
     The output model is always valid; requirement-level failures are
-    recorded (never raised). Candidate transitions that disagree on
+    recorded (never raised) in ``outcomes``, one per requirement, and in
+    the report's ``unmatched`` list. Candidate transitions that disagree on
     (owner, source, trigger) are withheld in full and reported as conflicts,
     so permuting the corpus cannot change the final model.
     """
     attempts: list[_Attempt] = []
-    unmatched: list[UnmatchedEntry] = []
+    outcomes: list[RequirementOutcome] = []
     warnings: list[ReceivabilityWarning] = []
     multi_effect: list[str] = []
 
     for doc in corpus:
+        match = None
         try:
-            ast = parse_requirement(doc)
-            match = match_requirement(ast, kb, model)
-            metareq = kb.metareq_by_id(match.metareq_id)
-            fragment = kb.fragment_by_id(metareq.fragment)
+            match = match_requirement(parse_requirement(doc), kb, model)
+            fragment = kb.fragment_by_id(kb.metareq_by_id(match.metareq_id).fragment)
             instance = instantiate_fragment(fragment, match.binding_sets, model, doc.id)
-        except ParseError as exc:
-            unmatched.append(UnmatchedEntry(doc.id, (f"parse error: {exc}",)))
+        except (ParseError, MatchError, StateNotInOwnerMachine) as exc:
+            outcomes.append(RequirementOutcome(doc, match, exc))
             continue
-        except NoMatch as exc:
-            unmatched.append(
-                UnmatchedEntry(doc.id, tuple(d.render() for d in exc.diagnostics) or ("knowledge base is empty",))
-            )
-            continue
-        except AmbiguousMatch as exc:
-            unmatched.append(UnmatchedEntry(doc.id, (str(exc),)))
-            continue
-        except StateNotInOwnerMachine as exc:
-            unmatched.append(UnmatchedEntry(doc.id, (str(exc),)))
-            continue
+        outcomes.append(RequirementOutcome(doc, match))
         attempts.append(_Attempt(doc, match, instance))
         warnings.extend(instance.warnings)
         if len(fragment.effect_specs) > 1:
@@ -237,35 +244,32 @@ def complete_model(
         duplicate_ids: list[str] = []
         for owner, transition in attempt.instance.pairs:
             outcome = add_transition(current, owner, transition)
-            assert outcome.kind is not MergeKind.CONFLICT, "conflicts are pre-screened"
             current = outcome.model
             if outcome.kind is MergeKind.ADDED:
                 added_ids.append(outcome.transition_id)
                 added.append(MergeEntry(owner, outcome.transition_id, (attempt.doc.id,)))
             else:
                 duplicate_ids.append(outcome.transition_id)
-        kind = MergeKind.ADDED if added_ids else MergeKind.DUPLICATE
-        if kind is MergeKind.DUPLICATE:
+        if not added_ids:
             for owner, transition in attempt.instance.pairs:
                 duplicates.append(MergeEntry(owner, transition.id, (attempt.doc.id,)))
         trace.append(
-            build_trace(
-                attempt.match,
-                kind,
-                tuple(added_ids + duplicate_ids),
-                text=attempt.doc.text,
-            )
+            build_trace(attempt.match, tuple(added_ids + duplicate_ids), text=attempt.doc.text)
         )
 
     report = CompletionReport(
         added=tuple(added),
         duplicates=tuple(duplicates),
         conflicts=tuple(conflicts),
-        unmatched=tuple(unmatched),
+        unmatched=tuple(
+            UnmatchedEntry(o.doc.id, o.diagnostics()) for o in outcomes if o.error is not None
+        ),
         receivability_warnings=tuple(warnings),
         multi_effect_requirements=tuple(multi_effect),
     )
-    return CompletionResult(model=current, report=report, trace=tuple(trace))
+    return CompletionResult(
+        model=current, report=report, trace=tuple(trace), outcomes=tuple(outcomes)
+    )
 
 
 def _detect_conflicts(

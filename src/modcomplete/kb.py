@@ -115,7 +115,6 @@ class MetaReq:
     when: tuple[ClauseTemplate, ...]
     then: tuple[ClauseTemplate, ...]
     fragment: str
-    priority: int
 
     def templates(self) -> tuple[ClauseTemplate, ...]:
         return self.given + self.when + self.then
@@ -307,7 +306,7 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     metareqs: list[MetaReq] = []
     seen_ids: set[str] = set()
-    for priority, draft in enumerate(metareq_drafts):
+    for draft in metareq_drafts:
         if draft["id"] in seen_ids:
             raise KBSyntaxError(f"duplicate metareq id {draft['id']!r}", draft["line"])
         seen_ids.add(draft["id"])
@@ -323,7 +322,6 @@ def parse_kb(text: str) -> KnowledgeBase:
                 when=tuple(draft["templates"]["when"]),
                 then=tuple(draft["templates"]["then"]),
                 fragment=draft["fragment"],
-                priority=priority,
             )
         )
 
@@ -401,6 +399,69 @@ def serialize_kb(kb: KnowledgeBase) -> str:
         if extras:
             lines.append("  " + "   ".join(extras))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Shadowing analysis
+# ---------------------------------------------------------------------------
+
+
+def _strip_article_optionals(items: tuple[TemplateItem, ...]) -> tuple[TemplateItem, ...]:
+    return tuple(
+        item
+        for item in items
+        if not (isinstance(item, OptionalLiteral) and set(item.words) <= ARTICLES)
+    )
+
+
+def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
+    a_items = _strip_article_optionals(ta.items)
+    b_items = _strip_article_optionals(tb.items)
+
+    def rec(ai: int, bi: int) -> bool:
+        if ai == len(a_items):
+            return bi == len(b_items)
+        a = a_items[ai]
+        b = b_items[bi] if bi < len(b_items) else None
+        if isinstance(a, OptionalLiteral):
+            if rec(ai + 1, bi):
+                return True
+            if isinstance(b, Literal) and b.word in a.words and rec(ai + 1, bi + 1):
+                return True
+            if isinstance(b, OptionalLiteral) and set(b.words) <= set(a.words) and rec(ai + 1, bi + 1):
+                return True
+            return False
+        if b is None:
+            return False
+        if isinstance(a, Literal):
+            return isinstance(b, Literal) and a.word == b.word and rec(ai + 1, bi + 1)
+        return (
+            isinstance(b, SlotPattern) and a.metaclass is b.metaclass and rec(ai + 1, bi + 1)
+        )
+
+    return rec(0, 0)
+
+
+def _metareq_subsumes(a: MetaReq, b: MetaReq) -> bool:
+    """True when every requirement matching b's templates also matches a's
+    (syntactic check; a shadows b because a has higher priority)."""
+    for sa, sb in ((a.given, b.given), (a.when, b.when), (a.then, b.then)):
+        if len(sa) != len(sb):
+            return False
+        if not all(_template_subsumes(ta, tb) for ta, tb in zip(sa, sb)):
+            return False
+    return True
+
+
+def shadowed_rules(kb: KnowledgeBase) -> list[tuple[MetaReq, MetaReq]]:
+    """(higher, lower) pairs where the earlier rule fits every requirement
+    the later one fits, so the later rule can never win."""
+    return [
+        (high, low)
+        for i, high in enumerate(kb.metareqs)
+        for low in kb.metareqs[i + 1 :]
+        if _metareq_subsumes(high, low)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -462,56 +462,32 @@ def _try_metareq(
     ast: RequirementAST, metareq: MetaReq, kb: KnowledgeBase, model: SystemModel
 ) -> _MetaReqOutcome:
     owner_role = kb.fragment_by_id(metareq.fragment).owner_role
-    ambiguities: list[SpanAmbiguity] = []
 
     given = _match_section(metareq.id, "given", ast.given, metareq.given, model, owner_role, [()])
     if given.ctxs is None:
         return _MetaReqOutcome(failure=given.failure)
-    ambiguities.extend(given.ambiguities)
+    ambiguities = list(given.ambiguities)
 
+    # A conjunctive When is one alternative holding every When clause; a
+    # disjunctive When is one alternative per clause.
     disjunctive = ast.when_mode is WhenMode.DISJUNCTIVE and len(ast.when) > 1
-    if disjunctive:
-        if len(metareq.when) != 1:
-            return _MetaReqOutcome(
-                failure=MetaReqDiagnostic(
-                    metareq.id,
-                    "a disjunctive When requires a rule with exactly one When template",
-                    "when",
-                )
+    if not disjunctive:
+        alternatives = [ast.when]
+    elif len(metareq.when) == 1:
+        alternatives = [[clause] for clause in ast.when]
+    else:
+        return _MetaReqOutcome(
+            failure=MetaReqDiagnostic(
+                metareq.id,
+                "a disjunctive When requires a rule with exactly one When template",
+                "when",
             )
-        return _try_disjunctive(ast, metareq, model, owner_role, given.ctxs, ambiguities)
-
-    when = _match_section(metareq.id, "when", ast.when, metareq.when, model, owner_role, given.ctxs)
-    if when.ctxs is None:
-        return _MetaReqOutcome(failure=when.failure)
-    ambiguities.extend(when.ambiguities)
-
-    then = _match_section(metareq.id, "then", ast.then, metareq.then, model, owner_role, when.ctxs)
-    if then.ctxs is None:
-        return _MetaReqOutcome(failure=then.failure)
-    ambiguities.extend(then.ambiguities)
-
-    unique, distinct = _unique_or_ambiguous(then.ctxs)
-    if unique is None:
-        return _MetaReqOutcome(ambiguous_sets=distinct, ambiguities=tuple(ambiguities))
-    return _MetaReqOutcome(binding_sets=[unique], ambiguities=tuple(ambiguities))
-
-
-def _try_disjunctive(
-    ast: RequirementAST,
-    metareq: MetaReq,
-    model: SystemModel,
-    owner_role: str | None,
-    given_ctxs: list[BindingSet],
-    ambiguities: list[SpanAmbiguity],
-) -> _MetaReqOutcome:
-    template = metareq.when[0]
+        )
 
     sets: list[BindingSet] = []
-    first_set: BindingSet | None = None
-    for i, alternative in enumerate(ast.when):
+    for i, when_clauses in enumerate(alternatives):
         when = _match_section(
-            metareq.id, "when", [alternative], [template], model, owner_role, given_ctxs
+            metareq.id, "when", when_clauses, metareq.when, model, owner_role, given.ctxs
         )
         if when.ctxs is not None:
             ambiguities.extend(when.ambiguities)
@@ -521,47 +497,36 @@ def _try_disjunctive(
             if then.ctxs is None:
                 return _MetaReqOutcome(failure=then.failure)
             ambiguities.extend(then.ambiguities)
-            unique, distinct = _unique_or_ambiguous(then.ctxs)
-            if unique is None:
-                return _MetaReqOutcome(ambiguous_sets=distinct, ambiguities=tuple(ambiguities))
-            sets.append(unique)
-            if first_set is None:
-                first_set = unique
-            continue
-        if i == 0 or first_set is None:
+            candidates = then.ctxs
+        elif not sets:
             return _MetaReqOutcome(failure=when.failure)
-        # Elliptical alternative: only the final slot of the template.
-        tail = _tail_template(template)
-        assert tail is not None  # templates declare at least one slot
-        cm = match_clause(alternative, tail, model, owner_role=owner_role, bound=first_set)
-        ambiguities.extend(cm.ambiguities)
-        if not cm.maps:
-            detail = cm.failure.detail if cm.failure else "alternative fits no form"
-            return _MetaReqOutcome(
-                failure=MetaReqDiagnostic(
-                    metareq.id,
-                    f"When alternative {i + 1}: {detail}",
-                    "when",
-                    0,
-                    cm.failure.role if cm.failure else None,
-                    cm.failure.phrase if cm.failure else None,
+        else:
+            # Elliptical alternative: only the final slot of the template,
+            # read against the first alternative's bindings.
+            tail = _tail_template(metareq.when[0])
+            assert tail is not None  # templates declare at least one slot
+            cm = match_clause(when_clauses[0], tail, model, owner_role=owner_role, bound=sets[0])
+            ambiguities.extend(cm.ambiguities)
+            if not cm.maps:
+                failure = cm.failure or ClauseFailure(0, 0, "alternative fits no form")
+                return _MetaReqOutcome(
+                    failure=MetaReqDiagnostic(
+                        metareq.id, f"When alternative {i + 1}: {failure.detail}", "when", 0,
+                        failure.role, failure.phrase,
+                    )
                 )
-            )
-        choices: list[BindingSet] = []
-        seen: set[tuple] = set()
-        for mp in cm.maps:
-            replacement = {b.role: b for b in mp}
-            new_set = tuple(replacement.get(b.role, b) for b in first_set)
-            key = _binding_key(new_set)
-            if key not in seen:
-                seen.add(key)
-                choices.append(new_set)
-        if len(choices) > 1:
-            return _MetaReqOutcome(ambiguous_sets=tuple(choices), ambiguities=tuple(ambiguities))
-        sets.append(choices[0])
+            candidates = [
+                tuple({b.role: b for b in mp}.get(b.role, b) for b in sets[0]) for mp in cm.maps
+            ]
+        unique, distinct = _unique_or_ambiguous(candidates)
+        if unique is None:
+            return _MetaReqOutcome(ambiguous_sets=distinct, ambiguities=tuple(ambiguities))
+        sets.append(unique)
 
     return _MetaReqOutcome(
-        binding_sets=sets, alternatives=len(ast.when), ambiguities=tuple(ambiguities)
+        binding_sets=sets,
+        alternatives=len(alternatives) if disjunctive else 0,
+        ambiguities=tuple(ambiguities),
     )
 
 

@@ -428,25 +428,31 @@ def _validate_machine(
 
 
 def _check_part_cycles(model: SystemModel) -> None:
+    """Depth-first search with an explicit stack, so chains of any depth
+    load without hitting the interpreter's recursion limit."""
     graph = {b.name: b.parts for b in model.blocks}
     WHITE, GREY, BLACK = 0, 1, 2
     color = {name: WHITE for name in graph}
 
-    def visit(name: str, trail: list[str]) -> None:
-        color[name] = GREY
-        trail.append(name)
-        for part in graph[name]:
-            if color[part] == GREY:
-                cycle = " -> ".join(trail[trail.index(part):] + [part])
-                raise ValidationError(f"part composition cycle: {cycle}", "$.blocks")
-            if color[part] == WHITE:
-                visit(part, trail)
-        trail.pop()
-        color[name] = BLACK
-
-    for name in sorted(graph):
-        if color[name] == WHITE:
-            visit(name, [])
+    for root in sorted(graph):
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        trail = [root]  # the path from root; trail[i] is iterating pending[i]
+        pending = [iter(graph[root])]
+        while pending:
+            for part in pending[-1]:
+                if color[part] == GREY:
+                    cycle = " -> ".join(trail[trail.index(part):] + [part])
+                    raise ValidationError(f"part composition cycle: {cycle}", "$.blocks")
+                if color[part] == WHITE:
+                    color[part] = GREY
+                    trail.append(part)
+                    pending.append(iter(graph[part]))
+                    break
+            else:
+                color[trail.pop()] = BLACK
+                pending.pop()
 
 
 def _normalized(model: SystemModel) -> SystemModel:
@@ -543,30 +549,27 @@ def save_model(model: SystemModel) -> str:
 class MergeKind(Enum):
     ADDED = "added"
     DUPLICATE = "duplicate"
-    CONFLICT = "conflict"
 
 
 @dataclass(frozen=True)
 class MergeOutcome:
     """Result of merging one transition into a model.
 
-    ``model`` is the (possibly updated) model: updated for ADDED and
-    DUPLICATE (provenance union), unchanged for CONFLICT (the incoming
-    transition is withheld).
+    ``model`` is the updated model: with the new transition for ADDED, with
+    the provenance union for DUPLICATE.
     """
 
     kind: MergeKind
     model: SystemModel
     transition_id: str
-    conflicting: tuple[Transition, ...] = ()
 
 
 def add_transition(model: SystemModel, owner: str, t: Transition) -> MergeOutcome:
     """Merge ``t`` into ``owner``'s machine.
 
-    Structurally identical transitions collapse (provenance union); a
-    transition sharing (source, trigger) with a different target or effect
-    set is a conflict and leaves the model untouched.
+    Structurally identical transitions collapse (provenance union). Conflicts
+    (same source and trigger, different target or effects) are not checked
+    here: ``generator.complete_model`` withholds them before merging.
 
     Raises:
         UnknownOwner: no such block, or the block has no state machine.
@@ -604,14 +607,6 @@ def add_transition(model: SystemModel, owner: str, t: Transition) -> MergeOutcom
             return MergeOutcome(
                 MergeKind.DUPLICATE, _with_transitions(model, owner, existing, merged), existing.id
             )
-
-    conflicting = tuple(
-        ex
-        for ex in machine.transitions
-        if ex.source == incoming.source and ex.trigger == incoming.trigger
-    )
-    if conflicting:
-        return MergeOutcome(MergeKind.CONFLICT, model, incoming.id, conflicting)
 
     new_machine = replace(
         machine, transitions=tuple(sorted(machine.transitions + (incoming,), key=lambda x: x.id))

@@ -14,7 +14,7 @@ EmergencyStop and the verb "activates" reaches Activate.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ARTICLES = frozenset({"a", "an", "the"})
 
@@ -103,13 +103,3 @@ def normalize_signal_phrase(phrase: WordSpan) -> frozenset[str]:
         variants.add("".join(words[:-1]) + stem_word(words[-1]))
     return frozenset(v for v in variants if v)
 
-
-def signal_name_forms(name: str) -> frozenset[str]:
-    """Normal forms a signal name answers to (just its plain normal form)."""
-    form = normalize_phrase(name)
-    return frozenset({form}) if form else frozenset()
-
-
-def join_original(words: Iterable[str]) -> str:
-    """Space-join the original spellings of a span, for display."""
-    return " ".join(words)

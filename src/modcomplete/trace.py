@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ModcompleteError
 from .matcher import MatchResult
-from .model import Metaclass, MergeKind, SystemModel
+from .model import Metaclass, SystemModel
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class TraceRecord:
 
 def build_trace(
     match: MatchResult,
-    outcome: MergeKind,
     transition_ids: tuple[str, ...],
     text: str = "",
 ) -> TraceRecord:
@@ -56,7 +55,6 @@ def build_trace(
     under several roles appears once per role in ``bindings`` and once with
     all its roles in ``satisfies``.
     """
-    assert outcome in (MergeKind.ADDED, MergeKind.DUPLICATE)
     bindings: list[TraceBinding] = []
     seen: set[tuple[str, str, str]] = set()
     roles_by_element: dict[tuple[str, Metaclass], list[str]] = {}

@@ -232,7 +232,6 @@ def random_kb(rng: random.Random) -> KnowledgeBase:
                 when=tuple(when),
                 then=tuple(then),
                 fragment=fragment_id,
-                priority=i,
             )
         )
     return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments))

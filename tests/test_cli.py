@@ -4,10 +4,12 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from modcomplete.cli import main
 from modcomplete.kb import DEFAULT_KB_TEXT
 
-from conftest import FIXTURES
+from conftest import FIXTURES, RAILWAY_REQUIREMENT
 
 
 def run_complete(tmp_path: Path, model: str, reqs: str, *extra: str) -> tuple[int, Path]:
@@ -53,6 +55,23 @@ def test_complete_conflict_fixture(tmp_path):
     assert len(report["conflicts"]) == 1
     assert report["conflicts"][0]["requirement_ids"] == ["REQ-A", "REQ-B"]
     assert any(f["kind"] == "Conflict" and f["severity"] == "error" for f in report["findings"])
+
+
+def test_diagram_names_do_not_collide(tmp_path):
+    reqs = tmp_path / "ids.feature"
+    reqs.write_text(
+        "Scenario: slash\n@id: X/1\n" + RAILWAY_REQUIREMENT + "\n"
+        "Scenario: underscore\n@id: X_1\n"
+        "Given a Train in braking, When the Braking Supervision receives an "
+        "Emergency Stop Message, Then the Train goes in running.\n",
+        encoding="utf-8",
+    )
+    code, out = run_complete(tmp_path, str(FIXTURES / "railway_model.json"), str(reqs))
+    assert code == 0
+    diagrams = out / "diagrams"
+    assert sorted(p.name for p in diagrams.iterdir()) == ["RD-X%2F1.puml", "RD-X_1.puml"]
+    assert "X/1" in (diagrams / "RD-X%2F1.puml").read_text(encoding="utf-8")
+    assert "X_1" in (diagrams / "RD-X_1.puml").read_text(encoding="utf-8")
 
 
 def test_complete_missing_model_file(tmp_path, capsys):
@@ -233,3 +252,116 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "REQ-001: MR1" in proc.stdout
+
+
+GOLDEN_MODEL = {
+    "version": "1",
+    "name": "S",
+    "signals": [
+        {"name": "EmergencyStop"}, {"name": "Activate"}, {"name": "Halt"},
+        {"name": "Reset"}, {"name": "Stop"}, {"name": "Stops"},
+    ],
+    "blocks": [
+        {"name": "Train", "state_machine": {"states": ["Running", "Braking"], "transitions": []}},
+        {"name": "BrakingSupervision"},
+        {"name": "Brake"},
+        {"name": "Gate", "state_machine": {"states": ["s2"], "transitions": []}},
+        {"name": "Pump", "state_machine": {"states": ["s1", "s2"], "transitions": []}},
+    ],
+}
+
+# The built-in rules plus the rule of
+# test_generator.py::test_instantiate_state_not_in_owner_machine, whose
+# starting state can bind in another block's machine.
+GOLDEN_KB = DEFAULT_KB_TEXT + (
+    'metareq MX -> FX:\n'
+    '  given: "<<State as starting>> state of <<Block as context1>>"\n'
+    '  then:  "goes in <<State as final>>"\n'
+    "fragment FX:\n"
+    "  owner: context1   source: starting   target: final\n"
+)
+
+# One requirement per verdict: MR1 match, disjunctive match with an
+# elliptical alternative, NoMatch, AmbiguousMatch, parse error, and a match
+# whose instantiation fails (StateNotInOwnerMachine).
+GOLDEN_REQS = """\
+Scenario: mr1
+Given a Train in running, When the Braking Supervision receives an Emergency Stop Message, Then the Braking Supervision activates the Emergency Brake and goes in braking.
+Scenario: disjunctive
+Given a Train in braking, When the Braking Supervision receives Halt or Reset, Then the Train goes in running.
+Scenario: no match
+Given a Spaceship in running, Then the Train goes in braking.
+Scenario: ambiguous
+Given Gate in s2, When Gate receives Stops, Then Gate goes in s2.
+Scenario: parse error
+Then the Train goes in braking, Given a Train in running.
+Scenario: state outside the owner's machine
+Given s1 state of Gate, Then goes in s2.
+"""
+
+GOLDEN_FINDINGS = """\
+  [info] Unverifiable: requirement could not be matched to the model (REQ-003)
+  [info] Unverifiable: requirement could not be matched to the model (REQ-004)
+  [info] Unverifiable: requirement could not be matched to the model (REQ-005)
+  [info] Unverifiable: requirement could not be matched to the model (REQ-006)
+"""
+
+GOLDEN_CHECK = """\
+REQ-001: MR1 (8 bindings)
+REQ-002: MR2 (6 bindings, 2 alternatives)
+REQ-003: NoMatch
+    closest: MR1 at given[0]: no Block matches (slot context1, phrase 'Spaceship in running')
+REQ-004: AmbiguousMatch (MR2)
+REQ-005: parse error: 'Then' before 'Given' (token 0)
+REQ-006: MX (3 bindings)
+""" + GOLDEN_FINDINGS
+
+GOLDEN_CHECK_EXPLAIN = """\
+REQ-001: MR1 (8 bindings)
+    context1 (Block) = Train  <- 'Train'
+    starting (State) = Running  <- 'running'
+    context2 (Block) = BrakingSupervision  <- 'Braking Supervision'
+    event (Signal) = EmergencyStop  <- 'Emergency Stop Message'
+    context3 (Block) = BrakingSupervision  <- 'Braking Supervision'
+    operation (Signal) = Activate  <- 'activates'
+    context4 (Block) = Brake  <- 'Emergency Brake'
+    final (State) = Braking  <- 'braking'
+REQ-002: MR2 (6 bindings, 2 alternatives)
+    context1 (Block) = Train  <- 'Train'
+    starting (State) = Braking  <- 'braking'
+    context2 (Block) = BrakingSupervision  <- 'Braking Supervision'
+    event (Signal) = Halt  <- 'Halt'
+    context3 (Block) = Train  <- 'Train'
+    final (State) = Running  <- 'running'
+REQ-003: NoMatch
+    MR1 at given[0]: no Block matches (slot context1, phrase 'Spaceship in running')
+    MR2 at given[0]: no Block matches (slot context1, phrase 'Spaceship in running')
+    MR3 at given[0]: no Block matches (slot context1, phrase 'Spaceship in running')
+    MX at given[0]: expected literal 'state', got 'end of clause'
+REQ-004: AmbiguousMatch (MR2)
+    set 1: context1=Gate, starting=s2, context2=Gate, event=Stop, context3=Gate, final=s2
+    set 2: context1=Gate, starting=s2, context2=Gate, event=Stops, context3=Gate, final=s2
+REQ-005: parse error: 'Then' before 'Given' (token 0)
+REQ-006: MX (3 bindings)
+    starting (State) = s1  <- 's1'
+    context1 (Block) = Gate  <- 'Gate'
+    final (State) = s2  <- 's2'
+""" + GOLDEN_FINDINGS
+
+
+@pytest.mark.parametrize("extra, expected", [([], GOLDEN_CHECK), (["--explain"], GOLDEN_CHECK_EXPLAIN)])
+def test_check_golden_output(tmp_path, capsys, extra, expected):
+    (tmp_path / "model.json").write_text(json.dumps(GOLDEN_MODEL), encoding="utf-8")
+    (tmp_path / "kb.txt").write_text(GOLDEN_KB, encoding="utf-8")
+    (tmp_path / "reqs.feature").write_text(GOLDEN_REQS, encoding="utf-8")
+    code = main(
+        [
+            "check",
+            "--model", str(tmp_path / "model.json"),
+            "--reqs", str(tmp_path / "reqs.feature"),
+            "--kb", str(tmp_path / "kb.txt"),
+            *extra,
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == expected

@@ -25,7 +25,6 @@ def test_default_kb_shape():
     assert len(kb.metareqs) == 3
     assert len(kb.fragments) == 3
     assert [m.id for m in kb.metareqs] == ["MR1", "MR2", "MR3"]
-    assert [m.priority for m in kb.metareqs] == [0, 1, 2]
 
 
 def test_default_kb_mr1_mirrors_published_pattern():

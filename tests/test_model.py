@@ -92,6 +92,15 @@ def test_part_cycle_rejected():
         load_model(json.dumps(doc))
 
 
+def test_deep_part_chain_loads():
+    depth = 3000
+    blocks = [
+        {"name": f"B{i}", "parts": [f"B{i + 1}"] if i + 1 < depth else []} for i in range(depth)
+    ]
+    model = load_model(json.dumps({"version": "1", "name": "M", "signals": [], "blocks": blocks}))
+    assert len(model.blocks) == depth
+
+
 def test_save_empty_model_is_canonical():
     model = load_model('{"version": "1", "name": "Empty"}')
     out = save_model(model)
@@ -167,23 +176,9 @@ def test_add_transition_duplicate_unions_provenance(railway_model):
     assert machine.transitions[0].id == t1.id
 
 
-def test_add_transition_conflict(railway_model):
-    t1 = make_transition(
-        "Train", "Running", "Braking", "EmergencyStop",
-        (SendEffect("Activate", "Brake"),), ("REQ-001",),
-    )
-    base = add_transition(railway_model, "Train", t1).model
-    t2 = make_transition("Train", "Running", "Running", "EmergencyStop", (), ("REQ-002",))
-    outcome = add_transition(base, "Train", t2)
-    assert outcome.kind is MergeKind.CONFLICT
-    assert outcome.model == base
-    assert outcome.conflicting[0].id == t1.id
-
-
 def test_add_transition_agrees_with_pair_scanner(railway_model):
     # Brute-force oracle: scan all pairs; a candidate duplicates an existing
-    # transition when identical (ignoring provenance), conflicts when it
-    # shares (source, trigger) with a different right-hand side.
+    # transition when identical (ignoring provenance).
     states = ["Running", "Braking"]
     triggers = [None, "EmergencyStop", "Activate"]
     effect_options = [(), (SendEffect("Activate", "Brake"),)]
@@ -196,24 +191,18 @@ def test_add_transition_agrees_with_pair_scanner(railway_model):
     rng = random.Random(5)
     model = railway_model
     existing: list = []
-    for candidate in rng.sample(candidates, len(candidates)):
+    # Every candidate comes twice, so the second copy must be a duplicate.
+    for candidate in rng.sample(candidates * 2, 2 * len(candidates)):
         expected = "added"
         for prior in existing:
             if prior.id == candidate.id:
                 expected = "duplicate"
-                break
-            if prior.source == candidate.source and prior.trigger == candidate.trigger:
-                expected = "conflict"
                 break
         outcome = add_transition(model, "Train", candidate)
         assert outcome.kind.value == expected
         model = outcome.model
         if expected == "added":
             existing.append(candidate)
-    # determinism per machine: no two transitions share (source, trigger)
-    machine = model.block("Train").state_machine
-    keys = [(t.source, t.trigger) for t in machine.transitions]
-    assert len(keys) == len(set(keys))
 
 
 def test_add_transition_same_value_twice_is_identity(railway_model):
