@@ -240,8 +240,18 @@ def match_clause(
         return scope
 
     def rec(wi: int, ii: int, acc: BindingSet) -> None:
-        if wi < len(words) and words[wi].lower in ARTICLES:
-            rec(wi + 1, ii, acc)
+        # Any prefix of a run of articles may be skipped. The positions are
+        # tried last to first, which fixes the order of ``maps`` and
+        # ``ambiguities``. Skipping in a loop means every nested call
+        # consumes a template item, so the recursion depth is bounded by
+        # len(items), not by the clause length.
+        end = wi
+        while end < len(words) and words[end].lower in ARTICLES:
+            end += 1
+        for pos in range(end, wi - 1, -1):
+            step(pos, ii, acc)
+
+    def step(wi: int, ii: int, acc: BindingSet) -> None:
         if ii == len(items):
             if wi == len(words):
                 key = _binding_key(acc)

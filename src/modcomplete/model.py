@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 from .errors import ModcompleteError
@@ -133,6 +135,37 @@ class SystemModel:
 
     def machines(self) -> tuple[StateMachine, ...]:
         return tuple(b.state_machine for b in self.blocks if b.state_machine)
+
+    @cached_property
+    def _lookup_index(self) -> _LookupIndex:
+        """Element names by normal form, built on first lookup.
+
+        ``cached_property`` stores the index in the instance ``__dict__``, so
+        it stays out of equality, hashing, ``repr`` and ``replace``.
+        """
+        blocks: dict[str, list[str]] = defaultdict(list)
+        signals: dict[str, list[str]] = defaultdict(list)
+        states: dict[tuple[str | None, str], list[str]] = defaultdict(list)
+        for block in self.blocks:
+            blocks[normalize_phrase(block.name)].append(block.name)
+            if block.state_machine is not None:
+                for state in block.state_machine.states:
+                    form = normalize_phrase(state.name)
+                    states[(block.name, form)].append(state.name)
+                    states[(None, form)].append(state.name)
+        for signal in self.signals:
+            signals[normalize_phrase(signal.name)].append(signal.name)
+        return _LookupIndex(blocks, signals, states)
+
+
+@dataclass(frozen=True)
+class _LookupIndex:
+    """Normal form -> element names, duplicates kept. ``states`` is keyed by
+    (owning block, form) and by (None, form) for unscoped lookups."""
+
+    blocks: dict[str, list[str]]
+    signals: dict[str, list[str]]
+    states: dict[tuple[str | None, str], list[str]]
 
 
 def transition_identity(
@@ -385,13 +418,13 @@ def validate_model(model: SystemModel) -> None:
                         f"{path}.receivable_signals[{j}]",
                     )
         if block.state_machine is not None:
-            _validate_machine(block, model, signal_names, path)
+            _validate_machine(block, block_names, signal_names, path)
 
     _check_part_cycles(model)
 
 
 def _validate_machine(
-    block: Block, model: SystemModel, signal_names: set[str], path: str
+    block: Block, block_names: set[str], signal_names: set[str], path: str
 ) -> None:
     machine = block.state_machine
     assert machine is not None
@@ -418,7 +451,7 @@ def _validate_machine(
         for k, eff in enumerate(t.effects):
             if eff.signal not in signal_names:
                 raise ValidationError(f"effect signal {eff.signal!r} is not a signal", f"{tpath}.effects[{k}]")
-            if model.block(eff.target_block) is None:
+            if eff.target_block not in block_names:
                 raise ValidationError(
                     f"effect target {eff.target_block!r} is not a block", f"{tpath}.effects[{k}]"
                 )
@@ -589,10 +622,11 @@ def add_transition(model: SystemModel, owner: str, t: Transition) -> MergeOutcom
     signal_names = {s.name for s in model.signals}
     if t.trigger is not None and t.trigger not in signal_names:
         raise UnknownSignal(f"trigger {t.trigger!r} is not a signal")
+    block_names = {b.name for b in model.blocks}
     for eff in t.effects:
         if eff.signal not in signal_names:
             raise UnknownSignal(f"effect signal {eff.signal!r} is not a signal")
-        if model.block(eff.target_block) is None:
+        if eff.target_block not in block_names:
             raise UnknownOwner(f"effect target {eff.target_block!r} is not a block")
 
     incoming = make_transition(owner, t.source, t.target, t.trigger, t.effects, t.provenance)
@@ -650,6 +684,11 @@ def lookup_elements(
     stopword-stripped and stemmed forms. State lookups with a ``scope``
     search only that block's machine; without one they search every machine,
     and a name is repeated once per machine that defines it.
+
+    Each suffix costs one probe of the model's lookup index (one per signal
+    variant), not a scan of the model. The index is built on the model's
+    first lookup and cached on that value; it is never part of equality or
+    of any output.
     """
     from .normalize import core_words, split_words
 
@@ -668,18 +707,9 @@ def _lookup_exact(
     form = "".join(words)
     if not form:
         return []
+    index = model._lookup_index
     if metaclass is Metaclass.BLOCK:
-        return [b.name for b in model.blocks if normalize_phrase(b.name) == form]
+        return list(index.blocks.get(form, ()))
     if metaclass is Metaclass.SIGNAL:
-        variants = normalize_signal_phrase(words)
-        return [s.name for s in model.signals if normalize_phrase(s.name) in variants]
-    found = []
-    for block in model.blocks:
-        if scope is not None and block.name != scope:
-            continue
-        if block.state_machine is None:
-            continue
-        for state in block.state_machine.states:
-            if normalize_phrase(state.name) == form:
-                found.append(state.name)
-    return found
+        return [name for v in normalize_signal_phrase(words) for name in index.signals.get(v, ())]
+    return list(index.states.get((scope, form), ()))

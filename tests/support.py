@@ -26,6 +26,7 @@ from modcomplete.kb import (
 )
 from modcomplete.gherkin import ClauseKind
 from modcomplete.model import Metaclass
+from modcomplete.normalize import core_words, normalize_phrase, normalize_signal_phrase, split_words
 import json
 
 
@@ -235,3 +236,39 @@ def random_kb(rng: random.Random) -> KnowledgeBase:
             )
         )
     return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments))
+
+
+def reference_lookup_elements(
+    model: SystemModel, phrase, metaclass: Metaclass, scope: str | None = None
+) -> list[str]:
+    """``lookup_elements`` as a linear scan that normalizes every element
+    name per suffix: the reference the indexed lookup must agree with."""
+    words = core_words(split_words(phrase))
+    for k in range(len(words)):
+        found = _reference_lookup_exact(model, words[k:], metaclass, scope)
+        if found:
+            return sorted(found)
+    return []
+
+
+def _reference_lookup_exact(
+    model: SystemModel, words: list[str], metaclass: Metaclass, scope: str | None
+) -> list[str]:
+    form = "".join(words)
+    if not form:
+        return []
+    if metaclass is Metaclass.BLOCK:
+        return [b.name for b in model.blocks if normalize_phrase(b.name) == form]
+    if metaclass is Metaclass.SIGNAL:
+        variants = normalize_signal_phrase(words)
+        return [s.name for s in model.signals if normalize_phrase(s.name) in variants]
+    found = []
+    for block in model.blocks:
+        if scope is not None and block.name != scope:
+            continue
+        if block.state_machine is None:
+            continue
+        for state in block.state_machine.states:
+            if normalize_phrase(state.name) == form:
+                found.append(state.name)
+    return found

@@ -360,3 +360,12 @@ def test_random_completions_stay_valid(kb):
         again = complete_model(result.model, [doc], kb)
         assert again.model == result.model
         assert again.report.added == ()
+
+
+def test_long_article_run_does_not_abort_the_run(railway_model, kb):
+    # Skipping articles once used one stack frame per article.
+    text = RAILWAY_REQUIREMENT.replace("Given a Train", "Given " + "the " * 2000 + "Train")
+    result = complete_model(railway_model, [RequirementDoc(id="R", text=text)], kb)
+    assert result.outcomes[0].error is None
+    assert result.outcomes[0].match.metareq_id == "MR1"
+    assert [entry.requirement_ids for entry in result.report.added] == [("R",)]

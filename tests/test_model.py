@@ -5,7 +5,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+import modcomplete.model as model_module
 from modcomplete import (
     MergeKind,
     Metaclass,
@@ -13,13 +15,16 @@ from modcomplete import (
     SendEffect,
     ValidationError,
     add_transition,
+    complete_model,
     load_model,
     lookup_elements,
     save_model,
 )
-from modcomplete.model import make_transition
+from modcomplete.gherkin import RequirementDoc
+from modcomplete.model import Block, Signal, State, StateMachine, SystemModel, make_transition
 
-from support import random_model
+from conftest import FIXTURES, RAILWAY_REQUIREMENT
+from support import random_model, reference_lookup_elements
 
 
 def test_load_railway_model(railway_model):
@@ -265,3 +270,84 @@ def test_lookup_absorbs_leading_modifiers(railway_model):
     assert lookup_elements(railway_model, "Braking Supervision", Metaclass.BLOCK) == [
         "BrakingSupervision"
     ]
+
+
+# Pools whose names collide under normalization ("Gate"/"gate"/"the Gate"),
+# absorb modifiers ("Emergency Brake" -> "Brake") and stem ("Stops" -> "Stop").
+BLOCK_NAMES = ["Gate", "gate", "the Gate", "GateControl", "Gate Control", "Control", "Brake", "Emergency Brake"]
+SIGNAL_NAMES = ["Stop", "stop", "Stops", "EmergencyStop", "Emergency Stop", "StopMessage", "Activate"]
+STATE_NAMES = ["idle", "Idle", "the idle", "running", "Running", "braking"]
+PHRASE_WORDS = [
+    "the", "a", "Gate", "gate", "Control", "Emergency", "Brake", "Stop", "stops",
+    "Message", "activates", "Activate", "idle", "Running", "braking", "signal", "Ghost",
+]
+
+
+@st.composite
+def hand_built_models(draw):
+    """Unvalidated models: duplicate and colliding names, states shared
+    across machines, blocks with and without machines."""
+    blocks = []
+    for name in draw(st.lists(st.sampled_from(BLOCK_NAMES), max_size=5)):
+        states = draw(st.none() | st.lists(st.sampled_from(STATE_NAMES), max_size=4))
+        machine = None if states is None else StateMachine(name, tuple(map(State, states)))
+        blocks.append(Block(name, state_machine=machine))
+    signals = draw(st.lists(st.sampled_from(SIGNAL_NAMES), max_size=5))
+    return SystemModel("M", tuple(blocks), tuple(map(Signal, signals)))
+
+
+@given(hand_built_models(), st.lists(st.sampled_from(PHRASE_WORDS), max_size=3))
+def test_indexed_lookup_agrees_with_linear_scan(model, modifiers):
+    """Every element name, stemmed or not, behind random leading words, in
+    every metaclass, scoped to every block, to none and to an unknown one."""
+    names = [b.name for b in model.blocks] + [s.name for s in model.signals] + [
+        s.name for m in model.machines() for s in m.states
+    ]
+    phrases = [modifiers] + [modifiers + [n] for n in names] + [modifiers + [n + "s", "Message"] for n in names]
+    for phrase in phrases:
+        for metaclass in Metaclass:
+            for scope in [None, "Ghost"] + [b.name for b in model.blocks]:
+                assert lookup_elements(model, phrase, metaclass, scope) == reference_lookup_elements(
+                    model, phrase, metaclass, scope
+                ), (phrase, metaclass, scope)
+
+
+def test_lookup_index_is_not_part_of_the_value(railway_model_text):
+    looked_up, fresh = load_model(railway_model_text), load_model(railway_model_text)
+    assert lookup_elements(looked_up, "Train", Metaclass.BLOCK) == ["Train"]
+    assert looked_up == fresh and hash(looked_up) == hash(fresh)
+    assert repr(looked_up) == repr(fresh)
+    assert save_model(looked_up) == save_model(fresh)
+
+
+def _padded_railway(n_blocks: int):
+    doc = json.loads((FIXTURES / "railway_model.json").read_text(encoding="utf-8"))
+    for i in range(n_blocks - len(doc["blocks"])):
+        doc["blocks"].append(
+            {"name": f"Unit{i}", "state_machine": {"states": ["Idle", "Busy"], "transitions": []}}
+        )
+    doc["signals"].extend({"name": f"Ping{i}"} for i in range(n_blocks // 2))
+    return load_model(json.dumps(doc))
+
+
+def test_lookup_normalizes_each_element_at_most_once(monkeypatch, kb):
+    """Counts calls, times nothing: a lookup probes the index, so a whole
+    run normalizes each element name once however many spans it tries."""
+    corpus = [
+        RequirementDoc("R1", RAILWAY_REQUIREMENT),
+        RequirementDoc("R2", "Given Unit3 in idle, When Unit4 receives Ping1, Then Unit3 goes in busy."),
+        RequirementDoc("R3", "Given Unit5 in idle, Then Unit5 goes in busy."),
+        RequirementDoc("R4", "Given the Spaceship in orbit, Then the Spaceship goes in space."),
+    ]
+    models = [_padded_railway(10), _padded_railway(300)]
+    calls = []
+    real = model_module.normalize_phrase
+    monkeypatch.setattr(
+        model_module, "normalize_phrase", lambda phrase: calls.append(phrase) or real(phrase)
+    )
+    for model in models:
+        calls.clear()
+        result = complete_model(model, corpus, kb)
+        assert len(result.report.added) == 3 and len(result.report.unmatched) == 1
+        elements = len(model.blocks) + len(model.signals) + sum(len(m.states) for m in model.machines())
+        assert 0 < len(calls) <= elements
