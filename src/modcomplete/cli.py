@@ -1,16 +1,16 @@
 """Command-line interface: complete, check and kb-lint subcommands.
 
 Exit codes: 0 means no error-level findings, 2 means conflicts or validation
-errors were found, 1 means an input file was missing or unreadable. Stdout
-is for humans; machine-readable data goes to the output files, which are
-written atomically (temp file plus rename). With ``--strict``, warnings
-count as errors for the exit code.
+errors were found, 1 means an input file was missing or unreadable, an output
+file could not be written, or two of ``complete``'s output paths name the
+same file. Stdout is for humans; machine-readable data goes to the output
+files, which are canonical JSON written atomically (temp file plus rename).
+With ``--strict``, warnings count as errors for the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import string
 import sys
@@ -31,7 +31,7 @@ from .generator import (
 )
 from .kb import KnowledgeBase, default_kb, parse_kb, shadowed_rules
 from .matcher import AmbiguousMatch, NoMatch, match_requirement  # noqa: F401
-from .model import SystemModel, load_model, save_model
+from .model import SystemModel, dump_canonical, load_model, save_model
 from .trace import emit_requirement_diagram, emit_trace_json
 
 KB_ENV_VAR = "MODCOMPLETE_KB"
@@ -155,8 +155,24 @@ def _print_findings(findings: list[Finding]) -> None:
         print(f"  [{finding.severity}] {finding.kind}: {finding.message} ({ids})")
 
 
+def _colliding_outputs(args: argparse.Namespace) -> str | None:
+    """An error message when two of the output file options name one file."""
+    seen: dict[str, str] = {}
+    for option in ("out", "report", "trace"):
+        path = getattr(args, option)
+        real = os.path.realpath(path)
+        if real in seen:
+            return f"--{seen[real]} and --{option} name the same file {path!r}"
+        seen[real] = option
+    return None
+
+
 def cmd_complete(args: argparse.Namespace) -> int:
     """Complete the model and write model, report, trace and diagram files."""
+    collision = _colliding_outputs(args)
+    if collision is not None:
+        print(f"error: {collision}", file=sys.stderr)
+        return 1
     try:
         model, corpus, kb = _load_inputs(args)
     except InputError as exc:
@@ -165,20 +181,23 @@ def cmd_complete(args: argparse.Namespace) -> int:
     result = complete_model(model, corpus, kb)
     findings = check_acceptability(result.report, result.model)
 
-    _atomic_write(args.out, save_model(result.model))
-    _atomic_write(
-        args.report,
-        json.dumps(_report_doc(result.report, findings), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-    )
-    _atomic_write(args.trace, emit_trace_json(result.trace))
+    outputs = [
+        ("model", args.out, save_model(result.model)),
+        ("report", args.report, dump_canonical(_report_doc(result.report, findings))),
+        ("trace", args.trace, emit_trace_json(result.trace)),
+    ]
     if args.diagrams is not None:
         for record in sorted(result.trace, key=lambda r: r.requirement_id):
             diagram = emit_requirement_diagram(record, result.model)
             if diagram is not None:
-                _atomic_write(
-                    os.path.join(args.diagrams, _diagram_filename(record.requirement_id)),
-                    diagram,
-                )
+                path = os.path.join(args.diagrams, _diagram_filename(record.requirement_id))
+                outputs.append(("diagram", path, diagram))
+    for what, path, text in outputs:
+        try:
+            _atomic_write(path, text)
+        except OSError as exc:
+            print(f"error: cannot write {what} {path!r}: {exc}", file=sys.stderr)
+            return 1
 
     report = result.report
     print(

@@ -6,19 +6,22 @@ transitions; the pipeline adds them. All types are immutable value objects;
 operations return new values.
 
 The document format is canonical JSON: keys sorted, name lists sorted,
-transitions sorted by id, two-space indentation. ``load_model`` also
-normalizes the in-memory ordering, so ``load_model(save_model(m)) == m``
-holds with plain structural equality.
+transitions sorted by id, two-space indentation. ``dump_canonical`` writes
+it, and the report and the trace too. ``load_model`` also normalizes the
+in-memory ordering, so ``load_model(save_model(m)) == m`` holds with plain
+structural equality.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Any
 
 from .errors import ModcompleteError
@@ -179,17 +182,18 @@ def transition_identity(
 
     Provenance is excluded on purpose so that duplicate detection and
     provenance union keep the id stable across runs.
+
+    The hashed payload is the compact, key-sorted, ASCII-escaped JSON object
+    ``{"effects":[[signal,target_block],...],"owner":..,"source":..,
+    "target":..,"trigger":..}``. Ids are persisted in model files, so these
+    bytes must never change; they are written out directly rather than
+    through ``json.dumps``.
     """
-    payload = json.dumps(
-        {
-            "owner": owner,
-            "source": source,
-            "target": target,
-            "trigger": trigger,
-            "effects": [[e.signal, e.target_block] for e in sorted_effects(effects)],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    enc = encode_basestring_ascii
+    effs = ",".join([f"[{enc(e.signal)},{enc(e.target_block)}]" for e in sorted_effects(effects)])
+    payload = (
+        f'{{"effects":[{effs}],"owner":{enc(owner)},"source":{enc(source)},'
+        f'"target":{enc(target)},"trigger":{"null" if trigger is None else enc(trigger)}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
@@ -455,8 +459,9 @@ def _validate_machine(
                 raise ValidationError(
                     f"effect target {eff.target_block!r} is not a block", f"{tpath}.effects[{k}]"
                 )
-        expected = transition_identity(machine.owner, t.source, t.target, t.trigger, t.effects)
-        if t.id and t.id != expected:
+        if t.id and t.id != transition_identity(
+            machine.owner, t.source, t.target, t.trigger, t.effects
+        ):
             raise ValidationError(f"transition id {t.id!r} does not match content hash", tpath)
 
 
@@ -491,13 +496,20 @@ def _check_part_cycles(model: SystemModel) -> None:
 def _normalized(model: SystemModel) -> SystemModel:
     """Canonical in-memory ordering: every list sorted by its key."""
 
+    def norm_transition(owner: str, t: Transition) -> Transition:
+        effects = sorted_effects(t.effects)
+        return Transition(
+            id=t.id or transition_identity(owner, t.source, t.target, t.trigger, effects),
+            source=t.source,
+            target=t.target,
+            trigger=t.trigger,
+            guard=t.guard,
+            effects=effects,
+            provenance=t.provenance,  # sorted and unique since _parse_transition
+        )
+
     def norm_machine(m: StateMachine) -> StateMachine:
-        transitions = []
-        for t in m.transitions:
-            t = replace(t, effects=sorted_effects(t.effects), provenance=tuple(sorted(set(t.provenance))))
-            if not t.id:
-                t = replace(t, id=transition_identity(m.owner, t.source, t.target, t.trigger, t.effects))
-            transitions.append(t)
+        transitions = [norm_transition(m.owner, t) for t in m.transitions]
         return StateMachine(
             owner=m.owner,
             states=tuple(sorted(m.states, key=lambda s: s.name)),
@@ -543,6 +555,80 @@ def _transition_doc(t: Transition) -> dict:
     return doc
 
 
+def dump_canonical(value: Any) -> str:
+    """Canonical JSON text of ``value``, the format of every output file.
+
+    Returns exactly ``json.dumps(value, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"``. The standard library encodes with
+    ``indent`` in pure Python, one generator per container; this writer
+    emits the same bytes with one call per container and the C string
+    escaper. Takes dicts with string keys, lists, tuples, strings, None,
+    bools, ints and floats; anything else raises TypeError.
+    """
+    chunks: list[str] = []
+    _write_canonical(value, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_canonical(value: Any, newline: str, chunks: list[str]) -> None:
+    """Append ``value`` to ``chunks``; ``newline`` is the line break plus
+    the indentation of the line ``value`` starts on. String members are
+    written inline, saving a call for most leaves."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if isinstance(item, str):
+                chunks.append(f"{sep}{encode_basestring(key)}: {encode_basestring(item)}")
+            else:
+                chunks.append(f"{sep}{encode_basestring(key)}: ")
+                _write_canonical(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if isinstance(item, str):
+                chunks.append(sep + encode_basestring(item))
+            else:
+                chunks.append(sep)
+                _write_canonical(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "]")
+    else:
+        chunks.append(_scalar_text(value))
+
+
+def _scalar_text(value: Any) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_model(model: SystemModel) -> str:
     """Serialize a model canonically (stable bytes for identical models)."""
     blocks = []
@@ -571,7 +657,7 @@ def save_model(model: SystemModel) -> str:
             entry["display"] = s.display
         signals.append(entry)
     doc = {"version": model.version, "name": model.name, "signals": signals, "blocks": blocks}
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return dump_canonical(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ with a note listing the role(s) each element plays.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 from .errors import ModcompleteError
 from .matcher import MatchResult
-from .model import Metaclass, SystemModel
+from .model import Metaclass, SystemModel, dump_canonical
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def emit_trace_json(records: tuple[TraceRecord, ...] | list[TraceRecord]) -> str
                 ],
             }
         )
-    return json.dumps(docs, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return dump_canonical(docs)
 
 
 def _element_exists(model: SystemModel, name: str, metaclass: Metaclass) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
 
@@ -25,9 +27,8 @@ from modcomplete.kb import (
     SlotPattern,
 )
 from modcomplete.gherkin import ClauseKind
-from modcomplete.model import Metaclass
+from modcomplete.model import Metaclass, SendEffect
 from modcomplete.normalize import core_words, normalize_phrase, normalize_signal_phrase, split_words
-import json
 
 
 def semantic(result: MatchResult):
@@ -272,3 +273,29 @@ def _reference_lookup_exact(
             if normalize_phrase(state.name) == form:
                 found.append(state.name)
     return found
+
+
+def reference_transition_identity(
+    owner: str,
+    source: str,
+    target: str,
+    trigger: str | None,
+    effects: tuple[SendEffect, ...],
+) -> str:
+    """``transition_identity`` with its payload built by ``json.dumps``: the
+    reference the directly written payload must agree with byte for byte."""
+    payload = json.dumps(
+        {
+            "owner": owner,
+            "source": source,
+            "target": target,
+            "trigger": trigger,
+            "effects": [
+                [e.signal, e.target_block]
+                for e in sorted(effects, key=lambda e: (e.signal, e.target_block))
+            ],
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]

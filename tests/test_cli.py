@@ -122,6 +122,70 @@ def test_complete_runs_are_byte_identical(tmp_path):
     assert leftovers == []
 
 
+def test_outputs_are_the_stdlib_canonical_encoding(tmp_path):
+    """Model, report and trace bytes are exactly what ``json.dumps`` with
+    two-space indentation and sorted keys writes for the same data."""
+    _, out = run_complete(
+        tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature")
+    )
+    for name in ("model.json", "report.json", "trace.json"):
+        text = (out / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "option, target, what",
+    [("--out", "afile/x.json", "model"), ("--diagrams", "afile", "diagram"), ("--out", "adir", "model")],
+)
+def test_unwritable_output_path_is_exit_1(tmp_path, capsys, option, target, what):
+    """A regular file where a directory must be, or a directory where the
+    file must be: an error line, no traceback, no temp file left."""
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    code, _ = run_complete(
+        tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
+        option, str(tmp_path / target),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {what} ")
+    assert "Traceback" not in err
+    assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == []
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("--out", "same.json"), ("--report", "same.json")),
+        (("--report", "same.json"), ("--trace", "sub/../same.json")),
+    ],
+)
+def test_colliding_output_paths_write_nothing(tmp_path, capsys, monkeypatch, first, second):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out = run_complete(
+        tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
+        *first, *second,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {first[0]} and {second[0]} name the same file")
+    assert not (tmp_path / "same.json").exists() and not out.exists()
+
+
+def test_same_file_name_in_distinct_directories_is_not_a_collision(tmp_path):
+    code, _ = run_complete(
+        tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
+        "--out", str(tmp_path / "a" / "x.json"),
+        "--report", str(tmp_path / "b" / "x.json"),
+        "--trace", str(tmp_path / "c" / "x.json"),
+    )
+    assert code == 0
+    assert "transitions" in (tmp_path / "a" / "x.json").read_text(encoding="utf-8")
+    assert "added" in json.loads((tmp_path / "b" / "x.json").read_text(encoding="utf-8"))
+    assert isinstance(json.loads((tmp_path / "c" / "x.json").read_text(encoding="utf-8")), list)
+
+
 def test_check_railway(capsys):
     code = main(
         [

@@ -21,10 +21,19 @@ from modcomplete import (
     save_model,
 )
 from modcomplete.gherkin import RequirementDoc
-from modcomplete.model import Block, Signal, State, StateMachine, SystemModel, make_transition
+from modcomplete.model import (
+    Block,
+    Signal,
+    State,
+    StateMachine,
+    SystemModel,
+    dump_canonical,
+    make_transition,
+    transition_identity,
+)
 
 from conftest import FIXTURES, RAILWAY_REQUIREMENT
-from support import random_model, reference_lookup_elements
+from support import random_model, reference_lookup_elements, reference_transition_identity
 
 
 def test_load_railway_model(railway_model):
@@ -351,3 +360,116 @@ def test_lookup_normalizes_each_element_at_most_once(monkeypatch, kb):
         assert len(result.report.added) == 3 and len(result.report.unmatched) == 1
         elements = len(model.blocks) + len(model.signals) + sum(len(m.states) for m in model.machines())
         assert 0 < len(calls) <= elements
+
+
+def stdlib_canonical(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# Characters the two string escapers must agree on: quotes, backslashes,
+# control characters, DEL, line and paragraph separators, non-ASCII.
+AWKWARD_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u2028\u2029\xe9\U0001f686')
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | AWKWARD_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(AWKWARD_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+def test_dump_canonical_agrees_with_stdlib_encoder(value):
+    assert dump_canonical(value) == stdlib_canonical(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], (), "", 0, None,
+        {"a": [], "b": {}, "c": ()},
+        [[], {}, (), [[]], {"x": {}}],
+        {"d": {"e": {"f": [], "g": {}}, "h": [{}, []]}},
+    ],
+)
+def test_dump_canonical_empty_containers_at_every_depth(value):
+    assert dump_canonical(value) == stdlib_canonical(value)
+
+
+def test_dump_canonical_rejects_what_json_cannot_encode():
+    with pytest.raises(TypeError):
+        dump_canonical({"a": {1, 2}})
+
+
+NAMES = st.text(st.characters() | st.sampled_from('"\\\u2028\xe9\U0001f686'), max_size=8)
+EFFECTS = st.lists(st.builds(SendEffect, NAMES, NAMES), max_size=4).map(tuple)
+
+
+@given(NAMES, NAMES, NAMES, st.none() | NAMES, EFFECTS)
+def test_transition_identity_agrees_with_json_payload(owner, source, target, trigger, effects):
+    assert transition_identity(owner, source, target, trigger, effects) == (
+        reference_transition_identity(owner, source, target, trigger, effects)
+    )
+
+
+def test_transition_identity_golden(railway_model, railway_corpus, kb):
+    """Ids are persisted in model files: these literals must never change."""
+    completed = complete_model(railway_model, railway_corpus, kb).model
+    assert [t.id for m in completed.machines() for t in m.transitions] == ["252ea0ea7fe4"]
+    assert transition_identity("Gate", "open", "closed", None, ()) == "39bd433fe26a"
+    unsorted = (SendEffect("Stop", "Brake"), SendEffect("Alarm", "Horn"))
+    assert transition_identity("Zug", "F\xe4hrt", "Bremst", "Nothalt", unsorted) == "dc59ef2723c0"
+    awkward = (SendEffect("S\xe9", "B\U0001f686"),)
+    assert transition_identity(
+        'Quote"Block', "back\\slash", "tab\tstate", "Sig\u2028", awkward
+    ) == "0b7027697e30"
+
+
+def _machine_doc(k: int) -> dict:
+    """One machine with ``k`` transitions without an id and ``k`` with
+    their correct id."""
+    states = [f"S{i}" for i in range(2 * k + 1)]
+    transitions = []
+    for i in range(2 * k):
+        t = {"source": states[i], "target": states[i + 1], "trigger": "Halt",
+             "effects": [{"signal": "Halt", "target_block": "Gate"}]}
+        if i % 2:
+            t["id"] = reference_transition_identity(
+                "Gate", t["source"], t["target"], "Halt", (SendEffect("Halt", "Gate"),)
+            )
+        transitions.append(t)
+    return {
+        "version": "1",
+        "name": "M",
+        "signals": [{"name": "Halt"}],
+        "blocks": [{"name": "Gate", "state_machine": {"states": states, "transitions": transitions}}],
+    }
+
+
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_load_computes_one_identity_per_transition(monkeypatch, k):
+    """Counts calls, times nothing: a declared id is checked once, a
+    missing one is computed once."""
+    calls = []
+    real = model_module.transition_identity
+    monkeypatch.setattr(
+        model_module, "transition_identity", lambda *args: calls.append(args) or real(*args)
+    )
+    model = load_model(json.dumps(_machine_doc(k)))
+    assert len(calls) == 2 * k
+    assert len(model.machines()[0].transitions) == 2 * k
+
+
+def test_wrong_declared_id_is_rejected_with_its_path(railway_model, railway_corpus, kb):
+    completed = complete_model(railway_model, railway_corpus, kb).model
+    doc = json.loads(save_model(completed))
+    doc["blocks"][2]["state_machine"]["transitions"][0]["id"] = "0123456789ab"
+    with pytest.raises(ValidationError) as info:
+        load_model(json.dumps(doc))
+    assert str(info.value) == (
+        "$.blocks[2].state_machine.transitions[0]: "
+        "transition id '0123456789ab' does not match content hash"
+    )
+    assert info.value.path == "$.blocks[2].state_machine.transitions[0]"
