@@ -4,13 +4,16 @@ Exit codes: 0 means no error-level findings, 2 means conflicts or validation
 errors were found, 1 means an input file was missing or unreadable, an output
 file could not be written, or two of ``complete``'s output paths name the
 same file. Stdout is for humans; machine-readable data goes to the output
-files, which are canonical JSON written atomically (temp file plus rename).
+files, which are canonical JSON. ``complete`` stages every output as a temp
+file before it renames any into place, so a failed write replaces no output;
+new files get the mode the umask allows.
 With ``--strict``, warnings count as errors for the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import string
 import sys
@@ -53,18 +56,51 @@ def _read_file(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _stage(path: str, text: str, mode: int) -> str:
+    """Write ``text`` to a new temp file beside ``path`` with permission bits
+    ``mode``; return the temp file's path. Nothing is renamed yet."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".modcomplete-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+    return tmp
+
+
+def _write_all(outputs: list[tuple[str, str, str]]) -> str | None:
+    """Write every (what, path, text) output, or none of them.
+
+    All outputs are staged as temp files first and only then renamed into
+    place, so an output that cannot be written leaves every existing file
+    as it was. Files get the mode ``open(path, "w")`` would give a new file.
+    Returns an error message, or None on success.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    staged: list[str] = []
+    try:
+        for what, path, text in outputs:
+            try:
+                staged.append(_stage(path, text, 0o666 & ~umask))
+            except OSError as exc:
+                return f"cannot write {what} {path!r}: {exc}"
+        for (what, path, _), tmp in zip(outputs, staged):
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                return f"cannot write {what} {path!r}: {exc}"
+        return None
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[SystemModel, list[RequirementDoc], KnowledgeBase]:
@@ -192,12 +228,10 @@ def cmd_complete(args: argparse.Namespace) -> int:
             if diagram is not None:
                 path = os.path.join(args.diagrams, _diagram_filename(record.requirement_id))
                 outputs.append(("diagram", path, diagram))
-    for what, path, text in outputs:
-        try:
-            _atomic_write(path, text)
-        except OSError as exc:
-            print(f"error: cannot write {what} {path!r}: {exc}", file=sys.stderr)
-            return 1
+    error = _write_all(outputs)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
     report = result.report
     print(

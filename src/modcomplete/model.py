@@ -25,7 +25,7 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Any
 
 from .errors import ModcompleteError
-from .normalize import normalize_phrase, normalize_signal_phrase
+from .normalize import core_words, normalize_phrase, normalize_signal_phrase
 
 MODEL_FORMAT_VERSION = "1"
 
@@ -160,6 +160,12 @@ class SystemModel:
             signals[normalize_phrase(signal.name)].append(signal.name)
         return _LookupIndex(blocks, signals, states)
 
+    @cached_property
+    def _lookup_memo(self) -> dict[tuple, tuple[str, ...]]:
+        """``lookup_elements`` results by (phrase, metaclass, scope), filled on
+        demand. Stored like ``_lookup_index``, so it is never part of the value."""
+        return {}
+
 
 @dataclass(frozen=True)
 class _LookupIndex:
@@ -258,33 +264,43 @@ def _parse_effect(obj: Any, path: str) -> SendEffect:
     )
 
 
+_TRANSITION_KEYS = frozenset({"id", "source", "target", "trigger", "guard", "effects", "provenance"})
+
+
+def _str_field(obj: dict, key: str, path: str, required: bool = False) -> str | None:
+    """``obj[key]`` checked to be a str (or absent or None, unless required).
+    The field's path is only built for the error."""
+    value = obj.get(key)
+    if not isinstance(value, str) and (required or value is not None):
+        raise SchemaError(f"{key} must be a str", f"{path}.{key}")
+    return value
+
+
 def _parse_transition(obj: Any, path: str) -> Transition:
     _expect(obj, dict, path, "transition")
-    allowed = {"id", "source", "target", "trigger", "guard", "effects", "provenance"}
-    _reject_unknown_keys(obj, allowed, path)
+    _reject_unknown_keys(obj, _TRANSITION_KEYS, path)
     for key in ("source", "target"):
         if key not in obj:
             raise SchemaError(f"transition requires {key!r}", path)
     effects = tuple(
         _parse_effect(e, f"{path}.effects[{i}]") for i, e in enumerate(obj.get("effects", []))
     )
-    trigger = obj.get("trigger")
-    if trigger is not None:
-        _expect(trigger, str, f"{path}.trigger", "trigger")
-    guard = obj.get("guard")
-    if guard is not None:
-        _expect(guard, str, f"{path}.guard", "guard")
-    declared_id = obj.get("id")
-    if declared_id is not None:
-        _expect(declared_id, str, f"{path}.id", "id")
+    trigger = _str_field(obj, "trigger", path)
+    guard = _str_field(obj, "guard", path)
+    declared_id = _str_field(obj, "id", path)
+    source = _str_field(obj, "source", path, required=True)
+    target = _str_field(obj, "target", path, required=True)
+    provenance = obj.get("provenance", [])
+    if not (isinstance(provenance, list) and all(isinstance(p, str) for p in provenance)):
+        _expect_str_list(provenance, f"{path}.provenance", "provenance")  # raises
     return Transition(
         id=declared_id or "",
-        source=_expect(obj["source"], str, f"{path}.source", "source"),
-        target=_expect(obj["target"], str, f"{path}.target", "target"),
+        source=source,
+        target=target,
         trigger=trigger,
         guard=guard,
         effects=effects,
-        provenance=tuple(sorted(set(_expect_str_list(obj.get("provenance", []), f"{path}.provenance", "provenance")))),
+        provenance=tuple(sorted(set(provenance))),
     )
 
 
@@ -774,14 +790,24 @@ def lookup_elements(
     Each suffix costs one probe of the model's lookup index (one per signal
     variant), not a scan of the model. The index is built on the model's
     first lookup and cached on that value; it is never part of equality or
-    of any output.
+    of any output. Results are memoized on the model value the same way,
+    lazily, keyed by (phrase, metaclass, scope): each distinct key is
+    resolved once, and the memo holds one entry per distinct key queried.
+    Two threads that look up the same new key at once may both resolve it;
+    they store equal results, so that is harmless. Every call returns a
+    fresh list.
     """
-    from .normalize import core_words, split_words
+    key = (phrase if isinstance(phrase, str) else tuple(phrase), metaclass, scope)
+    names = model._lookup_memo.get(key)
+    if names is None:
+        names = model._lookup_memo[key] = tuple(_longest_suffix(model, key[0], metaclass, scope))
+    return list(names)
 
-    words = core_words(split_words(phrase))
+
+def _longest_suffix(model: SystemModel, phrase, metaclass: Metaclass, scope: str | None) -> list[str]:
+    words = core_words(phrase)
     for k in range(len(words)):
-        suffix = words[k:]
-        found = _lookup_exact(model, suffix, metaclass, scope)
+        found = _lookup_exact(model, words[k:], metaclass, scope)
         if found:
             return sorted(found)
     return []

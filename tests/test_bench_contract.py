@@ -43,3 +43,17 @@ def test_counted_complete_reports_normalization_calls(tmp_path):
     run_traced(counts_path, "counts", "complete", cwd=tmp_path)
     counts = json.loads(counts_path.read_text(encoding="utf-8"))
     assert {"normalize.normalize_phrase_calls", "normalize.normalize_signal_phrase_calls"} <= set(counts)
+
+
+def test_memoized_lookup_still_counts_every_probe(tmp_path):
+    """The benchmark's ``model.lookup_elements_calls`` counts the matcher's
+    probes, memo hits included; only the work behind a probe may shrink.
+    On the railway fixture ``check`` makes 66 probes, and before the memo
+    they derived signal variants 26 times."""
+    spans_path, counts_path = tmp_path / "spans.json", tmp_path / "counts.json"
+    run_traced(spans_path, "spans", "check")
+    run_traced(counts_path, "counts", "check")
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    counts = json.loads(counts_path.read_text(encoding="utf-8"))
+    assert sum(span[0] == "model.lookup_elements" for span in spans) == 66
+    assert counts["normalize.normalize_signal_phrase_calls"] <= 13

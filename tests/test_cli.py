@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,41 @@ def test_unwritable_output_path_is_exit_1(tmp_path, capsys, option, target, what
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {what} ")
     assert "Traceback" not in err
+    assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == []
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        code, out = run_complete(
+            tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature")
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    files = [out / "model.json", out / "report.json", out / "trace.json", *(out / "diagrams").iterdir()]
+    assert len(files) > 3
+    assert {f.name: stat.S_IMODE(f.stat().st_mode) for f in files} == {f.name: 0o644 for f in files}
+
+
+@pytest.mark.parametrize("option, target, what", [("--diagrams", "afile", "diagram"), ("--trace", "adir", "trace")])
+def test_failed_complete_replaces_no_output(tmp_path, capsys, option, target, what):
+    """An output that cannot be written, even the last one, leaves the
+    model, report and trace of an earlier run byte for byte as they were."""
+    out = tmp_path / "out"
+    out.mkdir()
+    old = {name: f"old {name}\n".encode() for name in ("model.json", "report.json", "trace.json")}
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    code, _ = run_complete(
+        tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
+        option, str(tmp_path / target),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {what} ")
+    assert {name: (out / name).read_bytes() for name in old} == old
     assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == []
 
 

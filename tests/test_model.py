@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -90,6 +91,45 @@ def test_bad_documents_rejected(mutate, error):
     mutate(doc)
     with pytest.raises(error):
         load_model(json.dumps(doc))
+
+
+TRANSITION_PATH = "$.blocks[0].state_machine.transitions[1]"
+
+
+@pytest.mark.parametrize(
+    "patch, message, path",
+    [
+        ({"trigger": 5}, "trigger must be a str", TRANSITION_PATH + ".trigger"),
+        ({"trigger": False}, "trigger must be a str", TRANSITION_PATH + ".trigger"),
+        ({"guard": ["x"]}, "guard must be a str", TRANSITION_PATH + ".guard"),
+        ({"id": 7}, "id must be a str", TRANSITION_PATH + ".id"),
+        ({"source": None}, "source must be a str", TRANSITION_PATH + ".source"),
+        ({"target": 1.5}, "target must be a str", TRANSITION_PATH + ".target"),
+        ({"provenance": "R1"}, "provenance must be a list", TRANSITION_PATH + ".provenance"),
+        ({"provenance": ["R1", 3]}, "entry must be a str", TRANSITION_PATH + ".provenance[1]"),
+        ({"zz": 1, "aa": 2}, "unknown key 'aa'", TRANSITION_PATH),
+    ],
+)
+def test_bad_transition_field_message_and_path(patch, message, path):
+    """Messages and paths as the loader has always reported them."""
+    transition = {"source": "open", "target": "open", "trigger": "Halt", **patch}
+    doc = {
+        "version": "1",
+        "name": "M",
+        "signals": [{"name": "Halt"}],
+        "blocks": [
+            {
+                "name": "Gate",
+                "state_machine": {
+                    "states": ["open"],
+                    "transitions": [{"source": "open", "target": "open"}, transition],
+                },
+            }
+        ],
+    }
+    with pytest.raises(SchemaError) as info:
+        load_model(json.dumps(doc))
+    assert str(info.value) == f"{path}: {message}" and info.value.path == path
 
 
 def test_part_cycle_rejected():
@@ -305,28 +345,67 @@ def hand_built_models(draw):
     return SystemModel("M", tuple(blocks), tuple(map(Signal, signals)))
 
 
-@given(hand_built_models(), st.lists(st.sampled_from(PHRASE_WORDS), max_size=3))
-def test_indexed_lookup_agrees_with_linear_scan(model, modifiers):
+@given(hand_built_models(), st.lists(st.sampled_from(PHRASE_WORDS), max_size=3), st.randoms())
+def test_indexed_lookup_agrees_with_linear_scan(model, modifiers, rng):
     """Every element name, stemmed or not, behind random leading words, in
-    every metaclass, scoped to every block, to none and to an unknown one."""
+    every metaclass, scoped to every block, to none and to an unknown one.
+    Each query is asked twice, as a word list and as a string, in shuffled
+    order, so memoized answers are checked as well as fresh ones."""
     names = [b.name for b in model.blocks] + [s.name for s in model.signals] + [
         s.name for m in model.machines() for s in m.states
     ]
     phrases = [modifiers] + [modifiers + [n] for n in names] + [modifiers + [n + "s", "Message"] for n in names]
-    for phrase in phrases:
-        for metaclass in Metaclass:
-            for scope in [None, "Ghost"] + [b.name for b in model.blocks]:
-                assert lookup_elements(model, phrase, metaclass, scope) == reference_lookup_elements(
-                    model, phrase, metaclass, scope
-                ), (phrase, metaclass, scope)
+    queries = [
+        (form, metaclass, scope)
+        for phrase in phrases
+        for form in (phrase, " ".join(phrase))
+        for metaclass in Metaclass
+        for scope in [None, "Ghost"] + [b.name for b in model.blocks]
+    ] * 2
+    rng.shuffle(queries)
+    for phrase, metaclass, scope in queries:
+        assert lookup_elements(model, phrase, metaclass, scope) == reference_lookup_elements(
+            model, phrase, metaclass, scope
+        ), (phrase, metaclass, scope)
+
+
+def test_mutating_a_lookup_result_does_not_change_the_next(railway_model):
+    first = lookup_elements(railway_model, "Emergency Stop Message", Metaclass.SIGNAL)
+    first.append("Ghost")
+    first.sort(reverse=True)
+    assert lookup_elements(railway_model, "Emergency Stop Message", Metaclass.SIGNAL) == ["EmergencyStop"]
+    missing = lookup_elements(railway_model, "Spaceship", Metaclass.BLOCK)
+    missing.append("Spaceship")
+    assert lookup_elements(railway_model, "Spaceship", Metaclass.BLOCK) == []
 
 
 def test_lookup_index_is_not_part_of_the_value(railway_model_text):
+    """Neither the index nor the result memo shows in equality, hashing,
+    repr, replace or output."""
     looked_up, fresh = load_model(railway_model_text), load_model(railway_model_text)
     assert lookup_elements(looked_up, "Train", Metaclass.BLOCK) == ["Train"]
+    assert lookup_elements(looked_up, ["the", "Train"], Metaclass.BLOCK) == ["Train"]
+    assert {"_lookup_index", "_lookup_memo"} <= set(vars(looked_up))
+    assert looked_up._lookup_memo
     assert looked_up == fresh and hash(looked_up) == hash(fresh)
     assert repr(looked_up) == repr(fresh)
     assert save_model(looked_up) == save_model(fresh)
+    assert not {"_lookup_index", "_lookup_memo"} & set(vars(replace(looked_up)))
+
+
+def test_second_run_on_one_model_value_probes_nothing(monkeypatch, railway_model, railway_corpus, kb):
+    """Counts calls, times nothing: every phrase the second run asks for was
+    resolved by the first, so it never reaches the index."""
+    probes = []
+    real = model_module._lookup_exact
+    monkeypatch.setattr(model_module, "_lookup_exact", lambda *args: probes.append(args) or real(*args))
+    first = complete_model(railway_model, railway_corpus, kb)
+    assert probes
+    probes.clear()
+    second = complete_model(railway_model, railway_corpus, kb)
+    assert probes == []
+    assert second.model == first.model and second.report == first.report
+    assert second.trace == first.trace and second.outcomes == first.outcomes
 
 
 def _padded_railway(n_blocks: int):
