@@ -52,7 +52,7 @@ def _read_file(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 

@@ -193,13 +193,6 @@ class CompletionResult:
     outcomes: tuple[RequirementOutcome, ...]
 
 
-@dataclass
-class _Attempt:
-    doc: RequirementDoc
-    match: MatchResult
-    instance: FragmentInstance
-
-
 def complete_model(
     model: SystemModel, corpus: list[RequirementDoc], kb: KnowledgeBase
 ) -> CompletionResult:
@@ -211,7 +204,7 @@ def complete_model(
     (owner, source, trigger) are withheld in full and reported as conflicts,
     so permuting the corpus cannot change the final model.
     """
-    attempts: list[_Attempt] = []
+    attempts: list[tuple[RequirementDoc, MatchResult, FragmentInstance]] = []
     outcomes: list[RequirementOutcome] = []
     warnings: list[ReceivabilityWarning] = []
     multi_effect: list[str] = []
@@ -226,7 +219,7 @@ def complete_model(
             outcomes.append(RequirementOutcome(doc, match, exc))
             continue
         outcomes.append(RequirementOutcome(doc, match))
-        attempts.append(_Attempt(doc, match, instance))
+        attempts.append((doc, match, instance))
         warnings.extend(instance.warnings)
         if len(fragment.effect_specs) > 1:
             multi_effect.append(doc.id)
@@ -237,25 +230,23 @@ def complete_model(
     duplicates: list[MergeEntry] = []
     trace: list[TraceRecord] = []
     current = model
-    for attempt in attempts:
-        if attempt.doc.id in withheld:
+    for doc, match, instance in attempts:
+        if doc.id in withheld:
             continue
         added_ids: list[str] = []
         duplicate_ids: list[str] = []
-        for owner, transition in attempt.instance.pairs:
+        for owner, transition in instance.pairs:
             outcome = add_transition(current, owner, transition)
             current = outcome.model
             if outcome.kind is MergeKind.ADDED:
                 added_ids.append(outcome.transition_id)
-                added.append(MergeEntry(owner, outcome.transition_id, (attempt.doc.id,)))
+                added.append(MergeEntry(owner, outcome.transition_id, (doc.id,)))
             else:
                 duplicate_ids.append(outcome.transition_id)
         if not added_ids:
-            for owner, transition in attempt.instance.pairs:
-                duplicates.append(MergeEntry(owner, transition.id, (attempt.doc.id,)))
-        trace.append(
-            build_trace(attempt.match, tuple(added_ids + duplicate_ids), text=attempt.doc.text)
-        )
+            for owner, transition in instance.pairs:
+                duplicates.append(MergeEntry(owner, transition.id, (doc.id,)))
+        trace.append(build_trace(match, tuple(added_ids + duplicate_ids), text=doc.text))
 
     report = CompletionReport(
         added=tuple(added),
@@ -273,7 +264,7 @@ def complete_model(
 
 
 def _detect_conflicts(
-    model: SystemModel, attempts: list[_Attempt]
+    model: SystemModel, attempts: list[tuple[RequirementDoc, MatchResult, FragmentInstance]]
 ) -> tuple[list[ConflictRecord], set[str]]:
     """Group candidates by (owner, source, trigger); >1 right-hand side is a
     conflict. Returns the records plus the ids of withheld requirements (a
@@ -294,14 +285,14 @@ def _detect_conflicts(
     candidates: dict[Key, dict[Rhs, set[str]]] = {}
     key_order: list[Key] = []
     per_requirement: dict[str, set[Key]] = {}
-    for attempt in attempts:
-        for owner, t in attempt.instance.pairs:
+    for doc, _, instance in attempts:
+        for owner, t in instance.pairs:
             key = (owner, t.source, t.trigger)
             if key not in candidates:
                 candidates[key] = {}
                 key_order.append(key)
-            candidates[key].setdefault((t.target, t.effects), set()).add(attempt.doc.id)
-            per_requirement.setdefault(attempt.doc.id, set()).add(key)
+            candidates[key].setdefault((t.target, t.effects), set()).add(doc.id)
+            per_requirement.setdefault(doc.id, set()).add(key)
 
     conflicts: list[ConflictRecord] = []
     conflicted_keys: set[Key] = set()

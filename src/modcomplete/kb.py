@@ -24,7 +24,7 @@ MetaReq priority is file order (earlier wins).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ModcompleteError
 from .gherkin import ClauseKind
@@ -218,14 +218,6 @@ def _parse_fragment_pairs(line: str, line_no: int) -> list[tuple[str, str, int]]
     return pairs
 
 
-@dataclass
-class _FragmentDraft:
-    id: str
-    line: int
-    fields: dict[str, str] = field(default_factory=dict)
-    effects: list[tuple[str, str]] = field(default_factory=list)
-
-
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse and validate a knowledge-base document.
 
@@ -236,9 +228,9 @@ def parse_kb(text: str) -> KnowledgeBase:
         DuplicateRole: a role is declared twice within one metareq.
     """
     metareq_drafts: list[dict] = []
-    fragment_drafts: list[_FragmentDraft] = []
+    fragment_drafts: list[dict] = []
     current: dict | None = None
-    current_fragment: _FragmentDraft | None = None
+    current_fragment: dict | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -256,7 +248,7 @@ def parse_kb(text: str) -> KnowledgeBase:
             continue
         if m := _FRAGMENT_RE.match(stripped):
             current = None
-            current_fragment = _FragmentDraft(id=m.group(1), line=line_no)
+            current_fragment = {"id": m.group(1), "line": line_no, "fields": {}, "effects": []}
             fragment_drafts.append(current_fragment)
             continue
         if m := _CLAUSE_RE.match(stripped):
@@ -274,33 +266,34 @@ def parse_kb(text: str) -> KnowledgeBase:
                         raise KBSyntaxError(
                             f"effect must be 'signal_role -> block_role', got {value!r}", line_no, col
                         )
-                    current_fragment.effects.append((parts[0], parts[1]))
+                    current_fragment["effects"].append((parts[0], parts[1]))
                 else:
                     if not re.fullmatch(r"\w+", value):
                         raise KBSyntaxError(f"bad role name {value!r}", line_no, col)
-                    if key in current_fragment.fields:
+                    if key in current_fragment["fields"]:
                         raise KBSyntaxError(f"fragment key {key!r} given twice", line_no, col)
-                    current_fragment.fields[key] = value
+                    current_fragment["fields"][key] = value
             continue
         raise KBSyntaxError(f"unrecognized line {stripped!r}", line_no)
 
     fragments: list[MetaFragment] = []
     seen_fragment_ids: set[str] = set()
     for draft in fragment_drafts:
-        if draft.id in seen_fragment_ids:
-            raise KBSyntaxError(f"duplicate fragment id {draft.id!r}", draft.line)
-        seen_fragment_ids.add(draft.id)
+        fields = draft["fields"]
+        if draft["id"] in seen_fragment_ids:
+            raise KBSyntaxError(f"duplicate fragment id {draft['id']!r}", draft["line"])
+        seen_fragment_ids.add(draft["id"])
         for required in ("owner", "source", "target"):
-            if required not in draft.fields:
-                raise KBSyntaxError(f"fragment {draft.id!r} lacks {required!r}", draft.line)
+            if required not in fields:
+                raise KBSyntaxError(f"fragment {draft['id']!r} lacks {required!r}", draft["line"])
         fragments.append(
             MetaFragment(
-                id=draft.id,
-                owner_role=draft.fields["owner"],
-                source_role=draft.fields["source"],
-                target_role=draft.fields["target"],
-                trigger_role=draft.fields.get("trigger"),
-                effect_specs=tuple(draft.effects),
+                id=draft["id"],
+                owner_role=fields["owner"],
+                source_role=fields["source"],
+                target_role=fields["target"],
+                trigger_role=fields.get("trigger"),
+                effect_specs=tuple(draft["effects"]),
             )
         )
 

@@ -201,7 +201,6 @@ def match_clause(
     clause: Clause,
     template: ClauseTemplate,
     model: SystemModel,
-    scope: str | None = None,
     *,
     owner_role: str | None = None,
     bound: BindingSet = (),
@@ -211,9 +210,9 @@ def match_clause(
     Literals must match in order (case-insensitive, articles skippable);
     every slot span must resolve through ``lookup_elements``. A span
     resolving to several elements forks the binding map and is reported as a
-    :class:`SpanAmbiguity`. State slots are scoped to the machine of the
-    bound ``owner_role`` block when available, then to ``scope``, else
-    searched globally.
+    :class:`SpanAmbiguity`. A state slot is looked up in the machine of the
+    block bound to ``owner_role``, by this clause or in ``bound``; without
+    such a binding it is looked up in every machine.
     """
     words = clause.words
     items = template.items
@@ -237,7 +236,7 @@ def match_clause(
                     return b.element
             if owner_role in bound_by_role:
                 return bound_by_role[owner_role].element
-        return scope
+        return None
 
     def rec(wi: int, ii: int, acc: BindingSet) -> None:
         # Any prefix of a run of articles may be skipped. The positions are
@@ -348,18 +347,12 @@ def merge_clauses(clauses: Sequence[Clause]) -> Clause:
     return Clause(clauses[0].kind, tuple(words), clauses[0].lead)
 
 
-@dataclass
-class _SectionResult:
-    ctxs: list[BindingSet] | None
-    ambiguities: list[SpanAmbiguity]
-    failure: MetaReqDiagnostic | None
-
-
-def _fail(metareq_id: str, reason: str, section: str | None = None, template_index: int | None = None,
-          role: str | None = None, phrase: str | None = None) -> _SectionResult:
-    return _SectionResult(
-        None, [], MetaReqDiagnostic(metareq_id, reason, section, template_index, role, phrase)
-    )
+def _distinct(candidates: Iterable[BindingSet]) -> list[BindingSet]:
+    """``candidates`` without repeated (role, element) assignments, first seen first."""
+    out: dict[tuple, BindingSet] = {}
+    for candidate in candidates:
+        out.setdefault(_binding_key(candidate), candidate)
+    return list(out.values())
 
 
 def _match_section(
@@ -370,22 +363,25 @@ def _match_section(
     model: SystemModel,
     owner_role: str | None,
     ctxs: list[BindingSet],
-) -> _SectionResult:
-    """Thread contexts through one section, trying every clause grouping."""
+    ambiguities: list[SpanAmbiguity],
+) -> list[BindingSet] | MetaReqDiagnostic:
+    """Thread contexts through one section, trying every clause grouping.
+
+    Returns the distinct extended contexts, or the diagnostic of the grouping
+    that got furthest. Span ambiguities met on the way go to ``ambiguities``.
+    """
     if not templates:
         if clauses:
-            return _fail(metareq_id, f"rule expects no {section} clause", section)
-        return _SectionResult(list(ctxs), [], None)
+            return MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section)
+        return list(ctxs)
     if len(clauses) < len(templates):
-        return _fail(
+        return MetaReqDiagnostic(
             metareq_id,
             f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}",
             section,
         )
 
     results: list[BindingSet] = []
-    seen: set[tuple] = set()
-    ambiguities: list[SpanAmbiguity] = []
     best: tuple[tuple[int, int, int], MetaReqDiagnostic] | None = None
 
     for comp in _compositions(len(clauses), len(templates)):
@@ -422,17 +418,13 @@ def _match_section(
                 break
             branch = extended
         if not failed:
-            for ctx in branch:
-                key = _binding_key(ctx)
-                if key not in seen:
-                    seen.add(key)
-                    results.append(ctx)
+            results.extend(branch)
 
     if results:
-        return _SectionResult(results, ambiguities, None)
+        return _distinct(results)
     if best is not None:
-        return _SectionResult(None, ambiguities, best[1])
-    return _fail(metareq_id, f"no grouping of the {section} clauses fits", section)
+        return best[1]
+    return MetaReqDiagnostic(metareq_id, f"no grouping of the {section} clauses fits", section)
 
 
 def _tail_template(template: ClauseTemplate) -> ClauseTemplate | None:
@@ -446,37 +438,22 @@ def _tail_template(template: ClauseTemplate) -> ClauseTemplate | None:
     return ClauseTemplate(template.kind, template.items[last:])
 
 
-@dataclass
-class _MetaReqOutcome:
-    binding_sets: list[BindingSet] | None = None
-    alternatives: int = 0
-    failure: MetaReqDiagnostic | None = None
-    ambiguous_sets: tuple[BindingSet, ...] | None = None
-    ambiguities: tuple[SpanAmbiguity, ...] = ()
-
-
-def _unique_or_ambiguous(ctxs: list[BindingSet]) -> tuple[BindingSet | None, tuple[BindingSet, ...]]:
-    distinct: list[BindingSet] = []
-    seen: set[tuple] = set()
-    for ctx in ctxs:
-        key = _binding_key(ctx)
-        if key not in seen:
-            seen.add(key)
-            distinct.append(ctx)
-    if len(distinct) == 1:
-        return distinct[0], ()
-    return None, tuple(distinct)
-
-
 def _try_metareq(
     ast: RequirementAST, metareq: MetaReq, kb: KnowledgeBase, model: SystemModel
-) -> _MetaReqOutcome:
-    owner_role = kb.fragment_by_id(metareq.fragment).owner_role
+) -> MatchResult | MetaReqDiagnostic:
+    """The rule's match, or the diagnostic of why it does not fit.
 
-    given = _match_section(metareq.id, "given", ast.given, metareq.given, model, owner_role, [()])
-    if given.ctxs is None:
-        return _MetaReqOutcome(failure=given.failure)
-    ambiguities = list(given.ambiguities)
+    Raises:
+        AmbiguousMatch: the rule fits with two distinct complete binding sets.
+    """
+    owner_role = kb.fragment_by_id(metareq.fragment).owner_role
+    ambiguities: list[SpanAmbiguity] = []
+
+    given = _match_section(
+        metareq.id, "given", ast.given, metareq.given, model, owner_role, [()], ambiguities
+    )
+    if isinstance(given, MetaReqDiagnostic):
+        return given
 
     # A conjunctive When is one alternative holding every When clause; a
     # disjunctive When is one alternative per clause.
@@ -486,30 +463,27 @@ def _try_metareq(
     elif len(metareq.when) == 1:
         alternatives = [[clause] for clause in ast.when]
     else:
-        return _MetaReqOutcome(
-            failure=MetaReqDiagnostic(
-                metareq.id,
-                "a disjunctive When requires a rule with exactly one When template",
-                "when",
-            )
+        return MetaReqDiagnostic(
+            metareq.id, "a disjunctive When requires a rule with exactly one When template", "when"
         )
 
     sets: list[BindingSet] = []
     for i, when_clauses in enumerate(alternatives):
+        # Ambiguities of a When reading that fails are not reported.
+        when_ambiguities: list[SpanAmbiguity] = []
         when = _match_section(
-            metareq.id, "when", when_clauses, metareq.when, model, owner_role, given.ctxs
+            metareq.id, "when", when_clauses, metareq.when, model, owner_role, given,
+            when_ambiguities,
         )
-        if when.ctxs is not None:
-            ambiguities.extend(when.ambiguities)
-            then = _match_section(
-                metareq.id, "then", ast.then, metareq.then, model, owner_role, when.ctxs
+        if not isinstance(when, MetaReqDiagnostic):
+            ambiguities.extend(when_ambiguities)
+            candidates = _match_section(
+                metareq.id, "then", ast.then, metareq.then, model, owner_role, when, ambiguities
             )
-            if then.ctxs is None:
-                return _MetaReqOutcome(failure=then.failure)
-            ambiguities.extend(then.ambiguities)
-            candidates = then.ctxs
+            if isinstance(candidates, MetaReqDiagnostic):
+                return candidates
         elif not sets:
-            return _MetaReqOutcome(failure=when.failure)
+            return when
         else:
             # Elliptical alternative: only the final slot of the template,
             # read against the first alternative's bindings.
@@ -519,25 +493,19 @@ def _try_metareq(
             ambiguities.extend(cm.ambiguities)
             if not cm.maps:
                 failure = cm.failure or ClauseFailure(0, 0, "alternative fits no form")
-                return _MetaReqOutcome(
-                    failure=MetaReqDiagnostic(
-                        metareq.id, f"When alternative {i + 1}: {failure.detail}", "when", 0,
-                        failure.role, failure.phrase,
-                    )
+                return MetaReqDiagnostic(
+                    metareq.id, f"When alternative {i + 1}: {failure.detail}", "when", 0,
+                    failure.role, failure.phrase,
                 )
             candidates = [
                 tuple({b.role: b for b in mp}.get(b.role, b) for b in sets[0]) for mp in cm.maps
             ]
-        unique, distinct = _unique_or_ambiguous(candidates)
-        if unique is None:
-            return _MetaReqOutcome(ambiguous_sets=distinct, ambiguities=tuple(ambiguities))
-        sets.append(unique)
+        distinct = _distinct(candidates)
+        if len(distinct) > 1:
+            raise AmbiguousMatch(ast.id, metareq.id, tuple(distinct), tuple(ambiguities))
+        sets.append(distinct[0])
 
-    return _MetaReqOutcome(
-        binding_sets=sets,
-        alternatives=len(alternatives) if disjunctive else 0,
-        ambiguities=tuple(ambiguities),
-    )
+    return MatchResult(ast.id, metareq.id, tuple(sets), len(alternatives) if disjunctive else 0)
 
 
 def match_requirement(
@@ -554,17 +522,9 @@ def match_requirement(
     diagnostics: list[MetaReqDiagnostic] = []
     for metareq in kb.metareqs:
         outcome = _try_metareq(ast, metareq, kb, model)
-        if outcome.ambiguous_sets is not None:
-            raise AmbiguousMatch(ast.id, metareq.id, outcome.ambiguous_sets, outcome.ambiguities)
-        if outcome.binding_sets is not None:
-            return MatchResult(
-                requirement_id=ast.id,
-                metareq_id=metareq.id,
-                binding_sets=tuple(outcome.binding_sets),
-                alternatives_consumed=outcome.alternatives,
-            )
-        assert outcome.failure is not None
-        diagnostics.append(outcome.failure)
+        if isinstance(outcome, MatchResult):
+            return outcome
+        diagnostics.append(outcome)
     raise NoMatch(ast.id, tuple(diagnostics))
 
 

@@ -140,41 +140,31 @@ class SystemModel:
         return tuple(b.state_machine for b in self.blocks if b.state_machine)
 
     @cached_property
-    def _lookup_index(self) -> _LookupIndex:
-        """Element names by normal form, built on first lookup.
+    def _lookup_index(self) -> dict[tuple[Metaclass, str | None, str], list[str]]:
+        """Element names by (metaclass, scope, normal form), duplicates kept,
+        built on first lookup. The scope is None except for states, which are
+        keyed once by their owning block and once by None for unscoped lookups.
 
         ``cached_property`` stores the index in the instance ``__dict__``, so
         it stays out of equality, hashing, ``repr`` and ``replace``.
         """
-        blocks: dict[str, list[str]] = defaultdict(list)
-        signals: dict[str, list[str]] = defaultdict(list)
-        states: dict[tuple[str | None, str], list[str]] = defaultdict(list)
+        index: dict[tuple[Metaclass, str | None, str], list[str]] = defaultdict(list)
         for block in self.blocks:
-            blocks[normalize_phrase(block.name)].append(block.name)
+            index[(Metaclass.BLOCK, None, normalize_phrase(block.name))].append(block.name)
             if block.state_machine is not None:
                 for state in block.state_machine.states:
                     form = normalize_phrase(state.name)
-                    states[(block.name, form)].append(state.name)
-                    states[(None, form)].append(state.name)
+                    index[(Metaclass.STATE, block.name, form)].append(state.name)
+                    index[(Metaclass.STATE, None, form)].append(state.name)
         for signal in self.signals:
-            signals[normalize_phrase(signal.name)].append(signal.name)
-        return _LookupIndex(blocks, signals, states)
+            index[(Metaclass.SIGNAL, None, normalize_phrase(signal.name))].append(signal.name)
+        return index
 
     @cached_property
     def _lookup_memo(self) -> dict[tuple, tuple[str, ...]]:
         """``lookup_elements`` results by (phrase, metaclass, scope), filled on
         demand. Stored like ``_lookup_index``, so it is never part of the value."""
         return {}
-
-
-@dataclass(frozen=True)
-class _LookupIndex:
-    """Normal form -> element names, duplicates kept. ``states`` is keyed by
-    (owning block, form) and by (None, form) for unscoped lookups."""
-
-    blocks: dict[str, list[str]]
-    signals: dict[str, list[str]]
-    states: dict[tuple[str | None, str], list[str]]
 
 
 def transition_identity(
@@ -345,14 +335,18 @@ def load_model(text: str) -> SystemModel:
     """Parse and validate a model document.
 
     Raises:
-        SchemaError: the document is not well-formed for the model schema.
+        SchemaError: the document is not well-formed for the model schema,
+            or nests too deeply for the JSON parser.
         ValidationError: a reference dangles, a name collides under
-            normalization, or block composition is cyclic.
+            normalization, block composition is cyclic, or two transitions
+            of one machine differ only in guard or provenance.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     _expect(doc, dict, "$", "document")
     _reject_unknown_keys(doc, {"version", "name", "signals", "blocks"}, "$")
     version = doc.get("version", MODEL_FORMAT_VERSION)
@@ -510,7 +504,12 @@ def _check_part_cycles(model: SystemModel) -> None:
 
 
 def _normalized(model: SystemModel) -> SystemModel:
-    """Canonical in-memory ordering: every list sorted by its key."""
+    """Canonical in-memory ordering: every list sorted by its key.
+
+    Raises:
+        ValidationError: two transitions of one machine have the same id, that
+            is the same source, target, trigger and effects.
+    """
 
     def norm_transition(owner: str, t: Transition) -> Transition:
         effects = sorted_effects(t.effects)
@@ -524,8 +523,16 @@ def _normalized(model: SystemModel) -> SystemModel:
             provenance=t.provenance,  # sorted and unique since _parse_transition
         )
 
-    def norm_machine(m: StateMachine) -> StateMachine:
+    def norm_machine(m: StateMachine, block_index: int) -> StateMachine:
         transitions = [norm_transition(m.owner, t) for t in m.transitions]
+        first: dict[str, int] = {}
+        for j, t in enumerate(transitions):
+            k = first.setdefault(t.id, j)
+            if k != j:
+                raise ValidationError(
+                    f"transition repeats transitions[{k}] (same source, target, trigger and effects)",
+                    f"$.blocks[{block_index}].state_machine.transitions[{j}]",
+                )
         return StateMachine(
             owner=m.owner,
             states=tuple(sorted(m.states, key=lambda s: s.name)),
@@ -533,11 +540,11 @@ def _normalized(model: SystemModel) -> SystemModel:
             initial=m.initial,
         )
 
-    def norm_block(b: Block) -> Block:
+    def norm_block(b: Block, index: int) -> Block:
         return Block(
             name=b.name,
             parts=tuple(sorted(b.parts)),
-            state_machine=norm_machine(b.state_machine) if b.state_machine else None,
+            state_machine=norm_machine(b.state_machine, index) if b.state_machine else None,
             receivable_signals=(
                 tuple(sorted(b.receivable_signals)) if b.receivable_signals is not None else None
             ),
@@ -545,7 +552,7 @@ def _normalized(model: SystemModel) -> SystemModel:
 
     return SystemModel(
         name=model.name,
-        blocks=tuple(sorted((norm_block(b) for b in model.blocks), key=lambda b: b.name)),
+        blocks=tuple(sorted((norm_block(b, i) for i, b in enumerate(model.blocks)), key=lambda b: b.name)),
         signals=tuple(sorted(model.signals, key=lambda s: s.name)),
         version=model.version,
     )
@@ -820,8 +827,6 @@ def _lookup_exact(
     if not form:
         return []
     index = model._lookup_index
-    if metaclass is Metaclass.BLOCK:
-        return list(index.blocks.get(form, ()))
     if metaclass is Metaclass.SIGNAL:
-        return [name for v in normalize_signal_phrase(words) for name in index.signals.get(v, ())]
-    return list(index.states.get((scope, form), ()))
+        return [name for v in normalize_signal_phrase(words) for name in index.get((metaclass, None, v), ())]
+    return list(index.get((metaclass, scope if metaclass is Metaclass.STATE else None, form), ()))

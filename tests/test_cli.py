@@ -92,6 +92,57 @@ def test_complete_malformed_model_is_input_failure(tmp_path):
     assert not out.exists()
 
 
+def io_argv(tmp_path: Path, command: str, files: dict[str, str]) -> list[str]:
+    """Arguments for ``command`` reading ``files`` (option -> path), with the
+    railway fixtures for the required inputs it lacks."""
+    files = {"--model": str(FIXTURES / "railway_model.json"),
+             "--reqs": str(FIXTURES / "railway.feature"), **files}
+    if command == "kb-lint":
+        return [command, *(["--kb", files["--kb"]] if "--kb" in files else [])]
+    argv = [command, *(arg for option, path in files.items() for arg in (option, path))]
+    if command == "complete":
+        argv += ["--out", str(tmp_path / "out" / "model.json"),
+                 "--report", str(tmp_path / "out" / "report.json"),
+                 "--trace", str(tmp_path / "out" / "trace.json")]
+    return argv
+
+
+UNREADABLE_INPUTS = [
+    (command, option)
+    for command in ("check", "complete", "kb-lint")
+    for option in ("--model", "--reqs", "--kb", "$MODCOMPLETE_KB")
+    if command != "kb-lint" or option in ("--kb", "$MODCOMPLETE_KB")
+]
+
+
+@pytest.mark.parametrize("command, option", UNREADABLE_INPUTS)
+def test_undecodable_input_is_one_error_line(tmp_path, capsys, monkeypatch, command, option):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not UTF-8\n")
+    monkeypatch.delenv("MODCOMPLETE_KB", raising=False)
+    if option == "$MODCOMPLETE_KB":
+        monkeypatch.setenv("MODCOMPLETE_KB", str(bad))
+        files = {}
+    else:
+        files = {option: str(bad)}
+    assert main(io_argv(tmp_path, command, files)) == 1
+    what = {"--model": "model", "--reqs": "requirements"}.get(option, "knowledge base")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read {what} {str(bad)!r}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "complete"])
+def test_overdeep_model_is_one_error_line(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    assert main(io_argv(tmp_path, command, {"--model": str(deep)})) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: $: invalid JSON: nested too deeply"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_strict_turns_redundancy_into_failure(tmp_path):
     code, _ = run_complete(
         tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "duplicate.feature")

@@ -7,15 +7,20 @@ import pytest
 
 from modcomplete import (
     AmbiguousMatch,
+    Binding,
     KnowledgeBase,
+    MatchResult,
+    Metaclass,
     NoMatch,
     load_model,
     match_clause,
     match_requirement,
     oracle_match,
+    parse_kb,
     parse_requirement,
 )
 from modcomplete.gherkin import RequirementDoc
+from modcomplete.matcher import MetaReqDiagnostic, SpanAmbiguity
 from modcomplete.matcher import _oracle_clause_maps  # white-box: segmentation oracle
 
 from support import agreement, random_case, semantic
@@ -315,3 +320,193 @@ def test_binding_soundness_randomized(kb):
                 assert binding.element in lookup_elements(
                     model, binding.phrase, binding.metaclass
                 ), (binding, " ".join(t.text for t in ast.tokens))
+
+
+# ---------------------------------------------------------------------------
+# Exact outcome of each way one rule can end: Given, When or Then fails, a
+# disjunctive When meets a rule it cannot fan out over, an elliptical
+# alternative fails, the rule fits ambiguously, or it fits.
+# ---------------------------------------------------------------------------
+
+BLOCK, STATE, SIGNAL = Metaclass.BLOCK, Metaclass.STATE, Metaclass.SIGNAL
+
+PATH_KB_HEAD = '''
+metareq M -> F:
+  given: "<<Block as owner>> in <<State as src>>"
+'''
+PATH_KB_TAIL = '''
+  then:  "goes in <<State as dst>>"
+fragment F:
+  owner: owner  source: src  target: dst
+'''
+
+
+def path_kb(*when_templates: str) -> KnowledgeBase:
+    whens = "".join(f'  when:  "{t}"\n' for t in when_templates)
+    return parse_kb(PATH_KB_HEAD + whens + PATH_KB_TAIL)
+
+
+def path_outcome(text: str, kb: KnowledgeBase):
+    model = small_model(
+        signals=[{"name": n} for n in ("Halt", "Ping", "Stop", "Stops")],
+    )
+    try:
+        return match_requirement(ast_of(text), kb, model)
+    except NoMatch as exc:
+        return ("NoMatch", exc.requirement_id, exc.diagnostics)
+    except AmbiguousMatch as exc:
+        return ("AmbiguousMatch", exc.requirement_id, exc.metareq_id, exc.binding_sets, exc.ambiguities)
+
+
+def gate_set(*middle: Binding) -> tuple[Binding, ...]:
+    """Bindings of a default-KB rule whose Given and Then name Gate in s1 and s2."""
+    head = (Binding("context1", BLOCK, "Gate", "Gate"), Binding("starting", STATE, "s1", "s1"))
+    return head + middle + (Binding("final", STATE, "s2", "s2"),)
+
+
+def receives(event: str, phrase: str) -> tuple[Binding, ...]:
+    return (Binding("context2", BLOCK, "Gate", "Gate"), Binding("event", SIGNAL, phrase, event))
+
+
+def path_set(cause: str, event: str, phrase: str) -> tuple[Binding, ...]:
+    return (
+        Binding("owner", BLOCK, "Gate", "Gate"),
+        Binding("src", STATE, "s1", "s1"),
+        Binding("cause", SIGNAL, cause, cause),
+        Binding("event", SIGNAL, phrase, event),
+        Binding("dst", STATE, "s2", "s2"),
+    )
+
+
+def stops(role: str) -> SpanAmbiguity:
+    return SpanAmbiguity(role, SIGNAL, "Stops", ("Stop", "Stops"))
+
+
+def test_outcome_when_given_fails(kb):
+    assert path_outcome("Given Ghost in s1, When Gate receives Halt, Then Gate goes in s2", kb) == (
+        "NoMatch",
+        "R",
+        tuple(
+            MetaReqDiagnostic(rule, "no Block matches", "given", 0, "context1", "Ghost in s1")
+            for rule in ("MR1", "MR2", "MR3")
+        ),
+    )
+
+
+def test_outcome_when_when_fails(kb):
+    literal = "expected literal 'receives', got 'hears'"
+    assert path_outcome("Given Gate in s1, When Gate hears Halt, Then Gate goes in s2", kb) == (
+        "NoMatch",
+        "R",
+        (
+            MetaReqDiagnostic("MR1", literal, "when", 0),
+            MetaReqDiagnostic("MR2", literal, "when", 0),
+            MetaReqDiagnostic("MR3", "rule expects no when clause", "when"),
+        ),
+    )
+
+
+def test_outcome_disjunctive_when_against_two_when_templates():
+    kb = path_kb("<<Block as first>> receives <<Signal as event>>",
+                 "<<Block as second>> receives <<Signal as other>>")
+    text = "Given Gate in s1, When Gate receives Halt or Gate receives Ping, Then goes in s2"
+    reason = "a disjunctive When requires a rule with exactly one When template"
+    assert path_outcome(text, kb) == ("NoMatch", "R", (MetaReqDiagnostic("M", reason, "when"),))
+
+
+def test_outcome_when_then_fails(kb):
+    assert path_outcome("Given Gate in s1, When Gate receives Halt, Then Gate flies to s2", kb) == (
+        "NoMatch",
+        "R",
+        (
+            MetaReqDiagnostic("MR1", "rule expects 2 then clause(s), requirement has 1", "then"),
+            MetaReqDiagnostic("MR2", "expected literal 'goes', got 'flies'", "then", 0),
+            MetaReqDiagnostic("MR3", "rule expects no when clause", "when"),
+        ),
+    )
+
+
+def test_outcome_when_an_elliptical_alternative_fails(kb):
+    text = "Given Gate in s1, When Gate receives Halt or Banana, Then Gate goes in s2"
+    assert path_outcome(text, kb) == (
+        "NoMatch",
+        "R",
+        (
+            MetaReqDiagnostic("MR1", "rule expects 2 then clause(s), requirement has 1", "then"),
+            MetaReqDiagnostic(
+                "MR2", "When alternative 2: no Signal matches", "when", 0, "event", "Banana"
+            ),
+            MetaReqDiagnostic(
+                "MR3", "a disjunctive When requires a rule with exactly one When template", "when"
+            ),
+        ),
+    )
+
+
+def test_outcome_ambiguous_when(kb):
+    text = "Given Gate in s1, When Gate receives Stops, Then Gate goes in s2"
+    then = (Binding("context3", BLOCK, "Gate", "Gate"),)
+    assert path_outcome(text, kb) == (
+        "AmbiguousMatch",
+        "R",
+        "MR2",
+        (gate_set(*receives("Stop", "Stops"), *then), gate_set(*receives("Stops", "Stops"), *then)),
+        (stops("event"),),
+    )
+
+
+def test_outcome_ambiguity_is_reported_once_per_context_it_is_met_in(kb):
+    # The Then span is read once for each of the two When readings.
+    text = "Given Gate in s1, When Gate receives Stops, Then Gate Stops Pump and goes in s2"
+
+    def then(operation):
+        return (
+            Binding("context3", BLOCK, "Gate", "Gate"),
+            Binding("operation", SIGNAL, "Stops", operation),
+            Binding("context4", BLOCK, "Pump", "Pump"),
+        )
+
+    assert path_outcome(text, kb) == (
+        "AmbiguousMatch",
+        "R",
+        "MR1",
+        tuple(
+            gate_set(*receives(event, "Stops"), *then(operation))
+            for event in ("Stop", "Stops")
+            for operation in ("Stop", "Stops")
+        ),
+        (stops("event"), stops("operation"), stops("operation")),
+    )
+
+
+def test_outcome_ambiguous_elliptical_alternative_leaves_out_the_failed_reading():
+    # "Stops" read as a whole When clause binds cause ambiguously and then
+    # fails; only the elliptical reading's ambiguity (slot event) is reported.
+    kb = path_kb("<<Signal as cause>> with <<Signal as event>>")
+    text = "Given Gate in s1, When Halt with Ping or Stops, Then goes in s2"
+    assert path_outcome(text, kb) == (
+        "AmbiguousMatch",
+        "R",
+        "M",
+        (path_set("Halt", "Stop", "Stops"), path_set("Halt", "Stops", "Stops")),
+        (stops("event"),),
+    )
+
+
+def test_outcome_disjunctive_success(kb):
+    text = "Given Gate in s1, When Gate receives Halt or Ping, Then Gate goes in s2"
+    then = (Binding("context3", BLOCK, "Gate", "Gate"),)
+    assert path_outcome(text, kb) == MatchResult(
+        "R",
+        "MR2",
+        (gate_set(*receives("Halt", "Halt"), *then), gate_set(*receives("Ping", "Ping"), *then)),
+        2,
+    )
+
+
+def test_outcome_disjunctive_success_with_an_elliptical_alternative():
+    kb = path_kb("<<Signal as cause>> with <<Signal as event>>")
+    text = "Given Gate in s1, When Halt with Ping or Halt, Then goes in s2"
+    assert path_outcome(text, kb) == MatchResult(
+        "R", "M", (path_set("Halt", "Ping", "Ping"), path_set("Halt", "Halt", "Halt")), 2
+    )

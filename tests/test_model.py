@@ -132,6 +132,46 @@ def test_bad_transition_field_message_and_path(patch, message, path):
     assert str(info.value) == f"{path}: {message}" and info.value.path == path
 
 
+@pytest.mark.parametrize("declared_id", [False, True])
+def test_repeated_transition_is_rejected_with_its_path(declared_id):
+    """Transitions that differ only in guard and provenance share an id, and
+    merging into such a machine would overwrite one with the other."""
+    first = {"source": "open", "target": "shut", "trigger": "Halt", "guard": "a", "provenance": ["X"]}
+    second = {**first, "guard": "b", "provenance": ["Y"]}
+    if declared_id:
+        second["id"] = transition_identity("Gate", "open", "shut", "Halt", ())
+    doc = {
+        "version": "1",
+        "name": "M",
+        "signals": [{"name": "Halt"}],
+        "blocks": [
+            {"name": "Pump"},
+            {
+                "name": "Gate",
+                "state_machine": {
+                    "states": ["open", "shut"],
+                    "transitions": [first, {"source": "shut", "target": "open"}, second],
+                },
+            },
+        ],
+    }
+    with pytest.raises(ValidationError) as info:
+        load_model(json.dumps(doc))
+    path = "$.blocks[1].state_machine.transitions[2]"
+    assert str(info.value) == (
+        f"{path}: transition repeats transitions[0] (same source, target, trigger and effects)"
+    )
+    assert info.value.path == path
+    doc["blocks"][1]["state_machine"]["transitions"][2] = {**first, "target": "open"}
+    assert len(load_model(json.dumps(doc)).machines()[0].transitions) == 3
+
+
+def test_overdeep_document_is_a_schema_error():
+    with pytest.raises(SchemaError) as info:
+        load_model("[" * 100000)
+    assert str(info.value) == "$: invalid JSON: nested too deeply"
+
+
 def test_part_cycle_rejected():
     doc = {
         "version": "1",

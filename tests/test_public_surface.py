@@ -1,0 +1,71 @@
+"""The public surface: exported names and the signatures callers rely on.
+
+Changing one of these is an interface change and should be a deliberate edit
+of this file, not a side effect of refactoring.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import modcomplete
+from modcomplete import matcher
+
+PACKAGE_ALL = [
+    "ModcompleteError", "Clause", "ClauseKind", "RequirementAST", "RequirementDoc",
+    "WhenMode", "parse_corpus", "parse_requirement", "tokenize", "CompletionReport",
+    "CompletionResult", "ConflictRecord", "Finding", "RequirementOutcome",
+    "StateNotInOwnerMachine", "check_acceptability", "complete_model",
+    "instantiate_fragment", "ClauseTemplate", "KnowledgeBase", "MetaFragment", "MetaReq",
+    "SlotPattern", "default_kb", "parse_kb", "serialize_kb", "AmbiguousMatch", "Binding",
+    "MatchResult", "NoMatch", "match_clause", "match_requirement", "normalize_phrase",
+    "normalize_signal_phrase", "oracle_match", "Block", "MergeKind", "MergeOutcome",
+    "Metaclass", "SchemaError", "SendEffect", "Signal", "State", "StateMachine",
+    "SystemModel", "Transition", "ValidationError", "add_transition", "load_model",
+    "lookup_elements", "save_model", "TraceRecord", "build_trace",
+    "emit_requirement_diagram", "emit_trace_json", "__version__",
+]
+
+MATCHER_ALL = [
+    "Binding", "MatchResult", "SpanAmbiguity", "ClauseMatches", "MetaReqDiagnostic",
+    "MatchError", "NoMatch", "AmbiguousMatch", "normalize_phrase", "normalize_signal_phrase",
+    "match_clause", "match_requirement", "oracle_match",
+]
+
+SIGNATURES = {
+    "match_requirement": (
+        "(ast: 'RequirementAST', kb: 'KnowledgeBase', model: 'SystemModel') -> 'MatchResult'"
+    ),
+    "match_clause": (
+        "(clause: 'Clause', template: 'ClauseTemplate', model: 'SystemModel', *, "
+        "owner_role: 'str | None' = None, bound: 'BindingSet' = ()) -> 'ClauseMatches'"
+    ),
+    "lookup_elements": (
+        "(model: 'SystemModel', phrase, metaclass: 'Metaclass', scope: 'str | None' = None) "
+        "-> 'list[str]'"
+    ),
+    "instantiate_fragment": (
+        "(fragment: 'MetaFragment', binding_sets: 'tuple[BindingSet, ...]', "
+        "model: 'SystemModel', requirement_id: 'str') -> 'FragmentInstance'"
+    ),
+    "complete_model": (
+        "(model: 'SystemModel', corpus: 'list[RequirementDoc]', kb: 'KnowledgeBase') "
+        "-> 'CompletionResult'"
+    ),
+    "add_transition": "(model: 'SystemModel', owner: 'str', t: 'Transition') -> 'MergeOutcome'",
+}
+
+
+def test_package_exports():
+    assert modcomplete.__all__ == PACKAGE_ALL
+    assert all(hasattr(modcomplete, name) for name in PACKAGE_ALL)
+
+
+def test_matcher_exports():
+    assert matcher.__all__ == MATCHER_ALL
+    assert all(hasattr(matcher, name) for name in MATCHER_ALL)
+
+
+def test_signatures():
+    actual = {name: str(inspect.signature(getattr(modcomplete, name))) for name in SIGNATURES}
+    assert actual == SIGNATURES
