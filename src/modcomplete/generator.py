@@ -272,36 +272,23 @@ def _detect_conflicts(
     Key = tuple[str, str, str | None]
     Rhs = tuple[str, tuple[SendEffect, ...]]
 
-    existing: dict[Key, dict[Rhs, set[str]]] = {}
-    for block in model.blocks:
-        if block.state_machine is None:
-            continue
-        for t in block.state_machine.transitions:
-            key = (block.name, t.source, t.trigger)
-            existing.setdefault(key, {}).setdefault((t.target, t.effects), set()).update(
-                t.provenance
-            )
-
-    candidates: dict[Key, dict[Rhs, set[str]]] = {}
-    key_order: list[Key] = []
+    sides_by_key: dict[Key, dict[Rhs, set[str]]] = {}
     per_requirement: dict[str, set[Key]] = {}
     for doc, _, instance in attempts:
         for owner, t in instance.pairs:
             key = (owner, t.source, t.trigger)
-            if key not in candidates:
-                candidates[key] = {}
-                key_order.append(key)
-            candidates[key].setdefault((t.target, t.effects), set()).add(doc.id)
+            sides_by_key.setdefault(key, {}).setdefault((t.target, t.effects), set()).add(doc.id)
             per_requirement.setdefault(doc.id, set()).add(key)
+    # Only an existing transition whose key some candidate has can conflict.
+    for block in model.blocks:
+        for t in block.state_machine.transitions if block.state_machine else ():
+            sides = sides_by_key.get((block.name, t.source, t.trigger))
+            if sides is not None:
+                sides.setdefault((t.target, t.effects), set()).update(t.provenance)
 
     conflicts: list[ConflictRecord] = []
     conflicted_keys: set[Key] = set()
-    for key in key_order:
-        sides: dict[Rhs, set[str]] = {}
-        for rhs, ids in candidates[key].items():
-            sides.setdefault(rhs, set()).update(ids)
-        for rhs, ids in existing.get(key, {}).items():
-            sides.setdefault(rhs, set()).update(ids)
+    for key, sides in sides_by_key.items():
         if len(sides) < 2:
             continue
         conflicted_keys.add(key)

@@ -186,7 +186,8 @@ def transition_identity(
     through ``json.dumps``.
     """
     enc = encode_basestring_ascii
-    effs = ",".join([f"[{enc(e.signal)},{enc(e.target_block)}]" for e in sorted_effects(effects)])
+    pairs = [f"[{enc(e.signal)},{enc(e.target_block)}]" for e in sorted_effects(effects)] if effects else ()
+    effs = ",".join(pairs)
     payload = (
         f'{{"effects":[{effs}],"owner":{enc(owner)},"source":{enc(source)},'
         f'"target":{enc(target)},"trigger":{"null" if trigger is None else enc(trigger)}}}'
@@ -210,12 +211,18 @@ def make_transition(
         target=target,
         trigger=trigger,
         effects=effs,
-        provenance=tuple(sorted(set(provenance))),
+        provenance=_sorted_unique(provenance),
     )
 
 
 def sorted_effects(effects: tuple[SendEffect, ...]) -> tuple[SendEffect, ...]:
+    if len(effects) < 2:
+        return tuple(effects)
     return tuple(sorted(effects, key=lambda e: (e.signal, e.target_block)))
+
+
+def _sorted_unique(items: list[str] | tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(items) if len(items) < 2 else tuple(sorted(set(items)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,72 +250,85 @@ def _reject_unknown_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise SchemaError(f"unknown key {unknown[0]!r}", path)
 
 
-def _parse_effect(obj: Any, path: str) -> SendEffect:
-    _expect(obj, dict, path, "effect")
-    _reject_unknown_keys(obj, {"signal", "target_block"}, path)
-    if "signal" not in obj or "target_block" not in obj:
-        raise SchemaError("effect requires 'signal' and 'target_block'", path)
-    return SendEffect(
-        signal=_expect(obj["signal"], str, f"{path}.signal", "signal"),
-        target_block=_expect(obj["target_block"], str, f"{path}.target_block", "target_block"),
-    )
-
-
 _TRANSITION_KEYS = frozenset({"id", "source", "target", "trigger", "guard", "effects", "provenance"})
+_EFFECT_KEYS = frozenset({"signal", "target_block"})
+_STR = frozenset({str})
 
 
-def _str_field(obj: dict, key: str, path: str, required: bool = False) -> str | None:
-    """``obj[key]`` checked to be a str (or absent or None, unless required).
-    The field's path is only built for the error."""
-    value = obj.get(key)
-    if not isinstance(value, str) and (required or value is not None):
-        raise SchemaError(f"{key} must be a str", f"{path}.{key}")
-    return value
+def _parse_transition(obj: Any, owner: str, path: str, i: int, wrong_ids: list[str]) -> Transition:
+    """``transitions[i]`` of ``owner``'s machine at ``path``, built once with
+    its effects sorted and its id: the declared one, or the content hash.
+    A declared id that is not the hash is appended to ``wrong_ids``;
+    ``validate_model`` reports it, after any earlier error.
 
-
-def _parse_transition(obj: Any, path: str) -> Transition:
-    _expect(obj, dict, path, "transition")
-    _reject_unknown_keys(obj, _TRANSITION_KEYS, path)
-    for key in ("source", "target"):
-        if key not in obj:
-            raise SchemaError(f"transition requires {key!r}", path)
-    effects = tuple(
-        _parse_effect(e, f"{path}.effects[{i}]") for i, e in enumerate(obj.get("effects", []))
-    )
-    trigger = _str_field(obj, "trigger", path)
-    guard = _str_field(obj, "guard", path)
-    declared_id = _str_field(obj, "id", path)
-    source = _str_field(obj, "source", path, required=True)
-    target = _str_field(obj, "target", path, required=True)
-    provenance = obj.get("provenance", [])
-    if not (isinstance(provenance, list) and all(isinstance(p, str) for p in provenance)):
-        _expect_str_list(provenance, f"{path}.provenance", "provenance")  # raises
+    Checks run in a fixed order: keys, required keys, effects, trigger,
+    guard, id, source, target, provenance. Each is an inline type test; an
+    error's text and path are built only when a test fails.
+    """
+    if type(obj) is not dict or not obj.keys() <= _TRANSITION_KEYS:
+        _expect(obj, dict, f"{path}.transitions[{i}]", "transition")
+        _reject_unknown_keys(obj, _TRANSITION_KEYS, f"{path}.transitions[{i}]")
+    if "source" not in obj or "target" not in obj:
+        missing = "source" if "source" not in obj else "target"
+        raise SchemaError(f"transition requires {missing!r}", f"{path}.transitions[{i}]")
+    get = obj.get
+    effects = get("effects", [])
+    if type(effects) is not list:
+        raise SchemaError("effects must be a list", f"{path}.transitions[{i}].effects")
+    parsed = []
+    for e in effects:
+        if not (type(e) is dict and e.keys() == _EFFECT_KEYS
+                and type(e["signal"]) is type(e["target_block"]) is str):
+            _effect_error(e, f"{path}.transitions[{i}].effects[{len(parsed)}]")
+        parsed.append(SendEffect(e["signal"], e["target_block"]))
+    effects = sorted_effects(parsed)
+    source, target, trigger, guard = obj["source"], obj["target"], get("trigger"), get("guard")
+    declared_id, provenance = get("id"), get("provenance", [])
+    if not (
+        type(source) is type(target) is str
+        and (trigger is None or type(trigger) is str)
+        and (guard is None or type(guard) is str)
+        and (declared_id is None or type(declared_id) is str)
+        and type(provenance) is list
+        and _STR.issuperset(map(type, provenance))
+    ):
+        path = f"{path}.transitions[{i}]"
+        for key in ("trigger", "guard", "id", "source", "target"):
+            value = obj.get(key)
+            if not isinstance(value, str) and (value is not None or key in ("source", "target")):
+                raise SchemaError(f"{key} must be a str", f"{path}.{key}")
+        _expect_str_list(provenance, f"{path}.provenance", "provenance")
+    content_id = transition_identity(owner, source, target, trigger, effects)
+    if declared_id and declared_id != content_id:
+        wrong_ids.append(declared_id)
     return Transition(
-        id=declared_id or "",
-        source=source,
-        target=target,
-        trigger=trigger,
-        guard=guard,
-        effects=effects,
-        provenance=tuple(sorted(set(provenance))),
+        declared_id or content_id, source, target, trigger, guard, effects, _sorted_unique(provenance)
     )
 
 
-def _parse_machine(obj: Any, owner: str, path: str) -> StateMachine:
+def _effect_error(obj: Any, path: str) -> None:
+    """Raise the SchemaError of an effect that failed the inline test."""
+    _expect(obj, dict, path, "effect")
+    _reject_unknown_keys(obj, _EFFECT_KEYS, path)
+    if obj.keys() != _EFFECT_KEYS:
+        raise SchemaError("effect requires 'signal' and 'target_block'", path)
+    for key in ("signal", "target_block"):
+        _expect(obj[key], str, f"{path}.{key}", key)
+
+
+def _parse_machine(obj: Any, owner: str, path: str, wrong_ids: list[str]) -> StateMachine:
     _expect(obj, dict, path, "state_machine")
     _reject_unknown_keys(obj, {"initial", "states", "transitions"}, path)
     states = tuple(State(n) for n in _expect_str_list(obj.get("states", []), f"{path}.states", "states"))
-    transitions = tuple(
-        _parse_transition(t, f"{path}.transitions[{i}]")
-        for i, t in enumerate(obj.get("transitions", []))
-    )
+    entries = _expect(obj.get("transitions", []), list, f"{path}.transitions", "transitions")
+    transitions = tuple([_parse_transition(t, owner, path, i, wrong_ids) for i, t in enumerate(entries)])
     initial = obj.get("initial")
     if initial is not None:
         _expect(initial, str, f"{path}.initial", "initial")
     return StateMachine(owner=owner, states=states, transitions=transitions, initial=initial)
 
 
-def _parse_block(obj: Any, path: str) -> Block:
+def _parse_block(obj: Any, path: str, wrong_ids: list[str]) -> Block:
     _expect(obj, dict, path, "block")
     allowed = {"name", "parts", "state_machine", "receivable_signals"}
     _reject_unknown_keys(obj, allowed, path)
@@ -317,7 +337,7 @@ def _parse_block(obj: Any, path: str) -> Block:
     name = _expect(obj["name"], str, f"{path}.name", "name")
     machine = None
     if obj.get("state_machine") is not None:
-        machine = _parse_machine(obj["state_machine"], name, f"{path}.state_machine")
+        machine = _parse_machine(obj["state_machine"], name, f"{path}.state_machine", wrong_ids)
     receivable = None
     if "receivable_signals" in obj and obj["receivable_signals"] is not None:
         receivable = _expect_str_list(
@@ -358,7 +378,7 @@ def load_model(text: str) -> SystemModel:
     name = _expect(doc["name"], str, "$.name", "name")
 
     signals = []
-    for i, entry in enumerate(doc.get("signals", [])):
+    for i, entry in enumerate(_expect(doc.get("signals", []), list, "$.signals", "signals")):
         path = f"$.signals[{i}]"
         _expect(entry, dict, path, "signal")
         _reject_unknown_keys(entry, {"name", "display"}, path)
@@ -369,16 +389,20 @@ def load_model(text: str) -> SystemModel:
             _expect(display, str, f"{path}.display", "display")
         signals.append(Signal(name=_expect(entry["name"], str, f"{path}.name", "name"), display=display))
 
-    blocks = [
-        _parse_block(entry, f"$.blocks[{i}]") for i, entry in enumerate(doc.get("blocks", []))
-    ]
+    entries = _expect(doc.get("blocks", []), list, "$.blocks", "blocks")
+    wrong_ids: list[str] = []
+    blocks = [_parse_block(entry, f"$.blocks[{i}]", wrong_ids) for i, entry in enumerate(entries)]
     model = SystemModel(name=name, blocks=tuple(blocks), signals=tuple(signals), version=version)
-    validate_model(model)
+    validate_model(model, ids_checked=not wrong_ids)
     return _normalized(model)
 
 
-def validate_model(model: SystemModel) -> None:
-    """Check every model invariant; raise ValidationError on the first break."""
+def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
+    """Check every model invariant; raise ValidationError on the first break.
+
+    ``ids_checked`` skips comparing each declared transition id with its
+    content hash, for a caller that has done so already.
+    """
     if not model.name:
         raise ValidationError("model name must be non-empty", "$.name")
 
@@ -432,13 +456,23 @@ def validate_model(model: SystemModel) -> None:
                         f"{path}.receivable_signals[{j}]",
                     )
         if block.state_machine is not None:
-            _validate_machine(block, block_names, signal_names, path)
+            _validate_machine(block, block_names, signal_names, path, ids_checked)
 
     _check_part_cycles(model)
+    # Transitions with one content share an id, so merging would lose one.
+    for i, block in enumerate(model.blocks):
+        first: dict[tuple, int] = {}
+        for j, t in enumerate(block.state_machine.transitions if block.state_machine else ()):
+            k = first.setdefault((t.source, t.target, t.trigger, sorted_effects(t.effects)), j)
+            if k != j:
+                raise ValidationError(
+                    f"transition repeats transitions[{k}] (same source, target, trigger and effects)",
+                    f"$.blocks[{i}].state_machine.transitions[{j}]",
+                )
 
 
 def _validate_machine(
-    block: Block, block_names: set[str], signal_names: set[str], path: str
+    block: Block, block_names: set[str], signal_names: set[str], path: str, ids_checked: bool
 ) -> None:
     machine = block.state_machine
     assert machine is not None
@@ -469,7 +503,7 @@ def _validate_machine(
                 raise ValidationError(
                     f"effect target {eff.target_block!r} is not a block", f"{tpath}.effects[{k}]"
                 )
-        if t.id and t.id != transition_identity(
+        if t.id and not ids_checked and t.id != transition_identity(
             machine.owner, t.source, t.target, t.trigger, t.effects
         ):
             raise ValidationError(f"transition id {t.id!r} does not match content hash", tpath)
@@ -504,47 +538,22 @@ def _check_part_cycles(model: SystemModel) -> None:
 
 
 def _normalized(model: SystemModel) -> SystemModel:
-    """Canonical in-memory ordering: every list sorted by its key.
+    """Canonical in-memory ordering: every list sorted by its key. Parsed
+    transitions are kept as they are, only reordered."""
 
-    Raises:
-        ValidationError: two transitions of one machine have the same id, that
-            is the same source, target, trigger and effects.
-    """
-
-    def norm_transition(owner: str, t: Transition) -> Transition:
-        effects = sorted_effects(t.effects)
-        return Transition(
-            id=t.id or transition_identity(owner, t.source, t.target, t.trigger, effects),
-            source=t.source,
-            target=t.target,
-            trigger=t.trigger,
-            guard=t.guard,
-            effects=effects,
-            provenance=t.provenance,  # sorted and unique since _parse_transition
-        )
-
-    def norm_machine(m: StateMachine, block_index: int) -> StateMachine:
-        transitions = [norm_transition(m.owner, t) for t in m.transitions]
-        first: dict[str, int] = {}
-        for j, t in enumerate(transitions):
-            k = first.setdefault(t.id, j)
-            if k != j:
-                raise ValidationError(
-                    f"transition repeats transitions[{k}] (same source, target, trigger and effects)",
-                    f"$.blocks[{block_index}].state_machine.transitions[{j}]",
-                )
+    def norm_machine(m: StateMachine) -> StateMachine:
         return StateMachine(
             owner=m.owner,
             states=tuple(sorted(m.states, key=lambda s: s.name)),
-            transitions=tuple(sorted(transitions, key=lambda t: t.id)),
+            transitions=tuple(sorted(m.transitions, key=lambda t: t.id)),
             initial=m.initial,
         )
 
-    def norm_block(b: Block, index: int) -> Block:
+    def norm_block(b: Block) -> Block:
         return Block(
             name=b.name,
             parts=tuple(sorted(b.parts)),
-            state_machine=norm_machine(b.state_machine, index) if b.state_machine else None,
+            state_machine=norm_machine(b.state_machine) if b.state_machine else None,
             receivable_signals=(
                 tuple(sorted(b.receivable_signals)) if b.receivable_signals is not None else None
             ),
@@ -552,7 +561,7 @@ def _normalized(model: SystemModel) -> SystemModel:
 
     return SystemModel(
         name=model.name,
-        blocks=tuple(sorted((norm_block(b, i) for i, b in enumerate(model.blocks)), key=lambda b: b.name)),
+        blocks=tuple(sorted((norm_block(b) for b in model.blocks), key=lambda b: b.name)),
         signals=tuple(sorted(model.signals, key=lambda s: s.name)),
         version=model.version,
     )
@@ -561,21 +570,6 @@ def _normalized(model: SystemModel) -> SystemModel:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def _transition_doc(t: Transition) -> dict:
-    doc: dict[str, Any] = {
-        "id": t.id,
-        "source": t.source,
-        "target": t.target,
-        "effects": [{"signal": e.signal, "target_block": e.target_block} for e in sorted_effects(t.effects)],
-        "provenance": sorted(set(t.provenance)),
-    }
-    if t.trigger is not None:
-        doc["trigger"] = t.trigger
-    if t.guard is not None:
-        doc["guard"] = t.guard
-    return doc
 
 
 def dump_canonical(value: Any) -> str:
@@ -618,6 +612,9 @@ def _write_canonical(value: Any, newline: str, chunks: list[str]) -> None:
         if not value:
             chunks.append("[]")
             return
+        if type(value) is _Transitions:
+            _write_transitions(value, newline, chunks)
+            return
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
@@ -652,6 +649,41 @@ def _scalar_text(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Transitions(tuple):
+    """One machine's transitions in a document for ``dump_canonical``, which
+    writes them with ``_write_transitions``."""
+
+
+def _write_transitions(transitions: _Transitions, newline: str, chunks: list[str]) -> None:
+    """Write each transition from one template, in the bytes
+    ``_write_canonical`` gives its document: the keys ``effects``, ``guard``
+    (if set), ``id``, ``provenance``, ``source``, ``target`` and ``trigger``
+    (if set), effects sorted, provenance sorted and unique."""
+    enc = encode_basestring
+    n1 = newline + "  "  # a transition's braces
+    n2 = n1 + "  "  # its keys
+    n3 = n2 + "  "  # effect braces and provenance entries
+    n4 = n3 + "  "  # effect keys
+    sep = "[" + n1
+    for t in transitions:
+        effects = provenance = "[]"
+        if t.effects:
+            effects = f"[{n3}" + f",{n3}".join([
+                f'{{{n4}"signal": {enc(e.signal)},{n4}"target_block": {enc(e.target_block)}{n3}}}'
+                for e in sorted_effects(t.effects)
+            ]) + f"{n2}]"
+        if t.provenance:
+            provenance = f"[{n3}" + f",{n3}".join(map(enc, _sorted_unique(t.provenance))) + f"{n2}]"
+        guard = "" if t.guard is None else f'{n2}"guard": {enc(t.guard)},'
+        trigger = "" if t.trigger is None else f',{n2}"trigger": {enc(t.trigger)}'
+        chunks.append(
+            f'{sep}{{{n2}"effects": {effects},{guard}{n2}"id": {enc(t.id)},{n2}"provenance": {provenance},'
+            f'{n2}"source": {enc(t.source)},{n2}"target": {enc(t.target)}{trigger}{n1}}}'
+        )
+        sep = "," + n1
+    chunks.append(newline + "]")
+
+
 def save_model(model: SystemModel) -> str:
     """Serialize a model canonically (stable bytes for identical models)."""
     blocks = []
@@ -665,9 +697,7 @@ def save_model(model: SystemModel) -> str:
             m = b.state_machine
             machine: dict[str, Any] = {
                 "states": sorted(s.name for s in m.states),
-                "transitions": [
-                    _transition_doc(t) for t in sorted(m.transitions, key=lambda t: t.id)
-                ],
+                "transitions": _Transitions(sorted(m.transitions, key=lambda t: t.id)),
             }
             if m.initial is not None:
                 machine["initial"] = m.initial

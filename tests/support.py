@@ -27,7 +27,7 @@ from modcomplete.kb import (
     SlotPattern,
 )
 from modcomplete.gherkin import ClauseKind
-from modcomplete.model import Metaclass, SendEffect
+from modcomplete.model import Metaclass, SchemaError, SendEffect, Transition
 from modcomplete.normalize import core_words, normalize_phrase, normalize_signal_phrase, split_words
 
 
@@ -299,3 +299,104 @@ def reference_transition_identity(
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def reference_model_doc(model: SystemModel) -> dict:
+    """The document ``save_model`` writes, built as plain dicts and lists:
+    ``json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\\n"``
+    is the reference for its bytes."""
+    blocks = []
+    for b in sorted(model.blocks, key=lambda b: b.name):
+        entry: dict = {"name": b.name}
+        if b.parts:
+            entry["parts"] = sorted(b.parts)
+        if b.receivable_signals is not None:
+            entry["receivable_signals"] = sorted(b.receivable_signals)
+        if b.state_machine is not None:
+            m = b.state_machine
+            machine: dict = {
+                "states": sorted(s.name for s in m.states),
+                "transitions": [_reference_transition_doc(t) for t in sorted(m.transitions, key=lambda t: t.id)],
+            }
+            if m.initial is not None:
+                machine["initial"] = m.initial
+            entry["state_machine"] = machine
+        blocks.append(entry)
+    signals = []
+    for s in sorted(model.signals, key=lambda s: s.name):
+        entry = {"name": s.name}
+        if s.display is not None:
+            entry["display"] = s.display
+        signals.append(entry)
+    return {"version": model.version, "name": model.name, "signals": signals, "blocks": blocks}
+
+
+def _reference_transition_doc(t: Transition) -> dict:
+    doc: dict = {
+        "id": t.id,
+        "source": t.source,
+        "target": t.target,
+        "effects": [
+            {"signal": e.signal, "target_block": e.target_block}
+            for e in sorted(t.effects, key=lambda e: (e.signal, e.target_block))
+        ],
+        "provenance": sorted(set(t.provenance)),
+    }
+    if t.trigger is not None:
+        doc["trigger"] = t.trigger
+    if t.guard is not None:
+        doc["guard"] = t.guard
+    return doc
+
+
+def reference_parse_transition(obj, path: str) -> tuple:
+    """A transition entry checked field by field, as the loader always has:
+    the reference for the order, text and path of its SchemaErrors. Returns
+    (id or "", source, target, trigger, guard, effects, sorted provenance).
+    A container that is not a list fails here with a TypeError, or, for a
+    string, on its first character."""
+    _reference_expect(obj, dict, path, "transition")
+    _reference_unknown_keys(obj, {"id", "source", "target", "trigger", "guard", "effects", "provenance"}, path)
+    for key in ("source", "target"):
+        if key not in obj:
+            raise SchemaError(f"transition requires {key!r}", path)
+    effects = tuple(
+        _reference_parse_effect(e, f"{path}.effects[{i}]") for i, e in enumerate(obj.get("effects", []))
+    )
+    fields = {}
+    for key in ("trigger", "guard", "id", "source", "target"):
+        value = obj.get(key)
+        if not isinstance(value, str) and (key in ("source", "target") or value is not None):
+            raise SchemaError(f"{key} must be a str", f"{path}.{key}")
+        fields[key] = value
+    provenance = obj.get("provenance", [])
+    _reference_expect(provenance, list, f"{path}.provenance", "provenance")
+    for i, item in enumerate(provenance):
+        _reference_expect(item, str, f"{path}.provenance[{i}]", "entry")
+    return (
+        fields["id"] or "", fields["source"], fields["target"], fields["trigger"], fields["guard"],
+        tuple(sorted(effects, key=lambda e: (e.signal, e.target_block))), tuple(sorted(set(provenance))),
+    )
+
+
+def _reference_parse_effect(obj, path: str) -> SendEffect:
+    _reference_expect(obj, dict, path, "effect")
+    _reference_unknown_keys(obj, {"signal", "target_block"}, path)
+    if "signal" not in obj or "target_block" not in obj:
+        raise SchemaError("effect requires 'signal' and 'target_block'", path)
+    return SendEffect(
+        _reference_expect(obj["signal"], str, f"{path}.signal", "signal"),
+        _reference_expect(obj["target_block"], str, f"{path}.target_block", "target_block"),
+    )
+
+
+def _reference_expect(value, kind: type, path: str, what: str):
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise SchemaError(f"{what} must be a {kind.__name__}", path)
+    return value
+
+
+def _reference_unknown_keys(obj: dict, allowed: set[str], path: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise SchemaError(f"unknown key {unknown[0]!r}", path)

@@ -134,6 +134,44 @@ def test_undecodable_input_is_one_error_line(tmp_path, capsys, monkeypatch, comm
     assert not (tmp_path / "out").exists()
 
 
+def _railway_doc_with_a_transition() -> dict:
+    doc = json.loads((FIXTURES / "railway_model.json").read_text(encoding="utf-8"))
+    doc["blocks"][0]["state_machine"]["transitions"] = [
+        {"source": "Running", "target": "Braking", "trigger": "EmergencyStop",
+         "effects": [{"signal": "Activate", "target_block": "Brake"}]}
+    ]
+    return doc
+
+
+# (path, the object holding the field, its key)
+CONTAINER_FIELDS = [
+    ("$.blocks", lambda doc: doc, "blocks"),
+    ("$.signals", lambda doc: doc, "signals"),
+    ("$.blocks[0].state_machine.transitions", lambda doc: doc["blocks"][0]["state_machine"], "transitions"),
+    (
+        "$.blocks[0].state_machine.transitions[0].effects",
+        lambda doc: doc["blocks"][0]["state_machine"]["transitions"][0],
+        "effects",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "complete"])
+@pytest.mark.parametrize("path, holder, key", CONTAINER_FIELDS)
+@pytest.mark.parametrize("value", [None, 3, "Braking"])
+def test_container_that_is_not_a_list_is_one_error_line(tmp_path, capsys, command, path, holder, key, value):
+    doc = _railway_doc_with_a_transition()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(io_argv(tmp_path, command, {"--model": str(model)})) == 0
+    capsys.readouterr()
+    holder(doc)[key] = value
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(io_argv(tmp_path / "bad", command, {"--model": str(model)})) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {key} must be a list"]
+    assert not (tmp_path / "bad" / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["check", "complete"])
 def test_overdeep_model_is_one_error_line(tmp_path, capsys, command):
     deep = tmp_path / "deep.json"

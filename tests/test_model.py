@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import random
@@ -28,13 +29,21 @@ from modcomplete.model import (
     State,
     StateMachine,
     SystemModel,
+    Transition,
     dump_canonical,
     make_transition,
     transition_identity,
+    validate_model,
 )
 
 from conftest import FIXTURES, RAILWAY_REQUIREMENT
-from support import random_model, reference_lookup_elements, reference_transition_identity
+from support import (
+    random_model,
+    reference_lookup_elements,
+    reference_model_doc,
+    reference_parse_transition,
+    reference_transition_identity,
+)
 
 
 def test_load_railway_model(railway_model):
@@ -592,3 +601,213 @@ def test_wrong_declared_id_is_rejected_with_its_path(railway_model, railway_corp
         "transition id '0123456789ab' does not match content hash"
     )
     assert info.value.path == "$.blocks[2].state_machine.transitions[0]"
+
+
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_load_builds_one_transition_value_per_transition(monkeypatch, k):
+    """Counts constructions, times nothing: each transition, with a declared
+    id or without one, is built once."""
+    built = []
+    real = Transition.__init__
+    monkeypatch.setattr(Transition, "__init__", lambda self, *a, **kw: built.append(a) or real(self, *a, **kw))
+    model = load_model(json.dumps(_machine_doc(k)))
+    assert len(built) == 2 * k == len(model.machines()[0].transitions)
+
+
+@pytest.mark.parametrize("effects_order", [1, -1])
+def test_validate_model_rejects_repeated_transitions_in_memory(effects_order):
+    """Built without ``load_model``: transitions that differ only in guard,
+    provenance or the order of their effects repeat each other."""
+    effects = (SendEffect("Halt", "Pump"), SendEffect("Go", "Pump"))
+    first = replace(make_transition("Gate", "open", "shut", "Halt", effects, ("X",)), guard="a")
+    second = replace(first, guard="b", provenance=("Y",), effects=effects[::effects_order])
+    machine = StateMachine(
+        "Gate",
+        states=(State("open"), State("shut")),
+        transitions=(first, make_transition("Gate", "shut", "open"), second),
+    )
+    model = SystemModel(
+        "M",
+        blocks=(Block("Pump"), Block("Gate", state_machine=machine)),
+        signals=(Signal("Go"), Signal("Halt")),
+    )
+    with pytest.raises(ValidationError) as info:
+        validate_model(model)
+    path = "$.blocks[1].state_machine.transitions[2]"
+    assert str(info.value) == (
+        f"{path}: transition repeats transitions[0] (same source, target, trigger and effects)"
+    )
+    validate_model(replace(model, blocks=(model.blocks[0], Block("Gate", state_machine=replace(
+        machine, transitions=machine.transitions[:2])))))
+
+
+# Valid names that still need escaping or normalize oddly.
+MODEL_BLOCKS = ['G\xe4te"Q', "Pump\\Unit", "Zug\u2028Bahn", "T\xfcr\x01"]
+MODEL_SIGNALS = ['Halt"', "R\xe9\\set", "Go\x01", "Stopp\xe9"]
+MODEL_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\U0001f686'), max_size=6)
+
+
+@st.composite
+def raw_and_canonical_models(draw):
+    """A valid model as a caller may build it (effects unsorted, provenance
+    repeated, lists in any order) and the same model as ``load_model``
+    returns it."""
+    blocks = draw(st.lists(st.sampled_from(MODEL_BLOCKS), min_size=1, unique=True))
+    signals = draw(st.lists(st.sampled_from(MODEL_SIGNALS), unique=True))
+    raw_blocks, canonical_blocks = [], []
+    for owner in blocks:
+        if not draw(st.booleans()):
+            raw_blocks.append(Block(owner))
+            canonical_blocks.append(Block(owner))
+            continue
+        states = draw(st.lists(MODEL_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+        raw, canonical = {}, {}
+        for _ in range(draw(st.integers(0, 4))):
+            source, target = draw(st.sampled_from(states)), draw(st.sampled_from(states))
+            trigger = draw(st.none() | st.sampled_from(signals)) if signals else None
+            effects = tuple(
+                SendEffect(draw(st.sampled_from(signals)), draw(st.sampled_from(blocks)))
+                for _ in range(draw(st.integers(0, 3) if signals else st.just(0)))
+            )
+            provenance = tuple(draw(st.lists(st.sampled_from(["R2", "R1", "\u2028", 'q"']), max_size=3)))
+            guard = draw(st.none() | MODEL_TEXT)
+            t = make_transition(owner, source, target, trigger, effects, provenance)
+            canonical[t.id] = replace(t, guard=guard)
+            raw[t.id] = Transition(t.id, source, target, trigger, guard, effects, provenance)
+        raw_blocks.append(Block(owner, state_machine=StateMachine(
+            owner, tuple(State(n) for n in states), tuple(raw.values()))))
+        canonical_blocks.append(Block(owner, state_machine=StateMachine(
+            owner, tuple(State(n) for n in sorted(states)), tuple(canonical[i] for i in sorted(canonical)))))
+    name = draw(MODEL_TEXT.filter(bool))
+    return (
+        SystemModel(name, tuple(raw_blocks), tuple(Signal(n) for n in signals)),
+        SystemModel(
+            name,
+            tuple(sorted(canonical_blocks, key=lambda b: b.name)),
+            tuple(Signal(n) for n in sorted(signals)),
+        ),
+    )
+
+
+@given(raw_and_canonical_models())
+def test_save_model_is_the_stdlib_encoding_of_its_document(models):
+    raw, canonical = models
+    assert save_model(raw) == stdlib_canonical(reference_model_doc(raw))
+    assert load_model(save_model(raw)) == canonical
+    assert load_model(save_model(canonical)) == canonical
+
+
+TRANSITION_FIELDS = ["id", "source", "target", "trigger", "guard", "effects", "provenance", "zz"]
+EFFECT_FIELDS = ["signal", "target_block", "zz"]
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(EFFECT_FIELDS), inner, max_size=3),
+    max_leaves=6,
+)
+_DROP = object()
+SWAPS = [_DROP, None, False, 0, 1.5, "", "s", [], ["s", 1], {}, {"signal": "Halt"}]
+
+
+def _valid_entry() -> dict:
+    effects = [{"signal": "Halt", "target_block": "Gate"}, {"signal": "Go", "target_block": "Gate"}]
+    return {"source": "open", "target": "shut", "trigger": "Halt", "guard": "g", "provenance": ["R2", "R1"],
+            "effects": effects,
+            "id": transition_identity("Gate", "open", "shut", "Halt", tuple(SendEffect(**e) for e in effects))}
+
+
+def _swapped(obj: dict, key: str, value) -> dict:
+    if value is _DROP:
+        obj.pop(key, None)
+    else:
+        obj[key] = copy.deepcopy(value)  # SWAPS' lists and dicts stay as they are
+    return obj
+
+
+@st.composite
+def mutated_transitions(draw):
+    """A valid transition entry with random JSON swapped into (or dropped
+    from) a few of its fields, of one of its effects, or in place of either."""
+    entry = _valid_entry()
+    for key in draw(st.lists(st.sampled_from(TRANSITION_FIELDS), unique=True, max_size=3)):
+        _swapped(entry, key, draw(st.sampled_from(SWAPS) | SMALL_JSON))
+    if isinstance(entry.get("effects"), list) and entry["effects"] and draw(st.booleans()):
+        effect = {"signal": "Go", "target_block": "Gate"}
+        for key in draw(st.lists(st.sampled_from(EFFECT_FIELDS), unique=True, max_size=2)):
+            _swapped(effect, key, draw(st.sampled_from(SWAPS) | SMALL_JSON))
+        entry["effects"][draw(st.integers(0, len(entry["effects"]) - 1))] = (
+            draw(SMALL_JSON) if draw(st.booleans()) else effect
+        )
+    return draw(SMALL_JSON) if draw(st.integers(0, 9)) == 9 else entry
+
+
+def _outcome(parse):
+    try:
+        return ("ok", parse())
+    except SchemaError as exc:
+        return ("SchemaError", str(exc), exc.path)
+    except TypeError:
+        return ("TypeError",)
+
+
+def _assert_loader_agrees_with_reference(entry) -> None:
+    """``load_model`` on a document holding ``entry`` raises the SchemaError
+    the field-by-field parser raises, or loads what it parses."""
+    path = "$.blocks[0].state_machine.transitions[0]"
+    expected = _outcome(lambda: reference_parse_transition(entry, path))
+    doc = {"version": "1", "name": "M", "signals": [{"name": "Halt"}, {"name": "Go"}],
+           "blocks": [{"name": "Gate", "state_machine": {"states": ["open", "shut"], "transitions": [entry]}}]}
+    try:
+        actual = _outcome(lambda: load_model(json.dumps(doc)).machines()[0].transitions[0])
+    except ValidationError:
+        actual = ("ValidationError",)  # well-formed; its content is checked later
+    effects = entry.get("effects", []) if isinstance(entry, dict) else []
+    if not isinstance(effects, list) and not (expected[0] == "SchemaError" and expected[2] == path):
+        # Unless the entry failed before its effects were read, the old parser
+        # crashed on them, or read a string's characters or an object's keys
+        # as effects.
+        expected = ("SchemaError", f"{path}.effects: effects must be a list", f"{path}.effects")
+    if expected[0] != "ok":
+        assert actual == expected
+    elif actual[0] == "ok":
+        declared, source, target, trigger, guard, effects, provenance = expected[1]
+        t = actual[1]
+        assert (t.source, t.target, t.trigger, t.guard, t.effects, t.provenance) == (
+            source, target, trigger, guard, effects, provenance
+        )
+        assert t.id == (declared or transition_identity("Gate", source, target, trigger, effects))
+    else:
+        assert actual == ("ValidationError",)
+
+
+def test_loader_agrees_with_the_field_by_field_parser_on_each_swap():
+    """Every value of ``SWAPS`` in every field of a transition and of an
+    effect, and in place of either; and two bad fields at once, which pins
+    the order of the checks."""
+    for pair in itertools.combinations(TRANSITION_FIELDS + ["effects[1].signal"], 2):
+        entry = _valid_entry()
+        entry["effects"][1]["signal"] = 0 if "effects[1].signal" in pair else "Go"
+        entry.update({key: 0 for key in pair if key in TRANSITION_FIELDS})
+        _assert_loader_agrees_with_reference(entry)
+    for pair in itertools.combinations(EFFECT_FIELDS, 2):
+        for values in itertools.product([_DROP, 0], repeat=2):
+            entry = _valid_entry()
+            for key, value in zip(pair, values):
+                _swapped(entry["effects"][1], key, value)
+            _assert_loader_agrees_with_reference(entry)
+    for value in SWAPS:
+        for key in TRANSITION_FIELDS:
+            _assert_loader_agrees_with_reference(_swapped(_valid_entry(), key, value))
+        for key in EFFECT_FIELDS:
+            entry = _valid_entry()
+            _swapped(entry["effects"][1], key, value)
+            _assert_loader_agrees_with_reference(entry)
+        if value is not _DROP:
+            entry = _valid_entry()
+            entry["effects"][1] = value
+            _assert_loader_agrees_with_reference(entry)
+            _assert_loader_agrees_with_reference(value)
+
+
+@given(mutated_transitions())
+def test_loader_agrees_with_the_field_by_field_parser_on_random_swaps(entry):
+    _assert_loader_agrees_with_reference(entry)
