@@ -11,7 +11,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ModcompleteError
 from .gherkin import ParseError, RequirementDoc, parse_requirement
@@ -32,8 +32,7 @@ class StateNotInOwnerMachine(ModcompleteError):
     """A bound state is absent from the owner block's machine."""
 
 
-@dataclass(frozen=True)
-class ReceivabilityWarning:
+class ReceivabilityWarning(NamedTuple):
     """An effect targets a block whose declared signals lack the one sent."""
 
     requirement_id: str
@@ -41,8 +40,7 @@ class ReceivabilityWarning:
     target_block: str
 
 
-@dataclass(frozen=True)
-class FragmentInstance:
+class FragmentInstance(NamedTuple):
     """Concrete transitions produced from one matched requirement."""
 
     pairs: tuple[tuple[str, Transition], ...]  # (owner, transition)
@@ -117,22 +115,19 @@ def instantiate_fragment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MergeEntry:
+class MergeEntry(NamedTuple):
     owner: str
     transition_id: str
     requirement_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConflictVariant:
+class ConflictVariant(NamedTuple):
     target: str
     effects: tuple[SendEffect, ...]
     requirement_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConflictRecord:
+class ConflictRecord(NamedTuple):
     """Transitions that share (owner, source, trigger) but disagree."""
 
     owner: str
@@ -144,14 +139,12 @@ class ConflictRecord:
         return tuple(sorted({rid for v in self.variants for rid in v.requirement_ids}))
 
 
-@dataclass(frozen=True)
-class UnmatchedEntry:
+class UnmatchedEntry(NamedTuple):
     requirement_id: str
     diagnostics: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CompletionReport:
+class CompletionReport(NamedTuple):
     """Outcome of a completion run; every requirement id lands in exactly
     one of added / duplicates / conflicts / unmatched."""
 
@@ -163,8 +156,7 @@ class CompletionReport:
     multi_effect_requirements: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RequirementOutcome:
+class RequirementOutcome(NamedTuple):
     """What became of one requirement before merging.
 
     ``error`` is the ParseError, NoMatch, AmbiguousMatch or
@@ -185,8 +177,7 @@ class RequirementOutcome:
         return (str(self.error),)
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     model: SystemModel
     report: CompletionReport
     trace: tuple[TraceRecord, ...]
@@ -316,8 +307,7 @@ SEVERITY_WARNING = "warning"
 SEVERITY_INFO = "info"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     kind: str
     severity: str
     message: str

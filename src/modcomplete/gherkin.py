@@ -17,8 +17,8 @@ disjunctive mode (one alternative trigger per clause).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ModcompleteError
 
@@ -44,8 +44,7 @@ class WhenMode(Enum):
     DISJUNCTIVE = "Disjunctive"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token with original spelling, lowercased form, and stream index."""
 
     kind: TokenKind
@@ -54,16 +53,14 @@ class Token:
     index: int
 
 
-@dataclass(frozen=True)
-class RequirementDoc:
+class RequirementDoc(NamedTuple):
     id: str
     text: str
     feature: str | None = None
     scenario: str | None = None
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """A run of words inside one section, introduced by ``lead`` keyword."""
 
     kind: ClauseKind
@@ -71,8 +68,7 @@ class Clause:
     lead: Token | None = None
 
 
-@dataclass(frozen=True)
-class RequirementAST:
+class RequirementAST(NamedTuple):
     id: str
     given: tuple[Clause, ...]
     when: tuple[Clause, ...]

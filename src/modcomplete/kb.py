@@ -24,7 +24,7 @@ MetaReq priority is file order (earlier wins).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ModcompleteError
 from .gherkin import ClauseKind
@@ -55,18 +55,15 @@ class DuplicateRole(ModcompleteError):
     """The same role is declared by two slots of one metareq."""
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     word: str
 
 
-@dataclass(frozen=True)
-class OptionalLiteral:
+class OptionalLiteral(NamedTuple):
     words: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SlotPattern:
+class SlotPattern(NamedTuple):
     metaclass: Metaclass
     role: str
 
@@ -74,8 +71,7 @@ class SlotPattern:
 TemplateItem = Literal | OptionalLiteral | SlotPattern
 
 
-@dataclass(frozen=True)
-class ClauseTemplate:
+class ClauseTemplate(NamedTuple):
     kind: ClauseKind
     items: tuple[TemplateItem, ...]
 
@@ -83,8 +79,7 @@ class ClauseTemplate:
         return tuple(i for i in self.items if isinstance(i, SlotPattern))
 
 
-@dataclass(frozen=True)
-class MetaFragment:
+class MetaFragment(NamedTuple):
     """One-transition template parameterized by metareq roles."""
 
     id: str
@@ -108,8 +103,7 @@ class MetaFragment:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class MetaReq:
+class MetaReq(NamedTuple):
     id: str
     given: tuple[ClauseTemplate, ...]
     when: tuple[ClauseTemplate, ...]
@@ -126,8 +120,7 @@ class MetaReq:
         return {s.role: s.metaclass for s in self.slots()}
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(NamedTuple):
     metareqs: tuple[MetaReq, ...] = ()
     fragments: tuple[MetaFragment, ...] = ()
 

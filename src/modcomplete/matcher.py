@@ -27,8 +27,7 @@ class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ModcompleteError
 from .gherkin import Clause, RequirementAST, Token, TokenKind, WhenMode
@@ -60,8 +59,7 @@ __all__ = [
 SPAN_LIMIT = 4  # raw words per slot span
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """One slot filled: ``phrase`` (original spelling) names ``element``."""
 
     role: str
@@ -73,8 +71,7 @@ class Binding:
 BindingSet = tuple[Binding, ...]
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Winning rule and its bindings.
 
     ``binding_sets`` holds one complete set per disjunctive When alternative
@@ -92,8 +89,7 @@ class MatchResult:
         return self.binding_sets[0]
 
 
-@dataclass(frozen=True)
-class SpanAmbiguity:
+class SpanAmbiguity(NamedTuple):
     """A span resolved to more than one element (reported, never dropped)."""
 
     role: str
@@ -102,8 +98,7 @@ class SpanAmbiguity:
     elements: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClauseFailure:
+class ClauseFailure(NamedTuple):
     """Deepest failure point while matching one clause against a template."""
 
     item_index: int
@@ -113,8 +108,7 @@ class ClauseFailure:
     phrase: str | None = None
 
 
-@dataclass(frozen=True)
-class ClauseMatches:
+class ClauseMatches(NamedTuple):
     """All binding maps for one (clause, template) pair plus diagnostics."""
 
     maps: tuple[BindingSet, ...]
@@ -122,8 +116,7 @@ class ClauseMatches:
     failure: ClauseFailure | None = None
 
 
-@dataclass(frozen=True)
-class MetaReqDiagnostic:
+class MetaReqDiagnostic(NamedTuple):
     """Why one rule did not fit, for NoMatch reports and --explain output."""
 
     metareq_id: str

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring, encode_basestring_ascii
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ModcompleteError
 from .normalize import core_words, normalize_phrase, normalize_signal_phrase
@@ -66,19 +66,16 @@ class UnknownSignal(ModcompleteError):
     """Transition trigger or effect names a signal the model lacks."""
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(NamedTuple):
     name: str
     display: str | None = None
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class SendEffect:
+class SendEffect(NamedTuple):
     """Action on a transition: send ``signal`` to ``target_block``."""
 
     signal: str
@@ -503,7 +500,7 @@ def _validate_machine(
                 raise ValidationError(
                     f"effect target {eff.target_block!r} is not a block", f"{tpath}.effects[{k}]"
                 )
-        if t.id and not ids_checked and t.id != transition_identity(
+        if not ids_checked and t.id != transition_identity(
             machine.owner, t.source, t.target, t.trigger, t.effects
         ):
             raise ValidationError(f"transition id {t.id!r} does not match content hash", tpath)
@@ -723,8 +720,7 @@ class MergeKind(Enum):
     DUPLICATE = "duplicate"
 
 
-@dataclass(frozen=True)
-class MergeOutcome:
+class MergeOutcome(NamedTuple):
     """Result of merging one transition into a model.
 
     ``model`` is the updated model: with the new transition for ADDED, with

@@ -10,21 +10,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ModcompleteError
 from .matcher import MatchResult
 from .model import Metaclass, SystemModel, dump_canonical
 
 
-@dataclass(frozen=True)
-class TraceBinding:
+class TraceBinding(NamedTuple):
     role: str
     metaclass: Metaclass
     element: str
 
 
-@dataclass(frozen=True)
-class SatisfyLink:
+class SatisfyLink(NamedTuple):
     element: str
     metaclass: Metaclass
     roles: tuple[str, ...]

@@ -603,6 +603,24 @@ def test_wrong_declared_id_is_rejected_with_its_path(railway_model, railway_corp
     assert info.value.path == "$.blocks[2].state_machine.transitions[0]"
 
 
+def test_empty_transition_id_is_checked_against_its_content_hash():
+    """An in-memory transition with id "" is no exception to the id check:
+    a model that passes ``validate_model`` round-trips through save and load."""
+    machine = StateMachine(
+        "Gate", states=(State("open"), State("shut")), transitions=(Transition("", "open", "shut"),)
+    )
+    model = SystemModel("M", blocks=(Block("Gate", state_machine=machine),))
+    with pytest.raises(ValidationError) as info:
+        validate_model(model)
+    path = "$.blocks[0].state_machine.transitions[0]"
+    assert str(info.value) == f"{path}: transition id '' does not match content hash"
+    assert info.value.path == path
+    fixed = replace(model, blocks=(Block("Gate", state_machine=replace(
+        machine, transitions=(make_transition("Gate", "open", "shut"),))),))
+    validate_model(fixed)
+    assert load_model(save_model(fixed)) == fixed
+
+
 @pytest.mark.parametrize("k", [1, 7, 40])
 def test_load_builds_one_transition_value_per_transition(monkeypatch, k):
     """Counts constructions, times nothing: each transition, with a declared

@@ -7,6 +7,7 @@ of this file, not a side effect of refactoring.
 from __future__ import annotations
 
 import inspect
+from dataclasses import is_dataclass
 
 import modcomplete
 from modcomplete import matcher
@@ -69,3 +70,13 @@ def test_matcher_exports():
 def test_signatures():
     actual = {name: str(inspect.signature(getattr(modcomplete, name))) for name in SIGNATURES}
     assert actual == SIGNATURES
+
+
+def test_replaceable_types():
+    """Exactly these exported types are dataclasses and support
+    ``dataclasses.replace``; the other records are ``NamedTuple``s."""
+    exported = [getattr(modcomplete, name) for name in PACKAGE_ALL]
+    assert {t for t in exported if isinstance(t, type) and is_dataclass(t)} == {
+        modcomplete.Transition, modcomplete.StateMachine, modcomplete.Block,
+        modcomplete.SystemModel, modcomplete.TraceRecord,
+    }

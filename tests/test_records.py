@@ -1,0 +1,335 @@
+"""The record types' value contract: fields in order, defaults, attribute
+access, equality, hashing, ``repr`` and immutability.
+
+Each record is pinned by one sample value, so a change of representation
+(say, from a dataclass to a ``NamedTuple``) cannot change how callers see it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import is_dataclass, replace
+
+import pytest
+
+from modcomplete import generator, gherkin, kb, matcher, model, trace
+from modcomplete.generator import (
+    CompletionReport,
+    CompletionResult,
+    ConflictRecord,
+    ConflictVariant,
+    Finding,
+    FragmentInstance,
+    MergeEntry,
+    ReceivabilityWarning,
+    RequirementOutcome,
+    UnmatchedEntry,
+)
+from modcomplete.gherkin import (
+    Clause,
+    ClauseKind,
+    RequirementAST,
+    RequirementDoc,
+    Token,
+    TokenKind,
+    WhenMode,
+)
+from modcomplete.kb import (
+    ClauseTemplate,
+    KnowledgeBase,
+    Literal,
+    MetaFragment,
+    MetaReq,
+    OptionalLiteral,
+    SlotPattern,
+)
+from modcomplete.matcher import (
+    Binding,
+    ClauseFailure,
+    ClauseMatches,
+    MatchResult,
+    MetaReqDiagnostic,
+    SpanAmbiguity,
+)
+from modcomplete.model import (
+    Block,
+    MergeKind,
+    MergeOutcome,
+    Metaclass,
+    SendEffect,
+    Signal,
+    State,
+    StateMachine,
+    SystemModel,
+    Transition,
+)
+from modcomplete.trace import SatisfyLink, TraceBinding, TraceRecord
+
+_OTHER = "<other>"
+
+TOKEN = Token(TokenKind.WORD, "Train", "train", 1)
+GIVEN = Token(TokenKind.KEYWORD, "Given", "given", 0)
+DOC = RequirementDoc("R1", "Given a Train", "F", "S")
+CLAUSE = Clause(ClauseKind.GIVEN, (TOKEN,), GIVEN)
+LITERAL = Literal("in")
+SLOT = SlotPattern(Metaclass.STATE, "s")
+TEMPLATE = ClauseTemplate(ClauseKind.GIVEN, (LITERAL, SLOT))
+FRAGMENT = MetaFragment("F1", "b", "s", "t", "g", (("e", "d"),))
+METAREQ = MetaReq("M1", (TEMPLATE,), (), (), "F1")
+BINDING = Binding("b", Metaclass.BLOCK, "the Brake", "Brake")
+MATCH = MatchResult("R1", "M1", ((BINDING,),), 1)
+FAILURE = ClauseFailure(2, 3, "no element", "s", "fast")
+AMBIGUITY = SpanAmbiguity("b", Metaclass.BLOCK, "Brake", ("Brake", "Emergency Brake"))
+EFFECT = SendEffect("Stop", "Brake")
+TRANSITION = Transition("abc", "a", "b", "Go", None, (EFFECT,), ("R1",))
+MACHINE = StateMachine("Brake", (State("a"),), (), "a")
+MODEL = SystemModel("m")
+WARNING = ReceivabilityWarning("R1", "Stop", "Brake")
+ENTRY = MergeEntry("Brake", "abc", ("R1",))
+VARIANT = ConflictVariant("b", (EFFECT,), ("R1",))
+REPORT = CompletionReport(added=(ENTRY,))
+TRACE_BINDING = TraceBinding("b", Metaclass.BLOCK, "Brake")
+LINK = SatisfyLink("Brake", Metaclass.BLOCK, ("b",))
+
+# (type, sample fields in declaration order, repr of the sample,
+#  fields of the smallest construction, repr of that construction)
+RECORDS = [
+    (Token, dict(kind=TokenKind.WORD, text="Train", lower="train", index=1),
+     "Token(kind=<TokenKind.WORD: 'word'>, text='Train', lower='train', index=1)",
+     None, None),
+    (RequirementDoc, dict(id="R1", text="Given a Train", feature="F", scenario="S"),
+     "RequirementDoc(id='R1', text='Given a Train', feature='F', scenario='S')",
+     dict(id="R1", text="t"),
+     "RequirementDoc(id='R1', text='t', feature=None, scenario=None)"),
+    (Clause, dict(kind=ClauseKind.GIVEN, words=(TOKEN,), lead=GIVEN),
+     "Clause(kind=<ClauseKind.GIVEN: 'Given'>, words=(Token(kind=<TokenKind.WORD: 'word'>, "
+     "text='Train', lower='train', index=1),), lead=Token(kind=<TokenKind.KEYWORD: 'keyword'>, "
+     "text='Given', lower='given', index=0))",
+     dict(kind=ClauseKind.THEN, words=()),
+     "Clause(kind=<ClauseKind.THEN: 'Then'>, words=(), lead=None)"),
+    (RequirementAST, dict(id="R1", given=(CLAUSE,), when=(), then=(), when_mode=WhenMode.DISJUNCTIVE,
+                          tokens=(GIVEN,)),
+     "RequirementAST(id='R1', given=(Clause(kind=<ClauseKind.GIVEN: 'Given'>, words=(Token("
+     "kind=<TokenKind.WORD: 'word'>, text='Train', lower='train', index=1),), lead=Token("
+     "kind=<TokenKind.KEYWORD: 'keyword'>, text='Given', lower='given', index=0)),), when=(), "
+     "then=(), when_mode=<WhenMode.DISJUNCTIVE: 'Disjunctive'>, tokens=(Token("
+     "kind=<TokenKind.KEYWORD: 'keyword'>, text='Given', lower='given', index=0),))",
+     None, None),
+    (Literal, dict(word="in"), "Literal(word='in')", None, None),
+    (OptionalLiteral, dict(words=("a", "the")), "OptionalLiteral(words=('a', 'the'))", None, None),
+    (SlotPattern, dict(metaclass=Metaclass.STATE, role="s"),
+     "SlotPattern(metaclass=<Metaclass.STATE: 'State'>, role='s')", None, None),
+    (ClauseTemplate, dict(kind=ClauseKind.GIVEN, items=(LITERAL, SLOT)),
+     "ClauseTemplate(kind=<ClauseKind.GIVEN: 'Given'>, items=(Literal(word='in'), "
+     "SlotPattern(metaclass=<Metaclass.STATE: 'State'>, role='s')))",
+     None, None),
+    (MetaFragment, dict(id="F1", owner_role="b", source_role="s", target_role="t", trigger_role="g",
+                        effect_specs=(("e", "d"),)),
+     "MetaFragment(id='F1', owner_role='b', source_role='s', target_role='t', trigger_role='g', "
+     "effect_specs=(('e', 'd'),))",
+     dict(id="F1", owner_role="b", source_role="s", target_role="t"),
+     "MetaFragment(id='F1', owner_role='b', source_role='s', target_role='t', trigger_role=None, "
+     "effect_specs=())"),
+    (MetaReq, dict(id="M1", given=(TEMPLATE,), when=(), then=(), fragment="F1"),
+     "MetaReq(id='M1', given=(ClauseTemplate(kind=<ClauseKind.GIVEN: 'Given'>, items=("
+     "Literal(word='in'), SlotPattern(metaclass=<Metaclass.STATE: 'State'>, role='s'))),), "
+     "when=(), then=(), fragment='F1')",
+     None, None),
+    (KnowledgeBase, dict(metareqs=(METAREQ,), fragments=(FRAGMENT,)),
+     "KnowledgeBase(metareqs=(MetaReq(id='M1', given=(ClauseTemplate(kind=<ClauseKind.GIVEN: "
+     "'Given'>, items=(Literal(word='in'), SlotPattern(metaclass=<Metaclass.STATE: 'State'>, "
+     "role='s'))),), when=(), then=(), fragment='F1'),), fragments=(MetaFragment(id='F1', "
+     "owner_role='b', source_role='s', target_role='t', trigger_role='g', "
+     "effect_specs=(('e', 'd'),)),))",
+     dict(), "KnowledgeBase(metareqs=(), fragments=())"),
+    (Binding, dict(role="b", metaclass=Metaclass.BLOCK, phrase="the Brake", element="Brake"),
+     "Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', element='Brake')",
+     None, None),
+    (MatchResult, dict(requirement_id="R1", metareq_id="M1", binding_sets=((BINDING,),),
+                       alternatives_consumed=1),
+     "MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=((Binding(role='b', "
+     "metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', element='Brake'),),), "
+     "alternatives_consumed=1)",
+     dict(requirement_id="R1", metareq_id="M1", binding_sets=()),
+     "MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=(), alternatives_consumed=0)"),
+    (SpanAmbiguity, dict(role="b", metaclass=Metaclass.BLOCK, phrase="Brake",
+                         elements=("Brake", "Emergency Brake")),
+     "SpanAmbiguity(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='Brake', "
+     "elements=('Brake', 'Emergency Brake'))",
+     None, None),
+    (ClauseFailure, dict(item_index=2, word_index=3, detail="no element", role="s", phrase="fast"),
+     "ClauseFailure(item_index=2, word_index=3, detail='no element', role='s', phrase='fast')",
+     dict(item_index=0, word_index=1, detail="d"),
+     "ClauseFailure(item_index=0, word_index=1, detail='d', role=None, phrase=None)"),
+    (ClauseMatches, dict(maps=((BINDING,),), ambiguities=(AMBIGUITY,), failure=FAILURE),
+     "ClauseMatches(maps=((Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, "
+     "phrase='the Brake', element='Brake'),),), ambiguities=(SpanAmbiguity(role='b', "
+     "metaclass=<Metaclass.BLOCK: 'Block'>, phrase='Brake', elements=('Brake', "
+     "'Emergency Brake')),), failure=ClauseFailure(item_index=2, word_index=3, "
+     "detail='no element', role='s', phrase='fast'))",
+     dict(maps=()), "ClauseMatches(maps=(), ambiguities=(), failure=None)"),
+    (MetaReqDiagnostic, dict(metareq_id="M1", reason="no fit", section="Given", template_index=0,
+                             role="s", phrase="fast"),
+     "MetaReqDiagnostic(metareq_id='M1', reason='no fit', section='Given', template_index=0, "
+     "role='s', phrase='fast')",
+     dict(metareq_id="M1", reason="r"),
+     "MetaReqDiagnostic(metareq_id='M1', reason='r', section=None, template_index=None, "
+     "role=None, phrase=None)"),
+    (Signal, dict(name="Stop", display="Stop()"), "Signal(name='Stop', display='Stop()')",
+     dict(name="Stop"), "Signal(name='Stop', display=None)"),
+    (State, dict(name="a"), "State(name='a')", None, None),
+    (SendEffect, dict(signal="Stop", target_block="Brake"),
+     "SendEffect(signal='Stop', target_block='Brake')", None, None),
+    (Transition, dict(id="abc", source="a", target="b", trigger="Go", guard="g", effects=(EFFECT,),
+                      provenance=("R1",)),
+     "Transition(id='abc', source='a', target='b', trigger='Go', guard='g', "
+     "effects=(SendEffect(signal='Stop', target_block='Brake'),), provenance=('R1',))",
+     dict(id="abc", source="a", target="b"),
+     "Transition(id='abc', source='a', target='b', trigger=None, guard=None, effects=(), "
+     "provenance=())"),
+    (StateMachine, dict(owner="Brake", states=(State("a"),), transitions=(TRANSITION,), initial="a"),
+     "StateMachine(owner='Brake', states=(State(name='a'),), transitions=(Transition(id='abc', "
+     "source='a', target='b', trigger='Go', guard=None, effects=(SendEffect(signal='Stop', "
+     "target_block='Brake'),), provenance=('R1',)),), initial='a')",
+     dict(owner="Brake"), "StateMachine(owner='Brake', states=(), transitions=(), initial=None)"),
+    (Block, dict(name="Brake", parts=("Pad",), state_machine=MACHINE, receivable_signals=("Stop",)),
+     "Block(name='Brake', parts=('Pad',), state_machine=StateMachine(owner='Brake', "
+     "states=(State(name='a'),), transitions=(), initial='a'), receivable_signals=('Stop',))",
+     dict(name="Brake"),
+     "Block(name='Brake', parts=(), state_machine=None, receivable_signals=None)"),
+    (SystemModel, dict(name="m", blocks=(Block("Brake"),), signals=(Signal("Stop"),), version="1"),
+     "SystemModel(name='m', blocks=(Block(name='Brake', parts=(), state_machine=None, "
+     "receivable_signals=None),), signals=(Signal(name='Stop', display=None),), version='1')",
+     dict(name="m"), "SystemModel(name='m', blocks=(), signals=(), version='1')"),
+    (MergeOutcome, dict(kind=MergeKind.ADDED, model=MODEL, transition_id="abc"),
+     "MergeOutcome(kind=<MergeKind.ADDED: 'added'>, model=SystemModel(name='m', blocks=(), "
+     "signals=(), version='1'), transition_id='abc')",
+     None, None),
+    (ReceivabilityWarning, dict(requirement_id="R1", signal="Stop", target_block="Brake"),
+     "ReceivabilityWarning(requirement_id='R1', signal='Stop', target_block='Brake')", None, None),
+    (FragmentInstance, dict(pairs=(("Brake", TRANSITION),), warnings=(WARNING,)),
+     "FragmentInstance(pairs=(('Brake', Transition(id='abc', source='a', target='b', "
+     "trigger='Go', guard=None, effects=(SendEffect(signal='Stop', target_block='Brake'),), "
+     "provenance=('R1',))),), warnings=(ReceivabilityWarning(requirement_id='R1', "
+     "signal='Stop', target_block='Brake'),))",
+     dict(pairs=()), "FragmentInstance(pairs=(), warnings=())"),
+    (MergeEntry, dict(owner="Brake", transition_id="abc", requirement_ids=("R1",)),
+     "MergeEntry(owner='Brake', transition_id='abc', requirement_ids=('R1',))", None, None),
+    (ConflictVariant, dict(target="b", effects=(EFFECT,), requirement_ids=("R1",)),
+     "ConflictVariant(target='b', effects=(SendEffect(signal='Stop', target_block='Brake'),), "
+     "requirement_ids=('R1',))",
+     None, None),
+    (ConflictRecord, dict(owner="Brake", source="a", trigger="Go", variants=(VARIANT,)),
+     "ConflictRecord(owner='Brake', source='a', trigger='Go', variants=(ConflictVariant("
+     "target='b', effects=(SendEffect(signal='Stop', target_block='Brake'),), "
+     "requirement_ids=('R1',)),))",
+     None, None),
+    (UnmatchedEntry, dict(requirement_id="R1", diagnostics=("no rule",)),
+     "UnmatchedEntry(requirement_id='R1', diagnostics=('no rule',))", None, None),
+    (CompletionReport, dict(added=(ENTRY,), duplicates=(ENTRY,), conflicts=(), unmatched=(),
+                            receivability_warnings=(WARNING,), multi_effect_requirements=("R1",)),
+     "CompletionReport(added=(MergeEntry(owner='Brake', transition_id='abc', "
+     "requirement_ids=('R1',)),), duplicates=(MergeEntry(owner='Brake', transition_id='abc', "
+     "requirement_ids=('R1',)),), conflicts=(), unmatched=(), receivability_warnings=("
+     "ReceivabilityWarning(requirement_id='R1', signal='Stop', target_block='Brake'),), "
+     "multi_effect_requirements=('R1',))",
+     dict(),
+     "CompletionReport(added=(), duplicates=(), conflicts=(), unmatched=(), "
+     "receivability_warnings=(), multi_effect_requirements=())"),
+    (RequirementOutcome, dict(doc=DOC, match=MATCH, error=None),
+     "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
+     "scenario='S'), match=MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=(("
+     "Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', "
+     "element='Brake'),),), alternatives_consumed=1), error=None)",
+     dict(doc=DOC),
+     "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
+     "scenario='S'), match=None, error=None)"),
+    (CompletionResult, dict(model=MODEL, report=REPORT, trace=(), outcomes=()),
+     "CompletionResult(model=SystemModel(name='m', blocks=(), signals=(), version='1'), "
+     "report=CompletionReport(added=(MergeEntry(owner='Brake', transition_id='abc', "
+     "requirement_ids=('R1',)),), duplicates=(), conflicts=(), unmatched=(), "
+     "receivability_warnings=(), multi_effect_requirements=()), trace=(), outcomes=())",
+     None, None),
+    (Finding, dict(kind="Conflict", severity="error", message="m", requirement_ids=("R1",)),
+     "Finding(kind='Conflict', severity='error', message='m', requirement_ids=('R1',))",
+     dict(kind="Conflict", severity="error", message="m"),
+     "Finding(kind='Conflict', severity='error', message='m', requirement_ids=())"),
+    (TraceBinding, dict(role="b", metaclass=Metaclass.BLOCK, element="Brake"),
+     "TraceBinding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, element='Brake')", None, None),
+    (SatisfyLink, dict(element="Brake", metaclass=Metaclass.BLOCK, roles=("b",), stereotype="satisfy"),
+     "SatisfyLink(element='Brake', metaclass=<Metaclass.BLOCK: 'Block'>, roles=('b',), "
+     "stereotype='satisfy')",
+     dict(element="Brake", metaclass=Metaclass.BLOCK, roles=()),
+     "SatisfyLink(element='Brake', metaclass=<Metaclass.BLOCK: 'Block'>, roles=(), "
+     "stereotype='satisfy')"),
+    (TraceRecord, dict(requirement_id="R1", metareq_id="M1", text="text", bindings=(TRACE_BINDING,),
+                       generated=("abc",), satisfies=(LINK,)),
+     "TraceRecord(requirement_id='R1', metareq_id='M1', text='text', bindings=(TraceBinding("
+     "role='b', metaclass=<Metaclass.BLOCK: 'Block'>, element='Brake'),), generated=('abc',), "
+     "satisfies=(SatisfyLink(element='Brake', metaclass=<Metaclass.BLOCK: 'Block'>, "
+     "roles=('b',), stereotype='satisfy'),))",
+     None, None),
+]
+
+# The types whose values callers rebuild with ``dataclasses.replace``.
+REPLACEABLE = {Transition, StateMachine, Block, SystemModel, TraceRecord}
+
+_ids = [spec[0].__name__ for spec in RECORDS]
+
+
+def test_every_record_type_is_pinned():
+    defined = {
+        obj
+        for module in (gherkin, kb, matcher, model, generator, trace)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        and (is_dataclass(obj) or hasattr(obj, "_fields"))
+    }
+    assert len(RECORDS) == len(defined) == 38
+    assert {spec[0] for spec in RECORDS} == defined
+
+
+@pytest.mark.parametrize("cls, fields, text, _min, _min_text", RECORDS, ids=_ids)
+def test_fields_in_order(cls, fields, text, _min, _min_text):
+    value = cls(**fields)
+    assert cls(*fields.values()) == value
+    for name, field_value in fields.items():
+        assert getattr(value, name) == field_value
+
+
+@pytest.mark.parametrize("cls, fields, text, _min, _min_text", RECORDS, ids=_ids)
+def test_equality_and_hash(cls, fields, text, _min, _min_text):
+    value = cls(**fields)
+    assert value == cls(**fields)
+    assert not value != cls(**fields)
+    assert hash(value) == hash(cls(**fields)) == hash(tuple(fields.values()))
+    for name in fields:
+        changed = cls(**{**fields, name: _OTHER})
+        assert changed != value
+        assert not changed == value
+
+
+@pytest.mark.parametrize("cls, fields, text, minimal, minimal_text", RECORDS, ids=_ids)
+def test_repr(cls, fields, text, minimal, minimal_text):
+    assert repr(cls(**fields)) == text
+    if minimal is not None:
+        assert repr(cls(**minimal)) == minimal_text
+
+
+@pytest.mark.parametrize("cls, fields, text, _min, _min_text", RECORDS, ids=_ids)
+def test_immutable(cls, fields, text, _min, _min_text):
+    value = cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, _OTHER)
+    assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
+
+
+@pytest.mark.parametrize(
+    "cls, fields", [(spec[0], spec[1]) for spec in RECORDS if spec[0] in REPLACEABLE],
+    ids=[spec[0].__name__ for spec in RECORDS if spec[0] in REPLACEABLE],
+)
+def test_replace_on_kept_dataclasses(cls, fields):
+    value = cls(**fields)
+    first = next(iter(fields))
+    assert replace(value) == value
+    assert replace(value, **{first: _OTHER}) == cls(**{**fields, first: _OTHER})
