@@ -2,8 +2,8 @@
 
 Exit codes: 0 means no error-level findings, 2 means conflicts or validation
 errors were found, 1 means an input file was missing or unreadable, an output
-file could not be written, or two of ``complete``'s output paths name the
-same file. Stdout is for humans; machine-readable data goes to the output
+file could not be written, or two of ``complete``'s outputs, a diagram and
+the model, report or trace included, name the same file. Stdout is for humans; machine-readable data goes to the output
 files, which are canonical JSON. ``complete`` stages every output as a temp
 file before it renames any into place, so a failed write replaces no output;
 new files get the mode the umask allows.
@@ -22,9 +22,10 @@ import tempfile
 from .errors import ModcompleteError
 # parse_requirement and match_requirement are unused here; they stay
 # attributes of this module because bench/traced_cli.py wraps them by name.
-from .gherkin import ParseError, RequirementDoc, parse_corpus, parse_requirement  # noqa: F401
+from .gherkin import ParseError, parse_corpus, parse_requirement  # noqa: F401
 from .generator import (
     CompletionReport,
+    CompletionResult,
     Finding,
     RequirementOutcome,
     SEVERITY_ERROR,
@@ -32,9 +33,9 @@ from .generator import (
     check_acceptability,
     complete_model,
 )
-from .kb import KnowledgeBase, default_kb, parse_kb, shadowed_rules
+from .kb import default_kb, parse_kb, shadowed_rules
 from .matcher import AmbiguousMatch, NoMatch, match_requirement  # noqa: F401
-from .model import SystemModel, dump_canonical, load_model, save_model
+from .model import dump_canonical, load_model, record_doc, save_model
 from .trace import emit_requirement_diagram, emit_trace_json
 
 KB_ENV_VAR = "MODCOMPLETE_KB"
@@ -74,43 +75,51 @@ def _stage(path: str, text: str, mode: int) -> str:
     return tmp
 
 
-def _write_all(outputs: list[tuple[str, str, str]]) -> str | None:
-    """Write every (what, path, text) output, or none of them.
+def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
+    """Write every (option, what, path, text) output, or none of them.
 
-    All outputs are staged as temp files first and only then renamed into
-    place, so an output that cannot be written leaves every existing file
-    as it was. Files get the mode ``open(path, "w")`` would give a new file.
-    Returns an error message, or None on success.
+    Two outputs naming one file are refused before anything is staged. All
+    outputs are then staged as temp files and only then renamed into place,
+    so an output that cannot be written leaves every existing file as it
+    was. Files get the mode ``open(path, "w")`` would give a new file.
+    Raises InputError.
     """
+    seen: dict[str, str] = {}
+    for option, _, path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InputError(f"--{seen[real]} and --{option} name the same file {path!r}")
+        seen[real] = option
     umask = os.umask(0)
     os.umask(umask)
     staged: list[str] = []
     try:
-        for what, path, text in outputs:
+        for _, what, path, text in outputs:
             try:
                 staged.append(_stage(path, text, 0o666 & ~umask))
             except OSError as exc:
-                return f"cannot write {what} {path!r}: {exc}"
-        for (what, path, _), tmp in zip(outputs, staged):
+                raise InputError(f"cannot write {what} {path!r}: {exc}") from None
+        for (_, what, path, _), tmp in zip(outputs, staged):
             try:
                 os.replace(tmp, path)
             except OSError as exc:
-                return f"cannot write {what} {path!r}: {exc}"
-        return None
+                raise InputError(f"cannot write {what} {path!r}: {exc}") from None
     finally:
         for tmp in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple[SystemModel, list[RequirementDoc], KnowledgeBase]:
+def _run(args: argparse.Namespace) -> tuple[CompletionResult, list[Finding]]:
+    """Load the inputs, complete the model and score the result."""
     try:
         model = load_model(_read_file(args.model, "model"))
         corpus = parse_corpus(_read_file(args.reqs, "requirements"))
         kb = parse_kb(_read_file(args.kb, "knowledge base")) if args.kb else default_kb()
     except ModcompleteError as exc:
         raise InputError(str(exc)) from None
-    return model, corpus, kb
+    result = complete_model(model, corpus, kb)
+    return result, check_acceptability(result.report, result.model)
 
 
 def _exit_code(findings: list[Finding], strict: bool) -> int:
@@ -125,55 +134,13 @@ def _exit_code(findings: list[Finding], strict: bool) -> int:
 def _report_doc(report: CompletionReport, findings: list[Finding]) -> dict:
     return {
         "version": "1",
-        "added": [
-            {
-                "owner": e.owner,
-                "transition_id": e.transition_id,
-                "requirement_ids": list(e.requirement_ids),
-            }
-            for e in report.added
-        ],
-        "duplicates": [
-            {
-                "owner": e.owner,
-                "transition_id": e.transition_id,
-                "requirement_ids": list(e.requirement_ids),
-            }
-            for e in report.duplicates
-        ],
+        "added": record_doc(report.added),
+        "duplicates": record_doc(report.duplicates),
         "conflicts": [
-            {
-                "owner": c.owner,
-                "source": c.source,
-                "trigger": c.trigger,
-                "requirement_ids": list(c.requirement_ids()),
-                "variants": [
-                    {
-                        "target": v.target,
-                        "effects": [
-                            {"signal": e.signal, "target_block": e.target_block}
-                            for e in v.effects
-                        ],
-                        "requirement_ids": list(v.requirement_ids),
-                    }
-                    for v in c.variants
-                ],
-            }
-            for c in report.conflicts
+            {**record_doc(c), "requirement_ids": c.requirement_ids()} for c in report.conflicts
         ],
-        "unmatched": [
-            {"requirement_id": u.requirement_id, "diagnostics": list(u.diagnostics)}
-            for u in report.unmatched
-        ],
-        "findings": [
-            {
-                "kind": f.kind,
-                "severity": f.severity,
-                "message": f.message,
-                "requirement_ids": list(f.requirement_ids),
-            }
-            for f in findings
-        ],
+        "unmatched": record_doc(report.unmatched),
+        "findings": record_doc(findings),
     }
 
 
@@ -191,47 +158,21 @@ def _print_findings(findings: list[Finding]) -> None:
         print(f"  [{finding.severity}] {finding.kind}: {finding.message} ({ids})")
 
 
-def _colliding_outputs(args: argparse.Namespace) -> str | None:
-    """An error message when two of the output file options name one file."""
-    seen: dict[str, str] = {}
-    for option in ("out", "report", "trace"):
-        path = getattr(args, option)
-        real = os.path.realpath(path)
-        if real in seen:
-            return f"--{seen[real]} and --{option} name the same file {path!r}"
-        seen[real] = option
-    return None
-
-
 def cmd_complete(args: argparse.Namespace) -> int:
     """Complete the model and write model, report, trace and diagram files."""
-    collision = _colliding_outputs(args)
-    if collision is not None:
-        print(f"error: {collision}", file=sys.stderr)
-        return 1
-    try:
-        model, corpus, kb = _load_inputs(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    result = complete_model(model, corpus, kb)
-    findings = check_acceptability(result.report, result.model)
-
+    result, findings = _run(args)
     outputs = [
-        ("model", args.out, save_model(result.model)),
-        ("report", args.report, dump_canonical(_report_doc(result.report, findings))),
-        ("trace", args.trace, emit_trace_json(result.trace)),
+        ("out", "model", args.out, save_model(result.model)),
+        ("report", "report", args.report, dump_canonical(_report_doc(result.report, findings))),
+        ("trace", "trace", args.trace, emit_trace_json(result.trace)),
     ]
     if args.diagrams is not None:
         for record in sorted(result.trace, key=lambda r: r.requirement_id):
             diagram = emit_requirement_diagram(record, result.model)
             if diagram is not None:
                 path = os.path.join(args.diagrams, _diagram_filename(record.requirement_id))
-                outputs.append(("diagram", path, diagram))
-    error = _write_all(outputs)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+                outputs.append(("diagrams", "diagram", path, diagram))
+    _write_all(outputs)
 
     report = result.report
     print(
@@ -276,26 +217,18 @@ def _print_verdict(outcome: RequirementOutcome, explain: bool) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     """Dry run of the complete pipeline: print a per-requirement verdict,
     write nothing."""
-    try:
-        model, corpus, kb = _load_inputs(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    result = complete_model(model, corpus, kb)
+    result, findings = _run(args)
     for outcome in result.outcomes:
         _print_verdict(outcome, args.explain)
-    findings = check_acceptability(result.report, result.model)
     _print_findings(findings)
     return _exit_code(findings, args.strict)
 
 
 def cmd_kb_lint(args: argparse.Namespace) -> int:
     """Parse and validate a knowledge base; report shadowed rules."""
+    text = _read_file(args.kb, "knowledge base") if args.kb else None
     try:
-        kb = parse_kb(_read_file(args.kb, "knowledge base")) if args.kb else default_kb()
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        kb = default_kb() if text is None else parse_kb(text)
     except ModcompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -345,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.kb = args.kb or os.environ.get(KB_ENV_VAR)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .errors import ModcompleteError
 
 KEYWORDS = frozenset({"given", "when", "then", "and", "or"})
-SECTION_KEYWORDS = frozenset({"given", "when", "then"})
 TERMINAL_PUNCT = frozenset({",", ".", ";"})
 
 
@@ -131,7 +130,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 _SECTION_ORDER = {"given": 0, "when": 1, "then": 2}
-_SECTION_KIND = {"given": ClauseKind.GIVEN, "when": ClauseKind.WHEN, "then": ClauseKind.THEN}
+#: The clause kind each section keyword starts.
+SECTION_KIND = {"given": ClauseKind.GIVEN, "when": ClauseKind.WHEN, "then": ClauseKind.THEN}
 
 
 def parse_requirement(doc: RequirementDoc) -> RequirementAST:
@@ -166,7 +166,7 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
                 f"empty clause after {current_lead.text!r}", where
             )
         sections[current_section].append(
-            Clause(_SECTION_KIND[current_section], tuple(current_words), current_lead)
+            Clause(SECTION_KIND[current_section], tuple(current_words), current_lead)
         )
         current_words = []
 
@@ -179,7 +179,7 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
             current_words.append(tok)
             continue
         # keyword
-        if tok.lower in SECTION_KEYWORDS:
+        if tok.lower in SECTION_KIND:
             order = _SECTION_ORDER[tok.lower]
             if current_section is None:
                 if tok.lower != "given":
@@ -209,8 +209,6 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
 
     close_clause(None)
 
-    if not sections["given"]:
-        raise MissingGiven("requirement has no 'Given'", 0)
     if not sections["then"]:
         raise MissingThen("requirement has no 'Then'", tokens[-1].index if tokens else 0)
 

@@ -27,11 +27,9 @@ import re
 from typing import NamedTuple
 
 from .errors import ModcompleteError
-from .gherkin import ClauseKind
+from .gherkin import KEYWORDS, SECTION_KIND, ClauseKind
 from .model import Metaclass
 from .normalize import ARTICLES
-
-KEYWORD_WORDS = frozenset({"given", "when", "then", "and", "or"})
 
 
 class KBSyntaxError(ModcompleteError):
@@ -151,8 +149,6 @@ _ITEM_RE = re.compile(
 )
 _FRAG_KEY_RE = re.compile(r"\b(owner|source|target|trigger|effect)\s*:")
 
-_CLAUSE_KIND = {"given": ClauseKind.GIVEN, "when": ClauseKind.WHEN, "then": ClauseKind.THEN}
-
 
 def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemplate:
     items: list[TemplateItem] = []
@@ -174,14 +170,14 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
             words = tuple(w.strip().lower() for w in m.group(3).split("|"))
             if not all(re.fullmatch(r"\w+", w) for w in words):
                 raise KBSyntaxError(f"bad optional literal {m.group(0)!r}", line_no, col)
-            if any(w in KEYWORD_WORDS for w in words):
+            if any(w in KEYWORDS for w in words):
                 raise KBSyntaxError("keywords cannot appear inside templates", line_no, col)
             items.append(OptionalLiteral(words))
         else:
             word = m.group(4).lower()
             if not re.fullmatch(r"[\w]+", word):
                 raise KBSyntaxError(f"bad literal {m.group(4)!r}", line_no, col)
-            if word in KEYWORD_WORDS:
+            if word in KEYWORDS:
                 raise KBSyntaxError("keywords cannot appear inside templates", line_no, col)
             if word in ARTICLES:
                 # Articles are always skippable; read a bare article as the
@@ -191,7 +187,7 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
                 items.append(Literal(word))
     if not any(isinstance(i, SlotPattern) for i in items):
         raise KBSyntaxError(f"{kind} template declares no slot", line_no, col0)
-    return ClauseTemplate(_CLAUSE_KIND[kind], tuple(items))
+    return ClauseTemplate(SECTION_KIND[kind], tuple(items))
 
 
 def _parse_fragment_pairs(line: str, line_no: int) -> list[tuple[str, str, int]]:

@@ -457,10 +457,11 @@ def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
 
     _check_part_cycles(model)
     # Transitions with one content share an id, so merging would lose one.
+    # Every id matches its content hash by now, so the id stands for it.
     for i, block in enumerate(model.blocks):
-        first: dict[tuple, int] = {}
+        first: dict[str, int] = {}
         for j, t in enumerate(block.state_machine.transitions if block.state_machine else ()):
-            k = first.setdefault((t.source, t.target, t.trigger, sorted_effects(t.effects)), j)
+            k = first.setdefault(t.id, j)
             if k != j:
                 raise ValidationError(
                     f"transition repeats transitions[{k}] (same source, target, trigger and effects)",
@@ -583,6 +584,20 @@ def dump_canonical(value: Any) -> str:
     _write_canonical(value, "\n", chunks)
     chunks.append("\n")
     return "".join(chunks)
+
+
+def record_doc(value: Any) -> Any:
+    """``value`` as data for ``dump_canonical``: each ``NamedTuple`` record
+    becomes a dict of its fields, each other tuple or list a list, and each
+    metaclass its name. Report and trace entries are written this way, so
+    their record types alone state those file formats."""
+    if isinstance(value, Metaclass):
+        return value.value
+    if hasattr(value, "_asdict"):
+        return {name: record_doc(item) for name, item in value._asdict().items()}
+    if isinstance(value, (tuple, list)):
+        return [record_doc(item) for item in value]
+    return value
 
 
 def _write_canonical(value: Any, newline: str, chunks: list[str]) -> None:
@@ -766,38 +781,23 @@ def add_transition(model: SystemModel, owner: str, t: Transition) -> MergeOutcom
 
     incoming = make_transition(owner, t.source, t.target, t.trigger, t.effects, t.provenance)
 
-    for existing in machine.transitions:
+    transitions = machine.transitions
+    for i, existing in enumerate(transitions):
         if existing.id == incoming.id:
             merged = replace(
-                existing, provenance=tuple(sorted(set(existing.provenance) | set(incoming.provenance)))
+                existing, provenance=_sorted_unique(existing.provenance + incoming.provenance)
             )
             if merged == existing:
                 return MergeOutcome(MergeKind.DUPLICATE, model, existing.id)
-            return MergeOutcome(
-                MergeKind.DUPLICATE, _with_transitions(model, owner, existing, merged), existing.id
-            )
-
-    new_machine = replace(
-        machine, transitions=tuple(sorted(machine.transitions + (incoming,), key=lambda x: x.id))
-    )
-    new_blocks = tuple(
-        replace(b, state_machine=new_machine) if b.name == owner else b for b in model.blocks
-    )
-    return MergeOutcome(MergeKind.ADDED, replace(model, blocks=new_blocks), incoming.id)
-
-
-def _with_transitions(
-    model: SystemModel, owner: str, old: Transition, new: Transition
-) -> SystemModel:
-    block = model.block(owner)
-    assert block is not None and block.state_machine is not None
-    machine = block.state_machine
-    transitions = tuple(new if t.id == old.id else t for t in machine.transitions)
+            kind, transitions = MergeKind.DUPLICATE, transitions[:i] + (merged,) + transitions[i + 1:]
+            break
+    else:
+        kind, transitions = MergeKind.ADDED, tuple(sorted(transitions + (incoming,), key=lambda x: x.id))
     new_machine = replace(machine, transitions=transitions)
     new_blocks = tuple(
         replace(b, state_machine=new_machine) if b.name == owner else b for b in model.blocks
     )
-    return replace(model, blocks=new_blocks)
+    return MergeOutcome(kind, replace(model, blocks=new_blocks), incoming.id)
 
 
 # ---------------------------------------------------------------------------

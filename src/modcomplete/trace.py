@@ -9,12 +9,12 @@ with a note listing the role(s) each element plays.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import ModcompleteError
 from .matcher import MatchResult
-from .model import Metaclass, SystemModel, dump_canonical
+from .model import Metaclass, SystemModel, dump_canonical, record_doc
 
 
 class TraceBinding(NamedTuple):
@@ -85,30 +85,10 @@ def build_trace(
 
 def emit_trace_json(records: tuple[TraceRecord, ...] | list[TraceRecord]) -> str:
     """Canonical JSON array of trace records, ordered by requirement id."""
-    docs = []
-    for record in sorted(records, key=lambda r: r.requirement_id):
-        docs.append(
-            {
-                "requirement_id": record.requirement_id,
-                "metareq_id": record.metareq_id,
-                "text": record.text,
-                "bindings": [
-                    {"role": b.role, "metaclass": b.metaclass.value, "element": b.element}
-                    for b in record.bindings
-                ],
-                "generated": list(record.generated),
-                "satisfies": [
-                    {
-                        "element": link.element,
-                        "metaclass": link.metaclass.value,
-                        "stereotype": link.stereotype,
-                        "roles": list(link.roles),
-                    }
-                    for link in record.satisfies
-                ],
-            }
-        )
-    return dump_canonical(docs)
+    return dump_canonical([
+        {f.name: record_doc(getattr(record, f.name)) for f in fields(TraceRecord)}
+        for record in sorted(records, key=lambda r: r.requirement_id)
+    ])
 
 
 def _element_exists(model: SystemModel, name: str, metaclass: Metaclass) -> bool:

@@ -3,10 +3,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from modcomplete import default_kb, load_model, parse_corpus, parse_requirement
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Property tests that compare two implementations check agreement, not
+# speed; a slow example on a loaded machine must not fail them.
+settings.register_profile("modcomplete", deadline=None)
+settings.load_profile("modcomplete")
 
 RAILWAY_REQUIREMENT = (
     "Given a Train in running, When the Braking Supervision receives an "

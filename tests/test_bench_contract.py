@@ -57,3 +57,19 @@ def test_memoized_lookup_still_counts_every_probe(tmp_path):
     counts = json.loads(counts_path.read_text(encoding="utf-8"))
     assert sum(span[0] == "model.lookup_elements" for span in spans) == 66
     assert counts["normalize.normalize_signal_phrase_calls"] <= 13
+
+
+def test_traced_complete_records_every_span_the_benchmark_reads(tmp_path):
+    """``bench/run.py::layer_metrics`` reads these span names; a CLI that
+    stops calling one of the wrapped names would zero a metric silently."""
+    spans_path = tmp_path / "spans.json"
+    run_traced(spans_path, "spans", "complete", "--diagrams", "diagrams", cwd=tmp_path)
+    names = {span[0] for span in json.loads(spans_path.read_text(encoding="utf-8"))}
+    assert names >= {
+        "cli.main", "model.load_model", "gherkin.parse_corpus", "kb.load",
+        "generator.complete_model", "gherkin.parse_requirement", "matcher.match_requirement",
+        "matcher.match_clause", "model.lookup_elements",
+        "generator.instantiate_fragment", "model.add_transition", "trace.build_trace",
+        "generator.check_acceptability",
+        "model.save_model", "trace.emit_trace_json", "trace.emit_requirement_diagram",
+    }

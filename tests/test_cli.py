@@ -298,6 +298,22 @@ def test_colliding_output_paths_write_nothing(tmp_path, capsys, monkeypatch, fir
     assert not (tmp_path / "same.json").exists() and not out.exists()
 
 
+def test_report_colliding_with_a_diagram_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "complete",
+        "--model", str(FIXTURES / "railway_model.json"),
+        "--reqs", str(FIXTURES / "railway.feature"),
+        "--report", os.path.join("d", "RD-REQ-001.puml"),
+        "--diagrams", "d",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --report and --diagrams name the same file {os.path.join('d', 'RD-REQ-001.puml')!r}"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_same_file_name_in_distinct_directories_is_not_a_collision(tmp_path):
     code, _ = run_complete(
         tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
@@ -554,3 +570,34 @@ def test_check_golden_output(tmp_path, capsys, extra, expected):
     )
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+REPORT_GOLDEN = FIXTURES / "report_golden"
+
+
+def test_report_and_trace_bytes_are_pinned(tmp_path):
+    """The report and trace of a run that fills every report section and
+    reaches every finding kind, byte for byte. Their keys are the field
+    names of the report and trace records, so renaming or adding a field
+    fails here."""
+    code = main(
+        [
+            "complete",
+            "--model", str(REPORT_GOLDEN / "model.json"),
+            "--reqs", str(REPORT_GOLDEN / "reqs.feature"),
+            "--kb", str(REPORT_GOLDEN / "kb.txt"),
+            "--out", str(tmp_path / "model.json"),
+            "--report", str(tmp_path / "report.json"),
+            "--trace", str(tmp_path / "trace.json"),
+        ]
+    )
+    assert code == 2
+    for name in ("report.json", "trace.json"):
+        assert (tmp_path / name).read_bytes() == (REPORT_GOLDEN / name).read_bytes(), name
+    report = json.loads((REPORT_GOLDEN / "report.json").read_text(encoding="utf-8"))
+    assert all(report[section] for section in ("added", "duplicates", "conflicts", "unmatched"))
+    assert all(variant["effects"] for conflict in report["conflicts"] for variant in conflict["variants"])
+    assert all(entry["diagnostics"] for entry in report["unmatched"])
+    assert {finding["kind"] for finding in report["findings"]} == {
+        "Conflict", "Redundancy", "SignalNotReceivable", "NonSingular", "Unverifiable",
+    }
