@@ -3,11 +3,13 @@
 Exit codes: 0 means no error-level findings, 2 means conflicts or validation
 errors were found, 1 means an input file was missing or unreadable, an output
 file could not be written, or two of ``complete``'s outputs, a diagram and
-the model, report or trace included, name the same file. Stdout is for humans; machine-readable data goes to the output
-files, which are canonical JSON. ``complete`` stages every output as a temp
-file before it renames any into place, so a failed write replaces no output;
-new files get the mode the umask allows.
-With ``--strict``, warnings count as errors for the exit code.
+the model, report or trace included, name the same file. With ``--strict``,
+warnings count as errors for the exit code.
+
+Stdout is for humans; machine-readable data goes to the output files, which
+are canonical JSON. ``complete`` stages every output as a temp file before it
+renames any into place, so a failed write replaces no output; new files get
+the mode the umask allows.
 """
 
 from __future__ import annotations
@@ -191,8 +193,8 @@ def _print_verdict(outcome: RequirementOutcome, explain: bool) -> None:
     elif isinstance(error, NoMatch):
         print(f"{rid}: NoMatch")
         if explain:
-            for diagnostic in error.diagnostics:
-                print(f"    {diagnostic.render()}")
+            for line in outcome.diagnostics():
+                print(f"    {line}")
         elif error.diagnostics:
             print(f"    closest: {error.diagnostics[0].render()}")
     elif isinstance(error, AmbiguousMatch):

@@ -4,9 +4,9 @@ A requirement fits a MetaReq when its clause lists align with the rule's
 clause templates and every slot binds to exactly one model element. Matching
 is deterministic and rigid (no statistical language processing):
 
-* literals match case-insensitively; article tokens are skippable anywhere;
-* a slot consumes a span of one to four words, resolved through
-  :func:`modcomplete.model.lookup_elements`;
+* literals match case-insensitively; a run of articles is skipped anywhere;
+* a slot consumes a span of one to four words that starts and ends on a
+  non-article, resolved through :func:`modcomplete.model.lookup_elements`;
 * adjacent parsed clauses may be re-merged (undoing an ``and`` split) when a
   single template spans them, which is how ``and`` inside a noun phrase is
   told apart from ``and`` between clauses;
@@ -181,7 +181,8 @@ def _binding_key(bindings: Iterable[Binding]) -> tuple[tuple[str, str], ...]:
 
 
 def _span_phrase(span: Sequence[Token]) -> str:
-    """Original spelling of a span, trimmed of edge articles for display."""
+    """Original spelling of an oracle span, trimmed of edge articles for
+    display (``match_clause``'s spans never start or end on one)."""
     start, end = 0, len(span)
     while start < end and span[start].lower in ARTICLES:
         start += 1
@@ -231,19 +232,12 @@ def match_clause(
                 return bound_by_role[owner_role].element
         return None
 
-    def rec(wi: int, ii: int, acc: BindingSet) -> None:
-        # Any prefix of a run of articles may be skipped. The positions are
-        # tried last to first, which fixes the order of ``maps`` and
-        # ``ambiguities``. Skipping in a loop means every nested call
+    def step(wi: int, ii: int, acc: BindingSet) -> None:
+        # Skip the whole run of articles here, once: every nested call then
         # consumes a template item, so the recursion depth is bounded by
         # len(items), not by the clause length.
-        end = wi
-        while end < len(words) and words[end].lower in ARTICLES:
-            end += 1
-        for pos in range(end, wi - 1, -1):
-            step(pos, ii, acc)
-
-    def step(wi: int, ii: int, acc: BindingSet) -> None:
+        while wi < len(words) and words[wi].lower in ARTICLES:
+            wi += 1
         if ii == len(items):
             if wi == len(words):
                 key = _binding_key(acc)
@@ -257,26 +251,28 @@ def match_clause(
         item = items[ii]
         if isinstance(item, Literal):
             if wi < len(words) and words[wi].lower == item.word:
-                rec(wi + 1, ii + 1, acc)
+                step(wi + 1, ii + 1, acc)
             else:
                 got = words[wi].text if wi < len(words) else "end of clause"
                 note_failure(ii, wi, f"expected literal {item.word!r}, got {got!r}")
             return
         if isinstance(item, OptionalLiteral):
             if wi < len(words) and words[wi].lower in item.words:
-                rec(wi + 1, ii + 1, acc)
-            rec(wi, ii + 1, acc)
+                step(wi + 1, ii + 1, acc)
+            step(wi, ii + 1, acc)
             return
         # slot
         if wi == len(words):
             note_failure(ii, wi, f"clause ended before slot {item.role!r}", role=item.role)
             return
+        # A span starts on a non-article (the run before it was skipped)
+        # and never ends on one: those articles are skipped by the next step.
         resolved_any = False
-        longest_phrase = None
         for length in range(1, min(SPAN_LIMIT, len(words) - wi) + 1):
             span = words[wi : wi + length]
-            phrase = _span_phrase(span)
-            longest_phrase = phrase or " ".join(t.text for t in span)
+            if span[-1].lower in ARTICLES:
+                continue
+            phrase = " ".join(t.text for t in span)
             elements = lookup_elements(
                 model,
                 [t.text for t in span],
@@ -294,17 +290,17 @@ def match_clause(
             for element in candidates:
                 resolved_any = True
                 binding = Binding(item.role, item.metaclass, phrase, element)
-                rec(wi + length, ii + 1, acc + (binding,))
+                step(wi + length, ii + 1, acc + (binding,))
         if not resolved_any:
             note_failure(
                 ii,
                 wi,
                 f"no {item.metaclass.value} matches",
                 role=item.role,
-                phrase=longest_phrase,
+                phrase=phrase,
             )
 
-    rec(0, 0, ())
+    step(0, 0, ())
     return ClauseMatches(tuple(maps), tuple(ambiguities), None if maps else best_failure)
 
 

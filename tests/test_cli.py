@@ -554,11 +554,90 @@ REQ-006: MX (3 bindings)
 """ + GOLDEN_FINDINGS
 
 
-@pytest.mark.parametrize("extra, expected", [([], GOLDEN_CHECK), (["--explain"], GOLDEN_CHECK_EXPLAIN)])
-def test_check_golden_output(tmp_path, capsys, extra, expected):
+# Runs of articles wherever the matcher skips them: before a slot, between
+# a slot and a literal, before (to)?, at a clause end, inside a multiword
+# name, and in disjunctive, full-clause and elliptical alternatives; then an
+# ambiguous span, and NoMatches whose failing phrase has an article beside it.
+ARTICLE_REQS = """\
+Scenario: before a slot, before (to)? and inside a multiword name
+Given the A Train in THE running, When a The Braking the Supervision receives an The Emergency a Stop Message, Then An the Braking Supervision activates a THE to the an Emergency Brake and goes in the braking.
+Scenario: between a slot and a literal, and at a clause end
+Given Train the An in running the, When Braking Supervision a receives Halt An the, Then the Train an goes in braking a the.
+Scenario: disjunctive and elliptical alternatives
+Given a Train in braking, When the Braking Supervision receives the Halt or An a Reset the, Then the Train goes in running.
+Scenario: disjunctive full-clause alternatives
+Given a Gate in s2, When the Gate receives a the Stop or THE Gate a receives the Halt, Then the Gate goes in the s2.
+Scenario: ambiguous span
+Given Gate in s2, When the Gate receives a the Stops, Then Gate goes in s2.
+Scenario: no match next to an article
+Given the Spaceship in the running, Then the Train goes in braking.
+Scenario: no match with a run after the slot
+Given Train an A in the a, Then the Train goes in braking.
+"""
+
+ARTICLE_CHECK_EXPLAIN = """\
+REQ-001: MR1 (8 bindings)
+    context1 (Block) = Train  <- 'Train'
+    starting (State) = Running  <- 'running'
+    context2 (Block) = BrakingSupervision  <- 'Braking the Supervision'
+    event (Signal) = EmergencyStop  <- 'Emergency a Stop Message'
+    context3 (Block) = BrakingSupervision  <- 'Braking Supervision'
+    operation (Signal) = Activate  <- 'activates'
+    context4 (Block) = Brake  <- 'Emergency Brake'
+    final (State) = Braking  <- 'braking'
+REQ-002: MR2 (6 bindings)
+    context1 (Block) = Train  <- 'Train'
+    starting (State) = Running  <- 'running'
+    context2 (Block) = BrakingSupervision  <- 'Braking Supervision'
+    event (Signal) = Halt  <- 'Halt'
+    context3 (Block) = Train  <- 'Train'
+    final (State) = Braking  <- 'braking'
+REQ-003: MR2 (6 bindings, 2 alternatives)
+    context1 (Block) = Train  <- 'Train'
+    starting (State) = Braking  <- 'braking'
+    context2 (Block) = BrakingSupervision  <- 'Braking Supervision'
+    event (Signal) = Halt  <- 'Halt'
+    context3 (Block) = Train  <- 'Train'
+    final (State) = Running  <- 'running'
+REQ-004: MR2 (6 bindings, 2 alternatives)
+    context1 (Block) = Gate  <- 'Gate'
+    starting (State) = s2  <- 's2'
+    context2 (Block) = Gate  <- 'Gate'
+    event (Signal) = Stop  <- 'Stop'
+    context3 (Block) = Gate  <- 'Gate'
+    final (State) = s2  <- 's2'
+REQ-005: AmbiguousMatch (MR2)
+    set 1: context1=Gate, starting=s2, context2=Gate, event=Stop, context3=Gate, final=s2
+    set 2: context1=Gate, starting=s2, context2=Gate, event=Stops, context3=Gate, final=s2
+REQ-006: NoMatch
+    MR1 at given[0]: no Block matches (slot context1, phrase 'Spaceship in the running')
+    MR2 at given[0]: no Block matches (slot context1, phrase 'Spaceship in the running')
+    MR3 at given[0]: no Block matches (slot context1, phrase 'Spaceship in the running')
+    MX at given[0]: expected literal 'state', got 'end of clause'
+REQ-007: NoMatch
+    MR1 at given[0]: clause ended before slot 'starting' (slot starting)
+    MR2 at given[0]: clause ended before slot 'starting' (slot starting)
+    MR3 at given[0]: clause ended before slot 'starting' (slot starting)
+    MX at given[0]: no State matches (slot starting, phrase 'Train an A in')
+  [info] Unverifiable: requirement could not be matched to the model (REQ-005)
+  [info] Unverifiable: requirement could not be matched to the model (REQ-006)
+  [info] Unverifiable: requirement could not be matched to the model (REQ-007)
+"""
+
+
+@pytest.mark.parametrize(
+    "reqs, extra, expected",
+    [
+        (GOLDEN_REQS, [], GOLDEN_CHECK),
+        (GOLDEN_REQS, ["--explain"], GOLDEN_CHECK_EXPLAIN),
+        (ARTICLE_REQS, ["--explain"], ARTICLE_CHECK_EXPLAIN),
+    ],
+    ids=["verdicts", "explain", "explain-article-runs"],
+)
+def test_check_golden_output(tmp_path, capsys, reqs, extra, expected):
     (tmp_path / "model.json").write_text(json.dumps(GOLDEN_MODEL), encoding="utf-8")
     (tmp_path / "kb.txt").write_text(GOLDEN_KB, encoding="utf-8")
-    (tmp_path / "reqs.feature").write_text(GOLDEN_REQS, encoding="utf-8")
+    (tmp_path / "reqs.feature").write_text(reqs, encoding="utf-8")
     code = main(
         [
             "check",
@@ -570,6 +649,26 @@ def test_check_golden_output(tmp_path, capsys, extra, expected):
     )
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+def test_check_explain_says_why_an_empty_kb_matches_nothing(tmp_path, capsys):
+    """``--explain`` prints the lines the report gives an unmatched requirement."""
+    (tmp_path / "kb.txt").write_text("# no rules\n", encoding="utf-8")
+    code = main(
+        [
+            "check",
+            "--model", str(FIXTURES / "railway_model.json"),
+            "--reqs", str(FIXTURES / "railway.feature"),
+            "--kb", str(tmp_path / "kb.txt"),
+            "--explain",
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "REQ-001: NoMatch\n"
+        "    knowledge base is empty\n"
+        "  [info] Unverifiable: requirement could not be matched to the model (REQ-001)\n"
+    )
 
 
 REPORT_GOLDEN = FIXTURES / "report_golden"

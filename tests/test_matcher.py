@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, reject, strategies as st
 
 from modcomplete import (
     AmbiguousMatch,
@@ -12,6 +13,7 @@ from modcomplete import (
     MatchResult,
     Metaclass,
     NoMatch,
+    default_kb,
     load_model,
     match_clause,
     match_requirement,
@@ -19,11 +21,11 @@ from modcomplete import (
     parse_kb,
     parse_requirement,
 )
-from modcomplete.gherkin import RequirementDoc
+from modcomplete.gherkin import ParseError, RequirementDoc
 from modcomplete.matcher import MetaReqDiagnostic, SpanAmbiguity
 from modcomplete.matcher import _oracle_clause_maps  # white-box: segmentation oracle
 
-from support import agreement, random_case, semantic
+from support import agreement, random_case, random_kb, random_model, random_requirement, semantic
 
 
 def ast_of(text: str, rid: str = "R"):
@@ -292,6 +294,35 @@ def test_oracle_agreement_randomized_quick(kb):
         model, ast = random_case(rng)
         main, oracle = agreement(ast, kb, model)
         assert main == oracle, f"disagreement on {ast!r}"
+
+
+ARTICLE_SPELLINGS = ["a", "an", "the", "A", "An", "The", "THE", "AN", "tHe"]
+ARTICLE_RUNS = st.lists(st.sampled_from(ARTICLE_SPELLINGS), min_size=1, max_size=3)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    use_default_kb=st.booleans(),
+    runs=st.lists(st.tuples(st.floats(0, 1), ARTICLE_RUNS), max_size=4),
+    tail=st.lists(st.sampled_from(ARTICLE_SPELLINGS), max_size=3),
+)
+def test_oracle_agrees_with_runs_of_articles_anywhere(seed, use_default_kb, runs, tail):
+    """Runs of articles at any word boundary, and at the clause end, are
+    skipped alike by the matcher and the oracle."""
+    rng = random.Random(seed)
+    model = random_model(rng)
+    kb = default_kb() if use_default_kb else random_kb(rng)
+    words = random_requirement(rng, model).rstrip(".").split()
+    for where, run in runs:
+        at = round(where * len(words))
+        words[at:at] = run
+    text = " ".join(words + tail) + "."
+    try:
+        ast = ast_of(text)
+    except ParseError:
+        reject()
+    main, oracle = agreement(ast, kb, model)
+    assert main == oracle, text
 
 
 def test_binding_soundness(railway_model, railway_ast, kb):
