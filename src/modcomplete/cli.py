@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import errno
 import os
-import string
 import sys
 import tempfile
 
@@ -44,7 +43,7 @@ KB_ENV_VAR = "MODCOMPLETE_KB"
 
 #: Characters kept as they are in diagram file names; all others are
 #: percent-encoded, so distinct requirement ids never share a file.
-_FILENAME_CHARS = frozenset(string.ascii_letters + string.digits + "._-")
+_FILENAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-")
 
 
 class InputError(ModcompleteError):
@@ -192,10 +191,10 @@ def _print_verdict(outcome: RequirementOutcome, explain: bool) -> None:
         print(f"{rid}: parse error: {error}")
     elif isinstance(error, NoMatch):
         print(f"{rid}: NoMatch")
-        if explain:
+        if explain or not error.diagnostics:
             for line in outcome.diagnostics():
                 print(f"    {line}")
-        elif error.diagnostics:
+        else:
             print(f"    closest: {error.diagnostics[0].render()}")
     elif isinstance(error, AmbiguousMatch):
         print(f"{rid}: AmbiguousMatch ({error.metareq_id})")

@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -82,8 +81,7 @@ class SendEffect(NamedTuple):
     target_block: str
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     id: str
     source: str
     target: str
@@ -93,8 +91,7 @@ class Transition:
     provenance: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class StateMachine:
+class StateMachine(NamedTuple):
     owner: str
     states: tuple[State, ...] = ()
     transitions: tuple[Transition, ...] = ()
@@ -104,8 +101,7 @@ class StateMachine:
         return tuple(s.name for s in self.states)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     name: str
     parts: tuple[str, ...] = ()
     state_machine: StateMachine | None = None
@@ -114,12 +110,23 @@ class Block:
     receivable_signals: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class SystemModel:
+class _SystemModelFields(NamedTuple):
     name: str
     blocks: tuple[Block, ...] = ()
     signals: tuple[Signal, ...] = ()
     version: str = MODEL_FORMAT_VERSION
+
+
+class SystemModel(_SystemModelFields):
+    """The four fields are the value. The instance ``__dict__`` holds only
+    the lazy lookup caches below, which stay out of equality, hashing,
+    ``repr`` and ``_replace``; no attribute can be set or deleted."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: SystemModel is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: SystemModel is immutable")
 
     def block(self, name: str) -> Block | None:
         for b in self.blocks:
@@ -143,7 +150,8 @@ class SystemModel:
         keyed once by their owning block and once by None for unscoped lookups.
 
         ``cached_property`` stores the index in the instance ``__dict__``, so
-        it stays out of equality, hashing, ``repr`` and ``replace``.
+        it stays out of equality, hashing and ``repr``, and ``_replace``
+        returns a model without it.
         """
         index: dict[tuple[Metaclass, str | None, str], list[str]] = defaultdict(list)
         for block in self.blocks:
@@ -677,20 +685,22 @@ def _write_transitions(transitions: _Transitions, newline: str, chunks: list[str
     n3 = n2 + "  "  # effect braces and provenance entries
     n4 = n3 + "  "  # effect keys
     sep = "[" + n1
-    for t in transitions:
-        effects = provenance = "[]"
-        if t.effects:
-            effects = f"[{n3}" + f",{n3}".join([
-                f'{{{n4}"signal": {enc(e.signal)},{n4}"target_block": {enc(e.target_block)}{n3}}}'
-                for e in sorted_effects(t.effects)
+    # Unpacking reads a record's fields faster than attribute access.
+    for tid, source, target, trigger, guard, effects, provenance in transitions:
+        effects_doc = provenance_doc = "[]"
+        if effects:
+            effects_doc = f"[{n3}" + f",{n3}".join([
+                f'{{{n4}"signal": {enc(signal)},{n4}"target_block": {enc(target_block)}{n3}}}'
+                for signal, target_block in sorted_effects(effects)
             ]) + f"{n2}]"
-        if t.provenance:
-            provenance = f"[{n3}" + f",{n3}".join(map(enc, _sorted_unique(t.provenance))) + f"{n2}]"
-        guard = "" if t.guard is None else f'{n2}"guard": {enc(t.guard)},'
-        trigger = "" if t.trigger is None else f',{n2}"trigger": {enc(t.trigger)}'
+        if provenance:
+            provenance_doc = f"[{n3}" + f",{n3}".join(map(enc, _sorted_unique(provenance))) + f"{n2}]"
+        guard = "" if guard is None else f'{n2}"guard": {enc(guard)},'
+        trigger = "" if trigger is None else f',{n2}"trigger": {enc(trigger)}'
         chunks.append(
-            f'{sep}{{{n2}"effects": {effects},{guard}{n2}"id": {enc(t.id)},{n2}"provenance": {provenance},'
-            f'{n2}"source": {enc(t.source)},{n2}"target": {enc(t.target)}{trigger}{n1}}}'
+            f'{sep}{{{n2}"effects": {effects_doc},{guard}{n2}"id": {enc(tid)},'
+            f'{n2}"provenance": {provenance_doc},{n2}"source": {enc(source)},'
+            f'{n2}"target": {enc(target)}{trigger}{n1}}}'
         )
         sep = "," + n1
     chunks.append(newline + "]")
@@ -784,8 +794,8 @@ def add_transition(model: SystemModel, owner: str, t: Transition) -> MergeOutcom
     transitions = machine.transitions
     for i, existing in enumerate(transitions):
         if existing.id == incoming.id:
-            merged = replace(
-                existing, provenance=_sorted_unique(existing.provenance + incoming.provenance)
+            merged = existing._replace(
+                provenance=_sorted_unique(existing.provenance + incoming.provenance)
             )
             if merged == existing:
                 return MergeOutcome(MergeKind.DUPLICATE, model, existing.id)
@@ -793,11 +803,11 @@ def add_transition(model: SystemModel, owner: str, t: Transition) -> MergeOutcom
             break
     else:
         kind, transitions = MergeKind.ADDED, tuple(sorted(transitions + (incoming,), key=lambda x: x.id))
-    new_machine = replace(machine, transitions=transitions)
+    new_machine = machine._replace(transitions=transitions)
     new_blocks = tuple(
-        replace(b, state_machine=new_machine) if b.name == owner else b for b in model.blocks
+        b._replace(state_machine=new_machine) if b.name == owner else b for b in model.blocks
     )
-    return MergeOutcome(kind, replace(model, blocks=new_blocks), incoming.id)
+    return MergeOutcome(kind, model._replace(blocks=new_blocks), incoming.id)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ with a note listing the role(s) each element plays.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import ModcompleteError
@@ -30,8 +29,7 @@ class SatisfyLink(NamedTuple):
     stereotype: str = "satisfy"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """requirement id <-> matched rule <-> role bindings <-> generated ids."""
 
     requirement_id: str
@@ -86,8 +84,7 @@ def build_trace(
 def emit_trace_json(records: tuple[TraceRecord, ...] | list[TraceRecord]) -> str:
     """Canonical JSON array of trace records, ordered by requirement id."""
     return dump_canonical([
-        {f.name: record_doc(getattr(record, f.name)) for f in fields(TraceRecord)}
-        for record in sorted(records, key=lambda r: r.requirement_id)
+        record_doc(record) for record in sorted(records, key=lambda r: r.requirement_id)
     ])
 
 

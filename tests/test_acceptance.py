@@ -120,10 +120,8 @@ def test_criterion_2_pairwise_attributes(tmp_path):
     dup_transitions = dup_result.model.block("Train").state_machine.transitions
     single_transitions = single_result.model.block("Train").state_machine.transitions
     assert [t.id for t in dup_transitions] == [t.id for t in single_transitions]
-    from dataclasses import replace
-
-    assert [replace(t, provenance=()) for t in dup_transitions] == [
-        replace(t, provenance=()) for t in single_transitions
+    assert [t._replace(provenance=()) for t in dup_transitions] == [
+        t._replace(provenance=()) for t in single_transitions
     ]
     print("criterion 2 PASS: one Conflict error naming both ids; one Redundancy warning")
 

@@ -459,6 +459,47 @@ def test_module_entry_point():
     assert "REQ-001: MR1" in proc.stdout
 
 
+STARTUP_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import modcomplete.cli
+model, reqs, out = sys.argv[2:5]
+codes = [
+    modcomplete.cli.main(["complete", "--model", model, "--reqs", reqs, "--out", out + "/model.json",
+                          "--report", out + "/report.json", "--trace", out + "/trace.json",
+                          "--diagrams", out + "/diagrams"]),
+    modcomplete.cli.main(["check", "--model", model, "--reqs", reqs, "--explain"]),
+    modcomplete.cli.main(["kb-lint"]),
+]
+print("codes", *codes)
+print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string") if name in sys.modules))
+"""
+
+
+def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
+    """Counts modules, times nothing: a fresh process that runs ``complete``,
+    ``check`` and ``kb-lint`` never imports ``dataclasses`` (which brings in
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``) or ``string``. ``-S``
+    keeps site hooks of the installation out of the count."""
+    import subprocess
+    import sys
+
+    env = {k: v for k, v in os.environ.items() if k != "MODCOMPLETE_KB"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_RUN, src,
+         str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "codes 0 0 0" in lines
+    assert lines[-1] == "loaded"
+    assert (tmp_path / "diagrams" / "RD-REQ-001.puml").is_file()
+
+
 GOLDEN_MODEL = {
     "version": "1",
     "name": "S",
@@ -669,6 +710,22 @@ def test_check_explain_says_why_an_empty_kb_matches_nothing(tmp_path, capsys):
         "    knowledge base is empty\n"
         "  [info] Unverifiable: requirement could not be matched to the model (REQ-001)\n"
     )
+
+
+def test_check_says_why_an_empty_kb_matches_nothing(tmp_path, capsys):
+    """Without ``--explain`` a NoMatch that has no closest rule still gets
+    its reason, the one line ``report.json`` gives it."""
+    kb = {"--kb": str(tmp_path / "kb.txt")}
+    (tmp_path / "kb.txt").write_text("# no rules\n", encoding="utf-8")
+    assert main(io_argv(tmp_path, "check", kb)) == 0
+    assert capsys.readouterr().out == (
+        "REQ-001: NoMatch\n"
+        "    knowledge base is empty\n"
+        "  [info] Unverifiable: requirement could not be matched to the model (REQ-001)\n"
+    )
+    assert main(io_argv(tmp_path, "complete", kb)) == 0
+    unmatched = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["unmatched"]
+    assert unmatched == [{"diagnostics": ["knowledge base is empty"], "requirement_id": "REQ-001"}]
 
 
 REPORT_GOLDEN = FIXTURES / "report_golden"

@@ -138,8 +138,7 @@ def test_duplicate_requirement_unions_provenance(railway_model, kb):
     (single_transition,) = single.model.block("Train").state_machine.transitions
     assert single_transition.id == transition.id
     assert single_transition.provenance == ("REQ-001",)
-    from dataclasses import replace
-    assert replace(transition, provenance=()) == replace(single_transition, provenance=())
+    assert transition._replace(provenance=()) == single_transition._replace(provenance=())
 
 
 def test_conflicting_pair_reported_and_withheld(railway_model, kb):

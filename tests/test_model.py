@@ -4,7 +4,6 @@ import copy
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -430,7 +429,7 @@ def test_mutating_a_lookup_result_does_not_change_the_next(railway_model):
 
 def test_lookup_index_is_not_part_of_the_value(railway_model_text):
     """Neither the index nor the result memo shows in equality, hashing,
-    repr, replace or output."""
+    repr, ``_replace`` or output, and neither can be deleted."""
     looked_up, fresh = load_model(railway_model_text), load_model(railway_model_text)
     assert lookup_elements(looked_up, "Train", Metaclass.BLOCK) == ["Train"]
     assert lookup_elements(looked_up, ["the", "Train"], Metaclass.BLOCK) == ["Train"]
@@ -439,7 +438,10 @@ def test_lookup_index_is_not_part_of_the_value(railway_model_text):
     assert looked_up == fresh and hash(looked_up) == hash(fresh)
     assert repr(looked_up) == repr(fresh)
     assert save_model(looked_up) == save_model(fresh)
-    assert not {"_lookup_index", "_lookup_memo"} & set(vars(replace(looked_up)))
+    assert not {"_lookup_index", "_lookup_memo"} & set(vars(looked_up._replace()))
+    with pytest.raises(AttributeError):
+        del looked_up._lookup_memo
+    assert looked_up._lookup_memo
 
 
 def test_second_run_on_one_model_value_probes_nothing(monkeypatch, railway_model, railway_corpus, kb):
@@ -615,8 +617,8 @@ def test_empty_transition_id_is_checked_against_its_content_hash():
     path = "$.blocks[0].state_machine.transitions[0]"
     assert str(info.value) == f"{path}: transition id '' does not match content hash"
     assert info.value.path == path
-    fixed = replace(model, blocks=(Block("Gate", state_machine=replace(
-        machine, transitions=(make_transition("Gate", "open", "shut"),))),))
+    fixed = model._replace(blocks=(Block("Gate", state_machine=machine._replace(
+        transitions=(make_transition("Gate", "open", "shut"),))),))
     validate_model(fixed)
     assert load_model(save_model(fixed)) == fixed
 
@@ -624,10 +626,12 @@ def test_empty_transition_id_is_checked_against_its_content_hash():
 @pytest.mark.parametrize("k", [1, 7, 40])
 def test_load_builds_one_transition_value_per_transition(monkeypatch, k):
     """Counts constructions, times nothing: each transition, with a declared
-    id or without one, is built once."""
+    id or without one, is built once. A ``NamedTuple`` is built through
+    ``__new__``, or through ``_make``, which ``_replace`` calls."""
     built = []
-    real = Transition.__init__
-    monkeypatch.setattr(Transition, "__init__", lambda self, *a, **kw: built.append(a) or real(self, *a, **kw))
+    new, make = Transition.__new__, Transition._make
+    monkeypatch.setattr(Transition, "__new__", lambda cls, *a, **kw: built.append(a) or new(cls, *a, **kw))
+    monkeypatch.setattr(Transition, "_make", classmethod(lambda cls, fields: built.append(fields) or make(fields)))
     model = load_model(json.dumps(_machine_doc(k)))
     assert len(built) == 2 * k == len(model.machines()[0].transitions)
 
@@ -637,8 +641,8 @@ def test_validate_model_rejects_repeated_transitions_in_memory(effects_order):
     """Built without ``load_model``: transitions that differ only in guard,
     provenance or the order of their effects repeat each other."""
     effects = (SendEffect("Halt", "Pump"), SendEffect("Go", "Pump"))
-    first = replace(make_transition("Gate", "open", "shut", "Halt", effects, ("X",)), guard="a")
-    second = replace(first, guard="b", provenance=("Y",), effects=effects[::effects_order])
+    first = make_transition("Gate", "open", "shut", "Halt", effects, ("X",))._replace(guard="a")
+    second = first._replace(guard="b", provenance=("Y",), effects=effects[::effects_order])
     machine = StateMachine(
         "Gate",
         states=(State("open"), State("shut")),
@@ -655,8 +659,8 @@ def test_validate_model_rejects_repeated_transitions_in_memory(effects_order):
     assert str(info.value) == (
         f"{path}: transition repeats transitions[0] (same source, target, trigger and effects)"
     )
-    validate_model(replace(model, blocks=(model.blocks[0], Block("Gate", state_machine=replace(
-        machine, transitions=machine.transitions[:2])))))
+    kept = machine._replace(transitions=machine.transitions[:2])
+    validate_model(model._replace(blocks=(model.blocks[0], Block("Gate", state_machine=kept))))
 
 
 # Valid names that still need escaping or normalize oddly.
@@ -690,7 +694,7 @@ def raw_and_canonical_models(draw):
             provenance = tuple(draw(st.lists(st.sampled_from(["R2", "R1", "\u2028", 'q"']), max_size=3)))
             guard = draw(st.none() | MODEL_TEXT)
             t = make_transition(owner, source, target, trigger, effects, provenance)
-            canonical[t.id] = replace(t, guard=guard)
+            canonical[t.id] = t._replace(guard=guard)
             raw[t.id] = Transition(t.id, source, target, trigger, guard, effects, provenance)
         raw_blocks.append(Block(owner, state_machine=StateMachine(
             owner, tuple(State(n) for n in states), tuple(raw.values()))))

@@ -100,10 +100,8 @@ def test_diagram_deterministic(railway_model, railway_corpus, kb):
 
 
 def test_diagram_skipped_without_generated_elements(railway_model, railway_corpus, kb):
-    from dataclasses import replace
-
     result = complete_model(railway_model, railway_corpus, kb)
-    empty = replace(result.trace[0], generated=())
+    empty = result.trace[0]._replace(generated=())
     assert emit_requirement_diagram(empty, result.model) is None
 
 
