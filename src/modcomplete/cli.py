@@ -18,7 +18,6 @@ import argparse
 import errno
 import os
 import sys
-import tempfile
 
 from .errors import ModcompleteError
 # parse_requirement and match_requirement are unused here; they stay
@@ -58,17 +57,24 @@ def _read_file(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 
-def _stage(path: str, text: str, mode: int) -> str:
-    """Write ``text`` to a new temp file beside ``path`` with permission bits
-    ``mode``; return the temp file's path. Nothing is renamed yet."""
+def _stage(path: str, text: str, n: int) -> str:
+    """Write ``text`` to a new temp file beside ``path``, named
+    ``.modcomplete-<pid>-<n>.tmp`` with the first free ``n`` from the one
+    given; return its path. Nothing is renamed yet. The file is created as
+    ``open(path, "w")`` creates one, so the umask sets its mode."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".modcomplete-", suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f".modcomplete-{os.getpid()}-{n}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # left by an earlier run
+            n += 1
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            os.fchmod(handle.fileno(), mode)
             handle.write(text)
     except BaseException:
         os.unlink(tmp)
@@ -91,13 +97,11 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
         if real in seen:
             raise InputError(f"--{seen[real]} and --{option} name the same file {path!r}")
         seen[real] = option
-    umask = os.umask(0)
-    os.umask(umask)
     staged: list[str] = []
     try:
         for _, what, path, text in outputs:
             try:
-                staged.append(_stage(path, text, 0o666 & ~umask))
+                staged.append(_stage(path, text, len(staged)))
             except OSError as exc:
                 raise InputError(f"cannot write {what} {path!r}: {exc}") from None
         for (_, what, path, _), tmp in zip(outputs, staged):

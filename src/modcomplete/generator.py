@@ -9,8 +9,6 @@ the model and reported, which keeps the final model independent of corpus
 order.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import ModcompleteError

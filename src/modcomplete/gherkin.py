@@ -14,8 +14,6 @@ meaningful between When clauses, where it switches the requirement into
 disjunctive mode (one alternative trigger per clause).
 """
 
-from __future__ import annotations
-
 import re
 from enum import Enum
 from typing import NamedTuple

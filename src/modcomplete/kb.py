@@ -21,8 +21,6 @@ article literal in a template is read as the optional article group.
 MetaReq priority is file order (earlier wins).
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple
 

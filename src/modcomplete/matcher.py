@@ -24,8 +24,6 @@ every span placement with no pruning and must agree on result or error
 class.
 """
 
-from __future__ import annotations
-
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 

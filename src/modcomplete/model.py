@@ -12,14 +12,12 @@ in-memory ordering, so ``load_model(save_model(m)) == m`` holds with plain
 structural equality.
 """
 
-from __future__ import annotations
-
-import hashlib
 import json
 import math
 from collections import defaultdict
 from enum import Enum
 from functools import cached_property
+from hashlib import sha256
 from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Any, NamedTuple
 
@@ -183,6 +181,15 @@ def transition_identity(
 
     Provenance is excluded on purpose so that duplicate detection and
     provenance union keep the id stable across runs.
+    """
+    return _content_id(encode_basestring_ascii(owner), source, target, trigger, sorted_effects(effects))
+
+
+def _content_id(
+    owner_json: str, source: str, target: str, trigger: str | None, effects: tuple[SendEffect, ...]
+) -> str:
+    """``transition_identity`` of an owner already encoded as a JSON string
+    by ``encode_basestring_ascii``, and of effects already sorted.
 
     The hashed payload is the compact, key-sorted, ASCII-escaped JSON object
     ``{"effects":[[signal,target_block],...],"owner":..,"source":..,
@@ -191,13 +198,12 @@ def transition_identity(
     through ``json.dumps``.
     """
     enc = encode_basestring_ascii
-    pairs = [f"[{enc(e.signal)},{enc(e.target_block)}]" for e in sorted_effects(effects)] if effects else ()
-    effs = ",".join(pairs)
+    effs = ",".join([f"[{enc(signal)},{enc(block)}]" for signal, block in effects]) if effects else ""
     payload = (
-        f'{{"effects":[{effs}],"owner":{enc(owner)},"source":{enc(source)},'
+        f'{{"effects":[{effs}],"owner":{owner_json},"source":{enc(source)},'
         f'"target":{enc(target)},"trigger":{"null" if trigger is None else enc(trigger)}}}'
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+    return sha256(payload.encode()).hexdigest()[:12]
 
 
 def make_transition(
@@ -221,9 +227,8 @@ def make_transition(
 
 
 def sorted_effects(effects: tuple[SendEffect, ...]) -> tuple[SendEffect, ...]:
-    if len(effects) < 2:
-        return tuple(effects)
-    return tuple(sorted(effects, key=lambda e: (e.signal, e.target_block)))
+    """Effects by (signal, target_block), which is a ``SendEffect``'s own order."""
+    return tuple(effects) if len(effects) < 2 else tuple(sorted(effects))
 
 
 def _sorted_unique(items: list[str] | tuple[str, ...]) -> tuple[str, ...]:
@@ -260,55 +265,66 @@ _EFFECT_KEYS = frozenset({"signal", "target_block"})
 _STR = frozenset({str})
 
 
-def _parse_transition(obj: Any, owner: str, path: str, i: int, wrong_ids: list[str]) -> Transition:
-    """``transitions[i]`` of ``owner``'s machine at ``path``, built once with
-    its effects sorted and its id: the declared one, or the content hash.
-    A declared id that is not the hash is appended to ``wrong_ids``;
+def _parse_transitions(entries: list, owner: str, path: str, wrong_ids: list[str]) -> tuple[Transition, ...]:
+    """The ``transitions`` of ``owner``'s machine at ``path``, each built once
+    with its effects sorted and its id: the declared one, or the content
+    hash. A declared id that is not the hash is appended to ``wrong_ids``;
     ``validate_model`` reports it, after any earlier error.
 
-    Checks run in a fixed order: keys, required keys, effects, trigger,
-    guard, id, source, target, provenance. Each is an inline type test; an
-    error's text and path are built only when a test fails.
+    Checks run in a fixed order per entry: keys, required keys, effects,
+    trigger, guard, id, source, target, provenance. Each is an inline type
+    test; an error's text and path are built only when a test fails. The
+    owner's part of the id payload is encoded once for the whole list.
     """
-    if type(obj) is not dict or not obj.keys() <= _TRANSITION_KEYS:
-        _expect(obj, dict, f"{path}.transitions[{i}]", "transition")
-        _reject_unknown_keys(obj, _TRANSITION_KEYS, f"{path}.transitions[{i}]")
-    if "source" not in obj or "target" not in obj:
-        missing = "source" if "source" not in obj else "target"
-        raise SchemaError(f"transition requires {missing!r}", f"{path}.transitions[{i}]")
-    get = obj.get
-    effects = get("effects", [])
-    if type(effects) is not list:
-        raise SchemaError("effects must be a list", f"{path}.transitions[{i}].effects")
-    parsed = []
-    for e in effects:
-        if not (type(e) is dict and e.keys() == _EFFECT_KEYS
-                and type(e["signal"]) is type(e["target_block"]) is str):
-            _effect_error(e, f"{path}.transitions[{i}].effects[{len(parsed)}]")
-        parsed.append(SendEffect(e["signal"], e["target_block"]))
-    effects = sorted_effects(parsed)
-    source, target, trigger, guard = obj["source"], obj["target"], get("trigger"), get("guard")
-    declared_id, provenance = get("id"), get("provenance", [])
-    if not (
-        type(source) is type(target) is str
-        and (trigger is None or type(trigger) is str)
-        and (guard is None or type(guard) is str)
-        and (declared_id is None or type(declared_id) is str)
-        and type(provenance) is list
-        and _STR.issuperset(map(type, provenance))
-    ):
-        path = f"{path}.transitions[{i}]"
-        for key in ("trigger", "guard", "id", "source", "target"):
-            value = obj.get(key)
-            if not isinstance(value, str) and (value is not None or key in ("source", "target")):
-                raise SchemaError(f"{key} must be a str", f"{path}.{key}")
-        _expect_str_list(provenance, f"{path}.provenance", "provenance")
-    content_id = transition_identity(owner, source, target, trigger, effects)
-    if declared_id and declared_id != content_id:
-        wrong_ids.append(declared_id)
-    return Transition(
-        declared_id or content_id, source, target, trigger, guard, effects, _sorted_unique(provenance)
-    )
+    owner_json = encode_basestring_ascii(owner)
+    content_id = _content_id
+    no_items: list = []  # only read, never changed
+    out = []
+    for i, obj in enumerate(entries):
+        if type(obj) is not dict or not _TRANSITION_KEYS.issuperset(obj):
+            _expect(obj, dict, f"{path}.transitions[{i}]", "transition")
+            _reject_unknown_keys(obj, _TRANSITION_KEYS, f"{path}.transitions[{i}]")
+        try:
+            source, target = obj["source"], obj["target"]
+        except KeyError as exc:
+            raise SchemaError(f"transition requires {exc.args[0]!r}", f"{path}.transitions[{i}]") from None
+        get = obj.get
+        effects = get("effects", no_items)
+        if type(effects) is not list:
+            raise SchemaError("effects must be a list", f"{path}.transitions[{i}].effects")
+        if effects:
+            parsed = []
+            for e in effects:
+                if not (type(e) is dict and e.keys() == _EFFECT_KEYS
+                        and type(e["signal"]) is type(e["target_block"]) is str):
+                    _effect_error(e, f"{path}.transitions[{i}].effects[{len(parsed)}]")
+                parsed.append(SendEffect(e["signal"], e["target_block"]))
+            parsed.sort()  # as sorted_effects does
+            effects = tuple(parsed)
+        else:
+            effects = ()
+        trigger, guard, declared_id, provenance = get("trigger"), get("guard"), get("id"), get("provenance", no_items)
+        if not (
+            type(source) is type(target) is str
+            and (trigger is None or type(trigger) is str)
+            and (guard is None or type(guard) is str)
+            and (declared_id is None or type(declared_id) is str)
+            and type(provenance) is list
+            and (not provenance or _STR.issuperset(map(type, provenance)))
+        ):
+            tpath = f"{path}.transitions[{i}]"
+            for key in ("trigger", "guard", "id", "source", "target"):
+                value = get(key)
+                if not isinstance(value, str) and (value is not None or key in ("source", "target")):
+                    raise SchemaError(f"{key} must be a str", f"{tpath}.{key}")
+            _expect_str_list(provenance, f"{tpath}.provenance", "provenance")
+        tid = content_id(owner_json, source, target, trigger, effects)
+        if declared_id and declared_id != tid:
+            wrong_ids.append(declared_id)
+        # Provenance as _sorted_unique makes it, without a call per entry.
+        provenance = tuple(provenance) if len(provenance) < 2 else tuple(sorted(set(provenance)))
+        out.append(Transition(declared_id or tid, source, target, trigger, guard, effects, provenance))
+    return tuple(out)
 
 
 def _effect_error(obj: Any, path: str) -> None:
@@ -326,7 +342,7 @@ def _parse_machine(obj: Any, owner: str, path: str, wrong_ids: list[str]) -> Sta
     _reject_unknown_keys(obj, {"initial", "states", "transitions"}, path)
     states = tuple(State(n) for n in _expect_str_list(obj.get("states", []), f"{path}.states", "states"))
     entries = _expect(obj.get("transitions", []), list, f"{path}.transitions", "transitions")
-    transitions = tuple([_parse_transition(t, owner, path, i, wrong_ids) for i, t in enumerate(entries)])
+    transitions = _parse_transitions(entries, owner, path, wrong_ids)
     initial = obj.get("initial")
     if initial is not None:
         _expect(initial, str, f"{path}.initial", "initial")
@@ -467,9 +483,12 @@ def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
     # Transitions with one content share an id, so merging would lose one.
     # Every id matches its content hash by now, so the id stands for it.
     for i, block in enumerate(model.blocks):
+        ids = [t.id for t in block.state_machine.transitions] if block.state_machine else []
+        if len(set(ids)) == len(ids):
+            continue
         first: dict[str, int] = {}
-        for j, t in enumerate(block.state_machine.transitions if block.state_machine else ()):
-            k = first.setdefault(t.id, j)
+        for j, tid in enumerate(ids):
+            k = first.setdefault(tid, j)
             if k != j:
                 raise ValidationError(
                     f"transition repeats transitions[{k}] (same source, target, trigger and effects)",
@@ -494,25 +513,23 @@ def _validate_machine(
         names.add(state.name)
     if machine.initial is not None and machine.initial not in names:
         raise ValidationError(f"initial state {machine.initial!r} undefined", f"{mpath}.initial")
-    for j, t in enumerate(machine.transitions):
-        tpath = f"{mpath}.transitions[{j}]"
-        if t.source not in names:
-            raise ValidationError(f"source state {t.source!r} undefined", tpath)
-        if t.target not in names:
-            raise ValidationError(f"target state {t.target!r} undefined", tpath)
-        if t.trigger is not None and t.trigger not in signal_names:
-            raise ValidationError(f"trigger {t.trigger!r} is not a signal", tpath)
-        for k, eff in enumerate(t.effects):
-            if eff.signal not in signal_names:
-                raise ValidationError(f"effect signal {eff.signal!r} is not a signal", f"{tpath}.effects[{k}]")
-            if eff.target_block not in block_names:
+    tpath = mpath + ".transitions[%d]"  # formatted only for an error
+    for j, (tid, source, target, trigger, _, effects, _) in enumerate(machine.transitions):
+        if source not in names:
+            raise ValidationError(f"source state {source!r} undefined", tpath % j)
+        if target not in names:
+            raise ValidationError(f"target state {target!r} undefined", tpath % j)
+        if trigger is not None and trigger not in signal_names:
+            raise ValidationError(f"trigger {trigger!r} is not a signal", tpath % j)
+        for k, (signal, target_block) in enumerate(effects):
+            if signal not in signal_names:
+                raise ValidationError(f"effect signal {signal!r} is not a signal", f"{tpath % j}.effects[{k}]")
+            if target_block not in block_names:
                 raise ValidationError(
-                    f"effect target {eff.target_block!r} is not a block", f"{tpath}.effects[{k}]"
+                    f"effect target {target_block!r} is not a block", f"{tpath % j}.effects[{k}]"
                 )
-        if not ids_checked and t.id != transition_identity(
-            machine.owner, t.source, t.target, t.trigger, t.effects
-        ):
-            raise ValidationError(f"transition id {t.id!r} does not match content hash", tpath)
+        if not ids_checked and tid != transition_identity(machine.owner, source, target, trigger, effects):
+            raise ValidationError(f"transition id {tid!r} does not match content hash", tpath % j)
 
 
 def _check_part_cycles(model: SystemModel) -> None:

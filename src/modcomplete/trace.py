@@ -6,8 +6,6 @@ one node per satisfied element, connected by ``<<satisfy>>`` dependencies,
 with a note listing the role(s) each element plays.
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple
 

@@ -257,6 +257,20 @@ def test_outputs_follow_the_umask(tmp_path):
     assert {f.name: stat.S_IMODE(f.stat().st_mode) for f in files} == {f.name: 0o644 for f in files}
 
 
+def test_a_stale_temp_file_is_left_alone(tmp_path):
+    """A temp file by the name a run would stage first is neither written
+    nor removed: staging takes the next free name."""
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = out / f".modcomplete-{os.getpid()}-0.tmp"
+    stale.write_text("stale\n", encoding="utf-8")
+    code, _ = run_complete(tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"))
+    assert code == 0
+    assert stale.read_text(encoding="utf-8") == "stale\n"
+    assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == [stale]
+    assert json.loads((out / "model.json").read_text(encoding="utf-8"))["name"]
+
+
 @pytest.mark.parametrize("option, target, what", [("--diagrams", "afile", "diagram"), ("--trace", "adir", "trace")])
 def test_failed_complete_replaces_no_output(tmp_path, capsys, option, target, what):
     """An output that cannot be written, even the last one, leaves the
@@ -472,15 +486,16 @@ codes = [
     modcomplete.cli.main(["kb-lint"]),
 ]
 print("codes", *codes)
-print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string") if name in sys.modules))
+print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string", "tempfile") if name in sys.modules))
 """
 
 
 def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
     """Counts modules, times nothing: a fresh process that runs ``complete``,
     ``check`` and ``kb-lint`` never imports ``dataclasses`` (which brings in
-    ``inspect``, ``ast``, ``dis`` and ``tokenize``) or ``string``. ``-S``
-    keeps site hooks of the installation out of the count."""
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``string`` or
+    ``tempfile`` (which brings in ``shutil`` and ``random``). ``-S`` keeps
+    site hooks of the installation out of the count."""
     import subprocess
     import sys
 

@@ -581,11 +581,12 @@ def _machine_doc(k: int) -> dict:
 @pytest.mark.parametrize("k", [1, 7, 40])
 def test_load_computes_one_identity_per_transition(monkeypatch, k):
     """Counts calls, times nothing: a declared id is checked once, a
-    missing one is computed once."""
+    missing one is computed once. ``transition_identity`` and the loader
+    both hash through ``_content_id``."""
     calls = []
-    real = model_module.transition_identity
+    real = model_module._content_id
     monkeypatch.setattr(
-        model_module, "transition_identity", lambda *args: calls.append(args) or real(*args)
+        model_module, "_content_id", lambda *args: calls.append(args) or real(*args)
     )
     model = load_model(json.dumps(_machine_doc(k)))
     assert len(calls) == 2 * k
@@ -717,6 +718,12 @@ def test_save_model_is_the_stdlib_encoding_of_its_document(models):
     assert save_model(raw) == stdlib_canonical(reference_model_doc(raw))
     assert load_model(save_model(raw)) == canonical
     assert load_model(save_model(canonical)) == canonical
+    # Without declared ids the loader hashes every transition itself.
+    doc = json.loads(save_model(raw))
+    for block in doc["blocks"]:
+        for t in block.get("state_machine", {}).get("transitions", []):
+            del t["id"]
+    assert load_model(json.dumps(doc)) == canonical
 
 
 TRANSITION_FIELDS = ["id", "source", "target", "trigger", "guard", "effects", "provenance", "zz"]
@@ -828,6 +835,15 @@ def test_loader_agrees_with_the_field_by_field_parser_on_each_swap():
             entry["effects"][1] = value
             _assert_loader_agrees_with_reference(entry)
             _assert_loader_agrees_with_reference(value)
+    # An absent or empty list holds no items, but a null one is an error; a
+    # later field's error still shows after either. Without an id, an entry
+    # that loads has its fields compared.
+    for key, value, bad in itertools.product(["effects", "provenance"], [_DROP, None, []], [None, "trigger", "source"]):
+        entry = _swapped(_valid_entry(), key, value)
+        del entry["id"]
+        if bad is not None:
+            entry[bad] = 0
+        _assert_loader_agrees_with_reference(entry)
 
 
 @given(mutated_transitions())

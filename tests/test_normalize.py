@@ -1,9 +1,10 @@
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from modcomplete.normalize import (
     ARTICLES,
+    clean_word,
     core_words,
     normalize_phrase,
     normalize_signal_phrase,
@@ -66,3 +67,13 @@ def test_normalize_is_idempotent_on_its_output(words):
 @given(st.lists(st.sampled_from(["the", "a", "an", "Gate", "Control", "Stop()"]), max_size=6))
 def test_articles_never_survive(words):
     assert not (set(core_words(words)) & ARTICLES)
+
+
+@given(st.text(st.characters() | st.sampled_from("AZaz09\xc4\xdf\u0130\u0663\u2167\u00b2.,;'()-_ \t\u2028")))
+@example("")
+@example("Stop()")
+@example("\u0130stanbul")
+def test_clean_word_keeps_exactly_the_alphanumeric_characters(word):
+    """Letters and digits of any script survive, lowercased; punctuation,
+    space and symbols go, and "" stays ""."""
+    assert clean_word(word) == "".join(ch for ch in word.lower() if ch.isalnum())

@@ -33,27 +33,36 @@ MATCHER_ALL = [
     "match_clause", "match_requirement", "oracle_match",
 ]
 
+# The record modules do not postpone annotations, so each annotation is the
+# type object itself and renders with its module; ``BindingSet`` renders as
+# the tuple type it names.
 SIGNATURES = {
     "match_requirement": (
-        "(ast: 'RequirementAST', kb: 'KnowledgeBase', model: 'SystemModel') -> 'MatchResult'"
+        "(ast: modcomplete.gherkin.RequirementAST, kb: modcomplete.kb.KnowledgeBase, "
+        "model: modcomplete.model.SystemModel) -> modcomplete.matcher.MatchResult"
     ),
     "match_clause": (
-        "(clause: 'Clause', template: 'ClauseTemplate', model: 'SystemModel', *, "
-        "owner_role: 'str | None' = None, bound: 'BindingSet' = ()) -> 'ClauseMatches'"
+        "(clause: modcomplete.gherkin.Clause, template: modcomplete.kb.ClauseTemplate, "
+        "model: modcomplete.model.SystemModel, *, owner_role: str | None = None, "
+        "bound: tuple[modcomplete.matcher.Binding, ...] = ()) -> modcomplete.matcher.ClauseMatches"
     ),
     "lookup_elements": (
-        "(model: 'SystemModel', phrase, metaclass: 'Metaclass', scope: 'str | None' = None) "
-        "-> 'list[str]'"
+        "(model: modcomplete.model.SystemModel, phrase, metaclass: modcomplete.model.Metaclass, "
+        "scope: str | None = None) -> list[str]"
     ),
     "instantiate_fragment": (
-        "(fragment: 'MetaFragment', binding_sets: 'tuple[BindingSet, ...]', "
-        "model: 'SystemModel', requirement_id: 'str') -> 'FragmentInstance'"
+        "(fragment: modcomplete.kb.MetaFragment, "
+        "binding_sets: tuple[tuple[modcomplete.matcher.Binding, ...], ...], "
+        "model: modcomplete.model.SystemModel, requirement_id: str) -> modcomplete.generator.FragmentInstance"
     ),
     "complete_model": (
-        "(model: 'SystemModel', corpus: 'list[RequirementDoc]', kb: 'KnowledgeBase') "
-        "-> 'CompletionResult'"
+        "(model: modcomplete.model.SystemModel, corpus: list[modcomplete.gherkin.RequirementDoc], "
+        "kb: modcomplete.kb.KnowledgeBase) -> modcomplete.generator.CompletionResult"
     ),
-    "add_transition": "(model: 'SystemModel', owner: 'str', t: 'Transition') -> 'MergeOutcome'",
+    "add_transition": (
+        "(model: modcomplete.model.SystemModel, owner: str, t: modcomplete.model.Transition) "
+        "-> modcomplete.model.MergeOutcome"
+    ),
 }
 
 

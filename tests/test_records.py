@@ -7,6 +7,11 @@ Each record is pinned by one sample value, so a change of representation
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import typing
+from pathlib import Path
+
 import pytest
 
 from modcomplete import generator, gherkin, kb, matcher, model, trace
@@ -336,3 +341,33 @@ def test_replace_keeps_the_type(cls, fields):
     changed = value._replace(**{first: _OTHER})
     assert changed == cls(**{**fields, first: _OTHER}) and type(changed) is cls
     assert value == cls(**fields)
+
+
+@pytest.mark.parametrize("cls, fields, text, _min, _min_text", RECORDS, ids=_ids)
+def test_field_types_are_evaluated(cls, fields, text, _min, _min_text):
+    """The record modules do not postpone annotations, so each field type
+    is the type itself, never a string or a ``typing.ForwardRef``."""
+    annotations = (cls.__bases__[0] if cls is SystemModel else cls).__annotations__
+    assert list(annotations) == list(fields)
+    assert not [t for t in annotations.values() if isinstance(t, (str, typing.ForwardRef))]
+
+
+COUNT_FORWARD_REFS = """
+import sys, typing
+created = []
+init = typing.ForwardRef.__init__
+typing.ForwardRef.__init__ = lambda self, *args, **kwargs: created.append(args) or init(self, *args, **kwargs)
+sys.path.insert(0, sys.argv[1])
+import modcomplete.cli
+print("forward refs", len(created))
+"""
+
+
+def test_import_creates_no_forward_refs():
+    """Counts, times nothing: a fresh ``import modcomplete.cli`` makes no
+    ``typing.ForwardRef``, each of which would ``compile()`` its string."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", COUNT_FORWARD_REFS, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["forward refs 0"]
