@@ -98,6 +98,7 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
             raise InputError(f"--{seen[real]} and --{option} name the same file {path!r}")
         seen[real] = option
     staged: list[str] = []
+    renamed = 0
     try:
         for _, what, path, text in outputs:
             try:
@@ -109,10 +110,15 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
                 os.replace(tmp, path)
             except OSError as exc:
                 raise InputError(f"cannot write {what} {path!r}: {exc}") from None
+            renamed += 1
     finally:
-        for tmp in staged:
-            if os.path.exists(tmp):
+        # Only names not yet renamed are still this run's: once renamed, a
+        # name is free for another writer to create.
+        for tmp in staged[renamed:]:
+            try:
                 os.unlink(tmp)
+            except FileNotFoundError:
+                pass
 
 
 def _run(args: argparse.Namespace) -> tuple[CompletionResult, list[Finding]]:

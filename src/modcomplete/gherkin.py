@@ -153,7 +153,7 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
     current_words: list[Token] = []
     current_lead: Token | None = None
 
-    def close_clause(next_kw: Token | None) -> None:
+    def close_clause(next_kw):
         nonlocal current_words, current_lead
         if current_section is None:
             return
@@ -244,7 +244,7 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
     body: list[str] = []
     counter = 0
 
-    def flush() -> None:
+    def flush():
         # A tag with no body yet ("@id:" above the Scenario line) carries
         # over to the next block.
         nonlocal scenario, tagged_id, body, counter

@@ -398,7 +398,7 @@ def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
     a_items = _strip_article_optionals(ta.items)
     b_items = _strip_article_optionals(tb.items)
 
-    def rec(ai: int, bi: int) -> bool:
+    def rec(ai, bi):
         if ai == len(a_items):
             return bi == len(b_items)
         a = a_items[ai]

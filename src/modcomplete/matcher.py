@@ -216,12 +216,12 @@ def match_clause(
     amb_seen: set[tuple] = set()
     best_failure: ClauseFailure | None = None
 
-    def note_failure(ii: int, wi: int, detail: str, role: str | None = None, phrase: str | None = None) -> None:
+    def note_failure(ii, wi, detail, role=None, phrase=None):
         nonlocal best_failure
         if best_failure is None or (ii, wi) > (best_failure.item_index, best_failure.word_index):
             best_failure = ClauseFailure(ii, wi, detail, role, phrase)
 
-    def state_scope(acc: BindingSet) -> str | None:
+    def state_scope(acc):
         if owner_role is not None:
             for b in acc:
                 if b.role == owner_role:
@@ -230,7 +230,7 @@ def match_clause(
                 return bound_by_role[owner_role].element
         return None
 
-    def step(wi: int, ii: int, acc: BindingSet) -> None:
+    def step(wi, ii, acc):
         # Skip the whole run of articles here, once: every nested call then
         # consumes a template item, so the recursion depth is bounded by
         # len(items), not by the clause length.
@@ -557,7 +557,7 @@ def _oracle_resolve(
 
 
 def _oracle_gap_ok(gap: Sequence[Token], items: Sequence[Literal | OptionalLiteral]) -> bool:
-    def rec(wi: int, ii: int) -> bool:
+    def rec(wi, ii):
         if wi < len(gap) and gap[wi].lower in ARTICLES and rec(wi + 1, ii):
             return True
         if ii == len(items):
@@ -585,7 +585,7 @@ def _oracle_clause_maps(
     n = len(words)
     out: list[BindingSet] = []
 
-    def all_span_tuples(index: int, start: int, acc: list[tuple[int, int]]):
+    def all_span_tuples(index, start, acc):
         if index == len(slot_positions):
             yield list(acc)
             return

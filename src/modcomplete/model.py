@@ -299,8 +299,7 @@ def _parse_transitions(entries: list, owner: str, path: str, wrong_ids: list[str
                         and type(e["signal"]) is type(e["target_block"]) is str):
                     _effect_error(e, f"{path}.transitions[{i}].effects[{len(parsed)}]")
                 parsed.append(SendEffect(e["signal"], e["target_block"]))
-            parsed.sort()  # as sorted_effects does
-            effects = tuple(parsed)
+            effects = sorted_effects(parsed)
         else:
             effects = ()
         trigger, guard, declared_id, provenance = get("trigger"), get("guard"), get("id"), get("provenance", no_items)
@@ -321,9 +320,9 @@ def _parse_transitions(entries: list, owner: str, path: str, wrong_ids: list[str
         tid = content_id(owner_json, source, target, trigger, effects)
         if declared_id and declared_id != tid:
             wrong_ids.append(declared_id)
-        # Provenance as _sorted_unique makes it, without a call per entry.
-        provenance = tuple(provenance) if len(provenance) < 2 else tuple(sorted(set(provenance)))
-        out.append(Transition(declared_id or tid, source, target, trigger, guard, effects, provenance))
+        out.append(
+            Transition(declared_id or tid, source, target, trigger, guard, effects, _sorted_unique(provenance))
+        )
     return tuple(out)
 
 
@@ -483,12 +482,9 @@ def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
     # Transitions with one content share an id, so merging would lose one.
     # Every id matches its content hash by now, so the id stands for it.
     for i, block in enumerate(model.blocks):
-        ids = [t.id for t in block.state_machine.transitions] if block.state_machine else []
-        if len(set(ids)) == len(ids):
-            continue
         first: dict[str, int] = {}
-        for j, tid in enumerate(ids):
-            k = first.setdefault(tid, j)
+        for j, t in enumerate(block.state_machine.transitions if block.state_machine else ()):
+            k = first.setdefault(t.id, j)
             if k != j:
                 raise ValidationError(
                     f"transition repeats transitions[{k}] (same source, target, trigger and effects)",
@@ -564,7 +560,7 @@ def _normalized(model: SystemModel) -> SystemModel:
     """Canonical in-memory ordering: every list sorted by its key. Parsed
     transitions are kept as they are, only reordered."""
 
-    def norm_machine(m: StateMachine) -> StateMachine:
+    def norm_machine(m):
         return StateMachine(
             owner=m.owner,
             states=tuple(sorted(m.states, key=lambda s: s.name)),
@@ -572,7 +568,7 @@ def _normalized(model: SystemModel) -> SystemModel:
             initial=m.initial,
         )
 
-    def norm_block(b: Block) -> Block:
+    def norm_block(b):
         return Block(
             name=b.name,
             parts=tuple(sorted(b.parts)),

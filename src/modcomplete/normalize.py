@@ -36,10 +36,7 @@ WordSpan = Sequence[str] | str
 
 def clean_word(word: str) -> str:
     """Lowercase a word and drop every non-alphanumeric character."""
-    word = word.lower()
-    if word.isalnum():  # most words: nothing to drop
-        return word
-    return "".join(ch for ch in word if ch.isalnum())
+    return "".join(ch for ch in word.lower() if ch.isalnum())
 
 
 def split_words(phrase: WordSpan) -> list[str]:

@@ -292,6 +292,31 @@ def test_failed_complete_replaces_no_output(tmp_path, capsys, option, target, wh
     assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == []
 
 
+def test_a_failed_run_removes_only_its_own_temp_files(tmp_path, capsys, monkeypatch):
+    """A temp name is free again once renamed. A file another writer creates
+    under it survives a later failed rename; the temp files not yet renamed
+    are removed."""
+    import modcomplete.cli as cli_module
+
+    real_replace = os.replace
+    renamed = []
+
+    def replace(src, dst):
+        if renamed:
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+        renamed.append(src)
+        Path(src).write_text("another writer\n", encoding="utf-8")
+
+    monkeypatch.setattr(cli_module.os, "replace", replace)
+    code, out = run_complete(tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    (reused,) = renamed
+    assert Path(reused).read_text(encoding="utf-8") == "another writer\n"
+    assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == [Path(reused)]
+
+
 @pytest.mark.parametrize(
     "first, second",
     [
