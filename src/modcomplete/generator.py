@@ -284,9 +284,7 @@ def _detect_conflicts(
         owner, source, trigger = key
         variants = tuple(
             ConflictVariant(target=rhs[0], effects=rhs[1], requirement_ids=tuple(sorted(ids)))
-            for rhs, ids in sorted(
-                sides.items(), key=lambda kv: (kv[0][0], tuple((e.signal, e.target_block) for e in kv[0][1]))
-            )
+            for rhs, ids in sorted(sides.items(), key=lambda kv: kv[0])
         )
         conflicts.append(ConflictRecord(owner, source, trigger, variants))
 

@@ -9,7 +9,9 @@ is deterministic and rigid (no statistical language processing):
   non-article, resolved through :func:`modcomplete.model.lookup_elements`;
 * adjacent parsed clauses may be re-merged (undoing an ``and`` split) when a
   single template spans them, which is how ``and`` inside a noun phrase is
-  told apart from ``and`` between clauses;
+  told apart from ``and`` between clauses. A section's groupings are searched
+  depth-first, so a clause group is matched once per context that reaches
+  it, not once per grouping that starts with it;
 * rules are tried in priority order; the first one with a complete binding
   wins, and a complete-but-non-unique binding is an error, never a silent
   pick;
@@ -307,20 +309,6 @@ def match_clause(
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """Ordered ways to write ``total`` as ``parts`` positive integers."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def merge_clauses(clauses: Sequence[Clause]) -> Clause:
     """Undo connective splits: rejoin clauses, demoting separators to words."""
     if len(clauses) == 1:
@@ -352,41 +340,42 @@ def _match_section(
     ctxs: list[BindingSet],
     ambiguities: list[SpanAmbiguity],
 ) -> list[BindingSet] | MetaReqDiagnostic:
-    """Thread contexts through one section, trying every clause grouping.
+    """Thread contexts through one section, grouping its clauses depth-first.
 
-    Returns the distinct extended contexts, or the diagnostic of the grouping
+    Consecutive clauses are grouped, one group per template, with every
+    group end tried in increasing order; the last template takes the rest.
+    A group is matched once for each context that reaches it, and only the
+    contexts it extends go on to the next template, so the groupings are
+    visited in lexicographic order without matching a shared prefix again.
+    Returns the distinct extended contexts, or the diagnostic of the group
     that got furthest. Span ambiguities met on the way go to ``ambiguities``.
     """
     if not templates:
         if clauses:
             return MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section)
         return list(ctxs)
-    if len(clauses) < len(templates):
+    n, last = len(clauses), len(templates) - 1
+    if n < len(templates):
         return MetaReqDiagnostic(
             metareq_id,
-            f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}",
+            f"rule expects {len(templates)} {section} clause(s), requirement has {n}",
             section,
         )
 
     results: list[BindingSet] = []
     best: tuple[tuple[int, int, int], MetaReqDiagnostic] | None = None
 
-    for comp in _compositions(len(clauses), len(templates)):
-        groups = []
-        start = 0
-        for size in comp:
-            groups.append(merge_clauses(clauses[start : start + size]))
-            start += size
-        branch = list(ctxs)
-        failed = False
-        for ti, (group, template) in enumerate(zip(groups, templates)):
-            extended: list[BindingSet] = []
-            deepest: ClauseFailure | None = None
+    def extend(ti, start, branch):
+        nonlocal best
+        # Leave one clause for each later template; the last takes all the rest.
+        for end in range(start + 1 if ti < last else n, n - last + ti + 1):
+            group = merge_clauses(clauses[start:end])
+            extended = []
+            deepest = None
             for ctx in branch:
-                cm = match_clause(group, template, model, owner_role=owner_role, bound=ctx)
+                cm = match_clause(group, templates[ti], model, owner_role=owner_role, bound=ctx)
                 ambiguities.extend(cm.ambiguities)
-                for mp in cm.maps:
-                    extended.append(ctx + mp)
+                extended.extend(ctx + mp for mp in cm.maps)
                 if cm.failure is not None and (
                     deepest is None
                     or (cm.failure.item_index, cm.failure.word_index)
@@ -394,24 +383,19 @@ def _match_section(
                 ):
                     deepest = cm.failure
             if not extended:
-                if deepest is not None:
-                    progress = (ti, deepest.item_index, deepest.word_index)
-                    diag = MetaReqDiagnostic(
-                        metareq_id, deepest.detail, section, ti, deepest.role, deepest.phrase
-                    )
-                    if best is None or progress > best[0]:
-                        best = (progress, diag)
-                failed = True
-                break
-            branch = extended
-        if not failed:
-            results.extend(branch)
+                progress = (ti, deepest.item_index, deepest.word_index)
+                diag = MetaReqDiagnostic(
+                    metareq_id, deepest.detail, section, ti, deepest.role, deepest.phrase
+                )
+                if best is None or progress > best[0]:
+                    best = (progress, diag)
+            elif ti < last:
+                extend(ti + 1, end, extended)
+            else:
+                results.extend(extended)
 
-    if results:
-        return _distinct(results)
-    if best is not None:
-        return best[1]
-    return MetaReqDiagnostic(metareq_id, f"no grouping of the {section} clauses fits", section)
+    extend(0, 0, ctxs)
+    return _distinct(results) if results else best[1]
 
 
 def _tail_template(template: ClauseTemplate) -> ClauseTemplate | None:
@@ -479,10 +463,9 @@ def _try_metareq(
             cm = match_clause(when_clauses[0], tail, model, owner_role=owner_role, bound=sets[0])
             ambiguities.extend(cm.ambiguities)
             if not cm.maps:
-                failure = cm.failure or ClauseFailure(0, 0, "alternative fits no form")
                 return MetaReqDiagnostic(
-                    metareq.id, f"When alternative {i + 1}: {failure.detail}", "when", 0,
-                    failure.role, failure.phrase,
+                    metareq.id, f"When alternative {i + 1}: {cm.failure.detail}", "when", 0,
+                    cm.failure.role, cm.failure.phrase,
                 )
             candidates = [
                 tuple({b.role: b for b in mp}.get(b.role, b) for b in sets[0]) for mp in cm.maps

@@ -51,23 +51,18 @@ def build_trace(
     """
     bindings: list[TraceBinding] = []
     seen: set[tuple[str, str, str]] = set()
-    roles_by_element: dict[tuple[str, Metaclass], list[str]] = {}
-    element_order: list[tuple[str, Metaclass]] = []
+    roles_by_element: dict[tuple[str, Metaclass], set[str]] = {}
     for binding_set in match.binding_sets:
         for b in binding_set:
             key = (b.role, b.metaclass.value, b.element)
             if key not in seen:
                 seen.add(key)
                 bindings.append(TraceBinding(b.role, b.metaclass, b.element))
-            ekey = (b.element, b.metaclass)
-            if ekey not in roles_by_element:
-                roles_by_element[ekey] = []
-                element_order.append(ekey)
-            if b.role not in roles_by_element[ekey]:
-                roles_by_element[ekey].append(b.role)
+            roles_by_element.setdefault((b.element, b.metaclass), set()).add(b.role)
+    # A block and a signal may share a name: order them by metaclass name.
     satisfies = tuple(
         SatisfyLink(element=el, metaclass=mc, roles=tuple(sorted(roles_by_element[(el, mc)])))
-        for el, mc in sorted(element_order)
+        for el, mc in sorted(roles_by_element, key=lambda k: (k[0], k[1].value))
     )
     return TraceRecord(
         requirement_id=match.requirement_id,

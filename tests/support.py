@@ -239,6 +239,86 @@ def random_kb(rng: random.Random) -> KnowledgeBase:
     return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments))
 
 
+def random_multi_kb(rng: random.Random) -> KnowledgeBase:
+    """Random knowledge base whose rules have two or three templates per
+    section (the When section may be empty), so a section's clauses can be
+    grouped in several ways and groupings share their first groups."""
+    metareqs = []
+    fragments = []
+    for i in range(rng.randint(1, 2)):
+        roles: dict[Metaclass, list[str]] = {m: [] for m in Metaclass}
+
+        def template(kind: ClauseKind, metaclasses: list[Metaclass]) -> ClauseTemplate:
+            items: list = []
+            for j, metaclass in enumerate(metaclasses):
+                if j or rng.random() < 0.4:
+                    items.append(Literal(rng.choice(LITERAL_POOL)))
+                if rng.random() < 0.3:
+                    items.append(OptionalLiteral(("to",)))
+                role = f"{metaclass.value.lower()}{sum(map(len, roles.values())) + 1}"
+                roles[metaclass].append(role)
+                items.append(SlotPattern(metaclass, role))
+            return ClauseTemplate(kind, tuple(items))
+
+        def section(kind: ClauseKind, first: list[Metaclass]) -> tuple[ClauseTemplate, ...]:
+            more = [rng.sample(list(Metaclass), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+            return tuple(template(kind, slots) for slots in [first] + more)
+
+        given = section(ClauseKind.GIVEN, [Metaclass.BLOCK, Metaclass.STATE])
+        owner, source = roles[Metaclass.BLOCK][0], roles[Metaclass.STATE][0]
+        when = section(ClauseKind.WHEN, [Metaclass.SIGNAL]) if rng.random() < 0.6 else ()
+        then = section(ClauseKind.THEN, [Metaclass.STATE])
+        trigger = roles[Metaclass.SIGNAL][0] if when else None
+        fragments.append(
+            MetaFragment(f"F{i + 1}", owner, source, roles[Metaclass.STATE][-1], trigger)
+        )
+        metareqs.append(MetaReq(f"MR{i + 1}", given, when, then, f"F{i + 1}"))
+    return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments))
+
+
+def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemModel) -> str:
+    """Requirement text rendered from one rule's templates (each slot named
+    by a model element of its metaclass), with one word mutated in a third
+    of the cases. Block names with "and" add clauses the matcher re-merges."""
+    metareq = rng.choice(kb.metareqs)
+    owner = kb.fragment_by_id(metareq.fragment).owner_role
+    machines = [b for b in model.blocks if b.state_machine]
+    states = machines[0].state_machine.state_names()
+    words_by_metaclass = {
+        Metaclass.BLOCK: lambda: _render_block(rng, rng.choice(model.blocks).name),
+        Metaclass.SIGNAL: lambda: _render_signal(
+            rng, rng.choice(model.signals).name if model.signals else "Ghost"
+        ),
+        Metaclass.STATE: lambda: rng.choice(states),
+    }
+
+    def render(template: ClauseTemplate) -> str:
+        out = []
+        for item in template.items:
+            if isinstance(item, Literal):
+                out.append(item.word)
+            elif isinstance(item, OptionalLiteral):
+                out.extend(rng.sample(item.words, rng.randint(0, 1)))
+            elif item.role == owner:
+                out.append(_render_block(rng, rng.choice(machines).name))
+            else:
+                out.append(words_by_metaclass[item.metaclass]())
+        return " ".join(out)
+
+    sections = [("Given", metareq.given), ("When", metareq.when), ("Then", metareq.then)]
+    text = ", ".join(
+        f"{keyword} " + " and ".join(render(t) for t in templates)
+        for keyword, templates in sections
+        if templates
+    )
+    words = text.split()
+    if rng.random() < 1 / 3:
+        at = rng.randrange(1, len(words))
+        if words[at].lower() not in {"given", "when", "then", "and"}:
+            words[at] = rng.choice(LITERAL_POOL + STATE_POOL + SIGNAL_POOL)
+    return " ".join(words) + "."
+
+
 def reference_lookup_elements(
     model: SystemModel, phrase, metaclass: Metaclass, scope: str | None = None
 ) -> list[str]:

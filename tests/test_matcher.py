@@ -21,11 +21,21 @@ from modcomplete import (
     parse_kb,
     parse_requirement,
 )
+from modcomplete import matcher
 from modcomplete.gherkin import ParseError, RequirementDoc
 from modcomplete.matcher import MetaReqDiagnostic, SpanAmbiguity
 from modcomplete.matcher import _oracle_clause_maps  # white-box: segmentation oracle
 
-from support import agreement, random_case, random_kb, random_model, random_requirement, semantic
+from support import (
+    agreement,
+    random_case,
+    random_kb,
+    random_model,
+    random_multi_kb,
+    random_requirement,
+    rendered_requirement,
+    semantic,
+)
 
 
 def ast_of(text: str, rid: str = "R"):
@@ -296,6 +306,21 @@ def test_oracle_agreement_randomized_quick(kb):
         assert main == oracle, f"disagreement on {ast!r}"
 
 
+def test_oracle_agrees_on_knowledge_bases_with_several_templates_per_section():
+    """Sections of two or three templates, so clause groupings share their
+    first groups; a quarter of the cases must match for the check to count."""
+    rng = random.Random(2026)
+    cases, matched = 200, 0
+    for _ in range(cases):
+        model = random_model(rng)
+        kb = random_multi_kb(rng)
+        text = rendered_requirement(rng, kb, model)
+        main, oracle = agreement(ast_of(text), kb, model)
+        assert main == oracle, text
+        matched += main[0] == "ok"
+    assert matched >= cases // 4
+
+
 ARTICLE_SPELLINGS = ["a", "an", "the", "A", "An", "The", "THE", "AN", "tHe"]
 ARTICLE_RUNS = st.lists(st.sampled_from(ARTICLE_SPELLINGS), min_size=1, max_size=3)
 
@@ -486,27 +511,112 @@ def test_outcome_ambiguous_when(kb):
     )
 
 
-def test_outcome_ambiguity_is_reported_once_per_context_it_is_met_in(kb):
-    # The Then span is read once for each of the two When readings.
-    text = "Given Gate in s1, When Gate receives Stops, Then Gate Stops Pump and goes in s2"
+def operation_then(operation: str) -> tuple[Binding, ...]:
+    """Then bindings of MR1 for "Gate Stops Pump"."""
+    return (
+        Binding("context3", BLOCK, "Gate", "Gate"),
+        Binding("operation", SIGNAL, "Stops", operation),
+        Binding("context4", BLOCK, "Pump", "Pump"),
+    )
 
-    def then(operation):
-        return (
-            Binding("context3", BLOCK, "Gate", "Gate"),
-            Binding("operation", SIGNAL, "Stops", operation),
-            Binding("context4", BLOCK, "Pump", "Pump"),
-        )
 
-    assert path_outcome(text, kb) == (
-        "AmbiguousMatch",
-        "R",
-        "MR1",
-        tuple(
-            gate_set(*receives(event, "Stops"), *then(operation))
-            for event in ("Stop", "Stops")
-            for operation in ("Stop", "Stops")
+GATE, HALT = ("Gate", "Gate"), ("Halt", "Halt")
+SEND_PAIR_KB = parse_kb(
+    PATH_KB_HEAD
+    + '  then:  "<<Block as a>> <<Signal as x>>"\n'
+    + '  then:  "<<Block as b>> <<Signal as y>>"\n'
+    + PATH_KB_TAIL
+)
+
+
+def send_pair_set(
+    a: tuple[str, str], x: tuple[str, str], y: tuple[str, str]
+) -> tuple[Binding, ...]:
+    """Bindings of SEND_PAIR_KB: Gate in s1, sends ``a x`` and ``Pump y``
+    (each slot given as (phrase, element)), then s2."""
+    return (
+        Binding("owner", BLOCK, "Gate", "Gate"),
+        Binding("src", STATE, "s1", "s1"),
+        Binding("a", BLOCK, *a),
+        Binding("x", SIGNAL, *x),
+        Binding("b", BLOCK, "Pump", "Pump"),
+        Binding("y", SIGNAL, *y),
+        Binding("dst", STATE, "s2", "s2"),
+    )
+
+
+@pytest.mark.parametrize(
+    "rules, text, metareq_id, binding_sets, ambiguities",
+    [
+        # The Then span is read once for each of the two When readings.
+        pytest.param(
+            default_kb(),
+            "Given Gate in s1, When Gate receives Stops, Then Gate Stops Pump and goes in s2",
+            "MR1",
+            tuple(
+                gate_set(*receives(event, "Stops"), *operation_then(operation))
+                for event in ("Stop", "Stops")
+                for operation in ("Stop", "Stops")
+            ),
+            (stops("event"), stops("operation"), stops("operation")),
+            id="per-when-reading",
         ),
-        (stops("event"), stops("operation"), stops("operation")),
+        # "Gate Stops" is the first group of two groupings but is read once;
+        # "Gate Stops and Pump Halt" is another group, read once too.
+        pytest.param(
+            SEND_PAIR_KB,
+            "Given Gate in s1, Then Gate Stops and Pump Halt and Pump Halt and goes in s2",
+            "M",
+            (
+                send_pair_set(GATE, ("Stops", "Stop"), ("Halt and Pump Halt", "Halt")),
+                send_pair_set(GATE, ("Stops", "Stops"), ("Halt and Pump Halt", "Halt")),
+                send_pair_set(GATE, ("Stops and Pump Halt", "Halt"), HALT),
+                send_pair_set(("Gate Stops and Pump", "Pump"), HALT, HALT),
+            ),
+            (stops("x"), stops("x")),
+            id="per-clause-group",
+        ),
+    ],
+)
+def test_outcome_ambiguity_is_reported_once_per_context_it_is_met_in(
+    rules, text, metareq_id, binding_sets, ambiguities
+):
+    assert path_outcome(text, rules) == (
+        "AmbiguousMatch", "R", metareq_id, binding_sets, ambiguities
+    )
+
+
+def test_a_clause_group_is_matched_once_per_context(monkeypatch):
+    """Only one-clause groups fit here, so each (template, first clause) is
+    reached by one context and the search makes at most n·k·(n−k+1)
+    match_clause calls. Matching every grouping again (C(n−1, k−1) = 33,649
+    of them) made 42,505."""
+    n, k = 24, 6
+    model = small_model(
+        blocks=[{"name": "Pump", "state_machine": {"states": ["Off", "On"], "transitions": []}}]
+    )
+    rules = parse_kb(
+        'metareq M -> F:\n  given: "<<Block as owner>> in <<State as src>>"\n'
+        + "".join(f'  then:  "<<Block as b{i}>> goes in <<State as s{i}>>"\n' for i in range(k))
+        + "fragment F:\n  owner: owner  source: src  target: s0\n"
+    )
+    calls = 0
+    real = matcher.match_clause
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matcher, "match_clause", counting)
+    text = "Given Pump in Off, Then " + " and ".join(["Pump goes in On"] * n) + "."
+    with pytest.raises(NoMatch) as info:
+        match_requirement(ast_of(text), rules, model)
+    assert calls <= n * k * (n - k + 1)
+    # The last template gets the 19 clauses left by five one-clause groups.
+    trailing = " ".join(["and Pump goes in On"] * (n - k))
+    assert info.value.diagnostics == (
+        MetaReqDiagnostic("M", f"trailing words {trailing!r} fit no template item", "then", 5),
     )
 
 

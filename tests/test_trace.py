@@ -6,6 +6,7 @@ from modcomplete import (
     complete_model,
     emit_requirement_diagram,
     emit_trace_json,
+    load_model,
     parse_corpus,
 )
 
@@ -29,6 +30,23 @@ def test_railway_trace_record(railway_model, railway_corpus, kb):
     assert len(record.generated) == 1
     (transition,) = result.model.block("Train").state_machine.transitions
     assert record.generated == (transition.id,)
+
+
+def test_a_block_and_a_signal_may_share_a_name(kb):
+    model = load_model(json.dumps({
+        "version": "1",
+        "name": "S",
+        "signals": [{"name": "Gate"}],
+        "blocks": [{"name": "Gate", "state_machine": {"states": ["s1", "s2"], "transitions": []}}],
+    }))
+    corpus = parse_corpus("Given Gate in s1, When Gate receives Gate, Then Gate goes in s2.")
+    (record,) = complete_model(model, corpus, kb).trace
+    assert [(link.element, link.metaclass.value, link.roles) for link in record.satisfies] == [
+        ("Gate", "Block", ("context1", "context2", "context3")),
+        ("Gate", "Signal", ("event",)),
+        ("s1", "State", ("starting",)),
+        ("s2", "State", ("final",)),
+    ]
 
 
 def test_unmatched_requirement_has_no_record(railway_model, kb):
