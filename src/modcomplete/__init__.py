@@ -47,7 +47,6 @@ from .matcher import (
     match_requirement,
     normalize_phrase,
     normalize_signal_phrase,
-    oracle_match,
 )
 from .model import (
     Block,
@@ -129,3 +128,13 @@ __all__ = [
     "emit_trace_json",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: ``oracle_match`` stays exported, but its module is loaded only
+    # the first time it is read; no run imports it.
+    if name == "oracle_match":
+        from .oracle import oracle_match
+
+        return oracle_match
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

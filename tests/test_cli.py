@@ -511,7 +511,8 @@ codes = [
     modcomplete.cli.main(["kb-lint"]),
 ]
 print("codes", *codes)
-print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string", "tempfile") if name in sys.modules))
+print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string", "tempfile", "modcomplete.oracle")
+                         if name in sys.modules))
 """
 
 
@@ -519,8 +520,10 @@ def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
     """Counts modules, times nothing: a fresh process that runs ``complete``,
     ``check`` and ``kb-lint`` never imports ``dataclasses`` (which brings in
     ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``string`` or
-    ``tempfile`` (which brings in ``shutil`` and ``random``). ``-S`` keeps
-    site hooks of the installation out of the count."""
+    ``tempfile`` (which brings in ``shutil`` and ``random``), and never
+    loads the reference oracle ``modcomplete.oracle``, which is compiled only
+    when ``oracle_match`` is first read. ``-S`` keeps site hooks of the
+    installation out of the count."""
     import subprocess
     import sys
 

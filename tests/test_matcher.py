@@ -24,7 +24,7 @@ from modcomplete import (
 from modcomplete import matcher
 from modcomplete.gherkin import ParseError, RequirementDoc
 from modcomplete.matcher import MetaReqDiagnostic, SpanAmbiguity
-from modcomplete.matcher import _oracle_clause_maps  # white-box: segmentation oracle
+from modcomplete.oracle import _oracle_clause_maps  # white-box: segmentation oracle
 
 from support import (
     agreement,

@@ -9,6 +9,8 @@ from __future__ import annotations
 import inspect
 from dataclasses import is_dataclass
 
+import pytest
+
 import modcomplete
 from modcomplete import matcher
 
@@ -74,6 +76,22 @@ def test_package_exports():
 def test_matcher_exports():
     assert matcher.__all__ == MATCHER_ALL
     assert all(hasattr(matcher, name) for name in MATCHER_ALL)
+
+
+def test_oracle_match_is_loaded_on_first_read():
+    """``oracle_match`` is exported by the package and by ``matcher`` but
+    lives in ``modcomplete.oracle``, which a module ``__getattr__`` imports
+    the first time the name is read. Other names still fail as usual."""
+    from modcomplete import oracle_match
+    from modcomplete.oracle import oracle_match as defined
+
+    assert oracle_match is defined
+    assert modcomplete.oracle_match is defined
+    assert matcher.oracle_match is defined
+    for module in (modcomplete, matcher):
+        assert not hasattr(module, "nope")
+        with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'nope'"):
+            module.nope
 
 
 def test_signatures():
