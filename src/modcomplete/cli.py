@@ -2,9 +2,10 @@
 
 Exit codes: 0 means no error-level findings, 2 means conflicts or validation
 errors were found, 1 means an input file was missing or unreadable, an output
-file could not be written, or two of ``complete``'s outputs, a diagram and
-the model, report or trace included, name the same file. With ``--strict``,
-warnings count as errors for the exit code.
+file could not be written, two of ``complete``'s outputs, a diagram and
+the model, report or trace included, name the same file, or (in the
+command, :func:`run`) stdout was closed before all output was written.
+With ``--strict``, warnings count as errors for the exit code.
 
 Stdout is for humans; machine-readable data goes to the output files, which
 are canonical JSON. ``complete`` stages every output as a temp file before it
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import sys
+from typing import NoReturn
 
 from .errors import ModcompleteError
 # parse_requirement and match_requirement are unused here; they stay
@@ -296,5 +299,28 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The ``modcomplete`` command: run :func:`main` on ``sys.argv`` and exit.
+
+    A reader that closes stdout early (``modcomplete check ... | head -1``)
+    ends the run with exit code 1 and no traceback; the rest of the output
+    goes to ``os.devnull``. The run leaves no reference cycles, so before
+    exiting every object is moved out of the collector's reach with
+    ``gc.freeze()``: the interpreter's collections at shutdown then have
+    nothing to traverse. The exit is ``sys.exit``, so atexit handlers (and
+    ``python -m cProfile``) still run. Use :func:`main` to run the CLI in a
+    process that goes on afterwards.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

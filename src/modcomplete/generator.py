@@ -205,7 +205,9 @@ def complete_model(
             fragment = kb.fragment_by_id(kb.metareq_by_id(match.metareq_id).fragment)
             instance = instantiate_fragment(fragment, match.binding_sets, model, doc.id)
         except (ParseError, MatchError, StateNotInOwnerMachine) as exc:
-            outcomes.append(RequirementOutcome(doc, match, exc))
+            # Without its traceback, which holds this frame and so
+            # ``outcomes``: the run then leaves no reference cycle.
+            outcomes.append(RequirementOutcome(doc, match, exc.with_traceback(None)))
             continue
         outcomes.append(RequirementOutcome(doc, match))
         attempts.append((doc, match, instance))

@@ -419,7 +419,9 @@ def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
             isinstance(b, SlotPattern) and a.metaclass is b.metaclass and rec(ai + 1, bi + 1)
         )
 
-    return rec(0, 0)
+    subsumes = rec(0, 0)
+    del rec  # a closure that reaches itself, freed as matcher.match_clause frees ``step``
+    return subsumes
 
 
 def _metareq_subsumes(a: MetaReq, b: MetaReq) -> bool:

@@ -279,6 +279,9 @@ def match_clause(
             )
 
     step(0, 0, ())
+    # ``step`` reaches itself through its closure cell; emptying the cell
+    # lets reference counting free it, with ``maps`` and ``seen``.
+    del step
     return ClauseMatches(tuple(maps), tuple(ambiguities), None if maps else best_failure)
 
 
@@ -373,6 +376,7 @@ def _match_section(
                 results.extend(extended)
 
     extend(0, 0, ctxs)
+    del extend  # as ``step`` in match_clause
     return _distinct(results) if results else best[1]
 
 

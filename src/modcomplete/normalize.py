@@ -36,7 +36,10 @@ WordSpan = Sequence[str] | str
 
 def clean_word(word: str) -> str:
     """Lowercase a word and drop every non-alphanumeric character."""
-    return "".join(ch for ch in word.lower() if ch.isalnum())
+    low = word.lower()
+    if low.isalnum():  # nothing to drop, as for almost every word
+        return low
+    return "".join(ch for ch in low if ch.isalnum())
 
 
 def split_words(phrase: WordSpan) -> list[str]:

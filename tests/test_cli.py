@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -478,38 +480,67 @@ def test_kb_env_var_default(tmp_path, capsys, monkeypatch):
     assert main(["kb-lint"]) == 1
 
 
-def test_module_entry_point():
-    import subprocess
-    import sys
-
-    env = dict(os.environ)
+def run_module(*args: str, stdout=subprocess.PIPE, env_update=None) -> subprocess.CompletedProcess:
+    """Run ``python -m modcomplete ARGS`` on this checkout's sources."""
+    env = {k: v for k, v in os.environ.items() if k != "MODCOMPLETE_KB"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "modcomplete", "check",
-            "--model", str(FIXTURES / "railway_model.json"),
-            "--reqs", str(FIXTURES / "railway.feature"),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert "REQ-001: MR1" in proc.stdout
+    env.update(env_update or {})
+    return subprocess.run([sys.executable, "-m", "modcomplete", *args],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.parametrize("reqs, code", [("railway.feature", 0), ("conflict.feature", 2), ("no-such.feature", 1)])
+def test_module_entry_point(capsys, reqs, code):
+    argv = ["check", "--model", str(FIXTURES / "railway_model.json"), "--reqs", str(FIXTURES / reqs), "--explain"]
+    proc = run_module(*argv)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_is_exit_1_without_traceback(unbuffered):
+    """The reader has gone before the first write: the run still ends with
+    exit code 1 and nothing on stderr, whether stdout is buffered or not."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module("check", "--model", str(FIXTURES / "railway_model.json"),
+                          "--reqs", str(FIXTURES / "railway.feature"), "--explain",
+                          stdout=write_end, env_update={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 STARTUP_RUN = """
+import gc
 import sys
 sys.path.insert(0, sys.argv[1])
 import modcomplete.cli
 model, reqs, out = sys.argv[2:5]
-codes = [
-    modcomplete.cli.main(["complete", "--model", model, "--reqs", reqs, "--out", out + "/model.json",
-                          "--report", out + "/report.json", "--trace", out + "/trace.json",
-                          "--diagrams", out + "/diagrams"]),
-    modcomplete.cli.main(["check", "--model", model, "--reqs", reqs, "--explain"]),
-    modcomplete.cli.main(["kb-lint"]),
+runs = [
+    ["complete", "--model", model, "--reqs", reqs, "--out", out + "/model.json",
+     "--report", out + "/report.json", "--trace", out + "/trace.json", "--diagrams", out + "/diagrams"],
+    ["check", "--model", model, "--reqs", reqs, "--explain"],
+    ["kb-lint"],
 ]
+
+def garbage_left_by(call, argv):
+    gc.collect()
+    gc.disable()
+    result = call(argv)
+    left = gc.collect()
+    gc.enable()
+    return result, left
+
+codes = []
+for argv in runs:
+    code, left = garbage_left_by(modcomplete.cli.main, argv)
+    _, parser_left = garbage_left_by(lambda argv: modcomplete.cli.build_parser().parse_args(argv), argv)
+    codes.append(code)
+    print("garbage", left, parser_left)
 print("codes", *codes)
 print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string", "tempfile", "modcomplete.oracle")
                          if name in sys.modules))
@@ -517,16 +548,15 @@ print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string", "t
 
 
 def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
-    """Counts modules, times nothing: a fresh process that runs ``complete``,
-    ``check`` and ``kb-lint`` never imports ``dataclasses`` (which brings in
-    ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``string`` or
-    ``tempfile`` (which brings in ``shutil`` and ``random``), and never
-    loads the reference oracle ``modcomplete.oracle``, which is compiled only
-    when ``oracle_match`` is first read. ``-S`` keeps site hooks of the
-    installation out of the count."""
-    import subprocess
-    import sys
-
+    """Counts modules and objects, times nothing: a fresh process that runs
+    ``complete``, ``check`` and ``kb-lint`` never imports ``dataclasses``
+    (which brings in ``inspect``, ``ast``, ``dis`` and ``tokenize``),
+    ``string`` or ``tempfile`` (which brings in ``shutil`` and ``random``),
+    and never loads the reference oracle ``modcomplete.oracle``, which is
+    compiled only when ``oracle_match`` is first read. ``-S`` keeps site
+    hooks of the installation out of the count. No run leaves more objects
+    in reference cycles than parsing its arguments alone: argparse's help
+    formatter sections are cyclic, the pipeline is not."""
     env = {k: v for k, v in os.environ.items() if k != "MODCOMPLETE_KB"}
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
@@ -539,6 +569,9 @@ def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "codes 0 0 0" in lines
+    garbage = [line.split()[1:] for line in lines if line.startswith("garbage ")]
+    assert len(garbage) == 3
+    assert all(int(left) <= int(parser_left) for left, parser_left in garbage), garbage
     assert lines[-1] == "loaded"
     assert (tmp_path / "diagrams" / "RD-REQ-001.puml").is_file()
 

@@ -73,6 +73,7 @@ def test_articles_never_survive(words):
 @example("")
 @example("Stop()")
 @example("\u0130stanbul")
+@example("\u0130")  # lowercases to "i" and a combining dot, which is not alphanumeric
 def test_clean_word_keeps_exactly_the_alphanumeric_characters(word):
     """Letters and digits of any script survive, lowercased; punctuation,
     space and symbols go, and "" stays ""."""
