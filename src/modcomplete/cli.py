@@ -3,7 +3,8 @@
 Exit codes: 0 means no error-level findings, 2 means conflicts or validation
 errors were found, 1 means an input file was missing or unreadable, an output
 file could not be written, two of ``complete``'s outputs, a diagram and
-the model, report or trace included, name the same file, or (in the
+the model, report or trace included, name the same file (or one names a
+directory that another must be written in), or (in the
 command, :func:`run`) stdout was closed before all output was written.
 With ``--strict``, warnings count as errors for the exit code.
 
@@ -88,18 +89,26 @@ def _stage(path: str, text: str, n: int) -> str:
 def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
     """Write every (option, what, path, text) output, or none of them.
 
-    Two outputs naming one file are refused before anything is staged. All
+    Two outputs naming one file, or an output inside a directory that
+    another output names, are refused before anything is staged. All
     outputs are then staged as temp files and only then renamed into place,
     so an output that cannot be written leaves every existing file as it
     was. Files get the mode ``open(path, "w")`` would give a new file.
     Raises InputError.
     """
-    seen: dict[str, str] = {}
-    for option, _, path, _ in outputs:
-        real = os.path.realpath(path)
+    seen: dict[str, tuple[str, str]] = {}
+    reals = [os.path.realpath(path) for _, _, path, _ in outputs]
+    for (option, _, path, _), real in zip(outputs, reals):
         if real in seen:
-            raise InputError(f"--{seen[real]} and --{option} name the same file {path!r}")
-        seen[real] = option
+            raise InputError(f"--{seen[real][0]} and --{option} name the same file {path!r}")
+        seen[real] = option, path
+    for (option, _, _, _), real in zip(outputs, reals):
+        parent = os.path.dirname(real)
+        while parent not in seen and parent != os.path.dirname(parent):
+            parent = os.path.dirname(parent)
+        if parent in seen:
+            other, other_path = seen[parent]
+            raise InputError(f"--{other} and --{option} name the same file {other_path!r}")
     staged: list[str] = []
     renamed = 0
     try:
@@ -133,7 +142,7 @@ def _run(args: argparse.Namespace) -> tuple[CompletionResult, list[Finding]]:
     except ModcompleteError as exc:
         raise InputError(str(exc)) from None
     result = complete_model(model, corpus, kb)
-    return result, check_acceptability(result.report, result.model)
+    return result, check_acceptability(result.report)
 
 
 def _exit_code(findings: list[Finding], strict: bool) -> int:

@@ -44,14 +44,6 @@ class FragmentInstance(NamedTuple):
     pairs: tuple[tuple[str, Transition], ...]  # (owner, transition)
     warnings: tuple[ReceivabilityWarning, ...] = ()
 
-    @property
-    def owner(self) -> str:
-        return self.pairs[0][0]
-
-    @property
-    def transitions(self) -> tuple[Transition, ...]:
-        return tuple(t for _, t in self.pairs)
-
 
 def instantiate_fragment(
     fragment: MetaFragment,
@@ -312,7 +304,7 @@ class Finding(NamedTuple):
     requirement_ids: tuple[str, ...] = ()
 
 
-def check_acceptability(report: CompletionReport, model: SystemModel) -> list[Finding]:
+def check_acceptability(report: CompletionReport) -> list[Finding]:
     """Derive acceptability findings from a completion report.
 
     Conflicts are errors; redundancy and non-receivable signals are

@@ -395,33 +395,26 @@ def _strip_article_optionals(items: tuple[TemplateItem, ...]) -> tuple[TemplateI
 
 
 def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
-    a_items = _strip_article_optionals(ta.items)
+    """True when every clause fitting ``tb`` fits ``ta``: a walk over ``ta``'s
+    items that keeps the set of positions in ``tb``'s items it can reach."""
     b_items = _strip_article_optionals(tb.items)
-
-    def rec(ai, bi):
-        if ai == len(a_items):
-            return bi == len(b_items)
-        a = a_items[ai]
-        b = b_items[bi] if bi < len(b_items) else None
-        if isinstance(a, OptionalLiteral):
-            if rec(ai + 1, bi):
-                return True
-            if isinstance(b, Literal) and b.word in a.words and rec(ai + 1, bi + 1):
-                return True
-            if isinstance(b, OptionalLiteral) and set(b.words) <= set(a.words) and rec(ai + 1, bi + 1):
-                return True
-            return False
-        if b is None:
-            return False
-        if isinstance(a, Literal):
-            return isinstance(b, Literal) and a.word == b.word and rec(ai + 1, bi + 1)
-        return (
-            isinstance(b, SlotPattern) and a.metaclass is b.metaclass and rec(ai + 1, bi + 1)
-        )
-
-    subsumes = rec(0, 0)
-    del rec  # a closure that reaches itself, freed as matcher.match_clause frees ``step``
-    return subsumes
+    reached = {0}
+    for a in _strip_article_optionals(ta.items):
+        nxt = set(reached) if isinstance(a, OptionalLiteral) else set()
+        for bi in reached:
+            b = b_items[bi] if bi < len(b_items) else None
+            if isinstance(a, OptionalLiteral):
+                fits = (isinstance(b, Literal) and b.word in a.words) or (
+                    isinstance(b, OptionalLiteral) and set(b.words) <= set(a.words)
+                )
+            elif isinstance(a, Literal):
+                fits = isinstance(b, Literal) and a.word == b.word
+            else:
+                fits = isinstance(b, SlotPattern) and a.metaclass is b.metaclass
+            if fits:
+                nxt.add(bi + 1)
+        reached = nxt
+    return len(b_items) in reached
 
 
 def _metareq_subsumes(a: MetaReq, b: MetaReq) -> bool:

@@ -79,7 +79,8 @@ class MatchResult(NamedTuple):
 
 
 class SpanAmbiguity(NamedTuple):
-    """A span resolved to more than one element (reported, never dropped)."""
+    """A slot whose phrase the competing binding sets of an
+    :class:`AmbiguousMatch` bind to more than one element (sorted)."""
 
     role: str
     metaclass: Metaclass
@@ -101,7 +102,6 @@ class ClauseMatches(NamedTuple):
     """All binding maps for one (clause, template) pair plus diagnostics."""
 
     maps: tuple[BindingSet, ...]
-    ambiguities: tuple[SpanAmbiguity, ...] = ()
     failure: ClauseFailure | None = None
 
 
@@ -150,11 +150,7 @@ class AmbiguousMatch(MatchError):
     """The winning rule admits two distinct complete binding sets."""
 
     def __init__(
-        self,
-        requirement_id: str,
-        metareq_id: str,
-        binding_sets: tuple[BindingSet, ...],
-        ambiguities: tuple[SpanAmbiguity, ...] = (),
+        self, requirement_id: str, metareq_id: str, binding_sets: tuple[BindingSet, ...]
     ) -> None:
         super().__init__(
             f"{requirement_id}: rule {metareq_id} fits in {len(binding_sets)} distinct ways"
@@ -162,7 +158,16 @@ class AmbiguousMatch(MatchError):
         self.requirement_id = requirement_id
         self.metareq_id = metareq_id
         self.binding_sets = binding_sets
-        self.ambiguities = ambiguities
+
+    @property
+    def ambiguities(self) -> tuple[SpanAmbiguity, ...]:
+        """One entry per (role, metaclass, phrase) that the binding sets bind
+        to more than one element, in order of first appearance."""
+        found: dict[tuple[str, Metaclass, str], set[str]] = {}
+        for binding_set in self.binding_sets:
+            for b in binding_set:
+                found.setdefault((b.role, b.metaclass, b.phrase), set()).add(b.element)
+        return tuple(SpanAmbiguity(*k, tuple(sorted(e))) for k, e in found.items() if len(e) > 1)
 
 
 def _binding_key(bindings: Iterable[Binding]) -> tuple[tuple[str, str], ...]:
@@ -181,8 +186,8 @@ def match_clause(
 
     Literals must match in order (case-insensitive, articles skippable);
     every slot span must resolve through ``lookup_elements``. A span
-    resolving to several elements forks the binding map and is reported as a
-    :class:`SpanAmbiguity`. A state slot is looked up in the machine of the
+    resolving to several elements forks the binding map, one map per
+    element. A state slot is looked up in the machine of the
     block bound to ``owner_role``, by this clause or in ``bound``; without
     such a binding it is looked up in every machine.
     """
@@ -192,8 +197,6 @@ def match_clause(
 
     maps: list[BindingSet] = []
     seen: set[tuple] = set()
-    ambiguities: list[SpanAmbiguity] = []
-    amb_seen: set[tuple] = set()
     best_failure: ClauseFailure | None = None
 
     def note_failure(ii, wi, detail, role=None, phrase=None):
@@ -257,15 +260,7 @@ def match_clause(
                 item.metaclass,
                 scope=state_scope(acc) if item.metaclass is Metaclass.STATE else None,
             )
-            candidates = sorted(set(elements))
-            if len(candidates) > 1:
-                amb_key = (item.role, phrase, tuple(candidates))
-                if amb_key not in amb_seen:
-                    amb_seen.add(amb_key)
-                    ambiguities.append(
-                        SpanAmbiguity(item.role, item.metaclass, phrase, tuple(candidates))
-                    )
-            for element in candidates:
+            for element in sorted(set(elements)):
                 resolved_any = True
                 binding = Binding(item.role, item.metaclass, phrase, element)
                 step(wi + length, ii + 1, acc + (binding,))
@@ -282,7 +277,7 @@ def match_clause(
     # ``step`` reaches itself through its closure cell; emptying the cell
     # lets reference counting free it, with ``maps`` and ``seen``.
     del step
-    return ClauseMatches(tuple(maps), tuple(ambiguities), None if maps else best_failure)
+    return ClauseMatches(tuple(maps), None if maps else best_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +314,6 @@ def _match_section(
     model: SystemModel,
     owner_role: str | None,
     ctxs: list[BindingSet],
-    ambiguities: list[SpanAmbiguity],
 ) -> list[BindingSet] | MetaReqDiagnostic:
     """Thread contexts through one section, grouping its clauses depth-first.
 
@@ -329,7 +323,7 @@ def _match_section(
     contexts it extends go on to the next template, so the groupings are
     visited in lexicographic order without matching a shared prefix again.
     Returns the distinct extended contexts, or the diagnostic of the group
-    that got furthest. Span ambiguities met on the way go to ``ambiguities``.
+    that got furthest.
     """
     if not templates:
         if clauses:
@@ -355,7 +349,6 @@ def _match_section(
             deepest = None
             for ctx in branch:
                 cm = match_clause(group, templates[ti], model, owner_role=owner_role, bound=ctx)
-                ambiguities.extend(cm.ambiguities)
                 extended.extend(ctx + mp for mp in cm.maps)
                 if cm.failure is not None and (
                     deepest is None
@@ -400,11 +393,7 @@ def _try_metareq(
         AmbiguousMatch: the rule fits with two distinct complete binding sets.
     """
     owner_role = kb.fragment_by_id(metareq.fragment).owner_role
-    ambiguities: list[SpanAmbiguity] = []
-
-    given = _match_section(
-        metareq.id, "given", ast.given, metareq.given, model, owner_role, [()], ambiguities
-    )
+    given = _match_section(metareq.id, "given", ast.given, metareq.given, model, owner_role, [()])
     if isinstance(given, MetaReqDiagnostic):
         return given
 
@@ -422,16 +411,12 @@ def _try_metareq(
 
     sets: list[BindingSet] = []
     for i, when_clauses in enumerate(alternatives):
-        # Ambiguities of a When reading that fails are not reported.
-        when_ambiguities: list[SpanAmbiguity] = []
         when = _match_section(
-            metareq.id, "when", when_clauses, metareq.when, model, owner_role, given,
-            when_ambiguities,
+            metareq.id, "when", when_clauses, metareq.when, model, owner_role, given
         )
         if not isinstance(when, MetaReqDiagnostic):
-            ambiguities.extend(when_ambiguities)
             candidates = _match_section(
-                metareq.id, "then", ast.then, metareq.then, model, owner_role, when, ambiguities
+                metareq.id, "then", ast.then, metareq.then, model, owner_role, when
             )
             if isinstance(candidates, MetaReqDiagnostic):
                 return candidates
@@ -443,7 +428,6 @@ def _try_metareq(
             tail = _tail_template(metareq.when[0])
             assert tail is not None  # templates declare at least one slot
             cm = match_clause(when_clauses[0], tail, model, owner_role=owner_role, bound=sets[0])
-            ambiguities.extend(cm.ambiguities)
             if not cm.maps:
                 return MetaReqDiagnostic(
                     metareq.id, f"When alternative {i + 1}: {cm.failure.detail}", "when", 0,
@@ -454,7 +438,7 @@ def _try_metareq(
             ]
         distinct = _distinct(candidates)
         if len(distinct) > 1:
-            raise AmbiguousMatch(ast.id, metareq.id, tuple(distinct), tuple(ambiguities))
+            raise AmbiguousMatch(ast.id, metareq.id, tuple(distinct))
         sets.append(distinct[0])
 
     return MatchResult(ast.id, metareq.id, tuple(sets), len(alternatives) if disjunctive else 0)

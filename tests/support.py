@@ -28,7 +28,13 @@ from modcomplete.kb import (
 )
 from modcomplete.gherkin import ClauseKind
 from modcomplete.model import Metaclass, SchemaError, SendEffect, Transition
-from modcomplete.normalize import core_words, normalize_phrase, normalize_signal_phrase, split_words
+from modcomplete.normalize import (
+    ARTICLES,
+    core_words,
+    normalize_phrase,
+    normalize_signal_phrase,
+    split_words,
+)
 
 
 def semantic(result: MatchResult):
@@ -42,12 +48,18 @@ def semantic(result: MatchResult):
 
 
 def outcome_of(fn, ast, kb, model):
+    """The outcome class; a match's ``semantic`` projection; or, for an
+    ambiguity, the set of its competing role->element assignments (a set,
+    because the two matchers may find them in different orders)."""
     try:
         return ("ok", semantic(fn(ast, kb, model)))
     except NoMatch:
         return ("NoMatch",)
-    except AmbiguousMatch:
-        return ("AmbiguousMatch",)
+    except AmbiguousMatch as exc:
+        return (
+            "AmbiguousMatch",
+            frozenset(tuple((b.role, b.element) for b in s) for s in exc.binding_sets),
+        )
 
 
 def agreement(ast, kb, model) -> tuple:
@@ -353,6 +365,41 @@ def _reference_lookup_exact(
             if normalize_phrase(state.name) == form:
                 found.append(state.name)
     return found
+
+
+def reference_template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
+    """``kb._template_subsumes`` as a depth-first recursion that tries both
+    branches of every optional literal: exponential in optional literals,
+    so only for small templates."""
+
+    def strip(items):
+        return tuple(
+            i for i in items if not (isinstance(i, OptionalLiteral) and set(i.words) <= ARTICLES)
+        )
+
+    return _reference_subsumes_from(strip(ta.items), strip(tb.items), 0, 0)
+
+
+def _reference_subsumes_from(a_items, b_items, ai: int, bi: int) -> bool:
+    if ai == len(a_items):
+        return bi == len(b_items)
+    a = a_items[ai]
+    b = b_items[bi] if bi < len(b_items) else None
+    if isinstance(a, OptionalLiteral):
+        if _reference_subsumes_from(a_items, b_items, ai + 1, bi):
+            return True
+        if isinstance(b, Literal) and b.word in a.words:
+            return _reference_subsumes_from(a_items, b_items, ai + 1, bi + 1)
+        if isinstance(b, OptionalLiteral) and set(b.words) <= set(a.words):
+            return _reference_subsumes_from(a_items, b_items, ai + 1, bi + 1)
+        return False
+    if b is None:
+        return False
+    if isinstance(a, Literal):
+        fits = isinstance(b, Literal) and a.word == b.word
+    else:
+        fits = isinstance(b, SlotPattern) and a.metaclass is b.metaclass
+    return fits and _reference_subsumes_from(a_items, b_items, ai + 1, bi + 1)
 
 
 def reference_transition_identity(

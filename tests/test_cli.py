@@ -355,6 +355,29 @@ def test_report_colliding_with_a_diagram_writes_nothing(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("outputs, first, second", [
+    *((["--diagrams", "o.json", other, "o.json"], other, "--diagrams")
+      for other in ("--out", "--report", "--trace")),
+    (["--out", "o.json", "--trace", os.path.join("o.json", "sub", "trace.json")],
+     "--out", "--trace"),
+])
+def test_output_inside_a_directory_another_output_names_creates_nothing(
+    tmp_path, capsys, monkeypatch, outputs, first, second
+):
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "complete",
+        "--model", str(FIXTURES / "railway_model.json"),
+        "--reqs", str(FIXTURES / "railway.feature"),
+        *outputs,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {first} and {second} name the same file 'o.json'"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_same_file_name_in_distinct_directories_is_not_a_collision(tmp_path):
     code, _ = run_complete(
         tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
@@ -469,6 +492,28 @@ def test_kb_lint_detects_shadowing(tmp_path, capsys):
     path.write_text(shadowed, encoding="utf-8")
     assert main(["kb-lint", "--kb", str(path)]) == 2
     assert "NARROW is shadowed by higher-priority WIDE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gos, code", [(15, 2), (31, 0)])
+def test_kb_lint_rule_with_thirty_optional_literals(tmp_path, capsys, gos, code):
+    """WIDE's 30 optional "go"s absorb 15 of NARROW's but not 31; both
+    answers need the search to rule out the other placements."""
+    optional, literal = " (go)?" * 30, " go" * gos
+    text = (
+        'metareq WIDE -> F1:\n'
+        f'  given: "<<Block as b1>>{optional} in <<State as s1>>"\n'
+        '  then:  "goes in <<State as f1>>"\n'
+        "fragment F1:\n  owner: b1   source: s1   target: f1\n"
+        'metareq NARROW -> F2:\n'
+        f'  given: "<<Block as b2>>{literal} in <<State as s2>>"\n'
+        '  then:  "goes in <<State as f2>>"\n'
+        "fragment F2:\n  owner: b2   source: s2   target: f2\n"
+    )
+    path = tmp_path / "kb.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["kb-lint", "--kb", str(path)]) == code
+    out = capsys.readouterr().out
+    assert ("NARROW is shadowed by higher-priority WIDE" in out) == (code == 2)
 
 
 def test_kb_env_var_default(tmp_path, capsys, monkeypatch):

@@ -37,8 +37,8 @@ def test_instantiate_railway_fragment(railway_model, railway_ast, kb):
     match = match_requirement(railway_ast, kb, railway_model)
     fragment = kb.fragment_by_id("F1")
     instance = instantiate_fragment(fragment, match.binding_sets, railway_model, "REQ-001")
-    assert instance.owner == "Train"
-    (transition,) = instance.transitions
+    ((owner, transition),) = instance.pairs
+    assert owner == "Train"
     assert (transition.source, transition.target, transition.trigger) == (
         "Running", "Braking", "EmergencyStop",
     )
@@ -56,7 +56,7 @@ def test_instantiate_triggerless_fragment(kb):
     match = match_requirement(ast, kb, model)
     assert match.metareq_id == "MR3"
     instance = instantiate_fragment(kb.fragment_by_id("F3"), match.binding_sets, model, "R")
-    (transition,) = instance.transitions
+    ((_, transition),) = instance.pairs
     assert transition.trigger is None and transition.effects == ()
 
 
@@ -69,10 +69,10 @@ def test_instantiate_disjunctive_fans_out(kb):
     ast = ast_of("Given Gate in s1, When Gate receives Sig1 or Sig2, Then Gate goes in s2")
     match = match_requirement(ast, kb, model)
     instance = instantiate_fragment(kb.fragment_by_id("F2"), match.binding_sets, model, "R")
-    assert len(instance.transitions) == 2
-    assert {t.trigger for t in instance.transitions} == {"Sig1", "Sig2"}
+    assert len(instance.pairs) == 2
+    assert {t.trigger for _, t in instance.pairs} == {"Sig1", "Sig2"}
     stripped = {
-        (t.source, t.target, t.effects) for t in instance.transitions
+        (t.source, t.target, t.effects) for _, t in instance.pairs
     }
     assert len(stripped) == 1  # identical but for trigger
 
@@ -247,7 +247,7 @@ def test_conservation(railway_model, railway_corpus, kb):
 
 def test_acceptability_clean_run(railway_model, railway_corpus, kb):
     result = complete_model(railway_model, railway_corpus, kb)
-    findings = check_acceptability(result.report, result.model)
+    findings = check_acceptability(result.report)
     assert [f for f in findings if f.severity == "error"] == []
     assert findings == []
 
@@ -255,7 +255,7 @@ def test_acceptability_clean_run(railway_model, railway_corpus, kb):
 def test_acceptability_redundancy_warning(railway_model, kb):
     corpus = corpus_of(("R1", RAILWAY_REQUIREMENT), ("R2", RAILWAY_REQUIREMENT))
     result = complete_model(railway_model, corpus, kb)
-    findings = check_acceptability(result.report, result.model)
+    findings = check_acceptability(result.report)
     redundancy = [f for f in findings if f.kind == "Redundancy"]
     assert len(redundancy) == 1
     assert redundancy[0].severity == "warning"
@@ -269,7 +269,7 @@ def test_acceptability_conflict_error(railway_model, kb):
     )
     corpus = corpus_of(("REQ-A", RAILWAY_REQUIREMENT), ("REQ-B", conflicting))
     result = complete_model(railway_model, corpus, kb)
-    findings = check_acceptability(result.report, result.model)
+    findings = check_acceptability(result.report)
     conflicts = [f for f in findings if f.kind == "Conflict"]
     assert len(conflicts) == 1
     assert conflicts[0].severity == "error"
@@ -279,7 +279,7 @@ def test_acceptability_conflict_error(railway_model, kb):
 def test_acceptability_unverifiable_info(railway_model, kb):
     corpus = corpus_of(("R1", "Given a Spaceship in orbit, Then it goes in reentry."))
     result = complete_model(railway_model, corpus, kb)
-    findings = check_acceptability(result.report, result.model)
+    findings = check_acceptability(result.report)
     assert [f.kind for f in findings] == ["Unverifiable"]
     assert findings[0].severity == "info"
 
@@ -291,7 +291,7 @@ def test_signal_not_receivable_warning(railway_model_text, kb):
             block["receivable_signals"] = ["EmergencyStop"]  # Activate missing
     model = load_model(json.dumps(doc))
     result = complete_model(model, parse_corpus("@id: R1\n" + RAILWAY_REQUIREMENT), kb)
-    findings = check_acceptability(result.report, result.model)
+    findings = check_acceptability(result.report)
     warnings = [f for f in findings if f.kind == "SignalNotReceivable"]
     assert len(warnings) == 1
     assert warnings[0].severity == "warning"
@@ -306,7 +306,7 @@ def test_receivable_omitted_means_unchecked(railway_model_text, kb):
         block.pop("receivable_signals", None)
     model = load_model(json.dumps(doc))
     result = complete_model(model, parse_corpus(RAILWAY_REQUIREMENT), kb)
-    findings = check_acceptability(result.report, result.model)
+    findings = check_acceptability(result.report)
     assert [f for f in findings if f.kind == "SignalNotReceivable"] == []
 
 
@@ -337,7 +337,7 @@ def test_non_singular_info_for_multi_effect_rule():
     (transition_entry,) = result.report.added
     transition = result.model.block("Gate").state_machine.transitions[0]
     assert len(transition.effects) == 2
-    findings = check_acceptability(result.report, result.model)
+    findings = check_acceptability(result.report)
     non_singular = [f for f in findings if f.kind == "NonSingular"]
     assert len(non_singular) == 1
     assert non_singular[0].severity == "info"

@@ -3,10 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcomplete import default_kb, parse_kb, serialize_kb
 from modcomplete.gherkin import ClauseKind
 from modcomplete.kb import (
+    ClauseTemplate,
     DuplicateRole,
     KBSyntaxError,
     Literal,
@@ -14,10 +17,11 @@ from modcomplete.kb import (
     SlotPattern,
     UnknownFragment,
     UntypedRole,
+    _template_subsumes,
 )
 from modcomplete.model import Metaclass
 
-from support import random_kb
+from support import random_kb, reference_template_subsumes
 
 
 def test_default_kb_shape():
@@ -189,3 +193,38 @@ def test_optional_literal_syntax():
     assert Literal("goes") in then_items
     assert SlotPattern(Metaclass.SIGNAL, "op") in then_items
     assert kb.metareqs[0].then[0].kind is ClauseKind.THEN
+
+
+SUBSUMPTION_WORDS = ["go", "to", "in"]
+TEMPLATE_ITEMS = st.one_of(
+    st.sampled_from([Literal(w) for w in SUBSUMPTION_WORDS]),
+    st.lists(st.sampled_from(SUBSUMPTION_WORDS + ["the"]), min_size=1, max_size=3, unique=True)
+    .map(lambda words: OptionalLiteral(tuple(words))),
+    st.just(OptionalLiteral(("a", "an", "the"))),
+    st.sampled_from([SlotPattern(Metaclass.BLOCK, "b"), SlotPattern(Metaclass.SIGNAL, "s")]),
+)
+TEMPLATES = st.lists(TEMPLATE_ITEMS, max_size=7).map(
+    lambda items: ClauseTemplate(ClauseKind.THEN, tuple(items))
+)
+
+
+def specializations(template: ClauseTemplate):
+    """Templates that ``template`` subsumes, or nearly: each optional literal
+    is dropped, kept, or pinned to one of its words."""
+
+    def choices(item):
+        if isinstance(item, OptionalLiteral):
+            return st.sampled_from([(), (item,)] + [(Literal(w),) for w in item.words])
+        return st.just((item,))
+
+    return st.tuples(*map(choices, template.items)).map(
+        lambda parts: ClauseTemplate(template.kind, tuple(i for part in parts for i in part))
+    )
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_template_subsumption_agrees_with_the_reference_recursion(data):
+    ta = data.draw(TEMPLATES)
+    tb = data.draw(st.one_of(TEMPLATES, specializations(ta)))
+    assert _template_subsumes(ta, tb) == reference_template_subsumes(ta, tb)

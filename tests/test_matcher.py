@@ -178,9 +178,11 @@ def test_ambiguous_span_raises_ambiguous_match(kb):
     with pytest.raises(AmbiguousMatch) as info:
         match_requirement(ast, kb, model)
     assert len(info.value.binding_sets) == 2
-    assert info.value.ambiguities  # the span ambiguity is reported
-    with pytest.raises(AmbiguousMatch):
+    assert info.value.ambiguities == (SpanAmbiguity("event", SIGNAL, "Stops", ("Stop", "Stops")),)
+    with pytest.raises(AmbiguousMatch) as oracle_info:
         oracle_match(ast, kb, model)
+    # The oracle's error derives the same ambiguity from its binding sets.
+    assert oracle_info.value.ambiguities == info.value.ambiguities
 
 
 def test_priority_respects_file_order(kb):
@@ -548,7 +550,8 @@ def send_pair_set(
 @pytest.mark.parametrize(
     "rules, text, metareq_id, binding_sets, ambiguities",
     [
-        # The Then span is read once for each of the two When readings.
+        # The Then span is read once for each of the two When readings, and
+        # each ambiguous slot is listed once.
         pytest.param(
             default_kb(),
             "Given Gate in s1, When Gate receives Stops, Then Gate Stops Pump and goes in s2",
@@ -558,11 +561,12 @@ def send_pair_set(
                 for event in ("Stop", "Stops")
                 for operation in ("Stop", "Stops")
             ),
-            (stops("event"), stops("operation"), stops("operation")),
+            (stops("event"), stops("operation")),
             id="per-when-reading",
         ),
-        # "Gate Stops" is the first group of two groupings but is read once;
-        # "Gate Stops and Pump Halt" is another group, read once too.
+        # "Gate Stops" is the first group of two groupings, and
+        # "Gate Stops and Pump Halt" is another group: x's phrase "Stops"
+        # binds two elements, and the other phrases one each.
         pytest.param(
             SEND_PAIR_KB,
             "Given Gate in s1, Then Gate Stops and Pump Halt and Pump Halt and goes in s2",
@@ -573,12 +577,12 @@ def send_pair_set(
                 send_pair_set(GATE, ("Stops and Pump Halt", "Halt"), HALT),
                 send_pair_set(("Gate Stops and Pump", "Pump"), HALT, HALT),
             ),
-            (stops("x"), stops("x")),
+            (stops("x"),),
             id="per-clause-group",
         ),
     ],
 )
-def test_outcome_ambiguity_is_reported_once_per_context_it_is_met_in(
+def test_outcome_ambiguity_is_listed_once_per_ambiguous_phrase(
     rules, text, metareq_id, binding_sets, ambiguities
 ):
     assert path_outcome(text, rules) == (
@@ -622,7 +626,8 @@ def test_a_clause_group_is_matched_once_per_context(monkeypatch):
 
 def test_outcome_ambiguous_elliptical_alternative_leaves_out_the_failed_reading():
     # "Stops" read as a whole When clause binds cause ambiguously and then
-    # fails; only the elliptical reading's ambiguity (slot event) is reported.
+    # fails; the competing sets are the elliptical reading's, so only its
+    # ambiguity (slot event) is listed.
     kb = path_kb("<<Signal as cause>> with <<Signal as event>>")
     text = "Given Gate in s1, When Halt with Ping or Stops, Then goes in s2"
     assert path_outcome(text, kb) == (

@@ -57,6 +57,9 @@ SIGNATURES = {
         "binding_sets: tuple[tuple[modcomplete.matcher.Binding, ...], ...], "
         "model: modcomplete.model.SystemModel, requirement_id: str) -> modcomplete.generator.FragmentInstance"
     ),
+    "check_acceptability": (
+        "(report: modcomplete.generator.CompletionReport) -> list[modcomplete.generator.Finding]"
+    ),
     "complete_model": (
         "(model: modcomplete.model.SystemModel, corpus: list[modcomplete.gherkin.RequirementDoc], "
         "kb: modcomplete.kb.KnowledgeBase) -> modcomplete.generator.CompletionResult"

@@ -81,7 +81,6 @@ METAREQ = MetaReq("M1", (TEMPLATE,), (), (), "F1")
 BINDING = Binding("b", Metaclass.BLOCK, "the Brake", "Brake")
 MATCH = MatchResult("R1", "M1", ((BINDING,),), 1)
 FAILURE = ClauseFailure(2, 3, "no element", "s", "fast")
-AMBIGUITY = SpanAmbiguity("b", Metaclass.BLOCK, "Brake", ("Brake", "Emergency Brake"))
 EFFECT = SendEffect("Stop", "Brake")
 TRANSITION = Transition("abc", "a", "b", "Go", None, (EFFECT,), ("R1",))
 MACHINE = StateMachine("Brake", (State("a"),), (), "a")
@@ -163,13 +162,11 @@ RECORDS = [
      "ClauseFailure(item_index=2, word_index=3, detail='no element', role='s', phrase='fast')",
      dict(item_index=0, word_index=1, detail="d"),
      "ClauseFailure(item_index=0, word_index=1, detail='d', role=None, phrase=None)"),
-    (ClauseMatches, dict(maps=((BINDING,),), ambiguities=(AMBIGUITY,), failure=FAILURE),
+    (ClauseMatches, dict(maps=((BINDING,),), failure=FAILURE),
      "ClauseMatches(maps=((Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, "
-     "phrase='the Brake', element='Brake'),),), ambiguities=(SpanAmbiguity(role='b', "
-     "metaclass=<Metaclass.BLOCK: 'Block'>, phrase='Brake', elements=('Brake', "
-     "'Emergency Brake')),), failure=ClauseFailure(item_index=2, word_index=3, "
-     "detail='no element', role='s', phrase='fast'))",
-     dict(maps=()), "ClauseMatches(maps=(), ambiguities=(), failure=None)"),
+     "phrase='the Brake', element='Brake'),),), failure=ClauseFailure(item_index=2, "
+     "word_index=3, detail='no element', role='s', phrase='fast'))",
+     dict(maps=()), "ClauseMatches(maps=(), failure=None)"),
     (MetaReqDiagnostic, dict(metareq_id="M1", reason="no fit", section="Given", template_index=0,
                              role="s", phrase="fast"),
      "MetaReqDiagnostic(metareq_id='M1', reason='no fit', section='Given', template_index=0, "
