@@ -10,8 +10,8 @@ With ``--strict``, warnings count as errors for the exit code.
 
 Stdout is for humans; machine-readable data goes to the output files, which
 are canonical JSON. ``complete`` stages every output as a temp file before it
-renames any into place, so a failed write replaces no output; new files get
-the mode the umask allows.
+renames any into place, so a failed write replaces no output and leaves no
+directory it created; new files get the mode the umask allows.
 """
 
 from __future__ import annotations
@@ -61,6 +61,19 @@ def _read_file(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 
+def _make_parents(path: str, made: list[str]) -> None:
+    """Create the missing directories above ``path``, outermost first, and
+    append each to ``made``. A parent that is not a directory raises
+    NotADirectoryError."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.exists(directory):
+        _make_parents(directory, made)
+        os.mkdir(directory)
+        made.append(directory)
+    elif not os.path.isdir(directory):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
+
+
 def _stage(path: str, text: str, n: int) -> str:
     """Write ``text`` to a new temp file beside ``path``, named
     ``.modcomplete-<pid>-<n>.tmp`` with the first free ``n`` from the one
@@ -69,7 +82,6 @@ def _stage(path: str, text: str, n: int) -> str:
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     while True:
         tmp = os.path.join(directory, f".modcomplete-{os.getpid()}-{n}.tmp")
         try:
@@ -90,11 +102,11 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
     """Write every (option, what, path, text) output, or none of them.
 
     Two outputs naming one file, or an output inside a directory that
-    another output names, are refused before anything is staged. All
-    outputs are then staged as temp files and only then renamed into place,
-    so an output that cannot be written leaves every existing file as it
-    was. Files get the mode ``open(path, "w")`` would give a new file.
-    Raises InputError.
+    another output names, are refused before anything is staged. Missing
+    directories are created, every output is staged as a temp file, and
+    only then are they renamed into place: an output that cannot be written
+    leaves every existing file as it was and no new empty directory. Files
+    get the mode ``open(path, "w")`` would give a new file. Raises InputError.
     """
     seen: dict[str, tuple[str, str]] = {}
     reals = [os.path.realpath(path) for _, _, path, _ in outputs]
@@ -109,21 +121,19 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
         if parent in seen:
             other, other_path = seen[parent]
             raise InputError(f"--{other} and --{option} name the same file {other_path!r}")
+    made: list[str] = []
     staged: list[str] = []
     renamed = 0
     try:
+        # An OSError leaves ``what`` and ``path`` naming the output it hit.
+        for _, what, path, _ in outputs:
+            _make_parents(path, made)
         for _, what, path, text in outputs:
-            try:
-                staged.append(_stage(path, text, len(staged)))
-            except OSError as exc:
-                raise InputError(f"cannot write {what} {path!r}: {exc}") from None
+            staged.append(_stage(path, text, len(staged)))
         for (_, what, path, _), tmp in zip(outputs, staged):
-            try:
-                os.replace(tmp, path)
-            except OSError as exc:
-                raise InputError(f"cannot write {what} {path!r}: {exc}") from None
+            os.replace(tmp, path)
             renamed += 1
-    finally:
+    except BaseException as exc:
         # Only names not yet renamed are still this run's: once renamed, a
         # name is free for another writer to create.
         for tmp in staged[renamed:]:
@@ -131,6 +141,15 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
                 os.unlink(tmp)
             except FileNotFoundError:
                 pass
+        # Deepest first; a directory that holds a renamed output stays.
+        for directory in reversed(made):
+            try:
+                os.rmdir(directory)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {what} {path!r}: {exc}") from None
+        raise
 
 
 def _run(args: argparse.Namespace) -> tuple[CompletionResult, list[Finding]]:

@@ -42,7 +42,6 @@ __all__ = [
     "normalize_signal_phrase",
     "match_clause",
     "match_requirement",
-    "oracle_match",
 ]
 
 SPAN_LIMIT = 4  # raw words per slot span
@@ -89,7 +88,8 @@ class SpanAmbiguity(NamedTuple):
 
 
 class ClauseFailure(NamedTuple):
-    """Deepest failure point while matching one clause against a template."""
+    """Deepest failure point while matching one clause against a template;
+    its first two fields are how far the match got."""
 
     item_index: int
     word_index: int
@@ -174,46 +174,41 @@ def _binding_key(bindings: Iterable[Binding]) -> tuple[tuple[str, str], ...]:
     return tuple((b.role, b.element) for b in bindings)
 
 
+def _owner_scope(ctx: BindingSet, owner_role: str | None) -> str | None:
+    """The element ``ctx`` binds to ``owner_role`` (its last binding), or None."""
+    return {b.role: b.element for b in ctx}.get(owner_role)
+
+
 def match_clause(
     clause: Clause,
     template: ClauseTemplate,
     model: SystemModel,
     *,
     owner_role: str | None = None,
-    bound: BindingSet = (),
+    scope: str | None = None,
 ) -> ClauseMatches:
     """All slot-span assignments of ``clause`` against ``template``.
 
     Literals must match in order (case-insensitive, articles skippable);
     every slot span must resolve through ``lookup_elements``. A span
     resolving to several elements forks the binding map, one map per
-    element. A state slot is looked up in the machine of the
-    block bound to ``owner_role``, by this clause or in ``bound``; without
-    such a binding it is looked up in every machine.
+    element. A state slot is looked up in the machine of ``scope``, the
+    block the context binds to ``owner_role``, until the clause binds
+    ``owner_role`` itself; with neither, it is looked up in every machine.
+    So (word, item, scope) is the whole state of the search.
     """
     words = clause.words
     items = template.items
-    bound_by_role = {b.role: b for b in bound}
 
-    maps: list[BindingSet] = []
-    seen: set[tuple] = set()
+    maps: dict[tuple, BindingSet] = {}  # binding key -> first map with it
     best_failure: ClauseFailure | None = None
 
     def note_failure(ii, wi, detail, role=None, phrase=None):
         nonlocal best_failure
-        if best_failure is None or (ii, wi) > (best_failure.item_index, best_failure.word_index):
+        if best_failure is None or (ii, wi) > best_failure[:2]:
             best_failure = ClauseFailure(ii, wi, detail, role, phrase)
 
-    def state_scope(acc):
-        if owner_role is not None:
-            for b in acc:
-                if b.role == owner_role:
-                    return b.element
-            if owner_role in bound_by_role:
-                return bound_by_role[owner_role].element
-        return None
-
-    def step(wi, ii, acc):
+    def step(wi, ii, acc, scope):
         # Skip the whole run of articles here, once: every nested call then
         # consumes a template item, so the recursion depth is bounded by
         # len(items), not by the clause length.
@@ -221,10 +216,7 @@ def match_clause(
             wi += 1
         if ii == len(items):
             if wi == len(words):
-                key = _binding_key(acc)
-                if key not in seen:
-                    seen.add(key)
-                    maps.append(acc)
+                maps.setdefault(_binding_key(acc), acc)
             else:
                 trailing = " ".join(t.text for t in words[wi:])
                 note_failure(ii, wi, f"trailing words {trailing!r} fit no template item")
@@ -232,15 +224,15 @@ def match_clause(
         item = items[ii]
         if isinstance(item, Literal):
             if wi < len(words) and words[wi].lower == item.word:
-                step(wi + 1, ii + 1, acc)
+                step(wi + 1, ii + 1, acc, scope)
             else:
                 got = words[wi].text if wi < len(words) else "end of clause"
                 note_failure(ii, wi, f"expected literal {item.word!r}, got {got!r}")
             return
         if isinstance(item, OptionalLiteral):
             if wi < len(words) and words[wi].lower in item.words:
-                step(wi + 1, ii + 1, acc)
-            step(wi, ii + 1, acc)
+                step(wi + 1, ii + 1, acc, scope)
+            step(wi, ii + 1, acc, scope)
             return
         # slot
         if wi == len(words):
@@ -258,12 +250,13 @@ def match_clause(
                 model,
                 [t.text for t in span],
                 item.metaclass,
-                scope=state_scope(acc) if item.metaclass is Metaclass.STATE else None,
+                scope=scope if item.metaclass is Metaclass.STATE else None,
             )
             for element in sorted(set(elements)):
                 resolved_any = True
                 binding = Binding(item.role, item.metaclass, phrase, element)
-                step(wi + length, ii + 1, acc + (binding,))
+                step(wi + length, ii + 1, acc + (binding,),
+                     element if item.role == owner_role else scope)
         if not resolved_any:
             note_failure(
                 ii,
@@ -273,11 +266,11 @@ def match_clause(
                 phrase=phrase,
             )
 
-    step(0, 0, ())
+    step(0, 0, (), scope)
     # ``step`` reaches itself through its closure cell; emptying the cell
-    # lets reference counting free it, with ``maps`` and ``seen``.
+    # lets reference counting free it, with ``maps``.
     del step
-    return ClauseMatches(tuple(maps), None if maps else best_failure)
+    return ClauseMatches(tuple(maps.values()), None if maps else best_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +341,13 @@ def _match_section(
             extended = []
             deepest = None
             for ctx in branch:
-                cm = match_clause(group, templates[ti], model, owner_role=owner_role, bound=ctx)
+                cm = match_clause(group, templates[ti], model, owner_role=owner_role,
+                                  scope=_owner_scope(ctx, owner_role))
                 extended.extend(ctx + mp for mp in cm.maps)
-                if cm.failure is not None and (
-                    deepest is None
-                    or (cm.failure.item_index, cm.failure.word_index)
-                    > (deepest.item_index, deepest.word_index)
-                ):
+                if cm.failure is not None and (deepest is None or cm.failure[:2] > deepest[:2]):
                     deepest = cm.failure
             if not extended:
-                progress = (ti, deepest.item_index, deepest.word_index)
+                progress = (ti, *deepest[:2])
                 diag = MetaReqDiagnostic(
                     metareq_id, deepest.detail, section, ti, deepest.role, deepest.phrase
                 )
@@ -373,15 +363,11 @@ def _match_section(
     return _distinct(results) if results else best[1]
 
 
-def _tail_template(template: ClauseTemplate) -> ClauseTemplate | None:
-    """Sub-template from the last slot onward, for elliptical alternatives."""
-    last = None
-    for i, item in enumerate(template.items):
-        if isinstance(item, SlotPattern):
-            last = i
-    if last is None:
-        return None
-    return ClauseTemplate(template.kind, template.items[last:])
+def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
+    """Sub-template from the last slot onward, for elliptical alternatives
+    (``parse_kb`` rejects a template without a slot)."""
+    slots = [i for i, item in enumerate(template.items) if isinstance(item, SlotPattern)]
+    return ClauseTemplate(template.kind, template.items[slots[-1]:])
 
 
 def _try_metareq(
@@ -425,21 +411,21 @@ def _try_metareq(
         else:
             # Elliptical alternative: only the final slot of the template,
             # read against the first alternative's bindings.
-            tail = _tail_template(metareq.when[0])
-            assert tail is not None  # templates declare at least one slot
-            cm = match_clause(when_clauses[0], tail, model, owner_role=owner_role, bound=sets[0])
+            cm = match_clause(when_clauses[0], _tail_template(metareq.when[0]), model,
+                              owner_role=owner_role, scope=_owner_scope(sets[0], owner_role))
             if not cm.maps:
                 return MetaReqDiagnostic(
                     metareq.id, f"When alternative {i + 1}: {cm.failure.detail}", "when", 0,
                     cm.failure.role, cm.failure.phrase,
                 )
+            # The tail binds one slot of ``sets[0]``, and its maps differ
+            # in that slot's element, so the candidates are distinct too.
             candidates = [
                 tuple({b.role: b for b in mp}.get(b.role, b) for b in sets[0]) for mp in cm.maps
             ]
-        distinct = _distinct(candidates)
-        if len(distinct) > 1:
-            raise AmbiguousMatch(ast.id, metareq.id, tuple(distinct))
-        sets.append(distinct[0])
+        if len(candidates) > 1:
+            raise AmbiguousMatch(ast.id, metareq.id, tuple(candidates))
+        sets.append(candidates[0])
 
     return MatchResult(ast.id, metareq.id, tuple(sets), len(alternatives) if disjunctive else 0)
 
@@ -463,12 +449,3 @@ def match_requirement(
         diagnostics.append(outcome)
     raise NoMatch(ast.id, tuple(diagnostics))
 
-
-def __getattr__(name: str):
-    # PEP 562: the reference oracle (``modcomplete.oracle``) is compiled and
-    # loaded the first time it is asked for, so no run pays for it.
-    if name == "oracle_match":
-        from .oracle import oracle_match
-
-        return oracle_match
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

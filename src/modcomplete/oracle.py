@@ -9,8 +9,10 @@ linear scan of the model, so the test suite can cross-check the production
 matcher against it; the two must agree on result or error class.
 
 No ``complete``, ``check`` or ``kb-lint`` run uses it. The module is imported
-only on first use, when ``modcomplete.oracle_match`` or
-``modcomplete.matcher.oracle_match`` is read.
+only on first use, when ``modcomplete.oracle_match`` is read. It takes only
+records and ``SPAN_LIMIT`` from ``matcher``: the clause rejoining, the
+elliptical tail and the de-duplication below are its own, so a bug in the
+matcher's versions is not shared.
 """
 
 import itertools
@@ -18,21 +20,36 @@ from typing import Sequence
 
 from .gherkin import Clause, RequirementAST, Token, WhenMode
 from .kb import ClauseTemplate, KnowledgeBase, Literal, OptionalLiteral, SlotPattern
-from .matcher import (
-    SPAN_LIMIT,
-    AmbiguousMatch,
-    Binding,
-    BindingSet,
-    MatchResult,
-    NoMatch,
-    _binding_key,
-    _tail_template,
-    merge_clauses,
-)
+from .matcher import SPAN_LIMIT, AmbiguousMatch, Binding, BindingSet, MatchResult, NoMatch
 from .model import Metaclass, SystemModel
 from .normalize import ARTICLES, core_words, normalize_phrase, normalize_signal_phrase
 
 __all__ = ["oracle_match"]
+
+
+def _oracle_join(clauses: Sequence[Clause]) -> Clause:
+    """Consecutive clauses read as the one clause they were split from: the
+    connective that opened each later clause is one of its words again."""
+    words: list[Token] = []
+    for i, clause in enumerate(clauses):
+        if i and clause.lead is not None:
+            words.append(clause.lead)
+        words.extend(clause.words)
+    return Clause(clauses[0].kind, tuple(words))
+
+
+def _oracle_tail(template: ClauseTemplate) -> ClauseTemplate:
+    """An elliptical alternative's template: the last slot and what follows it."""
+    last = max(i for i, item in enumerate(template.items) if isinstance(item, SlotPattern))
+    return ClauseTemplate(template.kind, template.items[last:])
+
+
+def _oracle_unique(candidates: Sequence[BindingSet]) -> list[BindingSet]:
+    """One candidate per sequence of (role, element) pairs, the first one met."""
+    first: dict[tuple, BindingSet] = {}
+    for candidate in candidates:
+        first.setdefault(tuple((b.role, b.element) for b in candidate), candidate)
+    return list(first.values())
 
 
 def _span_phrase(span: Sequence[Token]) -> str:
@@ -164,14 +181,7 @@ def _oracle_clause_maps(
             if not partial_lists:
                 break
         out.extend(partial_lists)
-    deduped: list[BindingSet] = []
-    seen: set[tuple] = set()
-    for candidate in out:
-        key = _binding_key(candidate)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(candidate)
-    return deduped
+    return _oracle_unique(out)
 
 
 def _oracle_section(
@@ -189,7 +199,7 @@ def _oracle_section(
     m, p = len(clauses), len(templates)
     for cut in itertools.combinations(range(1, m), p - 1):
         bounds = (0,) + cut + (m,)
-        groups = [merge_clauses(clauses[bounds[i] : bounds[i + 1]]) for i in range(p)]
+        groups = [_oracle_join(clauses[bounds[i] : bounds[i + 1]]) for i in range(p)]
         branch = list(ctxs)
         for group, template in zip(groups, templates):
             branch = [
@@ -200,14 +210,7 @@ def _oracle_section(
             if not branch:
                 break
         results.extend(branch)
-    deduped: list[BindingSet] = []
-    seen: set[tuple] = set()
-    for candidate in results:
-        key = _binding_key(candidate)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(candidate)
-    return deduped
+    return _oracle_unique(results)
 
 
 def oracle_match(ast: RequirementAST, kb: KnowledgeBase, model: SystemModel) -> MatchResult:
@@ -243,21 +246,15 @@ def oracle_match(ast: RequirementAST, kb: KnowledgeBase, model: SystemModel) -> 
                 if i == 0 or first_set is None:
                     feasible = False
                     break
-                tail = _tail_template(template)
-                assert tail is not None
+                tail = _oracle_tail(template)
                 tail_maps = _oracle_clause_maps(alternative, tail, model, owner_role, first_set)
                 if not tail_maps:
                     feasible = False
                     break
-                variants: list[BindingSet] = []
-                seen: set[tuple] = set()
-                for mp in tail_maps:
-                    replacement = {b.role: b for b in mp}
-                    candidate = tuple(replacement.get(b.role, b) for b in first_set)
-                    key = _binding_key(candidate)
-                    if key not in seen:
-                        seen.add(key)
-                        variants.append(candidate)
+                variants = _oracle_unique([
+                    tuple({b.role: b for b in mp}.get(b.role, b) for b in first_set)
+                    for mp in tail_maps
+                ])
                 if len(variants) > 1:
                     raise AmbiguousMatch(ast.id, metareq.id, tuple(variants))
                 sets.append(variants[0])

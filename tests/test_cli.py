@@ -245,6 +245,26 @@ def test_unwritable_output_path_is_exit_1(tmp_path, capsys, option, target, what
     assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == []
 
 
+def test_a_failed_complete_removes_the_directories_it_created(tmp_path, capsys, monkeypatch):
+    """The model's new directory is created before the report's parent, a
+    regular file, fails; the failed run removes it again and names the
+    cause."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    code = main([
+        "complete",
+        "--model", str(FIXTURES / "railway_model.json"),
+        "--reqs", str(FIXTURES / "railway.feature"),
+        "--out", os.path.join("newdir", "deeper", "m.json"),
+        "--report", os.path.join("afile", "x.json"),
+    ])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot write report {os.path.join('afile', 'x.json')!r}: ")
+    assert "Not a directory" in line
+    assert [p.name for p in tmp_path.rglob("*")] == ["afile"]
+
+
 def test_outputs_follow_the_umask(tmp_path):
     old = os.umask(0o022)
     try:
@@ -878,3 +898,44 @@ def test_report_and_trace_bytes_are_pinned(tmp_path):
     assert {finding["kind"] for finding in report["findings"]} == {
         "Conflict", "Redundancy", "SignalNotReceivable", "NonSingular", "Unverifiable",
     }
+
+
+def golden_complete_argv(model: Path, out: Path) -> list[str]:
+    return [
+        "complete",
+        "--model", str(model),
+        "--reqs", str(REPORT_GOLDEN / "reqs.feature"),
+        "--kb", str(REPORT_GOLDEN / "kb.txt"),
+        "--out", str(out / "model.json"),
+        "--report", str(out / "report.json"),
+        "--trace", str(out / "trace.json"),
+        "--diagrams", str(out / "diagrams"),
+    ]
+
+
+def test_golden_run_is_byte_identical_under_every_hash_seed(tmp_path):
+    """Four processes with ``PYTHONHASHSEED`` 0 to 3 write the same model,
+    report, trace and diagrams, print the same lines and exit alike: no
+    output depends on the order of a set or a dict of strings."""
+    runs = []
+    for seed in range(4):
+        out = tmp_path / str(seed)
+        proc = run_module(*golden_complete_argv(REPORT_GOLDEN / "model.json", out),
+                          env_update={"PYTHONHASHSEED": str(seed)})
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+    assert runs[0][0] == 2 and runs[0][2] == ""
+    assert {"model.json", "report.json", "trace.json"} < set(runs[0][3])
+    assert any(name.startswith("diagrams/") for name in runs[0][3])
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_a_second_complete_on_its_own_output_adds_nothing(tmp_path, capsys):
+    """Completing the completed model again finds every generated transition
+    already there: nothing is added, and the model's bytes do not change."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(golden_complete_argv(REPORT_GOLDEN / "model.json", first)) == 2
+    assert main(golden_complete_argv(first / "model.json", second)) == 2
+    report = json.loads((second / "report.json").read_text(encoding="utf-8"))
+    assert (len(report["added"]), len(report["duplicates"])) == (0, 5)
+    assert (second / "model.json").read_bytes() == (first / "model.json").read_bytes()

@@ -32,7 +32,7 @@ PACKAGE_ALL = [
 MATCHER_ALL = [
     "Binding", "MatchResult", "SpanAmbiguity", "ClauseMatches", "MetaReqDiagnostic",
     "MatchError", "NoMatch", "AmbiguousMatch", "normalize_phrase", "normalize_signal_phrase",
-    "match_clause", "match_requirement", "oracle_match",
+    "match_clause", "match_requirement",
 ]
 
 # The record modules do not postpone annotations, so each annotation is the
@@ -46,7 +46,7 @@ SIGNATURES = {
     "match_clause": (
         "(clause: modcomplete.gherkin.Clause, template: modcomplete.kb.ClauseTemplate, "
         "model: modcomplete.model.SystemModel, *, owner_role: str | None = None, "
-        "bound: tuple[modcomplete.matcher.Binding, ...] = ()) -> modcomplete.matcher.ClauseMatches"
+        "scope: str | None = None) -> modcomplete.matcher.ClauseMatches"
     ),
     "lookup_elements": (
         "(model: modcomplete.model.SystemModel, phrase, metaclass: modcomplete.model.Metaclass, "
@@ -82,19 +82,35 @@ def test_matcher_exports():
 
 
 def test_oracle_match_is_loaded_on_first_read():
-    """``oracle_match`` is exported by the package and by ``matcher`` but
-    lives in ``modcomplete.oracle``, which a module ``__getattr__`` imports
-    the first time the name is read. Other names still fail as usual."""
+    """``oracle_match`` is exported by the package but lives in
+    ``modcomplete.oracle``, which a module ``__getattr__`` imports the first
+    time the name is read; ``matcher`` no longer exports it. Other names
+    still fail as usual."""
     from modcomplete import oracle_match
     from modcomplete.oracle import oracle_match as defined
 
     assert oracle_match is defined
     assert modcomplete.oracle_match is defined
-    assert matcher.oracle_match is defined
+    assert not hasattr(matcher, "oracle_match")
     for module in (modcomplete, matcher):
         assert not hasattr(module, "nope")
         with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'nope'"):
             module.nope
+
+
+def test_oracle_shares_only_records_with_the_matcher():
+    """The reference oracle rejoins clauses, cuts the elliptical tail and
+    drops repeated binding sets with its own code, so a bug in the matcher's
+    ``merge_clauses``, ``_tail_template`` or ``_binding_key`` cannot hide
+    from the differential tests. From ``matcher`` it takes only records and
+    ``SPAN_LIMIT``."""
+    from modcomplete import oracle
+
+    helpers = (matcher.merge_clauses, matcher._tail_template, matcher._binding_key)
+    own = (oracle._oracle_join, oracle._oracle_tail, oracle._oracle_unique)
+    assert all(mine is not theirs for mine in own for theirs in helpers)
+    assert not [value for value in vars(oracle).values()
+                if inspect.isfunction(value) and value.__module__ == matcher.__name__]
 
 
 def test_signatures():
