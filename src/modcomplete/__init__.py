@@ -56,7 +56,6 @@ from .model import (
     SchemaError,
     SendEffect,
     Signal,
-    State,
     StateMachine,
     SystemModel,
     Transition,
@@ -113,7 +112,6 @@ __all__ = [
     "SchemaError",
     "SendEffect",
     "Signal",
-    "State",
     "StateMachine",
     "SystemModel",
     "Transition",

@@ -65,13 +65,16 @@ def _make_parents(path: str, made: list[str]) -> None:
     """Create the missing directories above ``path``, outermost first, and
     append each to ``made``. A parent that is not a directory raises
     NotADirectoryError."""
+    missing = []
     directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.exists(directory):
-        _make_parents(directory, made)
+    while not os.path.exists(directory):
+        missing.append(directory)
+        directory = os.path.dirname(directory)
+    if not os.path.isdir(directory):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
+    for directory in reversed(missing):
         os.mkdir(directory)
         made.append(directory)
-    elif not os.path.isdir(directory):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
 
 
 def _stage(path: str, text: str, n: int) -> str:

@@ -70,11 +70,10 @@ def instantiate_fragment(
         machine = block.state_machine
         if machine is None:
             raise StateNotInOwnerMachine(f"block {owner!r} has no state machine")
-        state_names = set(machine.state_names())
         source = elements[fragment.source_role]
         target = elements[fragment.target_role]
         for state in (source, target):
-            if state not in state_names:
+            if state not in machine.states:
                 raise StateNotInOwnerMachine(
                     f"state {state!r} is not in the machine of {owner!r}"
                 )

@@ -147,6 +147,10 @@ _ITEM_RE = re.compile(
 )
 _FRAG_KEY_RE = re.compile(r"\b(owner|source|target|trigger|effect)\s*:")
 
+#: The most items one template holds, and the most templates one section of a
+#: metareq holds. The matcher recurses once per item and once per template.
+SIZE_LIMIT = 100
+
 
 def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemplate:
     items: list[TemplateItem] = []
@@ -185,6 +189,8 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
                 items.append(Literal(word))
     if not any(isinstance(i, SlotPattern) for i in items):
         raise KBSyntaxError(f"{kind} template declares no slot", line_no, col0)
+    if len(items) > SIZE_LIMIT:
+        raise KBSyntaxError(f"{kind} template has {len(items)} items, more than {SIZE_LIMIT}", line_no, col0)
     return ClauseTemplate(SECTION_KIND[kind], tuple(items))
 
 
@@ -209,7 +215,8 @@ def parse_kb(text: str) -> KnowledgeBase:
     """Parse and validate a knowledge-base document.
 
     Raises:
-        KBSyntaxError: malformed line, template or duplicate id.
+        KBSyntaxError: malformed line, template or duplicate id, or a
+            template or section larger than ``SIZE_LIMIT``.
         UnknownFragment: a metareq maps to an undefined fragment.
         UntypedRole: a fragment role is undeclared or wrongly typed.
         DuplicateRole: a role is declared twice within one metareq.
@@ -242,8 +249,11 @@ def parse_kb(text: str) -> KnowledgeBase:
             if current is None:
                 raise KBSyntaxError("clause template outside a metareq block", line_no)
             kind, body = m.group(1), m.group(2)
+            section = current["templates"][kind]
+            if len(section) == SIZE_LIMIT:
+                raise KBSyntaxError(f"more than {SIZE_LIMIT} {kind} templates in one metareq", line_no)
             col0 = raw.index('"') + 2
-            current["templates"][kind].append(_parse_template(kind, body, line_no, col0))
+            section.append(_parse_template(kind, body, line_no, col0))
             continue
         if current_fragment is not None:
             for key, value, col in _parse_fragment_pairs(raw, line_no):

@@ -68,10 +68,6 @@ class Signal(NamedTuple):
     display: str | None = None
 
 
-class State(NamedTuple):
-    name: str
-
-
 class SendEffect(NamedTuple):
     """Action on a transition: send ``signal`` to ``target_block``."""
 
@@ -90,13 +86,11 @@ class Transition(NamedTuple):
 
 
 class StateMachine(NamedTuple):
-    owner: str
-    states: tuple[State, ...] = ()
+    """The machine of the block that holds it; ``states`` are names."""
+
+    states: tuple[str, ...] = ()
     transitions: tuple[Transition, ...] = ()
     initial: str | None = None
-
-    def state_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.states)
 
 
 class Block(NamedTuple):
@@ -112,11 +106,10 @@ class _SystemModelFields(NamedTuple):
     name: str
     blocks: tuple[Block, ...] = ()
     signals: tuple[Signal, ...] = ()
-    version: str = MODEL_FORMAT_VERSION
 
 
 class SystemModel(_SystemModelFields):
-    """The four fields are the value. The instance ``__dict__`` holds only
+    """The three fields are the value. The instance ``__dict__`` holds only
     the lazy lookup caches below, which stay out of equality, hashing,
     ``repr`` and ``_replace``; no attribute can be set or deleted."""
 
@@ -156,9 +149,9 @@ class SystemModel(_SystemModelFields):
             index[(Metaclass.BLOCK, None, normalize_phrase(block.name))].append(block.name)
             if block.state_machine is not None:
                 for state in block.state_machine.states:
-                    form = normalize_phrase(state.name)
-                    index[(Metaclass.STATE, block.name, form)].append(state.name)
-                    index[(Metaclass.STATE, None, form)].append(state.name)
+                    form = normalize_phrase(state)
+                    index[(Metaclass.STATE, block.name, form)].append(state)
+                    index[(Metaclass.STATE, None, form)].append(state)
         for signal in self.signals:
             index[(Metaclass.SIGNAL, None, normalize_phrase(signal.name))].append(signal.name)
         return index
@@ -339,13 +332,13 @@ def _effect_error(obj: Any, path: str) -> None:
 def _parse_machine(obj: Any, owner: str, path: str, wrong_ids: list[str]) -> StateMachine:
     _expect(obj, dict, path, "state_machine")
     _reject_unknown_keys(obj, {"initial", "states", "transitions"}, path)
-    states = tuple(State(n) for n in _expect_str_list(obj.get("states", []), f"{path}.states", "states"))
+    states = _expect_str_list(obj.get("states", []), f"{path}.states", "states")
     entries = _expect(obj.get("transitions", []), list, f"{path}.transitions", "transitions")
     transitions = _parse_transitions(entries, owner, path, wrong_ids)
     initial = obj.get("initial")
     if initial is not None:
         _expect(initial, str, f"{path}.initial", "initial")
-    return StateMachine(owner=owner, states=states, transitions=transitions, initial=initial)
+    return StateMachine(states, transitions, initial)
 
 
 def _parse_block(obj: Any, path: str, wrong_ids: list[str]) -> Block:
@@ -412,7 +405,7 @@ def load_model(text: str) -> SystemModel:
     entries = _expect(doc.get("blocks", []), list, "$.blocks", "blocks")
     wrong_ids: list[str] = []
     blocks = [_parse_block(entry, f"$.blocks[{i}]", wrong_ids) for i, entry in enumerate(entries)]
-    model = SystemModel(name=name, blocks=tuple(blocks), signals=tuple(signals), version=version)
+    model = SystemModel(name=name, blocks=tuple(blocks), signals=tuple(signals))
     validate_model(model, ids_checked=not wrong_ids)
     return _normalized(model)
 
@@ -432,15 +425,7 @@ def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
         path = f"$.blocks[{i}]"
         if not block.name:
             raise ValidationError("block name must be non-empty", f"{path}.name")
-        norm = normalize_phrase(block.name)
-        if not norm:
-            raise ValidationError(f"block name {block.name!r} normalizes to nothing", f"{path}.name")
-        if norm in seen_norm:
-            raise ValidationError(
-                f"block name {block.name!r} collides with {seen_norm[norm]!r} under normalization",
-                f"{path}.name",
-            )
-        seen_norm[norm] = block.name
+        _check_normal_form("block", block.name, f"{path}.name", seen_norm)
 
     signal_names = {s.name for s in model.signals}
     seen_norm = {}
@@ -455,13 +440,7 @@ def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
                 f"signal name {signal.name!r} must be the canonical form without parentheses",
                 f"{path}.name",
             )
-        norm = normalize_phrase(signal.name)
-        if norm in seen_norm:
-            raise ValidationError(
-                f"signal name {signal.name!r} collides with {seen_norm[norm]!r} under normalization",
-                f"{path}.name",
-            )
-        seen_norm[norm] = signal.name
+        _check_normal_form("signal", signal.name, f"{path}.name", seen_norm)
 
     for i, block in enumerate(model.blocks):
         path = f"$.blocks[{i}]"
@@ -492,21 +471,32 @@ def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
                 )
 
 
+def _check_normal_form(kind: str, name: str, path: str, seen_norm: dict[str, str]) -> None:
+    """A block or signal name must survive normalization, and no earlier
+    name of its kind in ``seen_norm`` may share its normal form."""
+    norm = normalize_phrase(name)
+    if not norm:
+        raise ValidationError(f"{kind} name {name!r} normalizes to nothing", path)
+    if norm in seen_norm:
+        raise ValidationError(
+            f"{kind} name {name!r} collides with {seen_norm[norm]!r} under normalization", path
+        )
+    seen_norm[norm] = name
+
+
 def _validate_machine(
     block: Block, block_names: set[str], signal_names: set[str], path: str, ids_checked: bool
 ) -> None:
     machine = block.state_machine
     assert machine is not None
     mpath = f"{path}.state_machine"
-    if machine.owner != block.name:
-        raise ValidationError("machine owner must be its block", mpath)
     names = set()
     for j, state in enumerate(machine.states):
-        if not state.name:
+        if not state:
             raise ValidationError("state name must be non-empty", f"{mpath}.states[{j}]")
-        if state.name in names:
-            raise ValidationError(f"duplicate state {state.name!r}", f"{mpath}.states[{j}]")
-        names.add(state.name)
+        if state in names:
+            raise ValidationError(f"duplicate state {state!r}", f"{mpath}.states[{j}]")
+        names.add(state)
     if machine.initial is not None and machine.initial not in names:
         raise ValidationError(f"initial state {machine.initial!r} undefined", f"{mpath}.initial")
     tpath = mpath + ".transitions[%d]"  # formatted only for an error
@@ -524,7 +514,7 @@ def _validate_machine(
                 raise ValidationError(
                     f"effect target {target_block!r} is not a block", f"{tpath % j}.effects[{k}]"
                 )
-        if not ids_checked and tid != transition_identity(machine.owner, source, target, trigger, effects):
+        if not ids_checked and tid != transition_identity(block.name, source, target, trigger, effects):
             raise ValidationError(f"transition id {tid!r} does not match content hash", tpath % j)
 
 
@@ -561,12 +551,8 @@ def _normalized(model: SystemModel) -> SystemModel:
     transitions are kept as they are, only reordered."""
 
     def norm_machine(m):
-        return StateMachine(
-            owner=m.owner,
-            states=tuple(sorted(m.states, key=lambda s: s.name)),
-            transitions=tuple(sorted(m.transitions, key=lambda t: t.id)),
-            initial=m.initial,
-        )
+        transitions = tuple(sorted(m.transitions, key=lambda t: t.id))
+        return StateMachine(tuple(sorted(m.states)), transitions, m.initial)
 
     def norm_block(b):
         return Block(
@@ -582,7 +568,6 @@ def _normalized(model: SystemModel) -> SystemModel:
         name=model.name,
         blocks=tuple(sorted((norm_block(b) for b in model.blocks), key=lambda b: b.name)),
         signals=tuple(sorted(model.signals, key=lambda s: s.name)),
-        version=model.version,
     )
 
 
@@ -731,7 +716,7 @@ def save_model(model: SystemModel) -> str:
         if b.state_machine is not None:
             m = b.state_machine
             machine: dict[str, Any] = {
-                "states": sorted(s.name for s in m.states),
+                "states": sorted(m.states),
                 "transitions": _Transitions(sorted(m.transitions, key=lambda t: t.id)),
             }
             if m.initial is not None:
@@ -744,7 +729,7 @@ def save_model(model: SystemModel) -> str:
         if s.display is not None:
             entry["display"] = s.display
         signals.append(entry)
-    doc = {"version": model.version, "name": model.name, "signals": signals, "blocks": blocks}
+    doc = {"version": MODEL_FORMAT_VERSION, "name": model.name, "signals": signals, "blocks": blocks}
     return dump_canonical(doc)
 
 
@@ -788,9 +773,8 @@ def add_transition(model: SystemModel, owner: str, t: Transition) -> MergeOutcom
     machine = block.state_machine
     if machine is None:
         raise UnknownOwner(f"block {owner!r} has no state machine")
-    state_names = set(machine.state_names())
     for state in (t.source, t.target):
-        if state not in state_names:
+        if state not in machine.states:
             raise UnknownState(f"state {state!r} not in machine of {owner!r}")
     signal_names = {s.name for s in model.signals}
     if t.trigger is not None and t.trigger not in signal_names:

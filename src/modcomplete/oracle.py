@@ -84,11 +84,7 @@ def _oracle_resolve(
                     continue
                 if block.state_machine is None:
                     continue
-                found.extend(
-                    st.name
-                    for st in block.state_machine.states
-                    if normalize_phrase(st.name) == joined
-                )
+                found.extend(st for st in block.state_machine.states if normalize_phrase(st) == joined)
         if found:
             return sorted(set(found))
     return []

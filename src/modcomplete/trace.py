@@ -86,9 +86,7 @@ def _element_exists(model: SystemModel, name: str, metaclass: Metaclass) -> bool
         return model.block(name) is not None
     if metaclass is Metaclass.SIGNAL:
         return model.signal(name) is not None
-    return any(
-        name in machine.state_names() for machine in model.machines()
-    )
+    return any(name in machine.states for machine in model.machines())
 
 
 def _node_id(prefix: str, name: str) -> str:

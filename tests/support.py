@@ -124,7 +124,7 @@ def random_requirement(rng: random.Random, model: SystemModel) -> str:
     mix of fitting, almost-fitting and broken shapes."""
     machines = [b for b in model.blocks if b.state_machine]
     block = rng.choice(machines) if machines else rng.choice(model.blocks)
-    states = list(block.state_machine.state_names()) if block.state_machine else ["idle", "busy"]
+    states = list(block.state_machine.states) if block.state_machine else ["idle", "busy"]
     s1 = rng.choice(states)
     s2 = rng.choice(states)
     any_block = rng.choice(model.blocks)
@@ -295,7 +295,7 @@ def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemMod
     metareq = rng.choice(kb.metareqs)
     owner = kb.fragment_by_id(metareq.fragment).owner_role
     machines = [b for b in model.blocks if b.state_machine]
-    states = machines[0].state_machine.state_names()
+    states = machines[0].state_machine.states
     words_by_metaclass = {
         Metaclass.BLOCK: lambda: _render_block(rng, rng.choice(model.blocks).name),
         Metaclass.SIGNAL: lambda: _render_signal(
@@ -331,6 +331,18 @@ def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemMod
     return " ".join(words) + "."
 
 
+def sized_rule(items: int, templates: int) -> str:
+    """A rule whose first Then template has ``items`` items and whose Then
+    section has ``templates`` templates."""
+    then = ["goes in <<State as f>>" + " go" * (items - 3)]
+    then += [f"<<Block as b{i}>> stops" for i in range(1, templates)]
+    return (
+        'metareq M -> F:\n  given: "<<Block as b>> in <<State as s>>"\n'
+        + "".join(f'  then:  "{template}"\n' for template in then)
+        + "fragment F:\n  owner: b   source: s   target: f\n"
+    )
+
+
 def reference_lookup_elements(
     model: SystemModel, phrase, metaclass: Metaclass, scope: str | None = None
 ) -> list[str]:
@@ -362,8 +374,8 @@ def _reference_lookup_exact(
         if block.state_machine is None:
             continue
         for state in block.state_machine.states:
-            if normalize_phrase(state.name) == form:
-                found.append(state.name)
+            if normalize_phrase(state) == form:
+                found.append(state)
     return found
 
 
@@ -442,7 +454,7 @@ def reference_model_doc(model: SystemModel) -> dict:
         if b.state_machine is not None:
             m = b.state_machine
             machine: dict = {
-                "states": sorted(s.name for s in m.states),
+                "states": sorted(m.states),
                 "transitions": [_reference_transition_doc(t) for t in sorted(m.transitions, key=lambda t: t.id)],
             }
             if m.initial is not None:
@@ -455,7 +467,7 @@ def reference_model_doc(model: SystemModel) -> dict:
         if s.display is not None:
             entry["display"] = s.display
         signals.append(entry)
-    return {"version": model.version, "name": model.name, "signals": signals, "blocks": blocks}
+    return {"version": "1", "name": model.name, "signals": signals, "blocks": blocks}
 
 
 def _reference_transition_doc(t: Transition) -> dict:

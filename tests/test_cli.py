@@ -13,6 +13,7 @@ from modcomplete.cli import main
 from modcomplete.kb import DEFAULT_KB_TEXT
 
 from conftest import FIXTURES, RAILWAY_REQUIREMENT
+from support import sized_rule
 
 
 def run_complete(tmp_path: Path, model: str, reqs: str, *extra: str) -> tuple[int, Path]:
@@ -263,6 +264,30 @@ def test_a_failed_complete_removes_the_directories_it_created(tmp_path, capsys, 
     assert line.startswith(f"error: cannot write report {os.path.join('afile', 'x.json')!r}: ")
     assert "Not a directory" in line
     assert [p.name for p in tmp_path.rglob("*")] == ["afile"]
+
+
+def test_a_deep_output_path_is_written(tmp_path, capsys, monkeypatch):
+    """1,200 missing directories above ``--out`` are created one by one."""
+    monkeypatch.chdir(tmp_path)
+    out = "a/" * 1200 + "m.json"
+    try:
+        code = main([
+            "complete",
+            "--model", str(FIXTURES / "railway_model.json"),
+            "--reqs", str(FIXTURES / "railway.feature"),
+            "--out", out, "--report", "r.json", "--trace", "t.json",
+        ])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(Path(out).read_text(encoding="utf-8"))["name"]
+    finally:
+        # pytest's own clean-up recurses once per directory level.
+        if os.path.exists(out):
+            os.remove(out)
+        directory = os.path.dirname(out)
+        while directory and os.path.isdir(directory):
+            os.rmdir(directory)
+            directory = os.path.dirname(directory)
 
 
 def test_outputs_follow_the_umask(tmp_path):
@@ -534,6 +559,31 @@ def test_kb_lint_rule_with_thirty_optional_literals(tmp_path, capsys, gos, code)
     assert main(["kb-lint", "--kb", str(path)]) == code
     out = capsys.readouterr().out
     assert ("NARROW is shadowed by higher-priority WIDE" in out) == (code == 2)
+
+
+# A rule with 1,100 literal words in one Then template, or with 1,100 Then
+# templates; a Then section that spells it out; and the error for the rule.
+OVERSIZED_RULES = {
+    "items": (sized_rule(1103, 1), "goes in braking" + " go" * 1100,
+              "line 3, column 11: then template has 1103 items, more than 100"),
+    "templates": (sized_rule(3, 1100), "goes in braking" + " and Train stops" * 1099,
+                  "line 103, column 1: more than 100 then templates in one metareq"),
+}
+
+
+@pytest.mark.parametrize("shape", ["items", "templates"])
+@pytest.mark.parametrize("command", ["check", "complete", "kb-lint"])
+def test_an_oversized_rule_is_one_error_line(tmp_path, capsys, command, shape):
+    """The matcher recurses once per template item and once per template,
+    so ``parse_kb`` refuses a rule past the limit before any matching."""
+    kb_text, then, error = OVERSIZED_RULES[shape]
+    kb, reqs = tmp_path / "kb.txt", tmp_path / "reqs.feature"
+    kb.write_text(kb_text, encoding="utf-8")
+    reqs.write_text(f"Feature: F\nScenario: S\nGiven a Train in running, Then {then}.\n", encoding="utf-8")
+    code = main(io_argv(tmp_path, command, {"--kb": str(kb), "--reqs": str(reqs)}))
+    assert code == (2 if command == "kb-lint" else 1)
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_kb_env_var_default(tmp_path, capsys, monkeypatch):

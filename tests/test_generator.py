@@ -23,6 +23,7 @@ from modcomplete.gherkin import RequirementDoc
 from modcomplete.model import validate_model
 
 from conftest import RAILWAY_REQUIREMENT
+from support import random_model, random_multi_kb, rendered_requirement
 
 
 def ast_of(text, rid="R"):
@@ -233,6 +234,43 @@ def test_corpus_order_insensitivity(railway_model, kb):
         )
     assert len(outputs) == 1
     assert len(conflict_sets) == 1
+
+
+def random_corpus(rng: random.Random, model, kb) -> list[RequirementDoc]:
+    """Up to 30 requirements rendered from ``kb``'s rules, a quarter of them
+    exact repeats of an earlier text under a new id."""
+    texts: list[str] = []
+    for _ in range(rng.randint(1, 30)):
+        repeat = texts and rng.random() < 0.25
+        texts.append(rng.choice(texts) if repeat else rendered_requirement(rng, kb, model))
+    return [RequirementDoc(id=f"R{i}", text=text) for i, text in enumerate(texts, start=1)]
+
+
+def test_random_corpora_keep_order_and_split_invariants():
+    """(a) A shuffled corpus gives the same model bytes, conflict records and
+    unmatched entries; which copy of a repeated transition is the added one
+    follows corpus order, so the added/duplicate split is not compared.
+    (b) Without conflicts, completing a prefix and then the rest on its
+    output gives the model one run gives. Each outcome kind must occur in at
+    least a tenth of the cases for the check to count."""
+    rng = random.Random(20)
+    cases, seen = 300, dict.fromkeys(("added", "duplicates", "conflicts", "unmatched"), 0)
+    for _ in range(cases):
+        model, kb = random_model(rng), random_multi_kb(rng)
+        corpus = random_corpus(rng, model, kb)
+        result = complete_model(model, corpus, kb)
+        saved = save_model(result.model)
+        shuffled = complete_model(model, rng.sample(corpus, len(corpus)), kb)
+        assert save_model(shuffled.model) == saved, corpus
+        for field in ("conflicts", "unmatched"):
+            assert set(getattr(shuffled.report, field)) == set(getattr(result.report, field)), corpus
+        if not result.report.conflicts:
+            cut = rng.randint(0, len(corpus))
+            first = complete_model(model, corpus[:cut], kb)
+            assert save_model(complete_model(first.model, corpus[cut:], kb).model) == saved, corpus
+        for field in seen:
+            seen[field] += bool(getattr(result.report, field))
+    assert min(seen.values()) >= cases // 10, seen
 
 
 def test_conservation(railway_model, railway_corpus, kb):

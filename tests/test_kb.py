@@ -21,7 +21,7 @@ from modcomplete.kb import (
 )
 from modcomplete.model import Metaclass
 
-from support import random_kb, reference_template_subsumes
+from support import random_kb, reference_template_subsumes, sized_rule
 
 
 def test_default_kb_shape():
@@ -164,6 +164,22 @@ def test_template_without_slot_rejected():
     )
     with pytest.raises(KBSyntaxError, match="slot"):
         parse_kb(text)
+
+
+def test_a_rule_may_reach_the_size_limit():
+    (metareq,) = parse_kb(sized_rule(100, 100)).metareqs
+    assert len(metareq.then) == 100 and len(metareq.then[0].items) == 100
+
+
+@pytest.mark.parametrize("items, templates, line, message", [
+    (101, 1, 3, "then template has 101 items, more than 100"),
+    (3, 101, 103, "more than 100 then templates in one metareq"),
+])
+def test_a_rule_past_the_size_limit_is_rejected_with_its_line(items, templates, line, message):
+    with pytest.raises(KBSyntaxError) as info:
+        parse_kb(sized_rule(items, templates))
+    assert info.value.line == line
+    assert str(info.value).endswith(message)
 
 
 def test_bare_article_literal_becomes_optional_group():

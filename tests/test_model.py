@@ -25,7 +25,6 @@ from modcomplete.gherkin import RequirementDoc
 from modcomplete.model import (
     Block,
     Signal,
-    State,
     StateMachine,
     SystemModel,
     Transition,
@@ -99,6 +98,27 @@ def test_bad_documents_rejected(mutate, error):
     mutate(doc)
     with pytest.raises(error):
         load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, name, message", [
+    ("blocks", "The", "block name 'The' normalizes to nothing"),
+    ("blocks", "the gate", "block name 'the gate' collides with 'Gate' under normalization"),
+    ("signals", "The", "signal name 'The' normalizes to nothing"),
+    ("signals", "HALT", "signal name 'HALT' collides with 'Halt' under normalization"),
+])
+def test_a_name_must_survive_normalization_and_stay_distinct(key, name, message):
+    """A name that normalizes to nothing could never be mentioned."""
+    doc = {
+        "version": "1",
+        "name": "M",
+        "signals": [{"name": "Halt"}],
+        "blocks": [{"name": "Gate"}],
+    }
+    doc[key].append({"name": name})
+    with pytest.raises(ValidationError) as info:
+        load_model(json.dumps(doc))
+    assert str(info.value) == f"$.{key}[1].name: {message}"
+    assert info.value.path == f"$.{key}[1].name"
 
 
 TRANSITION_PATH = "$.blocks[0].state_machine.transitions[1]"
@@ -387,7 +407,7 @@ def hand_built_models(draw):
     blocks = []
     for name in draw(st.lists(st.sampled_from(BLOCK_NAMES), max_size=5)):
         states = draw(st.none() | st.lists(st.sampled_from(STATE_NAMES), max_size=4))
-        machine = None if states is None else StateMachine(name, tuple(map(State, states)))
+        machine = None if states is None else StateMachine(tuple(states))
         blocks.append(Block(name, state_machine=machine))
     signals = draw(st.lists(st.sampled_from(SIGNAL_NAMES), max_size=5))
     return SystemModel("M", tuple(blocks), tuple(map(Signal, signals)))
@@ -400,7 +420,7 @@ def test_indexed_lookup_agrees_with_linear_scan(model, modifiers, rng):
     Each query is asked twice, as a word list and as a string, in shuffled
     order, so memoized answers are checked as well as fresh ones."""
     names = [b.name for b in model.blocks] + [s.name for s in model.signals] + [
-        s.name for m in model.machines() for s in m.states
+        s for m in model.machines() for s in m.states
     ]
     phrases = [modifiers] + [modifiers + [n] for n in names] + [modifiers + [n + "s", "Message"] for n in names]
     queries = [
@@ -609,9 +629,7 @@ def test_wrong_declared_id_is_rejected_with_its_path(railway_model, railway_corp
 def test_empty_transition_id_is_checked_against_its_content_hash():
     """An in-memory transition with id "" is no exception to the id check:
     a model that passes ``validate_model`` round-trips through save and load."""
-    machine = StateMachine(
-        "Gate", states=(State("open"), State("shut")), transitions=(Transition("", "open", "shut"),)
-    )
+    machine = StateMachine(states=("open", "shut"), transitions=(Transition("", "open", "shut"),))
     model = SystemModel("M", blocks=(Block("Gate", state_machine=machine),))
     with pytest.raises(ValidationError) as info:
         validate_model(model)
@@ -645,8 +663,7 @@ def test_validate_model_rejects_repeated_transitions_in_memory(effects_order):
     first = make_transition("Gate", "open", "shut", "Halt", effects, ("X",))._replace(guard="a")
     second = first._replace(guard="b", provenance=("Y",), effects=effects[::effects_order])
     machine = StateMachine(
-        "Gate",
-        states=(State("open"), State("shut")),
+        states=("open", "shut"),
         transitions=(first, make_transition("Gate", "shut", "open"), second),
     )
     model = SystemModel(
@@ -698,9 +715,9 @@ def raw_and_canonical_models(draw):
             canonical[t.id] = t._replace(guard=guard)
             raw[t.id] = Transition(t.id, source, target, trigger, guard, effects, provenance)
         raw_blocks.append(Block(owner, state_machine=StateMachine(
-            owner, tuple(State(n) for n in states), tuple(raw.values()))))
+            tuple(states), tuple(raw.values()))))
         canonical_blocks.append(Block(owner, state_machine=StateMachine(
-            owner, tuple(State(n) for n in sorted(states)), tuple(canonical[i] for i in sorted(canonical)))))
+            tuple(sorted(states)), tuple(canonical[i] for i in sorted(canonical)))))
     name = draw(MODEL_TEXT.filter(bool))
     return (
         SystemModel(name, tuple(raw_blocks), tuple(Signal(n) for n in signals)),

@@ -23,7 +23,7 @@ PACKAGE_ALL = [
     "SlotPattern", "default_kb", "parse_kb", "serialize_kb", "AmbiguousMatch", "Binding",
     "MatchResult", "NoMatch", "match_clause", "match_requirement", "normalize_phrase",
     "normalize_signal_phrase", "oracle_match", "Block", "MergeKind", "MergeOutcome",
-    "Metaclass", "SchemaError", "SendEffect", "Signal", "State", "StateMachine",
+    "Metaclass", "SchemaError", "SendEffect", "Signal", "StateMachine",
     "SystemModel", "Transition", "ValidationError", "add_transition", "load_model",
     "lookup_elements", "save_model", "TraceRecord", "build_trace",
     "emit_requirement_diagram", "emit_trace_json", "__version__",

@@ -60,7 +60,6 @@ from modcomplete.model import (
     Metaclass,
     SendEffect,
     Signal,
-    State,
     StateMachine,
     SystemModel,
     Transition,
@@ -83,7 +82,7 @@ MATCH = MatchResult("R1", "M1", ((BINDING,),), 1)
 FAILURE = ClauseFailure(2, 3, "no element", "s", "fast")
 EFFECT = SendEffect("Stop", "Brake")
 TRANSITION = Transition("abc", "a", "b", "Go", None, (EFFECT,), ("R1",))
-MACHINE = StateMachine("Brake", (State("a"),), (), "a")
+MACHINE = StateMachine(("a",), (), "a")
 MODEL = SystemModel("m")
 WARNING = ReceivabilityWarning("R1", "Stop", "Brake")
 ENTRY = MergeEntry("Brake", "abc", ("R1",))
@@ -176,7 +175,6 @@ RECORDS = [
      "role=None, phrase=None)"),
     (Signal, dict(name="Stop", display="Stop()"), "Signal(name='Stop', display='Stop()')",
      dict(name="Stop"), "Signal(name='Stop', display=None)"),
-    (State, dict(name="a"), "State(name='a')", None, None),
     (SendEffect, dict(signal="Stop", target_block="Brake"),
      "SendEffect(signal='Stop', target_block='Brake')", None, None),
     (Transition, dict(id="abc", source="a", target="b", trigger="Go", guard="g", effects=(EFFECT,),
@@ -186,23 +184,23 @@ RECORDS = [
      dict(id="abc", source="a", target="b"),
      "Transition(id='abc', source='a', target='b', trigger=None, guard=None, effects=(), "
      "provenance=())"),
-    (StateMachine, dict(owner="Brake", states=(State("a"),), transitions=(TRANSITION,), initial="a"),
-     "StateMachine(owner='Brake', states=(State(name='a'),), transitions=(Transition(id='abc', "
+    (StateMachine, dict(states=("a",), transitions=(TRANSITION,), initial="a"),
+     "StateMachine(states=('a',), transitions=(Transition(id='abc', "
      "source='a', target='b', trigger='Go', guard=None, effects=(SendEffect(signal='Stop', "
      "target_block='Brake'),), provenance=('R1',)),), initial='a')",
-     dict(owner="Brake"), "StateMachine(owner='Brake', states=(), transitions=(), initial=None)"),
+     dict(), "StateMachine(states=(), transitions=(), initial=None)"),
     (Block, dict(name="Brake", parts=("Pad",), state_machine=MACHINE, receivable_signals=("Stop",)),
-     "Block(name='Brake', parts=('Pad',), state_machine=StateMachine(owner='Brake', "
-     "states=(State(name='a'),), transitions=(), initial='a'), receivable_signals=('Stop',))",
+     "Block(name='Brake', parts=('Pad',), state_machine=StateMachine(states=('a',), "
+     "transitions=(), initial='a'), receivable_signals=('Stop',))",
      dict(name="Brake"),
      "Block(name='Brake', parts=(), state_machine=None, receivable_signals=None)"),
-    (SystemModel, dict(name="m", blocks=(Block("Brake"),), signals=(Signal("Stop"),), version="1"),
+    (SystemModel, dict(name="m", blocks=(Block("Brake"),), signals=(Signal("Stop"),)),
      "SystemModel(name='m', blocks=(Block(name='Brake', parts=(), state_machine=None, "
-     "receivable_signals=None),), signals=(Signal(name='Stop', display=None),), version='1')",
-     dict(name="m"), "SystemModel(name='m', blocks=(), signals=(), version='1')"),
+     "receivable_signals=None),), signals=(Signal(name='Stop', display=None),))",
+     dict(name="m"), "SystemModel(name='m', blocks=(), signals=())"),
     (MergeOutcome, dict(kind=MergeKind.ADDED, model=MODEL, transition_id="abc"),
      "MergeOutcome(kind=<MergeKind.ADDED: 'added'>, model=SystemModel(name='m', blocks=(), "
-     "signals=(), version='1'), transition_id='abc')",
+     "signals=()), transition_id='abc')",
      None, None),
     (ReceivabilityWarning, dict(requirement_id="R1", signal="Stop", target_block="Brake"),
      "ReceivabilityWarning(requirement_id='R1', signal='Stop', target_block='Brake')", None, None),
@@ -244,7 +242,7 @@ RECORDS = [
      "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
      "scenario='S'), match=None, error=None)"),
     (CompletionResult, dict(model=MODEL, report=REPORT, trace=(), outcomes=()),
-     "CompletionResult(model=SystemModel(name='m', blocks=(), signals=(), version='1'), "
+     "CompletionResult(model=SystemModel(name='m', blocks=(), signals=()), "
      "report=CompletionReport(added=(MergeEntry(owner='Brake', transition_id='abc', "
      "requirement_ids=('R1',)),), duplicates=(), conflicts=(), unmatched=(), "
      "receivability_warnings=(), multi_effect_requirements=()), trace=(), outcomes=())",
@@ -284,7 +282,7 @@ def test_every_record_type_is_pinned():
         if isinstance(obj, type) and obj.__module__ == module.__name__
         and hasattr(obj, "_fields") and not obj.__name__.startswith("_")
     }
-    assert len(RECORDS) == len(defined) == 38
+    assert len(RECORDS) == len(defined) == 37
     assert {spec[0] for spec in RECORDS} == defined
 
 
