@@ -9,10 +9,8 @@ with full traceability records and acceptability checks.
 from .errors import ModcompleteError
 from .gherkin import (
     Clause,
-    ClauseKind,
     RequirementAST,
     RequirementDoc,
-    WhenMode,
     parse_corpus,
     parse_requirement,
     tokenize,
@@ -72,10 +70,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ModcompleteError",
     "Clause",
-    "ClauseKind",
     "RequirementAST",
     "RequirementDoc",
-    "WhenMode",
     "parse_corpus",
     "parse_requirement",
     "tokenize",

@@ -247,12 +247,15 @@ def _print_verdict(outcome: RequirementOutcome, explain: bool) -> None:
                 rendered = ", ".join(f"{b.role}={b.element}" for b in binding_set)
                 print(f"    set {i}: {rendered}")
     else:
-        # Matched; a failed instantiation shows up among the findings.
+        # Matched; a StateNotInOwnerMachine that stopped instantiation is printed below.
         assert match is not None
         suffix = ""
         if match.alternatives_consumed:
             suffix = f", {match.alternatives_consumed} alternatives"
         print(f"{rid}: {match.metareq_id} ({len(match.bindings)} bindings{suffix})")
+        if error is not None:
+            for line in outcome.diagnostics():
+                print(f"    {line}")
         if explain:
             for binding in match.bindings:
                 print(f"    {binding.role} ({binding.metaclass.value}) = {binding.element}"

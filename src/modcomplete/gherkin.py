@@ -15,7 +15,6 @@ disjunctive mode (one alternative trigger per clause).
 """
 
 import re
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import ModcompleteError
@@ -24,27 +23,11 @@ KEYWORDS = frozenset({"given", "when", "then", "and", "or"})
 TERMINAL_PUNCT = frozenset({",", ".", ";"})
 
 
-class TokenKind(Enum):
-    KEYWORD = "keyword"
-    WORD = "word"
-    PUNCT = "punct"
-
-
-class ClauseKind(Enum):
-    GIVEN = "Given"
-    WHEN = "When"
-    THEN = "Then"
-
-
-class WhenMode(Enum):
-    CONJUNCTIVE = "Conjunctive"
-    DISJUNCTIVE = "Disjunctive"
-
-
 class Token(NamedTuple):
-    """One token with original spelling, lowercased form, and stream index."""
+    """One token with original spelling, lowercased form, and stream index.
+    A keyword's ``lower`` is in ``KEYWORDS``, a punctuation mark's in
+    ``TERMINAL_PUNCT``; every other token is a word."""
 
-    kind: TokenKind
     text: str
     lower: str
     index: int
@@ -58,23 +41,22 @@ class RequirementDoc(NamedTuple):
 
 
 class Clause(NamedTuple):
-    """A run of words inside one section, introduced by ``lead`` keyword."""
+    """A run of words inside one section, introduced by the ``lead`` keyword
+    (the section keyword, ``and`` or ``or``)."""
 
-    kind: ClauseKind
     words: tuple[Token, ...]
-    lead: Token | None = None
+    lead: Token
 
 
 class RequirementAST(NamedTuple):
+    """The clauses of each section. The When section is disjunctive when its
+    second clause is led by ``or`` (``parse_requirement`` rejects a When
+    that mixes ``and`` and ``or``)."""
+
     id: str
     given: tuple[Clause, ...]
     when: tuple[Clause, ...]
     then: tuple[Clause, ...]
-    when_mode: WhenMode
-    tokens: tuple[Token, ...]
-
-    def clauses(self) -> tuple[Clause, ...]:
-        return self.given + self.when + self.then
 
 
 class ParseError(ModcompleteError):
@@ -119,17 +101,13 @@ def tokenize(text: str) -> list[Token]:
             trailing.append(chunk[-1])
             chunk = chunk[:-1]
         if chunk:
-            lower = chunk.lower()
-            kind = TokenKind.KEYWORD if lower in KEYWORDS else TokenKind.WORD
-            tokens.append(Token(kind, chunk, lower, len(tokens)))
+            tokens.append(Token(chunk, chunk.lower(), len(tokens)))
         for punct in reversed(trailing):
-            tokens.append(Token(TokenKind.PUNCT, punct, punct, len(tokens)))
+            tokens.append(Token(punct, punct, len(tokens)))
     return tokens
 
 
 _SECTION_ORDER = {"given": 0, "when": 1, "then": 2}
-#: The clause kind each section keyword starts.
-SECTION_KIND = {"given": ClauseKind.GIVEN, "when": ClauseKind.WHEN, "then": ClauseKind.THEN}
 
 
 def parse_requirement(doc: RequirementDoc) -> RequirementAST:
@@ -143,8 +121,8 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
             clause body).
         MixedAndOr: the When group mixes ``and`` and ``or`` separators.
     """
-    tokens = tuple(tokenize(doc.text))
-    if not any(t.kind is TokenKind.KEYWORD and t.lower == "given" for t in tokens):
+    tokens = tokenize(doc.text)
+    if not any(t.lower == "given" for t in tokens):
         raise MissingGiven("requirement has no 'Given'", 0)
 
     sections: dict[str, list[Clause]] = {"given": [], "when": [], "then": []}
@@ -158,26 +136,21 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
         if current_section is None:
             return
         if not current_words:
-            assert current_lead is not None
             where = next_kw.index if next_kw is not None else current_lead.index
-            raise OutOfOrderKeyword(
-                f"empty clause after {current_lead.text!r}", where
-            )
-        sections[current_section].append(
-            Clause(SECTION_KIND[current_section], tuple(current_words), current_lead)
-        )
+            raise OutOfOrderKeyword(f"empty clause after {current_lead.text!r}", where)
+        sections[current_section].append(Clause(tuple(current_words), current_lead))
         current_words = []
 
     for tok in tokens:
-        if tok.kind is TokenKind.PUNCT:
+        if tok.lower in TERMINAL_PUNCT:
             continue
-        if tok.kind is TokenKind.WORD:
+        if tok.lower not in KEYWORDS:
             if current_section is None:
                 raise OutOfOrderKeyword("requirement must start with 'Given'", tok.index)
             current_words.append(tok)
             continue
         # keyword
-        if tok.lower in SECTION_KIND:
+        if tok.lower in _SECTION_ORDER:
             order = _SECTION_ORDER[tok.lower]
             if current_section is None:
                 if tok.lower != "given":
@@ -210,14 +183,8 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
     if not sections["then"]:
         raise MissingThen("requirement has no 'Then'", tokens[-1].index if tokens else 0)
 
-    mode = WhenMode.DISJUNCTIVE if "or" in when_separators else WhenMode.CONJUNCTIVE
     return RequirementAST(
-        id=doc.id,
-        given=tuple(sections["given"]),
-        when=tuple(sections["when"]),
-        then=tuple(sections["then"]),
-        when_mode=mode,
-        tokens=tokens,
+        doc.id, tuple(sections["given"]), tuple(sections["when"]), tuple(sections["then"])
     )
 
 

@@ -25,7 +25,7 @@ import re
 from typing import NamedTuple
 
 from .errors import ModcompleteError
-from .gherkin import KEYWORDS, SECTION_KIND, ClauseKind
+from .gherkin import KEYWORDS
 from .model import Metaclass
 from .normalize import ARTICLES
 
@@ -68,7 +68,6 @@ TemplateItem = Literal | OptionalLiteral | SlotPattern
 
 
 class ClauseTemplate(NamedTuple):
-    kind: ClauseKind
     items: tuple[TemplateItem, ...]
 
     def slots(self) -> tuple[SlotPattern, ...]:
@@ -153,13 +152,10 @@ SIZE_LIMIT = 100
 
 
 def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemplate:
+    # ``_ITEM_RE``'s last branch takes any run of non-blanks, so the items
+    # cover every non-blank character of ``body``.
     items: list[TemplateItem] = []
-    pos = 0
     for m in _ITEM_RE.finditer(body):
-        between = body[pos : m.start()]
-        if between.strip():
-            raise KBSyntaxError(f"unreadable template text {between.strip()!r}", line_no, col0 + pos)
-        pos = m.end()
         col = col0 + m.start()
         if m.group(1) is not None:
             metaclass_name, role = m.group(1), m.group(2)
@@ -191,7 +187,7 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
         raise KBSyntaxError(f"{kind} template declares no slot", line_no, col0)
     if len(items) > SIZE_LIMIT:
         raise KBSyntaxError(f"{kind} template has {len(items)} items, more than {SIZE_LIMIT}", line_no, col0)
-    return ClauseTemplate(SECTION_KIND[kind], tuple(items))
+    return ClauseTemplate(tuple(items))
 
 
 def _parse_fragment_pairs(line: str, line_no: int) -> list[tuple[str, str, int]]:
@@ -397,11 +393,15 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 
 
 def _strip_article_optionals(items: tuple[TemplateItem, ...]) -> tuple[TemplateItem, ...]:
-    return tuple(
-        item
-        for item in items
-        if not (isinstance(item, OptionalLiteral) and set(item.words) <= ARTICLES)
-    )
+    """``items`` without the article words of optional groups, which the
+    matcher skips anyway, and without the groups that leaves empty."""
+    out: list[TemplateItem] = []
+    for item in items:
+        if isinstance(item, OptionalLiteral):
+            item = OptionalLiteral(tuple(w for w in item.words if w not in ARTICLES))
+        if item != OptionalLiteral(()):
+            out.append(item)
+    return tuple(out)
 
 
 def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:

@@ -24,7 +24,7 @@ is deterministic and rigid (no statistical language processing):
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ModcompleteError
-from .gherkin import Clause, RequirementAST, Token, TokenKind, WhenMode
+from .gherkin import Clause, RequirementAST, Token
 from .kb import ClauseTemplate, KnowledgeBase, Literal, MetaReq, OptionalLiteral, SlotPattern
 from .model import Metaclass, SystemModel, lookup_elements
 from .normalize import ARTICLES, normalize_phrase, normalize_signal_phrase
@@ -284,11 +284,9 @@ def merge_clauses(clauses: Sequence[Clause]) -> Clause:
         return clauses[0]
     words: list[Token] = list(clauses[0].words)
     for clause in clauses[1:]:
-        sep = clause.lead
-        if sep is not None:
-            words.append(Token(TokenKind.WORD, sep.text, sep.lower, sep.index))
+        words.append(clause.lead)
         words.extend(clause.words)
-    return Clause(clauses[0].kind, tuple(words), clauses[0].lead)
+    return Clause(tuple(words), clauses[0].lead)
 
 
 def _distinct(candidates: Iterable[BindingSet]) -> list[BindingSet]:
@@ -367,7 +365,7 @@ def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
     """Sub-template from the last slot onward, for elliptical alternatives
     (``parse_kb`` rejects a template without a slot)."""
     slots = [i for i, item in enumerate(template.items) if isinstance(item, SlotPattern)]
-    return ClauseTemplate(template.kind, template.items[slots[-1]:])
+    return ClauseTemplate(template.items[slots[-1]:])
 
 
 def _try_metareq(
@@ -384,8 +382,9 @@ def _try_metareq(
         return given
 
     # A conjunctive When is one alternative holding every When clause; a
-    # disjunctive When is one alternative per clause.
-    disjunctive = ast.when_mode is WhenMode.DISJUNCTIVE and len(ast.when) > 1
+    # disjunctive When (its second clause led by ``or``) is one alternative
+    # per clause.
+    disjunctive = len(ast.when) > 1 and ast.when[1].lead.lower == "or"
     if not disjunctive:
         alternatives = [ast.when]
     elif len(metareq.when) == 1:

@@ -472,8 +472,8 @@ def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
 
 
 def _check_normal_form(kind: str, name: str, path: str, seen_norm: dict[str, str]) -> None:
-    """A block or signal name must survive normalization, and no earlier
-    name of its kind in ``seen_norm`` may share its normal form."""
+    """A name must survive normalization, and no earlier name of its kind
+    in ``seen_norm`` (a machine's, for a state) may share its normal form."""
     norm = normalize_phrase(name)
     if not norm:
         raise ValidationError(f"{kind} name {name!r} normalizes to nothing", path)
@@ -491,12 +491,14 @@ def _validate_machine(
     assert machine is not None
     mpath = f"{path}.state_machine"
     names = set()
+    seen_norm: dict[str, str] = {}
     for j, state in enumerate(machine.states):
         if not state:
             raise ValidationError("state name must be non-empty", f"{mpath}.states[{j}]")
         if state in names:
             raise ValidationError(f"duplicate state {state!r}", f"{mpath}.states[{j}]")
         names.add(state)
+        _check_normal_form("state", state, f"{mpath}.states[{j}]", seen_norm)
     if machine.initial is not None and machine.initial not in names:
         raise ValidationError(f"initial state {machine.initial!r} undefined", f"{mpath}.initial")
     tpath = mpath + ".transitions[%d]"  # formatted only for an error

@@ -18,7 +18,7 @@ matcher's versions is not shared.
 import itertools
 from typing import Sequence
 
-from .gherkin import Clause, RequirementAST, Token, WhenMode
+from .gherkin import Clause, RequirementAST, Token
 from .kb import ClauseTemplate, KnowledgeBase, Literal, OptionalLiteral, SlotPattern
 from .matcher import SPAN_LIMIT, AmbiguousMatch, Binding, BindingSet, MatchResult, NoMatch
 from .model import Metaclass, SystemModel
@@ -32,16 +32,16 @@ def _oracle_join(clauses: Sequence[Clause]) -> Clause:
     connective that opened each later clause is one of its words again."""
     words: list[Token] = []
     for i, clause in enumerate(clauses):
-        if i and clause.lead is not None:
+        if i:
             words.append(clause.lead)
         words.extend(clause.words)
-    return Clause(clauses[0].kind, tuple(words))
+    return Clause(tuple(words), clauses[0].lead)
 
 
 def _oracle_tail(template: ClauseTemplate) -> ClauseTemplate:
     """An elliptical alternative's template: the last slot and what follows it."""
     last = max(i for i, item in enumerate(template.items) if isinstance(item, SlotPattern))
-    return ClauseTemplate(template.kind, template.items[last:])
+    return ClauseTemplate(template.items[last:])
 
 
 def _oracle_unique(candidates: Sequence[BindingSet]) -> list[BindingSet]:
@@ -216,8 +216,7 @@ def oracle_match(ast: RequirementAST, kb: KnowledgeBase, model: SystemModel) -> 
         given_ctxs = _oracle_section(ast.given, metareq.given, model, owner_role, [()])
         if not given_ctxs:
             continue
-        disjunctive = ast.when_mode is WhenMode.DISJUNCTIVE and len(ast.when) > 1
-        if disjunctive:
+        if any(clause.lead.lower == "or" for clause in ast.when):
             if len(metareq.when) != 1:
                 continue
             template = metareq.when[0]

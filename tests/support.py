@@ -26,7 +26,6 @@ from modcomplete.kb import (
     OptionalLiteral,
     SlotPattern,
 )
-from modcomplete.gherkin import ClauseKind
 from modcomplete.model import Metaclass, SchemaError, SendEffect, Transition
 from modcomplete.normalize import (
     ARTICLES,
@@ -171,13 +170,12 @@ def random_requirement(rng: random.Random, model: SystemModel) -> str:
 
 
 def random_case(rng: random.Random):
-    """One parseable (model, ast) pair; retries until the text parses."""
+    """One parseable (model, text, ast) triple; retries until the text parses."""
     model = random_model(rng)
     while True:
         text = random_requirement(rng, model)
-        doc = RequirementDoc(id="R", text=text)
         try:
-            return model, parse_requirement(doc)
+            return model, text, parse_requirement(RequirementDoc(id="R", text=text))
         except ParseError:
             continue
 
@@ -206,7 +204,7 @@ def random_kb(rng: random.Random) -> KnowledgeBase:
         if rng.random() < 0.4:
             effects.append((role("sig"), role("blk")))
 
-        def template(kind: ClauseKind, slots: list[SlotPattern]) -> ClauseTemplate:
+        def template(slots: list[SlotPattern]) -> ClauseTemplate:
             items: list = []
             for j, slot in enumerate(slots):
                 if j:
@@ -216,18 +214,18 @@ def random_kb(rng: random.Random) -> KnowledgeBase:
                 items.append(slot)
             if rng.random() < 0.3:
                 items.append(Literal(rng.choice(LITERAL_POOL)))
-            return ClauseTemplate(kind, tuple(items))
+            return ClauseTemplate(tuple(items))
 
-        given = [template(ClauseKind.GIVEN, [SlotPattern(Metaclass.BLOCK, owner), SlotPattern(Metaclass.STATE, source)])]
+        given = [template([SlotPattern(Metaclass.BLOCK, owner), SlotPattern(Metaclass.STATE, source)])]
         when = []
         when_slots = []
         if trigger is not None:
             when_slots.append(SlotPattern(Metaclass.SIGNAL, trigger))
-            when.append(template(ClauseKind.WHEN, when_slots))
+            when.append(template(when_slots))
         then_slots = [SlotPattern(Metaclass.STATE, target)]
         for sig, blk in effects:
             then_slots = [SlotPattern(Metaclass.SIGNAL, sig), SlotPattern(Metaclass.BLOCK, blk)] + then_slots
-        then = [template(ClauseKind.THEN, then_slots)]
+        then = [template(then_slots)]
         fragment_id = f"F{i + 1}"
         fragments.append(
             MetaFragment(
@@ -260,7 +258,7 @@ def random_multi_kb(rng: random.Random) -> KnowledgeBase:
     for i in range(rng.randint(1, 2)):
         roles: dict[Metaclass, list[str]] = {m: [] for m in Metaclass}
 
-        def template(kind: ClauseKind, metaclasses: list[Metaclass]) -> ClauseTemplate:
+        def template(metaclasses: list[Metaclass]) -> ClauseTemplate:
             items: list = []
             for j, metaclass in enumerate(metaclasses):
                 if j or rng.random() < 0.4:
@@ -270,16 +268,16 @@ def random_multi_kb(rng: random.Random) -> KnowledgeBase:
                 role = f"{metaclass.value.lower()}{sum(map(len, roles.values())) + 1}"
                 roles[metaclass].append(role)
                 items.append(SlotPattern(metaclass, role))
-            return ClauseTemplate(kind, tuple(items))
+            return ClauseTemplate(tuple(items))
 
-        def section(kind: ClauseKind, first: list[Metaclass]) -> tuple[ClauseTemplate, ...]:
+        def section(first: list[Metaclass]) -> tuple[ClauseTemplate, ...]:
             more = [rng.sample(list(Metaclass), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
-            return tuple(template(kind, slots) for slots in [first] + more)
+            return tuple(template(slots) for slots in [first] + more)
 
-        given = section(ClauseKind.GIVEN, [Metaclass.BLOCK, Metaclass.STATE])
+        given = section([Metaclass.BLOCK, Metaclass.STATE])
         owner, source = roles[Metaclass.BLOCK][0], roles[Metaclass.STATE][0]
-        when = section(ClauseKind.WHEN, [Metaclass.SIGNAL]) if rng.random() < 0.6 else ()
-        then = section(ClauseKind.THEN, [Metaclass.STATE])
+        when = section([Metaclass.SIGNAL]) if rng.random() < 0.6 else ()
+        then = section([Metaclass.STATE])
         trigger = roles[Metaclass.SIGNAL][0] if when else None
         fragments.append(
             MetaFragment(f"F{i + 1}", owner, source, roles[Metaclass.STATE][-1], trigger)
@@ -385,9 +383,13 @@ def reference_template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
     so only for small templates."""
 
     def strip(items):
-        return tuple(
-            i for i in items if not (isinstance(i, OptionalLiteral) and set(i.words) <= ARTICLES)
-        )
+        out = []
+        for i in items:
+            if isinstance(i, OptionalLiteral):
+                i = OptionalLiteral(tuple(w for w in i.words if w not in ARTICLES))
+            if i != OptionalLiteral(()):
+                out.append(i)
+        return tuple(out)
 
     return _reference_subsumes_from(strip(ta.items), strip(tb.items), 0, 0)
 

@@ -25,7 +25,7 @@ from modcomplete import (
     serialize_kb,
 )
 from modcomplete.cli import main
-from modcomplete.gherkin import ParseError, RequirementDoc, TokenKind
+from modcomplete.gherkin import TERMINAL_PUNCT, ParseError, RequirementDoc, tokenize
 
 from conftest import FIXTURES, RAILWAY_REQUIREMENT
 from support import agreement, random_case, random_kb, random_model
@@ -132,11 +132,11 @@ def test_criterion_3_oracle_equivalence():
     cases = 1000
     started = time.perf_counter()
     for i in range(cases):
-        model, ast = random_case(rng)
+        model, text, ast = random_case(rng)
         main_outcome, oracle_outcome = agreement(ast, kb, model)
         assert main_outcome == oracle_outcome, (
             f"case {i}: matcher {main_outcome} vs oracle {oracle_outcome} "
-            f"on {' '.join(t.text for t in ast.tokens)!r}"
+            f"on {text!r}"
         )
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -201,14 +201,13 @@ def test_criterion_7_grammar_properties():
             texts.append(doc.text)
     rng = random.Random(2024)
     for _ in range(200):
-        model, ast = random_case(rng)
-        texts.append(" ".join(t.text for t in ast.tokens))
+        texts.append(random_case(rng)[1])
     for text in texts:
         ast = parse_requirement(RequirementDoc(id="R", text=text))
-        accounted = [t for c in ast.clauses() for t in c.words]
-        accounted += [c.lead for c in ast.clauses() if c.lead is not None]
-        accounted += [t for t in ast.tokens if t.kind is TokenKind.PUNCT]
-        assert sorted(t.index for t in accounted) == list(range(len(ast.tokens)))
+        tokens = tokenize(text)
+        accounted = [t for c in ast.given + ast.when + ast.then for t in (c.lead, *c.words)]
+        accounted += [t for t in tokens if t.lower in TERMINAL_PUNCT]
+        assert sorted(t.index for t in accounted) == list(range(len(tokens)))
         rebuilt = "".join(t.text for t in sorted(accounted, key=lambda t: t.index))
         assert rebuilt == "".join(text.split())
     print(

@@ -503,6 +503,36 @@ def test_check_explain_shows_bindings(capsys):
     assert "context4 (Block) = Brake" in out
 
 
+@pytest.mark.parametrize("explain", [False, True])
+def test_check_says_why_a_matched_requirement_was_not_instantiated(tmp_path, capsys, explain):
+    """The rule binds the owner role to Brake, a block without a machine."""
+    kb = tmp_path / "kb.txt"
+    kb.write_text(
+        "metareq M -> F:\n"
+        '  given: "from <<State as s>> to <<State as t>> is <<Block as b>>"\n'
+        '  then:  "<<Block as c>> moves"\n'
+        "fragment F:\n"
+        "  owner: b   source: s   target: t\n",
+        encoding="utf-8",
+    )
+    reqs = tmp_path / "r.feature"
+    reqs.write_text("Given from running to braking is Brake, then Train moves.\n", encoding="utf-8")
+    args = ["check", "--model", str(FIXTURES / "railway_model.json"), "--reqs", str(reqs), "--kb", str(kb)]
+    assert main(args + ["--explain"] * explain) == 0
+    bindings = [
+        "    s (State) = Running  <- 'running'",
+        "    t (State) = Braking  <- 'braking'",
+        "    b (Block) = Brake  <- 'Brake'",
+        "    c (Block) = Train  <- 'Train'",
+    ]
+    assert capsys.readouterr().out.splitlines() == [
+        "REQ-001: M (4 bindings)",
+        "    block 'Brake' has no state machine",
+        *bindings[: 4 * explain],
+        "  [info] Unverifiable: requirement could not be matched to the model (REQ-001)",
+    ]
+
+
 def test_kb_lint_default_clean(capsys):
     assert main(["kb-lint"]) == 0
     assert "ok: 3 rule(s)" in capsys.readouterr().out
@@ -537,6 +567,24 @@ def test_kb_lint_detects_shadowing(tmp_path, capsys):
     path.write_text(shadowed, encoding="utf-8")
     assert main(["kb-lint", "--kb", str(path)]) == 2
     assert "NARROW is shadowed by higher-priority WIDE" in capsys.readouterr().out
+
+
+def test_kb_lint_reads_optional_groups_without_their_articles(tmp_path, capsys):
+    """The matcher skips every article, so (into|the)? fits what (into)? fits."""
+    text = (
+        'metareq A -> F1:\n'
+        '  given: "<<Block as b1>> in <<State as s1>>"\n'
+        '  then:  "goes (into)? <<State as t1>>"\n'
+        "fragment F1:\n  owner: b1   source: s1   target: t1\n"
+        'metareq B -> F2:\n'
+        '  given: "<<Block as b2>> in <<State as s2>>"\n'
+        '  then:  "goes (into|the)? <<State as t2>>"\n'
+        "fragment F2:\n  owner: b2   source: s2   target: t2\n"
+    )
+    path = tmp_path / "kb.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["kb-lint", "--kb", str(path)]) == 2
+    assert "B is shadowed by higher-priority A" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("gos, code", [(15, 2), (31, 0)])
@@ -751,6 +799,7 @@ REQ-003: NoMatch
 REQ-004: AmbiguousMatch (MR2)
 REQ-005: parse error: 'Then' before 'Given' (token 0)
 REQ-006: MX (3 bindings)
+    state 's1' is not in the machine of 'Gate'
 """ + GOLDEN_FINDINGS
 
 GOLDEN_CHECK_EXPLAIN = """\
@@ -780,6 +829,7 @@ REQ-004: AmbiguousMatch (MR2)
     set 2: context1=Gate, starting=s2, context2=Gate, event=Stops, context3=Gate, final=s2
 REQ-005: parse error: 'Then' before 'Given' (token 0)
 REQ-006: MX (3 bindings)
+    state 's1' is not in the machine of 'Gate'
     starting (State) = s1  <- 's1'
     context1 (Block) = Gate  <- 'Gate'
     final (State) = s2  <- 's2'

@@ -11,6 +11,7 @@ from modcomplete import (
     StateNotInOwnerMachine,
     check_acceptability,
     complete_model,
+    default_kb,
     instantiate_fragment,
     load_model,
     match_requirement,
@@ -23,7 +24,8 @@ from modcomplete.gherkin import RequirementDoc
 from modcomplete.model import validate_model
 
 from conftest import RAILWAY_REQUIREMENT
-from support import random_model, random_multi_kb, rendered_requirement
+from reference_complete import reference_complete
+from support import STATE_POOL, random_model, random_multi_kb, random_requirement, rendered_requirement
 
 
 def ast_of(text, rid="R"):
@@ -140,6 +142,25 @@ def test_duplicate_requirement_unions_provenance(railway_model, kb):
     assert single_transition.id == transition.id
     assert single_transition.provenance == ("REQ-001",)
     assert transition._replace(provenance=()) == single_transition._replace(provenance=())
+
+
+def test_a_requirement_with_one_new_transition_lists_no_duplicate(railway_model, kb):
+    """R2's first alternative repeats R1's transition and its second is new:
+    R2 counts as added, and the repeat only gains R2 in its provenance."""
+    stop = "Given a Train in running, When the Braking Supervision receives an Emergency Stop Message"
+    corpus = corpus_of(
+        ("R1", f"{stop}, Then the Train goes in braking."),
+        ("R2", f"{stop} or Activate, Then the Train goes in braking."),
+    )
+    result = complete_model(railway_model, corpus, kb)
+    by_id = {t.id: t for t in result.model.block("Train").state_machine.transitions}
+    assert [(by_id[e.transition_id].trigger, e.requirement_ids) for e in result.report.added] == [
+        ("EmergencyStop", ("R1",)), ("Activate", ("R2",)),
+    ]
+    assert result.report.duplicates == ()
+    assert sorted((t.trigger, t.provenance) for t in by_id.values()) == [
+        ("Activate", ("R2",)), ("EmergencyStop", ("R1", "R2")),
+    ]
 
 
 def test_conflicting_pair_reported_and_withheld(railway_model, kb):
@@ -273,6 +294,69 @@ def test_random_corpora_keep_order_and_split_invariants():
     assert min(seen.values()) >= cases // 10, seen
 
 
+def varied_corpus(rng: random.Random, model, render, prefix: str, size: int) -> list[RequirementDoc]:
+    """Requirements from ``render()``, with exact repeats of an earlier text
+    and variants of one with a state word swapped (a new target or source,
+    so conflicts arise) injected."""
+    texts: list[str] = []
+    for _ in range(size):
+        roll = rng.random()
+        if texts and roll < 0.25:
+            texts.append(rng.choice(texts))
+        elif texts and roll < 0.45:
+            words = rng.choice(texts).split()
+            spots = [i for i, w in enumerate(words) if w.rstrip(",.") in STATE_POOL]
+            if spots:
+                i = rng.choice(spots)
+                words[i] = words[i].replace(words[i].rstrip(",."), rng.choice(STATE_POOL))
+            texts.append(" ".join(words))
+        else:
+            texts.append(render())
+    return [RequirementDoc(id=f"{prefix}{i}", text=text) for i, text in enumerate(texts, start=1)]
+
+
+def test_complete_model_agrees_with_the_reference_merge():
+    """Conflicts, withheld requirements, added and duplicate entries and the
+    final transitions with their provenance, against ``reference_complete``
+    on 1000 corpora. A third start from a model that an earlier corpus
+    completed, so candidates also meet existing transitions. A quarter use
+    the built-in rules, whose disjunctive When gives a requirement several
+    transitions, some of them new and some not."""
+    rng = random.Random(7)
+    cases, seen = 1000, dict.fromkeys(("added", "duplicate", "conflict", "withheld"), 0)
+    for case in range(cases):
+        model = random_model(rng)
+        if rng.random() < 0.25:
+            kb, render = default_kb(), lambda: random_requirement(rng, model)
+        else:
+            kb = random_multi_kb(rng)
+            render = lambda: rendered_requirement(rng, kb, model)
+        if rng.random() < 1 / 3:
+            model = complete_model(model, varied_corpus(rng, model, render, "S", 6), kb).model
+        corpus = varied_corpus(rng, model, render, "R", rng.randint(1, 10))
+        result = complete_model(model, corpus, kb)
+        instances = []
+        for outcome in result.outcomes:
+            if outcome.error is None:
+                match = outcome.match
+                fragment = kb.fragment_by_id(kb.metareq_by_id(match.metareq_id).fragment)
+                instances.append(
+                    (outcome.doc.id, instantiate_fragment(fragment, match.binding_sets, model, outcome.doc.id))
+                )
+        ref = reference_complete(model, instances)
+        context = (case, corpus)
+        assert list(result.report.conflicts) == ref.conflicts, context
+        merged = {r.requirement_id for r in result.trace}
+        assert {rid for rid, _ in instances} - merged == ref.withheld, context
+        assert list(result.report.added) == ref.added, context
+        assert list(result.report.duplicates) == ref.duplicates, context
+        final = {b.name: b.state_machine.transitions for b in result.model.blocks if b.state_machine}
+        assert final == ref.transitions, context
+        for kind, happened in zip(seen, (ref.added, ref.duplicates, ref.conflicts, ref.withheld)):
+            seen[kind] += bool(happened)
+    assert min(seen.values()) >= cases // 10, seen
+
+
 def test_conservation(railway_model, railway_corpus, kb):
     result = complete_model(railway_model, railway_corpus, kb)
     assert {b.name for b in result.model.blocks} == {b.name for b in railway_model.blocks}
@@ -386,8 +470,8 @@ def test_random_completions_stay_valid(kb):
 
     rng = random.Random(99)
     for _ in range(60):
-        model, ast = random_case(rng)
-        doc = RequirementDoc(id="R", text=" ".join(t.text for t in ast.tokens))
+        model, text, _ = random_case(rng)
+        doc = RequirementDoc(id="R", text=text)
         result = complete_model(model, [doc], kb)
         validate_model(result.model)
         for block in result.model.blocks:

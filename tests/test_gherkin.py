@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modcomplete.gherkin import (
+    KEYWORDS,
+    TERMINAL_PUNCT,
     DuplicateId,
     MissingGiven,
     MissingThen,
@@ -13,8 +15,6 @@ from modcomplete.gherkin import (
     OutOfOrderKeyword,
     ParseError,
     RequirementDoc,
-    TokenKind,
-    WhenMode,
     parse_corpus,
     parse_requirement,
     tokenize,
@@ -46,9 +46,17 @@ def reference_tokenize(text: str):
     return out
 
 
+def kinds(tokens):
+    """(kind, text) per token; a token's kind is read from its ``lower``."""
+    return [
+        ("keyword" if t.lower in KEYWORDS else "punct" if t.lower in TERMINAL_PUNCT else "word", t.text)
+        for t in tokens
+    ]
+
+
 def test_tokenize_simple_clause():
     tokens = tokenize("Given a Train in running,")
-    assert [(t.kind.value, t.text) for t in tokens] == [
+    assert kinds(tokens) == [
         ("keyword", "Given"),
         ("word", "a"),
         ("word", "Train"),
@@ -64,15 +72,15 @@ def test_tokenize_empty():
 
 def test_tokenize_railway_sentence_against_reference():
     tokens = tokenize(RAILWAY_REQUIREMENT)
-    assert [(t.kind.value, t.text) for t in tokens] == reference_tokenize(RAILWAY_REQUIREMENT)
+    assert kinds(tokens) == reference_tokenize(RAILWAY_REQUIREMENT)
     # frozen values computed with the reference tokenizer
     assert len(tokens) == 29
-    assert [t.index for t in tokens if t.kind is TokenKind.KEYWORD] == [0, 6, 16, 24]
+    assert [t.index for t in tokens if t.lower in KEYWORDS] == [0, 6, 16, 24]
 
 
 @given(st.text(alphabet="abcG ivenwhthndor,.;() \t", max_size=60))
 def test_tokenize_matches_reference_everywhere(text):
-    assert [(t.kind.value, t.text) for t in tokenize(text)] == reference_tokenize(text)
+    assert kinds(tokenize(text)) == reference_tokenize(text)
 
 
 def test_parse_railway_requirement():
@@ -86,7 +94,7 @@ def test_parse_railway_requirement():
         "the Braking Supervision activates the Emergency Brake",
         "goes in braking",
     ]
-    assert ast.when_mode is WhenMode.CONJUNCTIVE
+    assert [c.lead.lower for c in ast.when] == ["when"]
 
 
 def test_then_alone_is_missing_given():
@@ -103,8 +111,7 @@ def test_disjunctive_when():
     ast = parse_requirement(
         RequirementDoc(id="R", text="Given alpha When beta or gamma Then delta")
     )
-    assert ast.when_mode is WhenMode.DISJUNCTIVE
-    assert len(ast.when) == 2
+    assert [c.lead.lower for c in ast.when] == ["when", "or"]
 
 
 def test_mixed_and_or_rejected():
@@ -143,7 +150,8 @@ def test_keyword_permutation_suite():
             doc = RequirementDoc(id="R", text=text)
             if expected_ok:
                 ast = parse_requirement(doc)
-                assert [c.kind.value for c in ast.clauses()] == [k.capitalize() for k in combo]
+                section_of = [(k, c.lead.lower) for k in ("given", "when", "then") for c in getattr(ast, k)]
+                assert section_of == [(k, k) for k in combo]
             else:
                 with pytest.raises(ParseError):
                     parse_requirement(doc)
@@ -151,10 +159,10 @@ def test_keyword_permutation_suite():
 
 def assert_lossless(text: str) -> None:
     ast = parse_requirement(RequirementDoc(id="R", text=text))
-    accounted = [t for c in ast.clauses() for t in c.words]
-    accounted += [c.lead for c in ast.clauses() if c.lead is not None]
-    accounted += [t for t in ast.tokens if t.kind is TokenKind.PUNCT]
-    assert sorted(t.index for t in accounted) == list(range(len(ast.tokens)))
+    tokens = tokenize(text)
+    accounted = [t for c in ast.given + ast.when + ast.then for t in (c.lead, *c.words)]
+    accounted += [t for t in tokens if t.lower in TERMINAL_PUNCT]
+    assert sorted(t.index for t in accounted) == list(range(len(tokens)))
     rebuilt = "".join(t.text for t in sorted(accounted, key=lambda t: t.index))
     assert rebuilt == "".join(text.split())
 

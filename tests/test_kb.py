@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcomplete import default_kb, parse_kb, serialize_kb
-from modcomplete.gherkin import ClauseKind
 from modcomplete.kb import (
     ClauseTemplate,
     DuplicateRole,
@@ -166,6 +165,35 @@ def test_template_without_slot_rejected():
         parse_kb(text)
 
 
+RULE = (
+    "metareq M -> F:\n"
+    '  given: "<<Block as b>> in <<State as s>>"\n'
+    '  then:  "goes in <<State as t>>"\n'
+)
+FRAGMENT = "fragment F:\n  owner: b   source: s   target: t\n"
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    (RULE.replace(" in ", " (in on)? "), 2, 26, "bad optional literal '(in on)?'"),
+    (RULE.replace(" in ", " (in|or)? "), 2, 26, "keywords cannot appear inside templates"),
+    (RULE + FRAGMENT + "  bogus\n", 6, 1, "expected fragment key, got 'bogus'"),
+    (RULE + FRAGMENT.replace("owner: b", "owner:"), 5, 3, "fragment key 'owner' has no value"),
+    (RULE + FRAGMENT + "  effect: op\n", 6, 3, "effect must be 'signal_role -> block_role', got 'op'"),
+    (RULE + FRAGMENT.replace("target: t", "target: t-1"), 5, 26, "bad role name 't-1'"),
+    (RULE + FRAGMENT + "  owner: b\n", 6, 3, "fragment key 'owner' given twice"),
+    (RULE + FRAGMENT + FRAGMENT, 6, 1, "duplicate fragment id 'F'"),
+    (RULE + FRAGMENT.replace("   target: t", ""), 4, 1, "fragment 'F' lacks 'target'"),
+    ("\n".join(RULE.splitlines()[:2]) + "\n" + FRAGMENT, 1, 1,
+     "metareq 'M' needs at least one given and one then template"),
+])
+def test_each_syntax_error_names_its_line_and_column(text, line, column, message):
+    with pytest.raises(KBSyntaxError) as info:
+        parse_kb(text)
+    assert type(info.value) is KBSyntaxError
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
 def test_a_rule_may_reach_the_size_limit():
     (metareq,) = parse_kb(sized_rule(100, 100)).metareqs
     assert len(metareq.then) == 100 and len(metareq.then[0].items) == 100
@@ -208,7 +236,6 @@ def test_optional_literal_syntax():
     assert OptionalLiteral(("to", "into")) in then_items
     assert Literal("goes") in then_items
     assert SlotPattern(Metaclass.SIGNAL, "op") in then_items
-    assert kb.metareqs[0].then[0].kind is ClauseKind.THEN
 
 
 SUBSUMPTION_WORDS = ["go", "to", "in"]
@@ -220,7 +247,7 @@ TEMPLATE_ITEMS = st.one_of(
     st.sampled_from([SlotPattern(Metaclass.BLOCK, "b"), SlotPattern(Metaclass.SIGNAL, "s")]),
 )
 TEMPLATES = st.lists(TEMPLATE_ITEMS, max_size=7).map(
-    lambda items: ClauseTemplate(ClauseKind.THEN, tuple(items))
+    lambda items: ClauseTemplate(tuple(items))
 )
 
 
@@ -234,7 +261,7 @@ def specializations(template: ClauseTemplate):
         return st.just((item,))
 
     return st.tuples(*map(choices, template.items)).map(
-        lambda parts: ClauseTemplate(template.kind, tuple(i for part in parts for i in part))
+        lambda parts: ClauseTemplate(tuple(i for part in parts for i in part))
     )
 
 

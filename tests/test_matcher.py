@@ -303,7 +303,7 @@ def test_oracle_agrees_on_shuffled_words(railway_model, kb):
 def test_oracle_agreement_randomized_quick(kb):
     rng = random.Random(12345)
     for _ in range(250):
-        model, ast = random_case(rng)
+        model, _, ast = random_case(rng)
         main, oracle = agreement(ast, kb, model)
         assert main == oracle, f"disagreement on {ast!r}"
 
@@ -368,7 +368,7 @@ def test_binding_soundness_randomized(kb):
 
     rng = random.Random(4242)
     for _ in range(120):
-        model, ast = random_case(rng)
+        model, text, ast = random_case(rng)
         try:
             result = match_requirement(ast, kb, model)
         except (NoMatch, AmbiguousMatch):
@@ -377,7 +377,7 @@ def test_binding_soundness_randomized(kb):
             for binding in binding_set:
                 assert binding.element in lookup_elements(
                     model, binding.phrase, binding.metaclass
-                ), (binding, " ".join(t.text for t in ast.tokens))
+                ), (binding, text)
 
 
 # ---------------------------------------------------------------------------

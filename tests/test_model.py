@@ -22,6 +22,7 @@ from modcomplete import (
     save_model,
 )
 from modcomplete.gherkin import RequirementDoc
+from modcomplete.normalize import normalize_phrase
 from modcomplete.model import (
     Block,
     Signal,
@@ -119,6 +120,28 @@ def test_a_name_must_survive_normalization_and_stay_distinct(key, name, message)
         load_model(json.dumps(doc))
     assert str(info.value) == f"$.{key}[1].name: {message}"
     assert info.value.path == f"$.{key}[1].name"
+
+
+@pytest.mark.parametrize("state, message", [
+    # Beside "Braking", every mention of braking would bind both states.
+    ("braking", "state name 'braking' collides with 'Braking' under normalization"),
+    # An article alone could never be mentioned.
+    ("A", "state name 'A' normalizes to nothing"),
+])
+def test_a_state_name_must_survive_normalization_and_stay_distinct_in_its_machine(state, message):
+    doc = json.loads((FIXTURES / "railway_model.json").read_text(encoding="utf-8"))
+    doc["blocks"][0]["state_machine"]["states"].append(state)
+    with pytest.raises(ValidationError) as info:
+        load_model(json.dumps(doc))
+    path = "$.blocks[0].state_machine.states[2]"
+    assert str(info.value) == f"{path}: {message}"
+    assert info.value.path == path
+
+
+def test_two_machines_may_hold_states_of_one_normal_form():
+    doc = json.loads((FIXTURES / "railway_model.json").read_text(encoding="utf-8"))
+    doc["blocks"][2]["state_machine"] = {"states": ["braking", "Idle"], "transitions": []}
+    assert load_model(json.dumps(doc)).block("Brake").state_machine.states == ("Idle", "braking")
 
 
 TRANSITION_PATH = "$.blocks[0].state_machine.transitions[1]"
@@ -685,6 +708,11 @@ def test_validate_model_rejects_repeated_transitions_in_memory(effects_order):
 MODEL_BLOCKS = ['G\xe4te"Q', "Pump\\Unit", "Zug\u2028Bahn", "T\xfcr\x01"]
 MODEL_SIGNALS = ['Halt"', "R\xe9\\set", "Go\x01", "Stopp\xe9"]
 MODEL_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\U0001f686'), max_size=6)
+#: State names of one machine: each survives normalization, none shares
+#: another's normal form.
+MODEL_STATES = st.lists(
+    MODEL_TEXT.filter(normalize_phrase), min_size=1, max_size=4, unique_by=normalize_phrase
+)
 
 
 @st.composite
@@ -700,7 +728,7 @@ def raw_and_canonical_models(draw):
             raw_blocks.append(Block(owner))
             canonical_blocks.append(Block(owner))
             continue
-        states = draw(st.lists(MODEL_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+        states = draw(MODEL_STATES)
         raw, canonical = {}, {}
         for _ in range(draw(st.integers(0, 4))):
             source, target = draw(st.sampled_from(states)), draw(st.sampled_from(states))

@@ -15,8 +15,7 @@ import modcomplete
 from modcomplete import matcher
 
 PACKAGE_ALL = [
-    "ModcompleteError", "Clause", "ClauseKind", "RequirementAST", "RequirementDoc",
-    "WhenMode", "parse_corpus", "parse_requirement", "tokenize", "CompletionReport",
+    "ModcompleteError", "Clause", "RequirementAST", "RequirementDoc", "parse_corpus", "parse_requirement", "tokenize", "CompletionReport",
     "CompletionResult", "ConflictRecord", "Finding", "RequirementOutcome",
     "StateNotInOwnerMachine", "check_acceptability", "complete_model",
     "instantiate_fragment", "ClauseTemplate", "KnowledgeBase", "MetaFragment", "MetaReq",

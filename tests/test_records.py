@@ -29,12 +29,9 @@ from modcomplete.generator import (
 )
 from modcomplete.gherkin import (
     Clause,
-    ClauseKind,
     RequirementAST,
     RequirementDoc,
     Token,
-    TokenKind,
-    WhenMode,
 )
 from modcomplete.kb import (
     ClauseTemplate,
@@ -68,13 +65,13 @@ from modcomplete.trace import SatisfyLink, TraceBinding, TraceRecord
 
 _OTHER = "<other>"
 
-TOKEN = Token(TokenKind.WORD, "Train", "train", 1)
-GIVEN = Token(TokenKind.KEYWORD, "Given", "given", 0)
+TOKEN = Token("Train", "train", 1)
+GIVEN = Token("Given", "given", 0)
 DOC = RequirementDoc("R1", "Given a Train", "F", "S")
-CLAUSE = Clause(ClauseKind.GIVEN, (TOKEN,), GIVEN)
+CLAUSE = Clause((TOKEN,), GIVEN)
 LITERAL = Literal("in")
 SLOT = SlotPattern(Metaclass.STATE, "s")
-TEMPLATE = ClauseTemplate(ClauseKind.GIVEN, (LITERAL, SLOT))
+TEMPLATE = ClauseTemplate((LITERAL, SLOT))
 FRAGMENT = MetaFragment("F1", "b", "s", "t", "g", (("e", "d"),))
 METAREQ = MetaReq("M1", (TEMPLATE,), (), (), "F1")
 BINDING = Binding("b", Metaclass.BLOCK, "the Brake", "Brake")
@@ -94,33 +91,27 @@ LINK = SatisfyLink("Brake", Metaclass.BLOCK, ("b",))
 # (type, sample fields in declaration order, repr of the sample,
 #  fields of the smallest construction, repr of that construction)
 RECORDS = [
-    (Token, dict(kind=TokenKind.WORD, text="Train", lower="train", index=1),
-     "Token(kind=<TokenKind.WORD: 'word'>, text='Train', lower='train', index=1)",
+    (Token, dict(text="Train", lower="train", index=1),
+     "Token(text='Train', lower='train', index=1)",
      None, None),
     (RequirementDoc, dict(id="R1", text="Given a Train", feature="F", scenario="S"),
      "RequirementDoc(id='R1', text='Given a Train', feature='F', scenario='S')",
      dict(id="R1", text="t"),
      "RequirementDoc(id='R1', text='t', feature=None, scenario=None)"),
-    (Clause, dict(kind=ClauseKind.GIVEN, words=(TOKEN,), lead=GIVEN),
-     "Clause(kind=<ClauseKind.GIVEN: 'Given'>, words=(Token(kind=<TokenKind.WORD: 'word'>, "
-     "text='Train', lower='train', index=1),), lead=Token(kind=<TokenKind.KEYWORD: 'keyword'>, "
-     "text='Given', lower='given', index=0))",
-     dict(kind=ClauseKind.THEN, words=()),
-     "Clause(kind=<ClauseKind.THEN: 'Then'>, words=(), lead=None)"),
-    (RequirementAST, dict(id="R1", given=(CLAUSE,), when=(), then=(), when_mode=WhenMode.DISJUNCTIVE,
-                          tokens=(GIVEN,)),
-     "RequirementAST(id='R1', given=(Clause(kind=<ClauseKind.GIVEN: 'Given'>, words=(Token("
-     "kind=<TokenKind.WORD: 'word'>, text='Train', lower='train', index=1),), lead=Token("
-     "kind=<TokenKind.KEYWORD: 'keyword'>, text='Given', lower='given', index=0)),), when=(), "
-     "then=(), when_mode=<WhenMode.DISJUNCTIVE: 'Disjunctive'>, tokens=(Token("
-     "kind=<TokenKind.KEYWORD: 'keyword'>, text='Given', lower='given', index=0),))",
+    (Clause, dict(words=(TOKEN,), lead=GIVEN),
+     "Clause(words=(Token(text='Train', lower='train', index=1),), "
+     "lead=Token(text='Given', lower='given', index=0))",
+     None, None),
+    (RequirementAST, dict(id="R1", given=(CLAUSE,), when=(), then=()),
+     "RequirementAST(id='R1', given=(Clause(words=(Token(text='Train', lower='train', index=1),), "
+     "lead=Token(text='Given', lower='given', index=0)),), when=(), then=())",
      None, None),
     (Literal, dict(word="in"), "Literal(word='in')", None, None),
     (OptionalLiteral, dict(words=("a", "the")), "OptionalLiteral(words=('a', 'the'))", None, None),
     (SlotPattern, dict(metaclass=Metaclass.STATE, role="s"),
      "SlotPattern(metaclass=<Metaclass.STATE: 'State'>, role='s')", None, None),
-    (ClauseTemplate, dict(kind=ClauseKind.GIVEN, items=(LITERAL, SLOT)),
-     "ClauseTemplate(kind=<ClauseKind.GIVEN: 'Given'>, items=(Literal(word='in'), "
+    (ClauseTemplate, dict(items=(LITERAL, SLOT)),
+     "ClauseTemplate(items=(Literal(word='in'), "
      "SlotPattern(metaclass=<Metaclass.STATE: 'State'>, role='s')))",
      None, None),
     (MetaFragment, dict(id="F1", owner_role="b", source_role="s", target_role="t", trigger_role="g",
@@ -131,13 +122,13 @@ RECORDS = [
      "MetaFragment(id='F1', owner_role='b', source_role='s', target_role='t', trigger_role=None, "
      "effect_specs=())"),
     (MetaReq, dict(id="M1", given=(TEMPLATE,), when=(), then=(), fragment="F1"),
-     "MetaReq(id='M1', given=(ClauseTemplate(kind=<ClauseKind.GIVEN: 'Given'>, items=("
+     "MetaReq(id='M1', given=(ClauseTemplate(items=("
      "Literal(word='in'), SlotPattern(metaclass=<Metaclass.STATE: 'State'>, role='s'))),), "
      "when=(), then=(), fragment='F1')",
      None, None),
     (KnowledgeBase, dict(metareqs=(METAREQ,), fragments=(FRAGMENT,)),
-     "KnowledgeBase(metareqs=(MetaReq(id='M1', given=(ClauseTemplate(kind=<ClauseKind.GIVEN: "
-     "'Given'>, items=(Literal(word='in'), SlotPattern(metaclass=<Metaclass.STATE: 'State'>, "
+     "KnowledgeBase(metareqs=(MetaReq(id='M1', given=(ClauseTemplate("
+     "items=(Literal(word='in'), SlotPattern(metaclass=<Metaclass.STATE: 'State'>, "
      "role='s'))),), when=(), then=(), fragment='F1'),), fragments=(MetaFragment(id='F1', "
      "owner_role='b', source_role='s', target_role='t', trigger_role='g', "
      "effect_specs=(('e', 'd'),)),))",
