@@ -135,7 +135,9 @@ class UnmatchedEntry(NamedTuple):
 
 class CompletionReport(NamedTuple):
     """Outcome of a completion run; every requirement id lands in exactly
-    one of added / duplicates / conflicts / unmatched."""
+    one of added / duplicates / conflicts / unmatched. ``uninstantiated``
+    names the unmatched ones that matched a rule but whose fragment could
+    not be instantiated in the model."""
 
     added: tuple[MergeEntry, ...] = ()
     duplicates: tuple[MergeEntry, ...] = ()
@@ -143,6 +145,7 @@ class CompletionReport(NamedTuple):
     unmatched: tuple[UnmatchedEntry, ...] = ()
     receivability_warnings: tuple[ReceivabilityWarning, ...] = ()
     multi_effect_requirements: tuple[str, ...] = ()
+    uninstantiated: tuple[str, ...] = ()
 
 
 class RequirementOutcome(NamedTuple):
@@ -188,12 +191,13 @@ def complete_model(
     outcomes: list[RequirementOutcome] = []
     warnings: list[ReceivabilityWarning] = []
     multi_effect: list[str] = []
+    fragments = {metareq.id: metareq.fragment for metareq in kb.metareqs}
 
     for doc in corpus:
         match = None
         try:
             match = match_requirement(parse_requirement(doc), kb, model)
-            fragment = kb.fragment_by_id(kb.metareq_by_id(match.metareq_id).fragment)
+            fragment = fragments[match.metareq_id]
             instance = instantiate_fragment(fragment, match.binding_sets, model, doc.id)
         except (ParseError, MatchError, StateNotInOwnerMachine) as exc:
             # Without its traceback, which holds this frame and so
@@ -239,6 +243,9 @@ def complete_model(
         ),
         receivability_warnings=tuple(warnings),
         multi_effect_requirements=tuple(multi_effect),
+        uninstantiated=tuple(
+            o.doc.id for o in outcomes if o.error is not None and o.match is not None
+        ),
     )
     return CompletionResult(
         model=current, report=report, trace=tuple(trace), outcomes=tuple(outcomes)
@@ -355,12 +362,17 @@ def check_acceptability(report: CompletionReport) -> list[Finding]:
                 requirement_ids=(rid,),
             )
         )
+    uninstantiated = set(report.uninstantiated)
     for entry in report.unmatched:
         findings.append(
             Finding(
                 kind="Unverifiable",
                 severity=SEVERITY_INFO,
-                message="requirement could not be matched to the model",
+                message=(
+                    "requirement matched a rule but could not be instantiated in the model"
+                    if entry.requirement_id in uninstantiated
+                    else "requirement could not be matched to the model"
+                ),
                 requirement_ids=(entry.requirement_id,),
             )
         )

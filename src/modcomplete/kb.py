@@ -1,9 +1,9 @@
 """Knowledge base of translation rules: requirement templates -> fragments.
 
 A MetaReq is a set of clause templates mixing literal words with typed slots
-written ``<<Metaclass as role>>``; its MetaFragment says how bound roles fill
-one state-machine transition (owner, source, target, optional trigger,
-optional send effects). The file format is line oriented::
+written ``<<Metaclass as role>>``, and it holds its MetaFragment, which says
+how bound roles fill one state-machine transition (owner, source, target,
+optional trigger, optional send effects). The file format is line oriented::
 
     # comment
     metareq MR1 -> F1:
@@ -16,9 +16,10 @@ optional send effects). The file format is line oriented::
       trigger: event    effect: operation -> context4
 
 Optional literals are written ``(word|word)?``. Articles never need to be
-spelled out: the matcher treats them as skippable everywhere, and a bare
-article literal in a template is read as the optional article group.
-MetaReq priority is file order (earlier wins).
+spelled out: the matcher skips every run of articles before it reads an item,
+so parsing drops article words from templates, bare or inside an optional
+group (and the group too if nothing is left). MetaReq priority is file order
+(earlier wins).
 """
 
 import re
@@ -103,7 +104,7 @@ class MetaReq(NamedTuple):
     given: tuple[ClauseTemplate, ...]
     when: tuple[ClauseTemplate, ...]
     then: tuple[ClauseTemplate, ...]
-    fragment: str
+    fragment: MetaFragment
 
     def templates(self) -> tuple[ClauseTemplate, ...]:
         return self.given + self.when + self.then
@@ -116,20 +117,10 @@ class MetaReq(NamedTuple):
 
 
 class KnowledgeBase(NamedTuple):
+    """Rules in priority order, and every fragment defined, used or not."""
+
     metareqs: tuple[MetaReq, ...] = ()
     fragments: tuple[MetaFragment, ...] = ()
-
-    def fragment_by_id(self, fragment_id: str) -> MetaFragment:
-        for f in self.fragments:
-            if f.id == fragment_id:
-                return f
-        raise UnknownFragment(f"no fragment named {fragment_id!r}")
-
-    def metareq_by_id(self, metareq_id: str) -> MetaReq:
-        for m in self.metareqs:
-            if m.id == metareq_id:
-                return m
-        raise KeyError(metareq_id)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +137,9 @@ _ITEM_RE = re.compile(
 )
 _FRAG_KEY_RE = re.compile(r"\b(owner|source|target|trigger|effect)\s*:")
 
-#: The most items one template holds, and the most templates one section of a
-#: metareq holds. The matcher recurses once per item and once per template.
+#: The most items one template keeps (article words are not kept), and the
+#: most templates one section of a metareq holds. The matcher recurses once
+#: per item and once per template.
 SIZE_LIMIT = 100
 
 
@@ -170,18 +162,16 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
                 raise KBSyntaxError(f"bad optional literal {m.group(0)!r}", line_no, col)
             if any(w in KEYWORDS for w in words):
                 raise KBSyntaxError("keywords cannot appear inside templates", line_no, col)
-            items.append(OptionalLiteral(words))
+            words = tuple(w for w in words if w not in ARTICLES)
+            if words:
+                items.append(OptionalLiteral(words))
         else:
             word = m.group(4).lower()
             if not re.fullmatch(r"[\w]+", word):
                 raise KBSyntaxError(f"bad literal {m.group(4)!r}", line_no, col)
             if word in KEYWORDS:
                 raise KBSyntaxError("keywords cannot appear inside templates", line_no, col)
-            if word in ARTICLES:
-                # Articles are always skippable; read a bare article as the
-                # optional article group so templates stay satisfiable.
-                items.append(OptionalLiteral(tuple(sorted(ARTICLES))))
-            else:
+            if word not in ARTICLES:
                 items.append(Literal(word))
     if not any(isinstance(i, SlotPattern) for i in items):
         raise KBSyntaxError(f"{kind} template declares no slot", line_no, col0)
@@ -269,28 +259,23 @@ def parse_kb(text: str) -> KnowledgeBase:
             continue
         raise KBSyntaxError(f"unrecognized line {stripped!r}", line_no)
 
-    fragments: list[MetaFragment] = []
-    seen_fragment_ids: set[str] = set()
+    fragments: dict[str, MetaFragment] = {}
     for draft in fragment_drafts:
         fields = draft["fields"]
-        if draft["id"] in seen_fragment_ids:
+        if draft["id"] in fragments:
             raise KBSyntaxError(f"duplicate fragment id {draft['id']!r}", draft["line"])
-        seen_fragment_ids.add(draft["id"])
         for required in ("owner", "source", "target"):
             if required not in fields:
                 raise KBSyntaxError(f"fragment {draft['id']!r} lacks {required!r}", draft["line"])
-        fragments.append(
-            MetaFragment(
-                id=draft["id"],
-                owner_role=fields["owner"],
-                source_role=fields["source"],
-                target_role=fields["target"],
-                trigger_role=fields.get("trigger"),
-                effect_specs=tuple(draft["effects"]),
-            )
+        fragments[draft["id"]] = MetaFragment(
+            id=draft["id"],
+            owner_role=fields["owner"],
+            source_role=fields["source"],
+            target_role=fields["target"],
+            trigger_role=fields.get("trigger"),
+            effect_specs=tuple(draft["effects"]),
         )
 
-    metareqs: list[MetaReq] = []
     seen_ids: set[str] = set()
     for draft in metareq_drafts:
         if draft["id"] in seen_ids:
@@ -301,35 +286,24 @@ def parse_kb(text: str) -> KnowledgeBase:
                 f"metareq {draft['id']!r} needs at least one given and one then template",
                 draft["line"],
             )
-        metareqs.append(
-            MetaReq(
-                id=draft["id"],
-                given=tuple(draft["templates"]["given"]),
-                when=tuple(draft["templates"]["when"]),
-                then=tuple(draft["templates"]["then"]),
-                fragment=draft["fragment"],
-            )
-        )
 
-    kb = KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments))
-    _validate_kb(kb)
-    return kb
-
-
-def _validate_kb(kb: KnowledgeBase) -> None:
-    fragment_ids = {f.id for f in kb.fragments}
-    for metareq in kb.metareqs:
-        if metareq.fragment not in fragment_ids:
+    # Fragments resolve only once every id is known to be unique.
+    metareqs: list[MetaReq] = []
+    for draft in metareq_drafts:
+        fragment = fragments.get(draft["fragment"])
+        if fragment is None:
             raise UnknownFragment(
-                f"metareq {metareq.id!r} maps to undefined fragment {metareq.fragment!r}"
+                f"metareq {draft['id']!r} maps to undefined fragment {draft['fragment']!r}"
             )
+        given, when, then = map(tuple, draft["templates"].values())
+        metareq = MetaReq(draft["id"], given, when, then, fragment)
+        metareqs.append(metareq)
         roles: set[str] = set()
         for slot in metareq.slots():
             if slot.role in roles:
                 raise DuplicateRole(f"metareq {metareq.id!r} declares role {slot.role!r} twice")
             roles.add(slot.role)
         slot_types = metareq.slot_types()
-        fragment = kb.fragment_by_id(metareq.fragment)
         for role, expected in fragment.roles():
             actual = slot_types.get(role)
             if actual is None:
@@ -342,6 +316,7 @@ def _validate_kb(kb: KnowledgeBase) -> None:
                     f"fragment {fragment.id!r} needs role {role!r} as {expected.value}, "
                     f"but metareq {metareq.id!r} declares it as {actual.value}"
                 )
+    return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +338,7 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     for metareq in kb.metareqs:
         if lines:
             lines.append("")
-        lines.append(f"metareq {metareq.id} -> {metareq.fragment}:")
+        lines.append(f"metareq {metareq.id} -> {metareq.fragment.id}:")
         for kind, templates in (("given", metareq.given), ("when", metareq.when), ("then", metareq.then)):
             label = (kind + ":").ljust(6)
             for template in templates:
@@ -392,24 +367,12 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _strip_article_optionals(items: tuple[TemplateItem, ...]) -> tuple[TemplateItem, ...]:
-    """``items`` without the article words of optional groups, which the
-    matcher skips anyway, and without the groups that leaves empty."""
-    out: list[TemplateItem] = []
-    for item in items:
-        if isinstance(item, OptionalLiteral):
-            item = OptionalLiteral(tuple(w for w in item.words if w not in ARTICLES))
-        if item != OptionalLiteral(()):
-            out.append(item)
-    return tuple(out)
-
-
 def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
     """True when every clause fitting ``tb`` fits ``ta``: a walk over ``ta``'s
     items that keeps the set of positions in ``tb``'s items it can reach."""
-    b_items = _strip_article_optionals(tb.items)
+    b_items = tb.items
     reached = {0}
-    for a in _strip_article_optionals(ta.items):
+    for a in ta.items:
         nxt = set(reached) if isinstance(a, OptionalLiteral) else set()
         for bi in reached:
             b = b_items[bi] if bi < len(b_items) else None

@@ -70,11 +70,15 @@ class MatchResult(NamedTuple):
     requirement_id: str
     metareq_id: str
     binding_sets: tuple[BindingSet, ...]
-    alternatives_consumed: int = 0
 
     @property
     def bindings(self) -> BindingSet:
         return self.binding_sets[0]
+
+    @property
+    def alternatives_consumed(self) -> int:
+        """How many disjunctive When alternatives the match covers, else 0."""
+        return len(self.binding_sets) if len(self.binding_sets) > 1 else 0
 
 
 class SpanAmbiguity(NamedTuple):
@@ -369,14 +373,14 @@ def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
 
 
 def _try_metareq(
-    ast: RequirementAST, metareq: MetaReq, kb: KnowledgeBase, model: SystemModel
+    ast: RequirementAST, metareq: MetaReq, model: SystemModel
 ) -> MatchResult | MetaReqDiagnostic:
     """The rule's match, or the diagnostic of why it does not fit.
 
     Raises:
         AmbiguousMatch: the rule fits with two distinct complete binding sets.
     """
-    owner_role = kb.fragment_by_id(metareq.fragment).owner_role
+    owner_role = metareq.fragment.owner_role
     given = _match_section(metareq.id, "given", ast.given, metareq.given, model, owner_role, [()])
     if isinstance(given, MetaReqDiagnostic):
         return given
@@ -426,7 +430,7 @@ def _try_metareq(
             raise AmbiguousMatch(ast.id, metareq.id, tuple(candidates))
         sets.append(candidates[0])
 
-    return MatchResult(ast.id, metareq.id, tuple(sets), len(alternatives) if disjunctive else 0)
+    return MatchResult(ast.id, metareq.id, tuple(sets))
 
 
 def match_requirement(
@@ -442,7 +446,7 @@ def match_requirement(
     """
     diagnostics: list[MetaReqDiagnostic] = []
     for metareq in kb.metareqs:
-        outcome = _try_metareq(ast, metareq, kb, model)
+        outcome = _try_metareq(ast, metareq, model)
         if isinstance(outcome, MatchResult):
             return outcome
         diagnostics.append(outcome)

@@ -212,7 +212,7 @@ def _oracle_section(
 def oracle_match(ast: RequirementAST, kb: KnowledgeBase, model: SystemModel) -> MatchResult:
     """Reference matcher: exhaustive, unpruned; agrees with match_requirement."""
     for metareq in kb.metareqs:
-        owner_role = kb.fragment_by_id(metareq.fragment).owner_role
+        owner_role = metareq.fragment.owner_role
         given_ctxs = _oracle_section(ast.given, metareq.given, model, owner_role, [()])
         if not given_ctxs:
             continue
@@ -255,7 +255,7 @@ def oracle_match(ast: RequirementAST, kb: KnowledgeBase, model: SystemModel) -> 
                 sets.append(variants[0])
             if not feasible:
                 continue
-            return MatchResult(ast.id, metareq.id, tuple(sets), len(ast.when))
+            return MatchResult(ast.id, metareq.id, tuple(sets))
         when_ctxs = _oracle_section(ast.when, metareq.when, model, owner_role, given_ctxs)
         if not when_ctxs:
             continue
@@ -264,5 +264,5 @@ def oracle_match(ast: RequirementAST, kb: KnowledgeBase, model: SystemModel) -> 
             continue
         if len(final) > 1:
             raise AmbiguousMatch(ast.id, metareq.id, tuple(final))
-        return MatchResult(ast.id, metareq.id, (final[0],), 0)
+        return MatchResult(ast.id, metareq.id, (final[0],))
     raise NoMatch(ast.id, ())

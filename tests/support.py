@@ -28,7 +28,6 @@ from modcomplete.kb import (
 )
 from modcomplete.model import Metaclass, SchemaError, SendEffect, Transition
 from modcomplete.normalize import (
-    ARTICLES,
     core_words,
     normalize_phrase,
     normalize_signal_phrase,
@@ -226,24 +225,22 @@ def random_kb(rng: random.Random) -> KnowledgeBase:
         for sig, blk in effects:
             then_slots = [SlotPattern(Metaclass.SIGNAL, sig), SlotPattern(Metaclass.BLOCK, blk)] + then_slots
         then = [template(then_slots)]
-        fragment_id = f"F{i + 1}"
-        fragments.append(
-            MetaFragment(
-                id=fragment_id,
-                owner_role=owner,
-                source_role=source,
-                target_role=target,
-                trigger_role=trigger,
-                effect_specs=tuple(effects),
-            )
+        fragment = MetaFragment(
+            id=f"F{i + 1}",
+            owner_role=owner,
+            source_role=source,
+            target_role=target,
+            trigger_role=trigger,
+            effect_specs=tuple(effects),
         )
+        fragments.append(fragment)
         metareqs.append(
             MetaReq(
                 id=f"MR{i + 1}",
                 given=tuple(given),
                 when=tuple(when),
                 then=tuple(then),
-                fragment=fragment_id,
+                fragment=fragment,
             )
         )
     return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments))
@@ -279,11 +276,40 @@ def random_multi_kb(rng: random.Random) -> KnowledgeBase:
         when = section([Metaclass.SIGNAL]) if rng.random() < 0.6 else ()
         then = section([Metaclass.STATE])
         trigger = roles[Metaclass.SIGNAL][0] if when else None
-        fragments.append(
-            MetaFragment(f"F{i + 1}", owner, source, roles[Metaclass.STATE][-1], trigger)
-        )
-        metareqs.append(MetaReq(f"MR{i + 1}", given, when, then, f"F{i + 1}"))
+        fragment = MetaFragment(f"F{i + 1}", owner, source, roles[Metaclass.STATE][-1], trigger)
+        fragments.append(fragment)
+        metareqs.append(MetaReq(f"MR{i + 1}", given, when, then, fragment))
     return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments))
+
+
+_KB_TEMPLATE_LINE = re.compile(r'^(\s*(?:given|when|then):\s*")(.*)"\s*$', re.M)
+_KB_TEMPLATE_ITEM = re.compile(r"<<[^>]*>>|\([^()]*\)\?|\S+")
+ARTICLE_SPELLINGS = ["a", "an", "the", "A", "An", "The", "THE", "AN", "tHe"]
+
+
+def with_articles(rng: random.Random, kb_text: str) -> str:
+    """``kb_text`` with article words spelled out in its templates: bare
+    articles and article-only optional groups between items, and article
+    words inside the optional groups it already has."""
+
+    def article_group() -> str:
+        return "(" + "|".join(rng.sample(ARTICLE_SPELLINGS, rng.randint(1, 3))) + ")?"
+
+    def spell_out(m: re.Match) -> str:
+        out: list[str] = []
+        for item in _KB_TEMPLATE_ITEM.findall(m.group(2)) + [None]:
+            while rng.random() < 0.3:
+                out.append(rng.choice(ARTICLE_SPELLINGS) if rng.random() < 0.5 else article_group())
+            if item is None:
+                break
+            if item.startswith("(") and rng.random() < 0.7:
+                words = item[1:-2].split("|")
+                words.insert(rng.randint(0, len(words)), rng.choice(ARTICLE_SPELLINGS))
+                item = "(" + "|".join(words) + ")?"
+            out.append(item)
+        return f'{m.group(1)}{" ".join(out)}"'
+
+    return _KB_TEMPLATE_LINE.sub(spell_out, kb_text)
 
 
 def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemModel) -> str:
@@ -291,7 +317,7 @@ def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemMod
     by a model element of its metaclass), with one word mutated in a third
     of the cases. Block names with "and" add clauses the matcher re-merges."""
     metareq = rng.choice(kb.metareqs)
-    owner = kb.fragment_by_id(metareq.fragment).owner_role
+    owner = metareq.fragment.owner_role
     machines = [b for b in model.blocks if b.state_machine]
     states = machines[0].state_machine.states
     words_by_metaclass = {
@@ -381,17 +407,7 @@ def reference_template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
     """``kb._template_subsumes`` as a depth-first recursion that tries both
     branches of every optional literal: exponential in optional literals,
     so only for small templates."""
-
-    def strip(items):
-        out = []
-        for i in items:
-            if isinstance(i, OptionalLiteral):
-                i = OptionalLiteral(tuple(w for w in i.words if w not in ARTICLES))
-            if i != OptionalLiteral(()):
-                out.append(i)
-        return tuple(out)
-
-    return _reference_subsumes_from(strip(ta.items), strip(tb.items), 0, 0)
+    return _reference_subsumes_from(ta.items, tb.items, 0, 0)
 
 
 def _reference_subsumes_from(a_items, b_items, ai: int, bi: int) -> bool:

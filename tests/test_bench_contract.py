@@ -1,18 +1,44 @@
 """The traced benchmark (bench/traced_cli.py) wraps pipeline functions by
-their module attribute names. Run it once so that renaming or removing one
-of those attributes fails here rather than in the benchmark."""
+their module attribute names, and the benchmark's correctness check reads
+match records. Run both here, so that renaming or removing what they use
+fails here rather than in the benchmark."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import FIXTURES
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_run_module():
+    """``bench/run.py`` as a module (it puts ``bench/`` on ``sys.path``)."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["wide-model", "clause-search", "dense-machines"])
+def test_benchmark_oracle_spot_check_agrees_on_seed_1(name):
+    """The check ``bench/run.py`` runs before it measures: the matcher, the
+    oracle and the workload's expected outcomes agree on a sample."""
+    run = bench_run_module()
+    workload = run.workloads.WORKLOADS[name](1)
+    sample = run.oracle_sample(workload, 1)
+    assert sample
+    problems = run.checks.oracle_spot_check(
+        workload, sample, workload.model_text(), workload.feature_text(), run.workloads.KB_TEXT
+    )
+    assert problems == []
 
 
 def run_traced(out_path: Path, mode: str, *cli_args: str, cwd: Path | None = None) -> None:

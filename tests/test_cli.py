@@ -529,13 +529,28 @@ def test_check_says_why_a_matched_requirement_was_not_instantiated(tmp_path, cap
         "REQ-001: M (4 bindings)",
         "    block 'Brake' has no state machine",
         *bindings[: 4 * explain],
-        "  [info] Unverifiable: requirement could not be matched to the model (REQ-001)",
+        "  [info] Unverifiable: requirement matched a rule but could not be instantiated in the "
+        "model (REQ-001)",
     ]
 
 
 def test_kb_lint_default_clean(capsys):
     assert main(["kb-lint"]) == 0
     assert "ok: 3 rule(s)" in capsys.readouterr().out
+
+
+def test_kb_lint_counts_a_fragment_no_rule_uses(tmp_path, capsys):
+    path = tmp_path / "kb.txt"
+    path.write_text(
+        "metareq M -> F:\n"
+        '  given: "<<Block as b>> in <<State as s>>"\n'
+        '  then:  "goes in <<State as t>>"\n'
+        "fragment F:\n  owner: b   source: s   target: t\n"
+        "fragment UNUSED:\n  owner: x   source: y   target: z\n",
+        encoding="utf-8",
+    )
+    assert main(["kb-lint", "--kb", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 1 rule(s), 2 fragment(s)\n"
 
 
 def test_kb_lint_duplicate_id(tmp_path, capsys):
@@ -788,7 +803,7 @@ GOLDEN_FINDINGS = """\
   [info] Unverifiable: requirement could not be matched to the model (REQ-003)
   [info] Unverifiable: requirement could not be matched to the model (REQ-004)
   [info] Unverifiable: requirement could not be matched to the model (REQ-005)
-  [info] Unverifiable: requirement could not be matched to the model (REQ-006)
+  [info] Unverifiable: requirement matched a rule but could not be instantiated in the model (REQ-006)
 """
 
 GOLDEN_CHECK = """\

@@ -38,7 +38,7 @@ def corpus_of(*texts_with_ids):
 
 def test_instantiate_railway_fragment(railway_model, railway_ast, kb):
     match = match_requirement(railway_ast, kb, railway_model)
-    fragment = kb.fragment_by_id("F1")
+    fragment = kb.metareqs[0].fragment
     instance = instantiate_fragment(fragment, match.binding_sets, railway_model, "REQ-001")
     ((owner, transition),) = instance.pairs
     assert owner == "Train"
@@ -58,7 +58,7 @@ def test_instantiate_triggerless_fragment(kb):
     ast = ast_of("Given Gate in s1, Then Gate goes in s2")
     match = match_requirement(ast, kb, model)
     assert match.metareq_id == "MR3"
-    instance = instantiate_fragment(kb.fragment_by_id("F3"), match.binding_sets, model, "R")
+    instance = instantiate_fragment(kb.metareqs[2].fragment, match.binding_sets, model, "R")
     ((_, transition),) = instance.pairs
     assert transition.trigger is None and transition.effects == ()
 
@@ -71,7 +71,7 @@ def test_instantiate_disjunctive_fans_out(kb):
     }))
     ast = ast_of("Given Gate in s1, When Gate receives Sig1 or Sig2, Then Gate goes in s2")
     match = match_requirement(ast, kb, model)
-    instance = instantiate_fragment(kb.fragment_by_id("F2"), match.binding_sets, model, "R")
+    instance = instantiate_fragment(kb.metareqs[1].fragment, match.binding_sets, model, "R")
     assert len(instance.pairs) == 2
     assert {t.trigger for _, t in instance.pairs} == {"Sig1", "Sig2"}
     stripped = {
@@ -100,7 +100,7 @@ def test_instantiate_state_not_in_owner_machine():
     ast = ast_of("Given s1 state of Gate, Then goes in s2")
     match = match_requirement(ast, kb, model)
     with pytest.raises(StateNotInOwnerMachine, match="s1"):
-        instantiate_fragment(kb.fragment_by_id("FX"), match.binding_sets, model, "R")
+        instantiate_fragment(kb.metareqs[0].fragment, match.binding_sets, model, "R")
     # complete_model records it instead of raising
     result = complete_model(model, [RequirementDoc(id="R", text="Given s1 state of Gate, Then goes in s2")], kb)
     assert [u.requirement_id for u in result.report.unmatched] == ["R"]
@@ -336,10 +336,11 @@ def test_complete_model_agrees_with_the_reference_merge():
         corpus = varied_corpus(rng, model, render, "R", rng.randint(1, 10))
         result = complete_model(model, corpus, kb)
         instances = []
+        fragments = {metareq.id: metareq.fragment for metareq in kb.metareqs}
         for outcome in result.outcomes:
             if outcome.error is None:
                 match = outcome.match
-                fragment = kb.fragment_by_id(kb.metareq_by_id(match.metareq_id).fragment)
+                fragment = fragments[match.metareq_id]
                 instances.append(
                     (outcome.doc.id, instantiate_fragment(fragment, match.binding_sets, model, outcome.doc.id))
                 )

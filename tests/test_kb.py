@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcomplete import default_kb, parse_kb, serialize_kb
+from modcomplete.gherkin import ParseError, RequirementDoc, parse_requirement
 from modcomplete.kb import (
+    DEFAULT_KB_TEXT,
+    SIZE_LIMIT,
     ClauseTemplate,
     DuplicateRole,
     KBSyntaxError,
@@ -17,10 +21,22 @@ from modcomplete.kb import (
     UnknownFragment,
     UntypedRole,
     _template_subsumes,
+    shadowed_rules,
 )
+from modcomplete.matcher import AmbiguousMatch, NoMatch, match_requirement
 from modcomplete.model import Metaclass
+from modcomplete.normalize import ARTICLES
 
-from support import random_kb, reference_template_subsumes, sized_rule
+from support import (
+    random_kb,
+    random_model,
+    random_multi_kb,
+    random_requirement,
+    reference_template_subsumes,
+    rendered_requirement,
+    sized_rule,
+    with_articles,
+)
 
 
 def test_default_kb_shape():
@@ -32,14 +48,14 @@ def test_default_kb_shape():
 
 def test_default_kb_mr1_mirrors_published_pattern():
     kb = default_kb()
-    mr1 = kb.metareq_by_id("MR1")
+    mr1 = kb.metareqs[0]
     assert len(mr1.given) == 1 and len(mr1.when) == 1 and len(mr1.then) == 2
     roles = [s.role for s in mr1.slots()]
     assert roles == [
         "context1", "starting", "context2", "event",
         "context3", "operation", "context4", "final",
     ]
-    f1 = kb.fragment_by_id("F1")
+    f1 = mr1.fragment
     assert f1.owner_role == "context1"
     assert f1.source_role == "starting"
     assert f1.target_role == "final"
@@ -64,8 +80,7 @@ def test_fragment_roles_subset_of_slots():
     kb = default_kb()
     for metareq in kb.metareqs:
         slot_types = metareq.slot_types()
-        fragment = kb.fragment_by_id(metareq.fragment)
-        for role, metaclass in fragment.roles():
+        for role, metaclass in metareq.fragment.roles():
             assert slot_types[role] is metaclass
 
 
@@ -210,16 +225,22 @@ def test_a_rule_past_the_size_limit_is_rejected_with_its_line(items, templates, 
     assert str(info.value).endswith(message)
 
 
-def test_bare_article_literal_becomes_optional_group():
+def test_article_words_are_dropped_from_templates():
+    """A bare article, the article words of an optional group, and a group
+    left empty by them are dropped; they count toward no size limit."""
     text = (
         'metareq M -> F:\n'
         '  given: "<<Block as b>> in the <<State as s>>"\n'
-        '  then:  "goes in <<State as f>>"\n'
+        '  then:  "(An|the)? goes (to|The)? in <<State as f>>' + " a" * SIZE_LIMIT + '"\n'
         "fragment F:\n  owner: b   source: s   target: f\n"
     )
-    kb = parse_kb(text)
-    items = kb.metareqs[0].given[0].items
-    assert OptionalLiteral(("a", "an", "the")) in items
+    (metareq,) = parse_kb(text).metareqs
+    assert metareq.given[0].items == (
+        SlotPattern(Metaclass.BLOCK, "b"), Literal("in"), SlotPattern(Metaclass.STATE, "s"),
+    )
+    assert metareq.then[0].items == (
+        Literal("goes"), OptionalLiteral(("to",)), Literal("in"), SlotPattern(Metaclass.STATE, "f"),
+    )
 
 
 def test_optional_literal_syntax():
@@ -239,11 +260,11 @@ def test_optional_literal_syntax():
 
 
 SUBSUMPTION_WORDS = ["go", "to", "in"]
+# Items as ``parse_kb`` returns them: no article words.
 TEMPLATE_ITEMS = st.one_of(
     st.sampled_from([Literal(w) for w in SUBSUMPTION_WORDS]),
-    st.lists(st.sampled_from(SUBSUMPTION_WORDS + ["the"]), min_size=1, max_size=3, unique=True)
+    st.lists(st.sampled_from(SUBSUMPTION_WORDS), min_size=1, max_size=3, unique=True)
     .map(lambda words: OptionalLiteral(tuple(words))),
-    st.just(OptionalLiteral(("a", "an", "the"))),
     st.sampled_from([SlotPattern(Metaclass.BLOCK, "b"), SlotPattern(Metaclass.SIGNAL, "s")]),
 )
 TEMPLATES = st.lists(TEMPLATE_ITEMS, max_size=7).map(
@@ -271,3 +292,96 @@ def test_template_subsumption_agrees_with_the_reference_recursion(data):
     ta = data.draw(TEMPLATES)
     tb = data.draw(st.one_of(TEMPLATES, specializations(ta)))
     assert _template_subsumes(ta, tb) == reference_template_subsumes(ta, tb)
+
+
+# ---------------------------------------------------------------------------
+# Article words: the matcher skips every run of articles before it reads a
+# template item, so parse_kb drops them and a rule means the same with or
+# without them.
+# ---------------------------------------------------------------------------
+
+KB_SOURCES = ["default", "random", "multi"]
+
+
+def twin_kb_text(rng: random.Random, source: str) -> str:
+    """A KB text followed by a copy with renamed ids, whose rules each
+    shadow their copy: the shadowing analysis then has pairs to find."""
+    if source == "default":
+        text = DEFAULT_KB_TEXT
+    else:
+        text = serialize_kb((random_kb if source == "random" else random_multi_kb)(rng))
+    return text + "\n" + re.sub(r"\b(MR|F)(\d+)\b", r"T\1\2", text)
+
+
+def template_articles(kb) -> list:
+    return [
+        item
+        for metareq in kb.metareqs
+        for template in metareq.templates()
+        for item in template.items
+        if (isinstance(item, Literal) and item.word in ARTICLES)
+        or (isinstance(item, OptionalLiteral) and ARTICLES & set(item.words))
+    ]
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(KB_SOURCES))
+def test_parsed_templates_hold_no_article_word(seed, source):
+    rng = random.Random(seed)
+    assert template_articles(parse_kb(with_articles(rng, twin_kb_text(rng, source)))) == []
+
+
+def full_outcome(ast, kb, model):
+    """A match, or everything a NoMatch or AmbiguousMatch reports."""
+    try:
+        return match_requirement(ast, kb, model)
+    except NoMatch as exc:
+        return ("NoMatch", exc.diagnostics)
+    except AmbiguousMatch as exc:
+        return ("AmbiguousMatch", exc.metareq_id, exc.binding_sets)
+
+
+@settings(max_examples=1000)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(KB_SOURCES))
+def test_article_words_in_templates_change_no_outcome(seed, source):
+    """Spelling articles out in a KB text changes no match, diagnostic,
+    ambiguity or shadowing verdict."""
+    rng = random.Random(seed)
+    plain_text = twin_kb_text(rng, source)
+    plain, spelled = parse_kb(plain_text), parse_kb(with_articles(rng, plain_text))
+    ids = lambda pairs: [(high.id, low.id) for high, low in pairs]
+    assert ids(shadowed_rules(spelled)) == ids(shadowed_rules(plain))
+    model = random_model(rng)
+    for i in range(3):
+        if source == "default":
+            text = random_requirement(rng, model)
+        else:
+            text = rendered_requirement(rng, spelled, model)
+        try:
+            ast = parse_requirement(RequirementDoc(f"R{i}", text))
+        except ParseError:
+            continue
+        assert full_outcome(ast, spelled, model) == full_outcome(ast, plain, model), text
+
+
+# ---------------------------------------------------------------------------
+# Which error parse_kb reports when a document has several faults.
+# ---------------------------------------------------------------------------
+
+
+def test_duplicate_metareq_id_is_reported_before_an_unknown_fragment():
+    text = (
+        "metareq A -> FX:\n" + RULE.split("\n", 1)[1]
+        + RULE + RULE + FRAGMENT
+    )
+    with pytest.raises(KBSyntaxError, match="duplicate metareq id 'M'"):
+        parse_kb(text)
+
+
+def test_earlier_rules_role_error_is_reported_before_a_later_unknown_fragment():
+    text = (
+        RULE + FRAGMENT.replace("owner: b", "owner: nobody")
+        + "metareq B -> FX:\n" + RULE.split("\n", 1)[1]
+    )
+    with pytest.raises(UntypedRole, match="nobody"):
+        parse_kb(text)

@@ -27,6 +27,7 @@ from modcomplete.matcher import MetaReqDiagnostic, SpanAmbiguity
 from modcomplete.oracle import _oracle_clause_maps  # white-box: segmentation oracle
 
 from support import (
+    ARTICLE_SPELLINGS,
     agreement,
     random_case,
     random_kb,
@@ -58,7 +59,7 @@ def small_model(**overrides):
 
 def test_match_clause_given_template(railway_model, kb):
     ast = ast_of("Given a Train in running Then x goes in braking")
-    template = kb.metareq_by_id("MR1").given[0]
+    template = kb.metareqs[0].given[0]
     result = match_clause(ast.given[0], template, railway_model, owner_role="context1")
     assert len(result.maps) == 1
     assert {b.role: b.element for b in result.maps[0]} == {
@@ -69,7 +70,7 @@ def test_match_clause_given_template(railway_model, kb):
 
 def test_match_clause_unknown_block(railway_model, kb):
     ast = ast_of("Given a Spaceship in running Then x goes in braking")
-    template = kb.metareq_by_id("MR1").given[0]
+    template = kb.metareqs[0].given[0]
     result = match_clause(ast.given[0], template, railway_model, owner_role="context1")
     assert result.maps == ()
     assert result.failure is not None
@@ -88,7 +89,7 @@ def test_match_clause_only_resolving_split_survives(kb):
         ],
     }))
     ast = ast_of("Given x in s1 When the Brake Monitor receives a Halt Then y goes in s2")
-    template = kb.metareq_by_id("MR1").when[0]
+    template = kb.metareqs[0].when[0]
     result = match_clause(ast.when[0], template, model)
     assert [{b.role: b.element for b in m} for m in result.maps] == [
         {"context2": "BrakeMonitor", "event": "Halt"}
@@ -323,7 +324,6 @@ def test_oracle_agrees_on_knowledge_bases_with_several_templates_per_section():
     assert matched >= cases // 4
 
 
-ARTICLE_SPELLINGS = ["a", "an", "the", "A", "An", "The", "THE", "AN", "tHe"]
 ARTICLE_RUNS = st.lists(st.sampled_from(ARTICLE_SPELLINGS), min_size=1, max_size=3)
 
 
@@ -646,7 +646,6 @@ def test_outcome_disjunctive_success(kb):
         "R",
         "MR2",
         (gate_set(*receives("Halt", "Halt"), *then), gate_set(*receives("Ping", "Ping"), *then)),
-        2,
     )
 
 
@@ -654,5 +653,5 @@ def test_outcome_disjunctive_success_with_an_elliptical_alternative():
     kb = path_kb("<<Signal as cause>> with <<Signal as event>>")
     text = "Given Gate in s1, When Halt with Ping or Halt, Then goes in s2"
     assert path_outcome(text, kb) == MatchResult(
-        "R", "M", (path_set("Halt", "Ping", "Ping"), path_set("Halt", "Halt", "Halt")), 2
+        "R", "M", (path_set("Halt", "Ping", "Ping"), path_set("Halt", "Halt", "Halt"))
     )

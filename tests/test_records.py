@@ -73,9 +73,9 @@ LITERAL = Literal("in")
 SLOT = SlotPattern(Metaclass.STATE, "s")
 TEMPLATE = ClauseTemplate((LITERAL, SLOT))
 FRAGMENT = MetaFragment("F1", "b", "s", "t", "g", (("e", "d"),))
-METAREQ = MetaReq("M1", (TEMPLATE,), (), (), "F1")
+METAREQ = MetaReq("M1", (TEMPLATE,), (), (), FRAGMENT)
 BINDING = Binding("b", Metaclass.BLOCK, "the Brake", "Brake")
-MATCH = MatchResult("R1", "M1", ((BINDING,),), 1)
+MATCH = MatchResult("R1", "M1", ((BINDING,),))
 FAILURE = ClauseFailure(2, 3, "no element", "s", "fast")
 EFFECT = SendEffect("Stop", "Brake")
 TRANSITION = Transition("abc", "a", "b", "Go", None, (EFFECT,), ("R1",))
@@ -121,28 +121,27 @@ RECORDS = [
      dict(id="F1", owner_role="b", source_role="s", target_role="t"),
      "MetaFragment(id='F1', owner_role='b', source_role='s', target_role='t', trigger_role=None, "
      "effect_specs=())"),
-    (MetaReq, dict(id="M1", given=(TEMPLATE,), when=(), then=(), fragment="F1"),
+    (MetaReq, dict(id="M1", given=(TEMPLATE,), when=(), then=(), fragment=FRAGMENT),
      "MetaReq(id='M1', given=(ClauseTemplate(items=("
      "Literal(word='in'), SlotPattern(metaclass=<Metaclass.STATE: 'State'>, role='s'))),), "
-     "when=(), then=(), fragment='F1')",
+     "when=(), then=(), fragment=MetaFragment(id='F1', owner_role='b', source_role='s', "
+     "target_role='t', trigger_role='g', effect_specs=(('e', 'd'),)))",
      None, None),
     (KnowledgeBase, dict(metareqs=(METAREQ,), fragments=(FRAGMENT,)),
      "KnowledgeBase(metareqs=(MetaReq(id='M1', given=(ClauseTemplate("
      "items=(Literal(word='in'), SlotPattern(metaclass=<Metaclass.STATE: 'State'>, "
-     "role='s'))),), when=(), then=(), fragment='F1'),), fragments=(MetaFragment(id='F1', "
-     "owner_role='b', source_role='s', target_role='t', trigger_role='g', "
-     "effect_specs=(('e', 'd'),)),))",
+     "role='s'))),), when=(), then=(), fragment=MetaFragment(id='F1', owner_role='b', "
+     "source_role='s', target_role='t', trigger_role='g', effect_specs=(('e', 'd'),))),), "
+     "fragments=(MetaFragment(id='F1', owner_role='b', source_role='s', target_role='t', "
+     "trigger_role='g', effect_specs=(('e', 'd'),)),))",
      dict(), "KnowledgeBase(metareqs=(), fragments=())"),
     (Binding, dict(role="b", metaclass=Metaclass.BLOCK, phrase="the Brake", element="Brake"),
      "Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', element='Brake')",
      None, None),
-    (MatchResult, dict(requirement_id="R1", metareq_id="M1", binding_sets=((BINDING,),),
-                       alternatives_consumed=1),
+    (MatchResult, dict(requirement_id="R1", metareq_id="M1", binding_sets=((BINDING,),)),
      "MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=((Binding(role='b', "
-     "metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', element='Brake'),),), "
-     "alternatives_consumed=1)",
-     dict(requirement_id="R1", metareq_id="M1", binding_sets=()),
-     "MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=(), alternatives_consumed=0)"),
+     "metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', element='Brake'),),))",
+     None, None),
     (SpanAmbiguity, dict(role="b", metaclass=Metaclass.BLOCK, phrase="Brake",
                          elements=("Brake", "Emergency Brake")),
      "SpanAmbiguity(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='Brake', "
@@ -215,20 +214,21 @@ RECORDS = [
     (UnmatchedEntry, dict(requirement_id="R1", diagnostics=("no rule",)),
      "UnmatchedEntry(requirement_id='R1', diagnostics=('no rule',))", None, None),
     (CompletionReport, dict(added=(ENTRY,), duplicates=(ENTRY,), conflicts=(), unmatched=(),
-                            receivability_warnings=(WARNING,), multi_effect_requirements=("R1",)),
+                            receivability_warnings=(WARNING,), multi_effect_requirements=("R1",),
+                            uninstantiated=("R2",)),
      "CompletionReport(added=(MergeEntry(owner='Brake', transition_id='abc', "
      "requirement_ids=('R1',)),), duplicates=(MergeEntry(owner='Brake', transition_id='abc', "
      "requirement_ids=('R1',)),), conflicts=(), unmatched=(), receivability_warnings=("
      "ReceivabilityWarning(requirement_id='R1', signal='Stop', target_block='Brake'),), "
-     "multi_effect_requirements=('R1',))",
+     "multi_effect_requirements=('R1',), uninstantiated=('R2',))",
      dict(),
      "CompletionReport(added=(), duplicates=(), conflicts=(), unmatched=(), "
-     "receivability_warnings=(), multi_effect_requirements=())"),
+     "receivability_warnings=(), multi_effect_requirements=(), uninstantiated=())"),
     (RequirementOutcome, dict(doc=DOC, match=MATCH, error=None),
      "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
      "scenario='S'), match=MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=(("
      "Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', "
-     "element='Brake'),),), alternatives_consumed=1), error=None)",
+     "element='Brake'),),)), error=None)",
      dict(doc=DOC),
      "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
      "scenario='S'), match=None, error=None)"),
@@ -236,7 +236,8 @@ RECORDS = [
      "CompletionResult(model=SystemModel(name='m', blocks=(), signals=()), "
      "report=CompletionReport(added=(MergeEntry(owner='Brake', transition_id='abc', "
      "requirement_ids=('R1',)),), duplicates=(), conflicts=(), unmatched=(), "
-     "receivability_warnings=(), multi_effect_requirements=()), trace=(), outcomes=())",
+     "receivability_warnings=(), multi_effect_requirements=(), uninstantiated=()), trace=(), "
+     "outcomes=())",
      None, None),
     (Finding, dict(kind="Conflict", severity="error", message="m", requirement_ids=("R1",)),
      "Finding(kind='Conflict', severity='error', message='m', requirement_ids=('R1',))",
