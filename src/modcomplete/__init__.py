@@ -48,8 +48,6 @@ from .matcher import (
 )
 from .model import (
     Block,
-    MergeKind,
-    MergeOutcome,
     Metaclass,
     SchemaError,
     SendEffect,
@@ -58,7 +56,6 @@ from .model import (
     SystemModel,
     Transition,
     ValidationError,
-    add_transition,
     load_model,
     lookup_elements,
     save_model,
@@ -102,8 +99,6 @@ __all__ = [
     "normalize_signal_phrase",
     "oracle_match",
     "Block",
-    "MergeKind",
-    "MergeOutcome",
     "Metaclass",
     "SchemaError",
     "SendEffect",
@@ -112,7 +107,6 @@ __all__ = [
     "SystemModel",
     "Transition",
     "ValidationError",
-    "add_transition",
     "load_model",
     "lookup_elements",
     "save_model",

@@ -1,10 +1,12 @@
 """Command-line interface: complete, check and kb-lint subcommands.
 
-Exit codes: 0 means no error-level findings, 2 means conflicts or validation
-errors were found, 1 means an input file was missing or unreadable, an output
-file could not be written, two of ``complete``'s outputs, a diagram and
-the model, report or trace included, name the same file (or one names a
-directory that another must be written in), or (in the
+Exit codes: 0 means no error-level findings; 2 means conflicts were found,
+or, for ``kb-lint``, that the knowledge base is malformed or shadows a rule.
+1 means an input file was missing, unreadable or invalid (a model that fails
+its schema or validation, a corpus that repeats an ``@id:``, a malformed
+knowledge base), an output file could not be written, two of ``complete``'s
+outputs, a diagram and the model, report or trace included, name the same
+file (or one names a directory that another must be written in), or (in the
 command, :func:`run`) stdout was closed before all output was written.
 With ``--strict``, warnings count as errors for the exit code.
 

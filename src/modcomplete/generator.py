@@ -15,14 +15,7 @@ from .errors import ModcompleteError
 from .gherkin import ParseError, RequirementDoc, parse_requirement
 from .kb import KnowledgeBase, MetaFragment
 from .matcher import BindingSet, MatchError, MatchResult, NoMatch, match_requirement
-from .model import (
-    MergeKind,
-    SendEffect,
-    SystemModel,
-    Transition,
-    add_transition,
-    make_transition,
-)
+from .model import SendEffect, SystemModel, Transition, add_transition, make_transition
 from .trace import TraceRecord, build_trace
 
 
@@ -212,26 +205,32 @@ def complete_model(
 
     conflicts, withheld = _detect_conflicts(model, attempts)
 
+    # A candidate is new when its id is neither in its owner's machine nor
+    # added by an earlier requirement. Only the machines named are read.
+    known: dict[str, set[str]] = {}
+    candidates: list[tuple[str, Transition]] = []
     added: list[MergeEntry] = []
     duplicates: list[MergeEntry] = []
     trace: list[TraceRecord] = []
-    current = model
     for doc, match, instance in attempts:
         if doc.id in withheld:
             continue
         added_ids: list[str] = []
         duplicate_ids: list[str] = []
         for owner, transition in instance.pairs:
-            outcome = add_transition(current, owner, transition)
-            current = outcome.model
-            if outcome.kind is MergeKind.ADDED:
-                added_ids.append(outcome.transition_id)
-                added.append(MergeEntry(owner, outcome.transition_id, (doc.id,)))
+            ids = known.get(owner)
+            if ids is None:
+                ids = known[owner] = {t.id for t in model.block(owner).state_machine.transitions}
+            if transition.id in ids:
+                duplicate_ids.append(transition.id)
             else:
-                duplicate_ids.append(outcome.transition_id)
+                ids.add(transition.id)
+                added_ids.append(transition.id)
+                added.append(MergeEntry(owner, transition.id, (doc.id,)))
         if not added_ids:
             for owner, transition in instance.pairs:
                 duplicates.append(MergeEntry(owner, transition.id, (doc.id,)))
+        candidates.extend(instance.pairs)
         trace.append(build_trace(match, tuple(added_ids + duplicate_ids), text=doc.text))
 
     report = CompletionReport(
@@ -248,7 +247,8 @@ def complete_model(
         ),
     )
     return CompletionResult(
-        model=current, report=report, trace=tuple(trace), outcomes=tuple(outcomes)
+        model=add_transition(model, candidates), report=report, trace=tuple(trace),
+        outcomes=tuple(outcomes),
     )
 
 

@@ -102,3 +102,14 @@ def test_traced_complete_records_every_span_the_benchmark_reads(tmp_path):
         "generator.check_acceptability",
         "model.save_model", "trace.emit_trace_json", "trace.emit_requirement_diagram",
     }
+
+
+def test_traced_complete_merges_in_one_span_under_complete_model(tmp_path):
+    """The merge is one call, made by ``complete_model``, so the benchmark's
+    ``model.add_transition_s`` measures the whole merge."""
+    spans_path = tmp_path / "spans.json"
+    run_traced(spans_path, "spans", "complete", cwd=tmp_path)
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    merges = [span for span in spans if span[0] == "model.add_transition"]
+    assert len(merges) == 1
+    assert spans[merges[0][3]][0] == "generator.complete_model"

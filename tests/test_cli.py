@@ -184,6 +184,38 @@ def test_overdeep_model_is_one_error_line(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def _dangling_part_model(tmp_path: Path) -> dict[str, str]:
+    doc = json.loads((FIXTURES / "railway_model.json").read_text(encoding="utf-8"))
+    doc["blocks"][0]["parts"] = ["Ghost"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    return {"--model": str(model)}
+
+
+def _repeated_id_corpus(tmp_path: Path) -> dict[str, str]:
+    reqs = tmp_path / "reqs.feature"
+    reqs.write_text(
+        f"Scenario: A\n@id: R1\n{RAILWAY_REQUIREMENT}\nScenario: B\n@id: R1\n{RAILWAY_REQUIREMENT}\n",
+        encoding="utf-8",
+    )
+    return {"--reqs": str(reqs)}
+
+
+@pytest.mark.parametrize("command", ["check", "complete"])
+@pytest.mark.parametrize("make_input, message", [
+    (_dangling_part_model, "$.blocks[0].parts[0]: part 'Ghost' is not a block"),
+    (_repeated_id_corpus, "requirement id 'R1' used twice"),
+], ids=["dangling-part", "repeated-id"])
+def test_an_invalid_model_or_corpus_is_exit_1(tmp_path, capsys, command, make_input, message):
+    """A model that fails validation and a corpus that repeats an ``@id:``
+    end like an unreadable input: exit 1, one error line, nothing written."""
+    assert main(io_argv(tmp_path, command, make_input(tmp_path))) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_strict_turns_redundancy_into_failure(tmp_path):
     code, _ = run_complete(
         tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "duplicate.feature")

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import modcomplete.generator as generator
+import modcomplete.model as model_module
 from modcomplete import (
     SendEffect,
     StateNotInOwnerMachine,
@@ -161,6 +163,36 @@ def test_a_requirement_with_one_new_transition_lists_no_duplicate(railway_model,
     assert sorted((t.trigger, t.provenance) for t in by_id.values()) == [
         ("Activate", ("R2",)), ("EmergencyStop", ("R1", "R2")),
     ]
+
+
+def test_merge_is_linear_in_the_corpus(railway_model, kb, monkeypatch):
+    """N copies of the railway requirement name one transition. The
+    provenance entries sorted during one ``complete_model`` grow linearly in
+    N, counted rather than timed, and the merge runs once per run. Merging
+    one candidate at a time re-sorted the growing provenance list on every
+    duplicate: N(N+1)/2 entries."""
+    sorted_unique, merge = model_module._sorted_unique, generator.add_transition
+    counts = {"entries": 0, "merges": 0}
+
+    def counting_sort(items):
+        counts["entries"] += len(items)
+        return sorted_unique(items)
+
+    def counting_merge(*args):
+        counts["merges"] += 1
+        return merge(*args)
+
+    monkeypatch.setattr(model_module, "_sorted_unique", counting_sort)
+    monkeypatch.setattr(generator, "add_transition", counting_merge)
+    entries = {}
+    for n in (1000, 4000):
+        counts.update(entries=0, merges=0)
+        corpus = [RequirementDoc(id=f"R{i}", text=RAILWAY_REQUIREMENT) for i in range(n)]
+        result = complete_model(railway_model, corpus, kb)
+        assert counts["merges"] == 1
+        assert len(result.report.duplicates) == n - 1
+        entries[n] = counts["entries"]
+    assert entries[4000] <= 4.5 * entries[1000]
 
 
 def test_conflicting_pair_reported_and_withheld(railway_model, kb):

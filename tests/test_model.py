@@ -10,12 +10,10 @@ from hypothesis import given, strategies as st
 
 import modcomplete.model as model_module
 from modcomplete import (
-    MergeKind,
     Metaclass,
     SchemaError,
     SendEffect,
     ValidationError,
-    add_transition,
     complete_model,
     load_model,
     lookup_elements,
@@ -29,6 +27,7 @@ from modcomplete.model import (
     StateMachine,
     SystemModel,
     Transition,
+    add_transition,
     dump_canonical,
     make_transition,
     transition_identity,
@@ -289,76 +288,111 @@ def test_round_trip_randomized():
         assert save_model(again) == text
 
 
-def test_add_transition_added(railway_model):
-    t = make_transition(
+def emergency_stop(*provenance):
+    return make_transition(
         "Train", "Running", "Braking", "EmergencyStop",
-        (SendEffect("Activate", "Brake"),), ("REQ-001",),
+        (SendEffect("Activate", "Brake"),), provenance,
     )
-    outcome = add_transition(railway_model, "Train", t)
-    assert outcome.kind is MergeKind.ADDED
-    machine = outcome.model.block("Train").state_machine
-    assert len(machine.transitions) == 1
-    assert machine.transitions[0].provenance == ("REQ-001",)
-    # input model untouched
-    assert railway_model.block("Train").state_machine.transitions == ()
+
+
+def with_second_machine(model):
+    """``model`` with a machine of the railway states on BrakingSupervision."""
+    machine = StateMachine(("Braking", "Running"), (), "Running")
+    blocks = tuple(
+        b._replace(state_machine=machine) if b.name == "BrakingSupervision" else b
+        for b in model.blocks
+    )
+    model = model._replace(blocks=blocks)
+    validate_model(model)
+    return model
+
+
+def test_add_transition_added(railway_model):
+    t = emergency_stop("REQ-001")
+    merged = add_transition(railway_model, [("Train", t)])
+    assert merged.block("Train").state_machine.transitions == (t,)
 
 
 def test_add_transition_duplicate_unions_provenance(railway_model):
-    t1 = make_transition(
-        "Train", "Running", "Braking", "EmergencyStop",
-        (SendEffect("Activate", "Brake"),), ("REQ-001",),
-    )
-    first = add_transition(railway_model, "Train", t1)
-    t2 = make_transition(
-        "Train", "Running", "Braking", "EmergencyStop",
-        (SendEffect("Activate", "Brake"),), ("SAFETY-7",),
-    )
-    second = add_transition(first.model, "Train", t2)
-    assert second.kind is MergeKind.DUPLICATE
-    machine = second.model.block("Train").state_machine
+    first = add_transition(railway_model, [("Train", emergency_stop("REQ-001"))])
+    second = add_transition(first, [("Train", emergency_stop("SAFETY-7"))])
+    machine = second.block("Train").state_machine
     assert len(machine.transitions) == 1
     assert machine.transitions[0].provenance == ("REQ-001", "SAFETY-7")
-    assert machine.transitions[0].id == t1.id
+    assert machine.transitions[0].id == emergency_stop().id
 
 
 def test_add_transition_agrees_with_pair_scanner(railway_model):
-    # Brute-force oracle: scan all pairs; a candidate duplicates an existing
-    # transition when identical (ignoring provenance).
+    # Brute-force reference: scan all pairs; candidates of one owner with
+    # one id (equal but for provenance) become one transition holding the
+    # union of their provenance.
+    owners = ["Train", "BrakingSupervision"]
     states = ["Running", "Braking"]
     triggers = [None, "EmergencyStop", "Activate"]
     effect_options = [(), (SendEffect("Activate", "Brake"),)]
+    contents = list(itertools.product(owners, states, states, triggers, effect_options))
+    # Every candidate comes twice, under two requirement ids.
     candidates = [
-        make_transition("Train", s, t, trg, eff, (f"R{i}",))
-        for i, (s, t, trg, eff) in enumerate(
-            itertools.product(states, states, triggers, effect_options)
-        )
+        (owner, make_transition(owner, s, t, trg, eff, (f"{prefix}{i}",)))
+        for prefix in ("R", "S")
+        for i, (owner, s, t, trg, eff) in enumerate(contents)
     ]
     rng = random.Random(5)
-    model = railway_model
-    existing: list = []
-    # Every candidate comes twice, so the second copy must be a duplicate.
-    for candidate in rng.sample(candidates * 2, 2 * len(candidates)):
-        expected = "added"
-        for prior in existing:
-            if prior.id == candidate.id:
-                expected = "duplicate"
-                break
-        outcome = add_transition(model, "Train", candidate)
-        assert outcome.kind.value == expected
-        model = outcome.model
-        if expected == "added":
-            existing.append(candidate)
+    candidates = rng.sample(candidates, len(candidates))
+    model = with_second_machine(railway_model)
+    half = len(candidates) // 2
+    in_one_pass = add_transition(model, candidates)
+    # A second pass merges onto the transitions the first one added.
+    in_two_passes = add_transition(add_transition(model, candidates[:half]), candidates[half:])
+    assert in_one_pass == in_two_passes
+    for owner in owners:
+        expected = []
+        for owner_a, a in candidates:
+            if owner_a != owner or any(a.id == b.id for b in expected):
+                continue
+            provenance = {
+                rid for owner_b, b in candidates if owner_b == owner and b.id == a.id
+                for rid in b.provenance
+            }
+            expected.append(a._replace(provenance=tuple(sorted(provenance))))
+        assert len(expected) == len(contents) // len(owners)
+        transitions = in_one_pass.block(owner).state_machine.transitions
+        assert transitions == tuple(sorted(expected, key=lambda t: t.id))
 
 
 def test_add_transition_same_value_twice_is_identity(railway_model):
-    t = make_transition(
-        "Train", "Running", "Braking", "EmergencyStop",
-        (SendEffect("Activate", "Brake"),), ("REQ-001",),
-    )
-    once = add_transition(railway_model, "Train", t)
-    twice = add_transition(once.model, "Train", t)
-    assert twice.kind is MergeKind.DUPLICATE
-    assert twice.model == once.model
+    candidates = [("Train", emergency_stop("REQ-001"))]
+    once = add_transition(railway_model, candidates)
+    assert add_transition(once, candidates) == once
+
+
+def test_add_transition_leaves_its_input_untouched(railway_model):
+    model = with_second_machine(railway_model)
+    model = add_transition(model, [("Train", emergency_stop("REQ-001"))])
+    before = copy.deepcopy(model)
+    candidates = [
+        ("Train", emergency_stop("REQ-002")),
+        ("BrakingSupervision", make_transition("BrakingSupervision", "Running", "Braking", None, (), ("R",))),
+    ]
+    merged = add_transition(model, candidates)
+    assert model == before
+    assert merged != model
+
+
+def test_add_transition_of_a_completed_models_own_transitions_changes_nothing(
+    railway_model, railway_corpus, kb
+):
+    completed = complete_model(railway_model, railway_corpus, kb).model
+    own = [
+        (block.name, t) for block in completed.blocks if block.state_machine
+        for t in block.state_machine.transitions
+    ]
+    assert own
+    assert add_transition(completed, own) == completed
+
+
+def test_add_transition_of_no_candidates_returns_the_input_model(railway_model):
+    assert add_transition(railway_model, []) is railway_model
 
 
 def test_display_field_round_trips():
@@ -371,22 +405,6 @@ def test_display_field_round_trips():
     model = load_model(json.dumps(doc))
     assert model.signals[0].display == "Emergency Stop Message"
     assert load_model(save_model(model)) == model
-
-
-def test_add_transition_unknown_references(railway_model):
-    from modcomplete.model import UnknownOwner, UnknownSignal, UnknownState
-
-    ghost = make_transition("Train", "Running", "Braking", "Ghost", (), ("R",))
-    with pytest.raises(UnknownSignal):
-        add_transition(railway_model, "Train", ghost)
-    bad_state = make_transition("Train", "Running", "Stopped", None, (), ("R",))
-    with pytest.raises(UnknownState):
-        add_transition(railway_model, "Train", bad_state)
-    t = make_transition("Brake", "Running", "Braking", None, (), ("R",))
-    with pytest.raises(UnknownOwner):
-        add_transition(railway_model, "Brake", t)  # Brake has no machine
-    with pytest.raises(UnknownOwner):
-        add_transition(railway_model, "Spaceship", t)
 
 
 def test_lookup_signal_through_stopwords(railway_model):

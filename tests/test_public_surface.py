@@ -21,9 +21,9 @@ PACKAGE_ALL = [
     "instantiate_fragment", "ClauseTemplate", "KnowledgeBase", "MetaFragment", "MetaReq",
     "SlotPattern", "default_kb", "parse_kb", "serialize_kb", "AmbiguousMatch", "Binding",
     "MatchResult", "NoMatch", "match_clause", "match_requirement", "normalize_phrase",
-    "normalize_signal_phrase", "oracle_match", "Block", "MergeKind", "MergeOutcome",
+    "normalize_signal_phrase", "oracle_match", "Block",
     "Metaclass", "SchemaError", "SendEffect", "Signal", "StateMachine",
-    "SystemModel", "Transition", "ValidationError", "add_transition", "load_model",
+    "SystemModel", "Transition", "ValidationError", "load_model",
     "lookup_elements", "save_model", "TraceRecord", "build_trace",
     "emit_requirement_diagram", "emit_trace_json", "__version__",
 ]
@@ -62,10 +62,6 @@ SIGNATURES = {
     "complete_model": (
         "(model: modcomplete.model.SystemModel, corpus: list[modcomplete.gherkin.RequirementDoc], "
         "kb: modcomplete.kb.KnowledgeBase) -> modcomplete.generator.CompletionResult"
-    ),
-    "add_transition": (
-        "(model: modcomplete.model.SystemModel, owner: str, t: modcomplete.model.Transition) "
-        "-> modcomplete.model.MergeOutcome"
     ),
 }
 

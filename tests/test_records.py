@@ -52,8 +52,6 @@ from modcomplete.matcher import (
 )
 from modcomplete.model import (
     Block,
-    MergeKind,
-    MergeOutcome,
     Metaclass,
     SendEffect,
     Signal,
@@ -188,10 +186,6 @@ RECORDS = [
      "SystemModel(name='m', blocks=(Block(name='Brake', parts=(), state_machine=None, "
      "receivable_signals=None),), signals=(Signal(name='Stop', display=None),))",
      dict(name="m"), "SystemModel(name='m', blocks=(), signals=())"),
-    (MergeOutcome, dict(kind=MergeKind.ADDED, model=MODEL, transition_id="abc"),
-     "MergeOutcome(kind=<MergeKind.ADDED: 'added'>, model=SystemModel(name='m', blocks=(), "
-     "signals=()), transition_id='abc')",
-     None, None),
     (ReceivabilityWarning, dict(requirement_id="R1", signal="Stop", target_block="Brake"),
      "ReceivabilityWarning(requirement_id='R1', signal='Stop', target_block='Brake')", None, None),
     (FragmentInstance, dict(pairs=(("Brake", TRANSITION),), warnings=(WARNING,)),
@@ -274,7 +268,7 @@ def test_every_record_type_is_pinned():
         if isinstance(obj, type) and obj.__module__ == module.__name__
         and hasattr(obj, "_fields") and not obj.__name__.startswith("_")
     }
-    assert len(RECORDS) == len(defined) == 37
+    assert len(RECORDS) == len(defined) == 36
     assert {spec[0] for spec in RECORDS} == defined
 
 
