@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 import modcomplete.generator as generator
+from modcomplete import cli
 import modcomplete.model as model_module
 from modcomplete import (
     SendEffect,
@@ -23,6 +25,7 @@ from modcomplete import (
     save_model,
 )
 from modcomplete.gherkin import RequirementDoc
+from modcomplete.kb import DEFAULT_KB_TEXT
 from modcomplete.model import validate_model
 
 from conftest import RAILWAY_REQUIREMENT
@@ -496,6 +499,86 @@ def test_non_singular_info_for_multi_effect_rule():
     non_singular = [f for f in findings if f.kind == "NonSingular"]
     assert len(non_singular) == 1
     assert non_singular[0].severity == "info"
+
+
+FINDINGS_MODEL = {
+    "version": "1", "name": "S",
+    "signals": [{"name": "Halt"}, {"name": "Open"}, {"name": "Close"}, {"name": "Reset"}],
+    "blocks": [
+        {"name": "Gate", "state_machine": {"states": ["s1", "s2"], "transitions": []}},
+        {"name": "Pump", "receivable_signals": ["Reset"],
+         "state_machine": {"states": ["p1", "p2"], "transitions": []}},
+        {"name": "Valve", "receivable_signals": []},
+    ],
+}
+
+FINDINGS_KB = (
+    "metareq M2 -> F4:\n"
+    '  given: "<<Block as owner>> in <<State as src>>"\n'
+    '  when:  "<<Block as ctx>> receives <<Signal as ev>>"\n'
+    '  then:  "<<Signal as op1>> (to)? <<Block as t1>>"\n'
+    '  then:  "<<Signal as op2>> (to)? <<Block as t2>>"\n'
+    '  then:  "goes in <<State as dst>>"\n'
+    "fragment F4:\n"
+    "  owner: owner   source: src   target: dst\n"
+    "  trigger: ev   effect: op1 -> t1   effect: op2 -> t2\n"
+    "metareq MX -> FX:\n"
+    '  given: "from <<State as s>> to <<State as t>> is <<Block as b>>"\n'
+    '  then:  "<<Block as c>> moves"\n'
+    "fragment FX:\n"
+    "  owner: b   source: s   target: t\n"
+) + DEFAULT_KB_TEXT
+
+FINDINGS_REQS = """\
+@id: CONFLICT-A
+Given Gate in s1, When Gate receives Halt, Then Gate Open to Pump and goes in s2.
+Scenario:
+@id: CONFLICT-B
+Given Gate in s1, When Gate receives Halt, Then Gate goes in s1.
+Scenario:
+@id: MULTI-1
+Given Pump in p1, When Pump receives Reset, Then Open to Valve and Close to Gate and goes in p2.
+Scenario:
+@id: MULTI-2
+Given Pump in p1, When Pump receives Reset, Then Open to Valve and Close to Gate and goes in p2.
+Scenario:
+@id: NOMATCH-1
+Given a Spaceship in s1, Then Gate goes in s2.
+Scenario:
+@id: PARSE-1
+Then Gate goes in s2, Given Gate in s1.
+Scenario:
+@id: UNINST-1
+Given from s1 to s2 is Valve, then Gate moves.
+"""
+
+
+def test_every_finding_kind_in_order(tmp_path):
+    """The findings ``check`` and ``complete`` report, every kind once or
+    more, in their order: conflicts, redundancies, then per requirement in
+    corpus order the unreceivable signals (a withheld requirement's too),
+    the multi-effect requirements and the unverifiable ones."""
+    paths = {"model": tmp_path / "m.json", "reqs": tmp_path / "r.feature", "kb": tmp_path / "kb.txt"}
+    paths["model"].write_text(json.dumps(FINDINGS_MODEL), encoding="utf-8")
+    paths["reqs"].write_text(FINDINGS_REQS, encoding="utf-8")
+    paths["kb"].write_text(FINDINGS_KB, encoding="utf-8")
+    _, findings = cli._run(argparse.Namespace(**{k: str(p) for k, p in paths.items()}))
+    not_receivable = "block {!r} does not list signal {!r} as receivable"
+    unmatched = "requirement could not be matched to the model"
+    assert [tuple(f) for f in findings] == [
+        ("Conflict", "error",
+         "transitions from 's1' on Halt in 'Gate' disagree (2 variants)", ("CONFLICT-A", "CONFLICT-B")),
+        ("Redundancy", "warning", "requirement repeats transition 9a2be0638dd4 of 'Pump'", ("MULTI-2",)),
+        ("SignalNotReceivable", "warning", not_receivable.format("Pump", "Open"), ("CONFLICT-A",)),
+        ("SignalNotReceivable", "warning", not_receivable.format("Valve", "Open"), ("MULTI-1",)),
+        ("SignalNotReceivable", "warning", not_receivable.format("Valve", "Open"), ("MULTI-2",)),
+        ("NonSingular", "info", "requirement produces more than one send effect", ("MULTI-1",)),
+        ("NonSingular", "info", "requirement produces more than one send effect", ("MULTI-2",)),
+        ("Unverifiable", "info", unmatched, ("NOMATCH-1",)),
+        ("Unverifiable", "info", unmatched, ("PARSE-1",)),
+        ("Unverifiable", "info",
+         "requirement matched a rule but could not be instantiated in the model", ("UNINST-1",)),
+    ]
 
 
 def test_random_completions_stay_valid(kb):
