@@ -56,8 +56,9 @@ class InputError(ModcompleteError):
 
 
 def _read_file(path: str, what: str) -> str:
+    """Read a UTF-8 input file; a leading byte-order mark is not part of the text."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
@@ -166,7 +167,7 @@ def _run(args: argparse.Namespace) -> tuple[CompletionResult, list[Finding]]:
     except ModcompleteError as exc:
         raise InputError(str(exc)) from None
     result = complete_model(model, corpus, kb)
-    return result, check_acceptability(result.report)
+    return result, check_acceptability(result)
 
 
 def _exit_code(findings: list[Finding], strict: bool) -> int:

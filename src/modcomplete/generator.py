@@ -26,7 +26,6 @@ class StateNotInOwnerMachine(ModcompleteError):
 class ReceivabilityWarning(NamedTuple):
     """An effect targets a block whose declared signals lack the one sent."""
 
-    requirement_id: str
     signal: str
     target_block: str
 
@@ -80,9 +79,7 @@ def instantiate_fragment(
             assert target_block is not None
             declared = target_block.receivable_signals
             if declared is not None and effect.signal not in declared:
-                warnings.append(
-                    ReceivabilityWarning(requirement_id, effect.signal, effect.target_block)
-                )
+                warnings.append(ReceivabilityWarning(effect.signal, effect.target_block))
         transition = make_transition(
             owner, source, target, trigger, effects, provenance=(requirement_id,)
         )
@@ -127,18 +124,14 @@ class UnmatchedEntry(NamedTuple):
 
 
 class CompletionReport(NamedTuple):
-    """Outcome of a completion run; every requirement id lands in exactly
-    one of added / duplicates / conflicts / unmatched. ``uninstantiated``
-    names the unmatched ones that matched a rule but whose fragment could
-    not be instantiated in the model."""
+    """The merge's sections of ``report.json``: every requirement id lands
+    in exactly one of added / duplicates / conflicts / unmatched. What else
+    a requirement led to is in its :class:`RequirementOutcome`."""
 
     added: tuple[MergeEntry, ...] = ()
     duplicates: tuple[MergeEntry, ...] = ()
     conflicts: tuple[ConflictRecord, ...] = ()
     unmatched: tuple[UnmatchedEntry, ...] = ()
-    receivability_warnings: tuple[ReceivabilityWarning, ...] = ()
-    multi_effect_requirements: tuple[str, ...] = ()
-    uninstantiated: tuple[str, ...] = ()
 
 
 class RequirementOutcome(NamedTuple):
@@ -147,11 +140,15 @@ class RequirementOutcome(NamedTuple):
     ``error`` is the ParseError, NoMatch, AmbiguousMatch or
     StateNotInOwnerMachine that stopped it, or None. ``match`` is set
     whenever matching succeeded, even if instantiation then failed.
+    ``instance`` holds the transitions and receivability warnings of an
+    instantiated requirement, whether or not a conflict then withheld it;
+    it is None whenever ``error`` is set.
     """
 
     doc: RequirementDoc
     match: MatchResult | None = None
     error: ModcompleteError | None = None
+    instance: FragmentInstance | None = None
 
     def diagnostics(self) -> tuple[str, ...]:
         """Report lines explaining ``error``."""
@@ -180,14 +177,11 @@ def complete_model(
     (owner, source, trigger) are withheld in full and reported as conflicts,
     so permuting the corpus cannot change the final model.
     """
-    attempts: list[tuple[RequirementDoc, MatchResult, FragmentInstance]] = []
     outcomes: list[RequirementOutcome] = []
-    warnings: list[ReceivabilityWarning] = []
-    multi_effect: list[str] = []
     fragments = {metareq.id: metareq.fragment for metareq in kb.metareqs}
 
     for doc in corpus:
-        match = None
+        match = error = instance = None
         try:
             match = match_requirement(parse_requirement(doc), kb, model)
             fragment = fragments[match.metareq_id]
@@ -195,15 +189,11 @@ def complete_model(
         except (ParseError, MatchError, StateNotInOwnerMachine) as exc:
             # Without its traceback, which holds this frame and so
             # ``outcomes``: the run then leaves no reference cycle.
-            outcomes.append(RequirementOutcome(doc, match, exc.with_traceback(None)))
-            continue
-        outcomes.append(RequirementOutcome(doc, match))
-        attempts.append((doc, match, instance))
-        warnings.extend(instance.warnings)
-        if len(fragment.effect_specs) > 1:
-            multi_effect.append(doc.id)
+            error = exc.with_traceback(None)
+        outcomes.append(RequirementOutcome(doc, match, error, instance))
 
-    conflicts, withheld = _detect_conflicts(model, attempts)
+    instantiated = [o for o in outcomes if o.instance is not None]
+    conflicts, withheld = _detect_conflicts(model, instantiated)
 
     # A candidate is new when its id is neither in its owner's machine nor
     # added by an earlier requirement. Only the machines named are read.
@@ -212,7 +202,7 @@ def complete_model(
     added: list[MergeEntry] = []
     duplicates: list[MergeEntry] = []
     trace: list[TraceRecord] = []
-    for doc, match, instance in attempts:
+    for doc, match, _, instance in instantiated:
         if doc.id in withheld:
             continue
         added_ids: list[str] = []
@@ -234,17 +224,8 @@ def complete_model(
         trace.append(build_trace(match, tuple(added_ids + duplicate_ids), text=doc.text))
 
     report = CompletionReport(
-        added=tuple(added),
-        duplicates=tuple(duplicates),
-        conflicts=tuple(conflicts),
-        unmatched=tuple(
-            UnmatchedEntry(o.doc.id, o.diagnostics()) for o in outcomes if o.error is not None
-        ),
-        receivability_warnings=tuple(warnings),
-        multi_effect_requirements=tuple(multi_effect),
-        uninstantiated=tuple(
-            o.doc.id for o in outcomes if o.error is not None and o.match is not None
-        ),
+        tuple(added), tuple(duplicates), tuple(conflicts),
+        tuple(UnmatchedEntry(o.doc.id, o.diagnostics()) for o in outcomes if o.error is not None),
     )
     return CompletionResult(
         model=add_transition(model, candidates), report=report, trace=tuple(trace),
@@ -253,7 +234,7 @@ def complete_model(
 
 
 def _detect_conflicts(
-    model: SystemModel, attempts: list[tuple[RequirementDoc, MatchResult, FragmentInstance]]
+    model: SystemModel, instantiated: list[RequirementOutcome]
 ) -> tuple[list[ConflictRecord], set[str]]:
     """Group candidates by (owner, source, trigger); >1 right-hand side is a
     conflict. Returns the records plus the ids of withheld requirements (a
@@ -262,12 +243,10 @@ def _detect_conflicts(
     Rhs = tuple[str, tuple[SendEffect, ...]]
 
     sides_by_key: dict[Key, dict[Rhs, set[str]]] = {}
-    per_requirement: dict[str, set[Key]] = {}
-    for doc, _, instance in attempts:
+    for doc, _, _, instance in instantiated:
         for owner, t in instance.pairs:
             key = (owner, t.source, t.trigger)
             sides_by_key.setdefault(key, {}).setdefault((t.target, t.effects), set()).add(doc.id)
-            per_requirement.setdefault(doc.id, set()).add(key)
     # Only an existing transition whose key some candidate has can conflict.
     for block in model.blocks:
         for t in block.state_machine.transitions if block.state_machine else ():
@@ -289,7 +268,9 @@ def _detect_conflicts(
         conflicts.append(ConflictRecord(owner, source, trigger, variants))
 
     withheld = {
-        rid for rid, keys in per_requirement.items() if keys & conflicted_keys
+        doc.id
+        for doc, _, _, instance in instantiated
+        if any((owner, t.source, t.trigger) in conflicted_keys for owner, t in instance.pairs)
     }
     return conflicts, withheld
 
@@ -310,12 +291,16 @@ class Finding(NamedTuple):
     requirement_ids: tuple[str, ...] = ()
 
 
-def check_acceptability(report: CompletionReport) -> list[Finding]:
-    """Derive acceptability findings from a completion report.
+def check_acceptability(result: CompletionResult) -> list[Finding]:
+    """Derive acceptability findings from a completion run.
 
     Conflicts are errors; redundancy and non-receivable signals are
     warnings; non-singular and unverifiable requirements are informational.
+    Conflicts and redundancies come from ``result.report``; the rest come
+    from ``result.outcomes`` in corpus order, so an instantiated requirement
+    that a conflict withholds still has its signals checked.
     """
+    report = result.report
     findings: list[Finding] = []
     for conflict in report.conflicts:
         trigger = conflict.trigger or "(no trigger)"
@@ -341,39 +326,39 @@ def check_acceptability(report: CompletionReport) -> list[Finding]:
                 requirement_ids=entry.requirement_ids,
             )
         )
-    for warning in report.receivability_warnings:
-        findings.append(
-            Finding(
-                kind="SignalNotReceivable",
-                severity=SEVERITY_WARNING,
-                message=(
-                    f"block {warning.target_block!r} does not list signal {warning.signal!r} "
-                    "as receivable"
-                ),
-                requirement_ids=(warning.requirement_id,),
-            )
+    instantiated = [o for o in result.outcomes if o.instance is not None]
+    findings.extend(
+        Finding(
+            kind="SignalNotReceivable",
+            severity=SEVERITY_WARNING,
+            message=f"block {w.target_block!r} does not list signal {w.signal!r} as receivable",
+            requirement_ids=(o.doc.id,),
         )
-    for rid in report.multi_effect_requirements:
-        findings.append(
-            Finding(
-                kind="NonSingular",
-                severity=SEVERITY_INFO,
-                message="requirement produces more than one send effect",
-                requirement_ids=(rid,),
-            )
+        for o in instantiated
+        for w in o.instance.warnings
+    )
+    findings.extend(
+        Finding(
+            kind="NonSingular",
+            severity=SEVERITY_INFO,
+            message="requirement produces more than one send effect",
+            requirement_ids=(o.doc.id,),
         )
-    uninstantiated = set(report.uninstantiated)
-    for entry in report.unmatched:
-        findings.append(
-            Finding(
-                kind="Unverifiable",
-                severity=SEVERITY_INFO,
-                message=(
-                    "requirement matched a rule but could not be instantiated in the model"
-                    if entry.requirement_id in uninstantiated
-                    else "requirement could not be matched to the model"
-                ),
-                requirement_ids=(entry.requirement_id,),
-            )
+        for o in instantiated
+        if any(len(t.effects) > 1 for _, t in o.instance.pairs)
+    )
+    findings.extend(
+        Finding(
+            kind="Unverifiable",
+            severity=SEVERITY_INFO,
+            message=(
+                "requirement matched a rule but could not be instantiated in the model"
+                if o.match is not None
+                else "requirement could not be matched to the model"
+            ),
+            requirement_ids=(o.doc.id,),
         )
+        for o in result.outcomes
+        if o.error is not None
+    )
     return findings

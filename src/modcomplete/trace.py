@@ -47,7 +47,7 @@ def build_trace(
 
     Bindings keep slot order (first binding set first); an element bound
     under several roles appears once per role in ``bindings`` and once with
-    all its roles in ``satisfies``.
+    all its roles in ``satisfies``. ``transition_ids`` are kept as given.
     """
     bindings: list[TraceBinding] = []
     seen: set[tuple[str, str, str]] = set()
@@ -69,7 +69,7 @@ def build_trace(
         metareq_id=match.metareq_id,
         text=text,
         bindings=tuple(bindings),
-        generated=tuple(dict.fromkeys(transition_ids)),
+        generated=transition_ids,
         satisfies=satisfies,
     )
 

@@ -100,7 +100,7 @@ def test_criterion_2_pairwise_attributes(tmp_path):
     conflict_result = complete_model(model, conflict_corpus, kb)
     conflict_findings = [
         f
-        for f in check_acceptability(conflict_result.report)
+        for f in check_acceptability(conflict_result)
         if f.kind == "Conflict"
     ]
     assert len(conflict_findings) == 1
@@ -111,7 +111,7 @@ def test_criterion_2_pairwise_attributes(tmp_path):
     dup_result = complete_model(model, duplicate_corpus, kb)
     warnings = [
         f
-        for f in check_acceptability(dup_result.report)
+        for f in check_acceptability(dup_result)
         if f.kind == "Redundancy"
     ]
     assert len(warnings) == 1

@@ -137,6 +137,32 @@ def test_undecodable_input_is_one_error_line(tmp_path, capsys, monkeypatch, comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option", ["--model", "--reqs", "--kb"])
+def test_an_input_that_starts_with_a_byte_order_mark_reads_as_without(
+    tmp_path, capsys, monkeypatch, option
+):
+    """Some Windows editors start a UTF-8 file with a byte-order mark: the
+    run prints and writes the same bytes as with the plain file."""
+    text = {
+        "--model": (FIXTURES / "railway_model.json").read_text(encoding="utf-8"),
+        "--reqs": (FIXTURES / "railway.feature").read_text(encoding="utf-8"),
+        "--kb": DEFAULT_KB_TEXT,
+    }[option]
+    path = tmp_path / "input"
+    files = {"--model": str(FIXTURES / "railway_model.json"),
+             "--reqs": str(FIXTURES / "railway.feature"), option: str(path)}
+    kb = ("--kb", files["--kb"]) if "--kb" in files else ()
+    monkeypatch.delenv("MODCOMPLETE_KB", raising=False)
+    runs = []
+    for name, mark in (("plain", ""), ("marked", "\ufeff")):
+        path.write_text(mark + text, encoding="utf-8")
+        code, out = run_complete(tmp_path / name, files["--model"], files["--reqs"], *kb)
+        written = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        runs.append((code, capsys.readouterr(), written))
+    assert runs[0][0] == 0 and "RD-REQ-001.puml" in str(runs[0][2])
+    assert runs[1] == runs[0]
+
+
 def _railway_doc_with_a_transition() -> dict:
     doc = json.loads((FIXTURES / "railway_model.json").read_text(encoding="utf-8"))
     doc["blocks"][0]["state_machine"]["transitions"] = [

@@ -258,6 +258,27 @@ def test_requirement_ids_land_in_exactly_one_bucket(railway_model, kb):
         assert sum(rid in bucket for bucket in buckets.values()) == 1
 
 
+def test_an_outcome_keeps_its_instance_even_when_withheld(railway_model, kb):
+    conflicting = (
+        "Given a Train in running, When the Braking Supervision receives an "
+        "Emergency Stop Message, Then the Train goes in running."
+    )
+    corpus = corpus_of(
+        ("R1", RAILWAY_REQUIREMENT),
+        ("R2", conflicting),
+        ("R3", "Given a Spaceship in orbit, Then the Spaceship goes in reentry."),
+    )
+    result = complete_model(railway_model, corpus, kb)
+    assert result.report.added == () and len(result.report.conflicts) == 1
+    r1, r2, r3 = result.outcomes
+    for outcome, fragment in ((r1, kb.metareqs[0].fragment), (r2, kb.metareqs[1].fragment)):
+        assert outcome.error is None
+        assert outcome.instance == instantiate_fragment(
+            fragment, outcome.match.binding_sets, railway_model, outcome.doc.id
+        )
+    assert r3.instance is None and r3.error is not None
+
+
 def test_idempotence(railway_model, railway_corpus, kb):
     once = complete_model(railway_model, railway_corpus, kb)
     again = complete_model(once.model, railway_corpus, kb)
@@ -405,7 +426,7 @@ def test_conservation(railway_model, railway_corpus, kb):
 
 def test_acceptability_clean_run(railway_model, railway_corpus, kb):
     result = complete_model(railway_model, railway_corpus, kb)
-    findings = check_acceptability(result.report)
+    findings = check_acceptability(result)
     assert [f for f in findings if f.severity == "error"] == []
     assert findings == []
 
@@ -413,7 +434,7 @@ def test_acceptability_clean_run(railway_model, railway_corpus, kb):
 def test_acceptability_redundancy_warning(railway_model, kb):
     corpus = corpus_of(("R1", RAILWAY_REQUIREMENT), ("R2", RAILWAY_REQUIREMENT))
     result = complete_model(railway_model, corpus, kb)
-    findings = check_acceptability(result.report)
+    findings = check_acceptability(result)
     redundancy = [f for f in findings if f.kind == "Redundancy"]
     assert len(redundancy) == 1
     assert redundancy[0].severity == "warning"
@@ -427,7 +448,7 @@ def test_acceptability_conflict_error(railway_model, kb):
     )
     corpus = corpus_of(("REQ-A", RAILWAY_REQUIREMENT), ("REQ-B", conflicting))
     result = complete_model(railway_model, corpus, kb)
-    findings = check_acceptability(result.report)
+    findings = check_acceptability(result)
     conflicts = [f for f in findings if f.kind == "Conflict"]
     assert len(conflicts) == 1
     assert conflicts[0].severity == "error"
@@ -437,7 +458,7 @@ def test_acceptability_conflict_error(railway_model, kb):
 def test_acceptability_unverifiable_info(railway_model, kb):
     corpus = corpus_of(("R1", "Given a Spaceship in orbit, Then it goes in reentry."))
     result = complete_model(railway_model, corpus, kb)
-    findings = check_acceptability(result.report)
+    findings = check_acceptability(result)
     assert [f.kind for f in findings] == ["Unverifiable"]
     assert findings[0].severity == "info"
 
@@ -449,7 +470,7 @@ def test_signal_not_receivable_warning(railway_model_text, kb):
             block["receivable_signals"] = ["EmergencyStop"]  # Activate missing
     model = load_model(json.dumps(doc))
     result = complete_model(model, parse_corpus("@id: R1\n" + RAILWAY_REQUIREMENT), kb)
-    findings = check_acceptability(result.report)
+    findings = check_acceptability(result)
     warnings = [f for f in findings if f.kind == "SignalNotReceivable"]
     assert len(warnings) == 1
     assert warnings[0].severity == "warning"
@@ -464,7 +485,7 @@ def test_receivable_omitted_means_unchecked(railway_model_text, kb):
         block.pop("receivable_signals", None)
     model = load_model(json.dumps(doc))
     result = complete_model(model, parse_corpus(RAILWAY_REQUIREMENT), kb)
-    findings = check_acceptability(result.report)
+    findings = check_acceptability(result)
     assert [f for f in findings if f.kind == "SignalNotReceivable"] == []
 
 
@@ -495,7 +516,7 @@ def test_non_singular_info_for_multi_effect_rule():
     (transition_entry,) = result.report.added
     transition = result.model.block("Gate").state_machine.transitions[0]
     assert len(transition.effects) == 2
-    findings = check_acceptability(result.report)
+    findings = check_acceptability(result)
     non_singular = [f for f in findings if f.kind == "NonSingular"]
     assert len(non_singular) == 1
     assert non_singular[0].severity == "info"

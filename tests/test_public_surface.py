@@ -57,7 +57,7 @@ SIGNATURES = {
         "model: modcomplete.model.SystemModel, requirement_id: str) -> modcomplete.generator.FragmentInstance"
     ),
     "check_acceptability": (
-        "(report: modcomplete.generator.CompletionReport) -> list[modcomplete.generator.Finding]"
+        "(result: modcomplete.generator.CompletionResult) -> list[modcomplete.generator.Finding]"
     ),
     "complete_model": (
         "(model: modcomplete.model.SystemModel, corpus: list[modcomplete.gherkin.RequirementDoc], "

@@ -79,7 +79,8 @@ EFFECT = SendEffect("Stop", "Brake")
 TRANSITION = Transition("abc", "a", "b", "Go", None, (EFFECT,), ("R1",))
 MACHINE = StateMachine(("a",), (), "a")
 MODEL = SystemModel("m")
-WARNING = ReceivabilityWarning("R1", "Stop", "Brake")
+WARNING = ReceivabilityWarning("Stop", "Brake")
+INSTANCE = FragmentInstance((("Brake", TRANSITION),), (WARNING,))
 ENTRY = MergeEntry("Brake", "abc", ("R1",))
 VARIANT = ConflictVariant("b", (EFFECT,), ("R1",))
 REPORT = CompletionReport(added=(ENTRY,))
@@ -186,13 +187,13 @@ RECORDS = [
      "SystemModel(name='m', blocks=(Block(name='Brake', parts=(), state_machine=None, "
      "receivable_signals=None),), signals=(Signal(name='Stop', display=None),))",
      dict(name="m"), "SystemModel(name='m', blocks=(), signals=())"),
-    (ReceivabilityWarning, dict(requirement_id="R1", signal="Stop", target_block="Brake"),
-     "ReceivabilityWarning(requirement_id='R1', signal='Stop', target_block='Brake')", None, None),
+    (ReceivabilityWarning, dict(signal="Stop", target_block="Brake"),
+     "ReceivabilityWarning(signal='Stop', target_block='Brake')", None, None),
     (FragmentInstance, dict(pairs=(("Brake", TRANSITION),), warnings=(WARNING,)),
      "FragmentInstance(pairs=(('Brake', Transition(id='abc', source='a', target='b', "
      "trigger='Go', guard=None, effects=(SendEffect(signal='Stop', target_block='Brake'),), "
-     "provenance=('R1',))),), warnings=(ReceivabilityWarning(requirement_id='R1', "
-     "signal='Stop', target_block='Brake'),))",
+     "provenance=('R1',))),), warnings=(ReceivabilityWarning(signal='Stop', "
+     "target_block='Brake'),))",
      dict(pairs=()), "FragmentInstance(pairs=(), warnings=())"),
     (MergeEntry, dict(owner="Brake", transition_id="abc", requirement_ids=("R1",)),
      "MergeEntry(owner='Brake', transition_id='abc', requirement_ids=('R1',))", None, None),
@@ -207,30 +208,26 @@ RECORDS = [
      None, None),
     (UnmatchedEntry, dict(requirement_id="R1", diagnostics=("no rule",)),
      "UnmatchedEntry(requirement_id='R1', diagnostics=('no rule',))", None, None),
-    (CompletionReport, dict(added=(ENTRY,), duplicates=(ENTRY,), conflicts=(), unmatched=(),
-                            receivability_warnings=(WARNING,), multi_effect_requirements=("R1",),
-                            uninstantiated=("R2",)),
+    (CompletionReport, dict(added=(ENTRY,), duplicates=(ENTRY,), conflicts=(), unmatched=()),
      "CompletionReport(added=(MergeEntry(owner='Brake', transition_id='abc', "
      "requirement_ids=('R1',)),), duplicates=(MergeEntry(owner='Brake', transition_id='abc', "
-     "requirement_ids=('R1',)),), conflicts=(), unmatched=(), receivability_warnings=("
-     "ReceivabilityWarning(requirement_id='R1', signal='Stop', target_block='Brake'),), "
-     "multi_effect_requirements=('R1',), uninstantiated=('R2',))",
-     dict(),
-     "CompletionReport(added=(), duplicates=(), conflicts=(), unmatched=(), "
-     "receivability_warnings=(), multi_effect_requirements=(), uninstantiated=())"),
-    (RequirementOutcome, dict(doc=DOC, match=MATCH, error=None),
+     "requirement_ids=('R1',)),), conflicts=(), unmatched=())",
+     dict(), "CompletionReport(added=(), duplicates=(), conflicts=(), unmatched=())"),
+    (RequirementOutcome, dict(doc=DOC, match=MATCH, error=None, instance=INSTANCE),
      "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
      "scenario='S'), match=MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=(("
      "Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', "
-     "element='Brake'),),)), error=None)",
+     "element='Brake'),),)), error=None, instance=FragmentInstance(pairs=(('Brake', "
+     "Transition(id='abc', source='a', target='b', trigger='Go', guard=None, "
+     "effects=(SendEffect(signal='Stop', target_block='Brake'),), provenance=('R1',))),), "
+     "warnings=(ReceivabilityWarning(signal='Stop', target_block='Brake'),)))",
      dict(doc=DOC),
      "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
-     "scenario='S'), match=None, error=None)"),
+     "scenario='S'), match=None, error=None, instance=None)"),
     (CompletionResult, dict(model=MODEL, report=REPORT, trace=(), outcomes=()),
      "CompletionResult(model=SystemModel(name='m', blocks=(), signals=()), "
      "report=CompletionReport(added=(MergeEntry(owner='Brake', transition_id='abc', "
-     "requirement_ids=('R1',)),), duplicates=(), conflicts=(), unmatched=(), "
-     "receivability_warnings=(), multi_effect_requirements=(), uninstantiated=()), trace=(), "
+     "requirement_ids=('R1',)),), duplicates=(), conflicts=(), unmatched=()), trace=(), "
      "outcomes=())",
      None, None),
     (Finding, dict(kind="Conflict", severity="error", message="m", requirement_ids=("R1",)),
