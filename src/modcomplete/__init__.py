@@ -43,8 +43,6 @@ from .matcher import (
     NoMatch,
     match_clause,
     match_requirement,
-    normalize_phrase,
-    normalize_signal_phrase,
 )
 from .model import (
     Block,
@@ -60,6 +58,7 @@ from .model import (
     lookup_elements,
     save_model,
 )
+from .normalize import normalize_phrase, normalize_signal_phrase
 from .trace import TraceRecord, build_trace, emit_requirement_diagram, emit_trace_json
 
 __version__ = "0.1.0"

@@ -216,7 +216,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     ]
     if args.diagrams is not None:
         for record in sorted(result.trace, key=lambda r: r.requirement_id):
-            diagram = emit_requirement_diagram(record, result.model)
+            diagram = emit_requirement_diagram(record)
             if diagram is not None:
                 path = os.path.join(args.diagrams, _diagram_filename(record.requirement_id))
                 outputs.append(("diagrams", "diagram", path, diagram))

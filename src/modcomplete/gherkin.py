@@ -36,8 +36,6 @@ class Token(NamedTuple):
 class RequirementDoc(NamedTuple):
     id: str
     text: str
-    feature: str | None = None
-    scenario: str | None = None
 
 
 class Clause(NamedTuple):
@@ -126,7 +124,7 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
         raise MissingGiven("requirement has no 'Given'", 0)
 
     sections: dict[str, list[Clause]] = {"given": [], "when": [], "then": []}
-    when_separators: list[str] = []
+    when_connective: str | None = None
     current_section: str | None = None
     current_words: list[Token] = []
     current_lead: Token | None = None
@@ -172,8 +170,8 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
                     "'or' is only allowed between When clauses", tok.index
                 )
             if current_section == "when":
-                when_separators.append(tok.lower)
-                if len(set(when_separators)) > 1:
+                when_connective = when_connective or tok.lower
+                if tok.lower != when_connective:
                     raise MixedAndOr("When group mixes 'and' and 'or'", tok.index)
             close_clause(tok)
             current_lead = tok
@@ -188,25 +186,21 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
     )
 
 
-_FEATURE_RE = re.compile(r"^Feature:\s*(.*)$")
-_SCENARIO_RE = re.compile(r"^Scenario:\s*(.*)$")
 _ID_TAG_RE = re.compile(r"^@id:\s*(\S+)\s*$")
 
 
 def parse_corpus(text: str) -> list[RequirementDoc]:
     """Parse a feature file into requirement documents.
 
-    One document per ``Scenario:`` block (a headerless file with text is a
-    single block). Ids are ``REQ-<n>`` in file order unless an ``@id:`` tag
-    line inside the block overrides. Blank lines and ``#`` comments are
-    ignored.
+    One document per block: ``Feature:`` and ``Scenario:`` lines end one
+    and are otherwise ignored (a headerless file with text is a single
+    block). Ids are ``REQ-<n>`` in file order unless an ``@id:`` tag line
+    inside the block overrides. Blank lines and ``#`` comments are ignored.
 
     Raises:
         DuplicateId: two blocks resolve to the same requirement id.
     """
     docs: list[RequirementDoc] = []
-    feature: str | None = None
-    scenario: str | None = None
     tagged_id: str | None = None
     body: list[str] = []
     counter = 0
@@ -214,28 +208,20 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
     def flush():
         # A tag with no body yet ("@id:" above the Scenario line) carries
         # over to the next block.
-        nonlocal scenario, tagged_id, body, counter
+        nonlocal tagged_id, body, counter
         if body:
             counter += 1
             rid = tagged_id if tagged_id is not None else f"REQ-{counter:03d}"
-            docs.append(
-                RequirementDoc(id=rid, text=" ".join(body), feature=feature, scenario=scenario)
-            )
+            docs.append(RequirementDoc(id=rid, text=" ".join(body)))
             tagged_id = None
-        scenario = None
         body = []
 
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if m := _FEATURE_RE.match(line):
+        if line.startswith(("Feature:", "Scenario:")):
             flush()
-            feature = m.group(1) or None
-            continue
-        if m := _SCENARIO_RE.match(line):
-            flush()
-            scenario = m.group(1) or None
             continue
         if m := _ID_TAG_RE.match(line):
             tagged_id = m.group(1)

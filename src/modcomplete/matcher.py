@@ -27,7 +27,7 @@ from .errors import ModcompleteError
 from .gherkin import Clause, RequirementAST, Token
 from .kb import ClauseTemplate, KnowledgeBase, Literal, MetaReq, OptionalLiteral, SlotPattern
 from .model import Metaclass, SystemModel, lookup_elements
-from .normalize import ARTICLES, normalize_phrase, normalize_signal_phrase
+from .normalize import ARTICLES
 
 __all__ = [
     "Binding",
@@ -38,8 +38,6 @@ __all__ = [
     "MatchError",
     "NoMatch",
     "AmbiguousMatch",
-    "normalize_phrase",
-    "normalize_signal_phrase",
     "match_clause",
     "match_requirement",
 ]

@@ -13,7 +13,6 @@ structural equality.
 """
 
 import json
-import math
 from collections import defaultdict
 from enum import Enum
 from functools import cached_property
@@ -111,12 +110,6 @@ class SystemModel(_SystemModelFields):
         for b in self.blocks:
             if b.name == name:
                 return b
-        return None
-
-    def signal(self, name: str) -> Signal | None:
-        for s in self.signals:
-            if s.name == name:
-                return s
         return None
 
     def machines(self) -> tuple[StateMachine, ...]:
@@ -573,8 +566,8 @@ def dump_canonical(value: Any) -> str:
     ensure_ascii=False) + "\\n"``. The standard library encodes with
     ``indent`` in pure Python, one generator per container; this writer
     emits the same bytes with one call per container and the C string
-    escaper. Takes dicts with string keys, lists, tuples, strings, None,
-    bools, ints and floats; anything else raises TypeError.
+    escaper. Takes what outputs hold: dicts with string keys, lists,
+    tuples, strings and None; anything else raises TypeError.
     """
     chunks: list[str] = []
     _write_canonical(value, "\n", chunks)
@@ -633,28 +626,10 @@ def _write_canonical(value: Any, newline: str, chunks: list[str]) -> None:
                 _write_canonical(item, inner, chunks)
             sep = "," + inner
         chunks.append(newline + "]")
+    elif value is None:
+        chunks.append("null")
     else:
-        chunks.append(_scalar_text(value))
-
-
-def _scalar_text(value: Any) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class _Transitions(tuple):

@@ -9,9 +9,8 @@ with a note listing the role(s) each element plays.
 import re
 from typing import NamedTuple
 
-from .errors import ModcompleteError
 from .matcher import MatchResult
-from .model import Metaclass, SystemModel, dump_canonical, record_doc
+from .model import Metaclass, dump_canonical, record_doc
 
 
 class TraceBinding(NamedTuple):
@@ -38,11 +37,7 @@ class TraceRecord(NamedTuple):
     satisfies: tuple[SatisfyLink, ...]
 
 
-def build_trace(
-    match: MatchResult,
-    transition_ids: tuple[str, ...],
-    text: str = "",
-) -> TraceRecord:
+def build_trace(match: MatchResult, transition_ids: tuple[str, ...], text: str) -> TraceRecord:
     """Build the trace record for one matched requirement.
 
     Bindings keep slot order (first binding set first); an element bound
@@ -81,14 +76,6 @@ def emit_trace_json(records: tuple[TraceRecord, ...] | list[TraceRecord]) -> str
     ])
 
 
-def _element_exists(model: SystemModel, name: str, metaclass: Metaclass) -> bool:
-    if metaclass is Metaclass.BLOCK:
-        return model.block(name) is not None
-    if metaclass is Metaclass.SIGNAL:
-        return model.signal(name) is not None
-    return any(name in machine.states for machine in model.machines())
-
-
 def _node_id(prefix: str, name: str) -> str:
     return prefix + re.sub(r"\W", "_", name)
 
@@ -97,7 +84,7 @@ def _escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def emit_requirement_diagram(record: TraceRecord, model: SystemModel) -> str | None:
+def emit_requirement_diagram(record: TraceRecord) -> str | None:
     """Requirement diagram for one record, or None when nothing was generated.
 
     Output is deterministic: elements sorted by (name, metaclass), note lines
@@ -105,11 +92,6 @@ def emit_requirement_diagram(record: TraceRecord, model: SystemModel) -> str | N
     """
     if not record.generated:
         return None
-    for link in record.satisfies:
-        if not _element_exists(model, link.element, link.metaclass):
-            raise ModcompleteError(
-                f"trace record {record.requirement_id} names missing element {link.element!r}"
-            )
     req_node = _node_id("REQ_", record.requirement_id)
     label = record.requirement_id
     if record.text:

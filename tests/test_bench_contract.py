@@ -104,6 +104,19 @@ def test_traced_complete_records_every_span_the_benchmark_reads(tmp_path):
     }
 
 
+def test_traced_complete_records_one_diagram_span_per_diagram_written(tmp_path):
+    """``traced_cli.py`` wraps ``cli.emit_requirement_diagram`` by name and
+    tags each span with the record's requirement id (its first argument), so
+    ``trace.emit_requirement_diagram_s`` covers each diagram file written."""
+    spans_path = tmp_path / "spans.json"
+    run_traced(spans_path, "spans", "complete", "--diagrams", "diagrams", cwd=tmp_path)
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    span_ids = [span[4] for span in spans if span[0] == "trace.emit_requirement_diagram"]
+    written = sorted(path.name for path in (tmp_path / "diagrams").iterdir())
+    assert written
+    assert written == [f"RD-{rid}.puml" for rid in span_ids]
+
+
 def test_traced_complete_merges_in_one_span_under_complete_model(tmp_path):
     """The merge is one call, made by ``complete_model``, so the benchmark's
     ``model.add_transition_s`` measures the whole merge."""

@@ -90,7 +90,7 @@ def test_writers_leave_no_cycle(golden_run):
     assert garbage_left_by(save_model, result.model)[1] == 0
     assert garbage_left_by(emit_trace_json, result.trace)[1] == 0
     for record in result.trace:
-        assert garbage_left_by(emit_requirement_diagram, record, result.model)[1] == 0
+        assert garbage_left_by(emit_requirement_diagram, record)[1] == 0
 
 
 def test_shadowed_rules_leaves_no_cycle():

@@ -121,6 +121,20 @@ def test_mixed_and_or_rejected():
         )
 
 
+@pytest.mark.parametrize("first, other", [("and", "or"), ("or", "and")])
+def test_mixed_and_or_raised_at_first_differing_connective_of_a_long_when(first, other):
+    """Tokens: Given alpha When w0, then one connective and one word per
+    further clause, so the differing connective after n clauses is token
+    2n + 2."""
+    n = 2000
+    when = f" {first} ".join(f"w{i}" for i in range(n))
+    doc = RequirementDoc(id="R", text=f"Given alpha When {when} {other} z {first} y Then x")
+    with pytest.raises(MixedAndOr) as raised:
+        parse_requirement(doc)
+    assert raised.value.position == 2 * n + 2
+    assert str(raised.value) == f"When group mixes 'and' and 'or' (token {2 * n + 2})"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -183,10 +197,18 @@ def test_clause_count_matches_separators():
 
 def test_parse_corpus_single_scenario():
     docs = parse_corpus("Scenario: one\nGiven alpha Then beta\n")
-    assert len(docs) == 1
-    assert docs[0].id == "REQ-001"
-    assert docs[0].scenario == "one"
-    assert docs[0].text == "Given alpha Then beta"
+    assert docs == [RequirementDoc("REQ-001", "Given alpha Then beta")]
+
+
+def test_parse_corpus_header_lines_only_separate_blocks():
+    """``Feature:`` and ``Scenario:`` lines end a block and add nothing to
+    any document; a line that only starts with the word is body text."""
+    text = "Feature: F\nGiven a\nScenario:\nThen b\nScenarios are text\nFeature:x\nGiven c\n"
+    assert parse_corpus(text) == [
+        RequirementDoc("REQ-001", "Given a"),
+        RequirementDoc("REQ-002", "Then b Scenarios are text"),
+        RequirementDoc("REQ-003", "Given c"),
+    ]
 
 
 def test_parse_corpus_id_tag():
@@ -221,9 +243,10 @@ def test_parse_corpus_feature_and_multiline_body():
         "Given gamma Then delta\n"
     )
     docs = parse_corpus(text)
-    assert [d.id for d in docs] == ["REQ-001", "REQ-002"]
-    assert docs[0].feature == "Braking"
-    assert docs[0].text == "Given alpha Then beta"
+    assert docs == [
+        RequirementDoc("REQ-001", "Given alpha Then beta"),
+        RequirementDoc("REQ-002", "Given gamma Then delta"),
+    ]
 
 
 def test_parse_corpus_duplicate_id():

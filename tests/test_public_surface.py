@@ -30,8 +30,7 @@ PACKAGE_ALL = [
 
 MATCHER_ALL = [
     "Binding", "MatchResult", "SpanAmbiguity", "ClauseMatches", "MetaReqDiagnostic",
-    "MatchError", "NoMatch", "AmbiguousMatch", "normalize_phrase", "normalize_signal_phrase",
-    "match_clause", "match_requirement",
+    "MatchError", "NoMatch", "AmbiguousMatch", "match_clause", "match_requirement",
 ]
 
 # The record modules do not postpone annotations, so each annotation is the
@@ -59,6 +58,11 @@ SIGNATURES = {
     "check_acceptability": (
         "(result: modcomplete.generator.CompletionResult) -> list[modcomplete.generator.Finding]"
     ),
+    "build_trace": (
+        "(match: modcomplete.matcher.MatchResult, transition_ids: tuple[str, ...], "
+        "text: str) -> modcomplete.trace.TraceRecord"
+    ),
+    "emit_requirement_diagram": "(record: modcomplete.trace.TraceRecord) -> str | None",
     "complete_model": (
         "(model: modcomplete.model.SystemModel, corpus: list[modcomplete.gherkin.RequirementDoc], "
         "kb: modcomplete.kb.KnowledgeBase) -> modcomplete.generator.CompletionResult"

@@ -65,7 +65,7 @@ _OTHER = "<other>"
 
 TOKEN = Token("Train", "train", 1)
 GIVEN = Token("Given", "given", 0)
-DOC = RequirementDoc("R1", "Given a Train", "F", "S")
+DOC = RequirementDoc("R1", "Given a Train")
 CLAUSE = Clause((TOKEN,), GIVEN)
 LITERAL = Literal("in")
 SLOT = SlotPattern(Metaclass.STATE, "s")
@@ -93,10 +93,8 @@ RECORDS = [
     (Token, dict(text="Train", lower="train", index=1),
      "Token(text='Train', lower='train', index=1)",
      None, None),
-    (RequirementDoc, dict(id="R1", text="Given a Train", feature="F", scenario="S"),
-     "RequirementDoc(id='R1', text='Given a Train', feature='F', scenario='S')",
-     dict(id="R1", text="t"),
-     "RequirementDoc(id='R1', text='t', feature=None, scenario=None)"),
+    (RequirementDoc, dict(id="R1", text="Given a Train"),
+     "RequirementDoc(id='R1', text='Given a Train')", None, None),
     (Clause, dict(words=(TOKEN,), lead=GIVEN),
      "Clause(words=(Token(text='Train', lower='train', index=1),), "
      "lead=Token(text='Given', lower='given', index=0))",
@@ -214,16 +212,16 @@ RECORDS = [
      "requirement_ids=('R1',)),), conflicts=(), unmatched=())",
      dict(), "CompletionReport(added=(), duplicates=(), conflicts=(), unmatched=())"),
     (RequirementOutcome, dict(doc=DOC, match=MATCH, error=None, instance=INSTANCE),
-     "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
-     "scenario='S'), match=MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=(("
+     "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train'), "
+     "match=MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=(("
      "Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', "
      "element='Brake'),),)), error=None, instance=FragmentInstance(pairs=(('Brake', "
      "Transition(id='abc', source='a', target='b', trigger='Go', guard=None, "
      "effects=(SendEffect(signal='Stop', target_block='Brake'),), provenance=('R1',))),), "
      "warnings=(ReceivabilityWarning(signal='Stop', target_block='Brake'),)))",
      dict(doc=DOC),
-     "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train', feature='F', "
-     "scenario='S'), match=None, error=None, instance=None)"),
+     "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train'), match=None, "
+     "error=None, instance=None)"),
     (CompletionResult, dict(model=MODEL, report=REPORT, trace=(), outcomes=()),
      "CompletionResult(model=SystemModel(name='m', blocks=(), signals=()), "
      "report=CompletionReport(added=(MergeEntry(owner='Brake', transition_id='abc', "

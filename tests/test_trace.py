@@ -96,7 +96,7 @@ def test_emit_trace_json_ordered_by_requirement_id(railway_model, kb):
 
 def test_requirement_diagram_counts(railway_model, railway_corpus, kb):
     result = complete_model(railway_model, railway_corpus, kb)
-    diagram = emit_requirement_diagram(result.trace[0], result.model)
+    diagram = emit_requirement_diagram(result.trace[0])
     lines = diagram.splitlines()
     assert lines[0] == "@startuml" and lines[-1] == "@enduml"
     element_nodes = [l for l in lines if l.startswith("rectangle ") and "<<requirement>>" not in l]
@@ -112,15 +112,13 @@ def test_requirement_diagram_counts(railway_model, railway_corpus, kb):
 def test_diagram_deterministic(railway_model, railway_corpus, kb):
     first = complete_model(railway_model, railway_corpus, kb)
     second = complete_model(railway_model, railway_corpus, kb)
-    assert emit_requirement_diagram(first.trace[0], first.model) == emit_requirement_diagram(
-        second.trace[0], second.model
-    )
+    assert emit_requirement_diagram(first.trace[0]) == emit_requirement_diagram(second.trace[0])
 
 
 def test_diagram_skipped_without_generated_elements(railway_model, railway_corpus, kb):
     result = complete_model(railway_model, railway_corpus, kb)
     empty = result.trace[0]._replace(generated=())
-    assert emit_requirement_diagram(empty, result.model) is None
+    assert emit_requirement_diagram(empty) is None
 
 
 def test_bidirectional_completeness(railway_model, kb):
