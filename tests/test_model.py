@@ -100,6 +100,144 @@ def test_bad_documents_rejected(mutate, error):
         load_model(json.dumps(doc))
 
 
+def _fault_base() -> dict:
+    """A document that loads and holds every kind of field."""
+    effect = {"signal": "Zed", "target_block": "Pump"}
+    transition = {"source": "open", "target": "shut", "trigger": "Halt", "effects": [effect]}
+    machine = {"initial": "open", "states": ["open", "shut"], "transitions": [transition]}
+    return {
+        "version": "1",
+        "name": "M",
+        "signals": [{"name": "Halt"}, {"name": "Zed", "display": "zed"}],
+        "blocks": [
+            {"name": "Gate", "parts": ["Pump"], "receivable_signals": ["Halt"], "state_machine": machine},
+            {"name": "Pump"},
+        ],
+    }
+
+
+def _machine(doc: dict) -> dict:
+    return doc["blocks"][0]["state_machine"]
+
+
+def _transition(doc: dict) -> dict:
+    return _machine(doc)["transitions"][0]
+
+
+def _drop(obj: dict, key: str) -> None:
+    del obj[key]
+
+
+SM = "$.blocks[0].state_machine"
+T0 = SM + ".transitions[0]"
+#: One single-fault document per raise site of ``load_model``: (test id,
+#: change to ``_fault_base()``, which may return a new document, error
+#: class, path, message).
+LOAD_FAULTS = [
+    ("document", lambda d: [d], SchemaError, "$", "document must be a dict"),
+    ("document-key", lambda d: d.update(zz=1), SchemaError, "$", "unknown key 'zz'"),
+    ("version-type", lambda d: d.update(version=1), SchemaError, "$.version", "version must be a str"),
+    ("version", lambda d: d.update(version="2"), SchemaError, "$.version", "unsupported version '2'"),
+    ("name-missing", lambda d: _drop(d, "name"), SchemaError, "$", "document requires 'name'"),
+    ("name-type", lambda d: d.update(name=None), SchemaError, "$.name", "name must be a str"),
+    ("name-empty", lambda d: d.update(name=""), ValidationError, "$.name", "model name must be non-empty"),
+    ("signals-type", lambda d: d.update(signals={}), SchemaError, "$.signals", "signals must be a list"),
+    ("signal-type", lambda d: d["signals"].append("Go"), SchemaError, "$.signals[2]", "signal must be a dict"),
+    ("signal-key", lambda d: d["signals"][0].update(zz=1), SchemaError, "$.signals[0]", "unknown key 'zz'"),
+    ("signal-name-missing", lambda d: _drop(d["signals"][0], "name"), SchemaError, "$.signals[0]",
+     "signal requires 'name'"),
+    ("signal-display", lambda d: d["signals"][1].update(display=1), SchemaError, "$.signals[1].display",
+     "display must be a str"),
+    ("signal-name-type", lambda d: d["signals"][0].update(name=1), SchemaError, "$.signals[0].name",
+     "name must be a str"),
+    ("signal-name-empty", lambda d: d["signals"].append({"name": ""}), ValidationError, "$.signals[2].name",
+     "signal name '' must be non-empty without whitespace"),
+    ("signal-name-space", lambda d: d["signals"].append({"name": "Go On"}), ValidationError, "$.signals[2].name",
+     "signal name 'Go On' must be non-empty without whitespace"),
+    ("signal-name-paren", lambda d: d["signals"].append({"name": "Go()"}), ValidationError, "$.signals[2].name",
+     "signal name 'Go()' must be the canonical form without parentheses"),
+    ("signal-name-nothing", lambda d: d["signals"].append({"name": "The"}), ValidationError, "$.signals[2].name",
+     "signal name 'The' normalizes to nothing"),
+    ("signal-name-collides", lambda d: d["signals"].append({"name": "HALT"}), ValidationError,
+     "$.signals[2].name", "signal name 'HALT' collides with 'Halt' under normalization"),
+    ("blocks-type", lambda d: d.update(blocks=None), SchemaError, "$.blocks", "blocks must be a list"),
+    ("block-type", lambda d: d["blocks"].append("Valve"), SchemaError, "$.blocks[2]", "block must be a dict"),
+    ("block-key", lambda d: d["blocks"][1].update(zz=1), SchemaError, "$.blocks[1]", "unknown key 'zz'"),
+    ("block-name-missing", lambda d: _drop(d["blocks"][1], "name"), SchemaError, "$.blocks[1]",
+     "block requires 'name'"),
+    ("block-name-type", lambda d: d["blocks"][1].update(name=[]), SchemaError, "$.blocks[1].name",
+     "name must be a str"),
+    ("block-name-empty", lambda d: d["blocks"].append({"name": ""}), ValidationError, "$.blocks[2].name",
+     "block name must be non-empty"),
+    ("block-name-nothing", lambda d: d["blocks"].append({"name": "An"}), ValidationError, "$.blocks[2].name",
+     "block name 'An' normalizes to nothing"),
+    ("block-name-collides", lambda d: d["blocks"].append({"name": "Gate"}), ValidationError,
+     "$.blocks[2].name", "block name 'Gate' collides with 'Gate' under normalization"),
+    ("parts-type", lambda d: d["blocks"][0].update(parts="Pump"), SchemaError, "$.blocks[0].parts",
+     "parts must be a list"),
+    ("parts-entry", lambda d: d["blocks"][0]["parts"].append(1), SchemaError, "$.blocks[0].parts[1]",
+     "entry must be a str"),
+    ("part", lambda d: d["blocks"][0]["parts"].append("Nowhere"), ValidationError, "$.blocks[0].parts[1]",
+     "part 'Nowhere' is not a block"),
+    ("receivable-type", lambda d: d["blocks"][1].update(receivable_signals={}), SchemaError,
+     "$.blocks[1].receivable_signals", "receivable_signals must be a list"),
+    ("receivable-entry", lambda d: d["blocks"][0]["receivable_signals"].append(None), SchemaError,
+     "$.blocks[0].receivable_signals[1]", "entry must be a str"),
+    ("receivable", lambda d: d["blocks"][0]["receivable_signals"].insert(0, "Ghost"), ValidationError,
+     "$.blocks[0].receivable_signals[0]", "receivable signal 'Ghost' is not a signal"),
+    ("machine-type", lambda d: d["blocks"][1].update(state_machine=[]), SchemaError,
+     "$.blocks[1].state_machine", "state_machine must be a dict"),
+    ("machine-key", lambda d: _machine(d).update(zz=1), SchemaError, SM, "unknown key 'zz'"),
+    ("states-type", lambda d: _machine(d).update(states=None), SchemaError, SM + ".states",
+     "states must be a list"),
+    ("states-entry", lambda d: _machine(d)["states"].append(2), SchemaError, SM + ".states[2]",
+     "entry must be a str"),
+    ("state-empty", lambda d: _machine(d)["states"].append(""), ValidationError, SM + ".states[2]",
+     "state name must be non-empty"),
+    ("state-duplicate", lambda d: _machine(d)["states"].append("open"), ValidationError, SM + ".states[2]",
+     "duplicate state 'open'"),
+    ("state-nothing", lambda d: _machine(d)["states"].append("A"), ValidationError, SM + ".states[2]",
+     "state name 'A' normalizes to nothing"),
+    ("state-collides", lambda d: _machine(d)["states"].append("Open"), ValidationError, SM + ".states[2]",
+     "state name 'Open' collides with 'open' under normalization"),
+    ("initial-type", lambda d: _machine(d).update(initial=0), SchemaError, SM + ".initial",
+     "initial must be a str"),
+    ("initial", lambda d: _machine(d).update(initial="ajar"), ValidationError, SM + ".initial",
+     "initial state 'ajar' undefined"),
+    ("transitions-type", lambda d: _machine(d).update(transitions={}), SchemaError, SM + ".transitions",
+     "transitions must be a list"),
+    ("source", lambda d: _transition(d).update(source="ajar"), ValidationError, T0,
+     "source state 'ajar' undefined"),
+    ("target", lambda d: _transition(d).update(target="ajar"), ValidationError, T0,
+     "target state 'ajar' undefined"),
+    ("trigger", lambda d: _transition(d).update(trigger="Ghost"), ValidationError, T0,
+     "trigger 'Ghost' is not a signal"),
+    ("effect-signal", lambda d: _transition(d)["effects"][0].update(signal="Ghost"), ValidationError,
+     T0 + ".effects[0]", "effect signal 'Ghost' is not a signal"),
+    ("effect-target", lambda d: _transition(d)["effects"][0].update(target_block="Nowhere"), ValidationError,
+     T0 + ".effects[0]", "effect target 'Nowhere' is not a block"),
+    ("id", lambda d: _transition(d).update(id="0123456789ab"), ValidationError, T0,
+     "transition id '0123456789ab' does not match content hash"),
+    ("repeat", lambda d: _machine(d)["transitions"].append({**_transition(d), "guard": "g"}), ValidationError,
+     SM + ".transitions[1]", "transition repeats transitions[0] (same source, target, trigger and effects)"),
+    ("cycle", lambda d: d["blocks"][1].update(parts=["Gate"]), ValidationError, "$.blocks",
+     "part composition cycle: Gate -> Pump -> Gate"),
+]
+
+
+def test_the_fault_base_loads():
+    assert len(load_model(json.dumps(_fault_base())).machines()[0].transitions) == 1
+
+
+@pytest.mark.parametrize("mutate, error, path, message", [pytest.param(*row[1:], id=row[0]) for row in LOAD_FAULTS])
+def test_each_load_fault_raises_its_class_message_and_path(mutate, error, path, message):
+    doc = _fault_base()
+    doc = mutate(doc) or doc
+    with pytest.raises((SchemaError, ValidationError)) as info:
+        load_model(json.dumps(doc))
+    assert (type(info.value), str(info.value), info.value.path) == (error, f"{path}: {message}", path)
+
+
 @pytest.mark.parametrize("key, name, message", [
     ("blocks", "The", "block name 'The' normalizes to nothing"),
     ("blocks", "the gate", "block name 'the gate' collides with 'Gate' under normalization"),
