@@ -239,20 +239,25 @@ _EFFECT_KEYS = frozenset({"signal", "target_block"})
 _STR = frozenset({str})
 
 
-def _parse_transitions(entries: list, owner: str, path: str, wrong_ids: list[str]) -> tuple[Transition, ...]:
-    """The ``transitions`` of ``owner``'s machine at ``path``, each built once
-    with its effects sorted and its id: the declared one, or the content
-    hash. A declared id that is not the hash is appended to ``wrong_ids``;
-    ``validate_model`` reports it, after any earlier error.
+def _parse_transitions(
+    entries: list, owner: str, path: str, states: set[str], block_names: set[str], signal_names: set[str]
+) -> tuple[Transition, ...]:
+    """The ``transitions`` of ``owner``'s machine at ``path``, sorted by id,
+    each built once with its effects sorted and its content hash as its id.
 
-    Checks run in a fixed order per entry: keys, required keys, effects,
-    trigger, guard, id, source, target, provenance. Each is an inline type
-    test; an error's text and path are built only when a test fails. The
-    owner's part of the id payload is encoded once for the whole list.
+    Checks run in a fixed order per entry. First its fields: keys, required
+    keys, effects, trigger, guard, id, source, target, provenance. Then its
+    source and target must be ``states``, its trigger a signal, and each
+    effect, in document order, must send a signal to a block. Last, a
+    declared id must be the content hash, and no earlier entry may have that
+    hash. Each is an inline test; an error's text and path are built only
+    when a test fails. The owner's part of the id payload is encoded once
+    for the whole list.
     """
     owner_json = encode_basestring_ascii(owner)
     content_id = _content_id
     no_items: list = []  # only read, never changed
+    first: dict[str, int] = {}  # the index of the first entry with each id
     out = []
     for i, obj in enumerate(entries):
         if type(obj) is not dict or not _TRANSITION_KEYS.issuperset(obj):
@@ -273,9 +278,7 @@ def _parse_transitions(entries: list, owner: str, path: str, wrong_ids: list[str
                         and type(e["signal"]) is type(e["target_block"]) is str):
                     _effect_error(e, f"{path}.transitions[{i}].effects[{len(parsed)}]")
                 parsed.append(SendEffect(e["signal"], e["target_block"]))
-            effects = sorted_effects(parsed)
-        else:
-            effects = ()
+            effects = parsed
         trigger, guard, declared_id, provenance = get("trigger"), get("guard"), get("id"), get("provenance", no_items)
         if not (
             type(source) is type(target) is str
@@ -291,12 +294,36 @@ def _parse_transitions(entries: list, owner: str, path: str, wrong_ids: list[str
                 if not isinstance(value, str) and (value is not None or key in ("source", "target")):
                     raise SchemaError(f"{key} must be a str", f"{tpath}.{key}")
             _expect_str_list(provenance, f"{tpath}.provenance", "provenance")
+        if source not in states:
+            raise ValidationError(f"source state {source!r} undefined", f"{path}.transitions[{i}]")
+        if target not in states:
+            raise ValidationError(f"target state {target!r} undefined", f"{path}.transitions[{i}]")
+        if trigger is not None and trigger not in signal_names:
+            raise ValidationError(f"trigger {trigger!r} is not a signal", f"{path}.transitions[{i}]")
+        for k, (signal, target_block) in enumerate(effects):
+            if signal not in signal_names:
+                raise ValidationError(
+                    f"effect signal {signal!r} is not a signal", f"{path}.transitions[{i}].effects[{k}]"
+                )
+            if target_block not in block_names:
+                raise ValidationError(
+                    f"effect target {target_block!r} is not a block", f"{path}.transitions[{i}].effects[{k}]"
+                )
+        effects = sorted_effects(effects)
         tid = content_id(owner_json, source, target, trigger, effects)
         if declared_id and declared_id != tid:
-            wrong_ids.append(declared_id)
-        out.append(
-            Transition(declared_id or tid, source, target, trigger, guard, effects, _sorted_unique(provenance))
-        )
+            raise ValidationError(
+                f"transition id {declared_id!r} does not match content hash", f"{path}.transitions[{i}]"
+            )
+        # Transitions with one content share an id, so merging would lose one.
+        k = first.setdefault(tid, i)
+        if k != i:
+            raise ValidationError(
+                f"transition repeats transitions[{k}] (same source, target, trigger and effects)",
+                f"{path}.transitions[{i}]",
+            )
+        out.append(Transition(tid, source, target, trigger, guard, effects, _sorted_unique(provenance)))
+    out.sort(key=lambda t: t.id)
     return tuple(out)
 
 
@@ -310,43 +337,49 @@ def _effect_error(obj: Any, path: str) -> None:
         _expect(obj[key], str, f"{path}.{key}", key)
 
 
-def _parse_machine(obj: Any, owner: str, path: str, wrong_ids: list[str]) -> StateMachine:
+def _parse_machine(
+    obj: Any, owner: str, path: str, block_names: set[str], signal_names: set[str]
+) -> StateMachine:
     _expect(obj, dict, path, "state_machine")
     _reject_unknown_keys(obj, {"initial", "states", "transitions"}, path)
     states = _expect_str_list(obj.get("states", []), f"{path}.states", "states")
-    entries = _expect(obj.get("transitions", []), list, f"{path}.transitions", "transitions")
-    transitions = _parse_transitions(entries, owner, path, wrong_ids)
+    names: set[str] = set()
+    seen_norm: dict[str, str] = {}
+    for j, state in enumerate(states):
+        if not state:
+            raise ValidationError("state name must be non-empty", f"{path}.states[{j}]")
+        if state in names:
+            raise ValidationError(f"duplicate state {state!r}", f"{path}.states[{j}]")
+        names.add(state)
+        _check_normal_form("state", state, f"{path}.states[{j}]", seen_norm)
     initial = obj.get("initial")
     if initial is not None:
         _expect(initial, str, f"{path}.initial", "initial")
-    return StateMachine(states, transitions, initial)
-
-
-def _parse_block(obj: Any, path: str, wrong_ids: list[str]) -> Block:
-    _expect(obj, dict, path, "block")
-    allowed = {"name", "parts", "state_machine", "receivable_signals"}
-    _reject_unknown_keys(obj, allowed, path)
-    if "name" not in obj:
-        raise SchemaError("block requires 'name'", path)
-    name = _expect(obj["name"], str, f"{path}.name", "name")
-    machine = None
-    if obj.get("state_machine") is not None:
-        machine = _parse_machine(obj["state_machine"], name, f"{path}.state_machine", wrong_ids)
-    receivable = None
-    if "receivable_signals" in obj and obj["receivable_signals"] is not None:
-        receivable = _expect_str_list(
-            obj["receivable_signals"], f"{path}.receivable_signals", "receivable_signals"
-        )
-    return Block(
-        name=name,
-        parts=_expect_str_list(obj.get("parts", []), f"{path}.parts", "parts"),
-        state_machine=machine,
-        receivable_signals=receivable,
-    )
+        if initial not in names:
+            raise ValidationError(f"initial state {initial!r} undefined", f"{path}.initial")
+    entries = _expect(obj.get("transitions", []), list, f"{path}.transitions", "transitions")
+    transitions = _parse_transitions(entries, owner, path, names, block_names, signal_names)
+    return StateMachine(tuple(sorted(states)), transitions, initial)
 
 
 def load_model(text: str) -> SystemModel:
-    """Parse and validate a model document.
+    """Parse and check a model document in one walk over it, and return the
+    model in canonical order: every list sorted by its key.
+
+    Each rule is checked where its value is read, so the first fault in
+    this order is the one raised:
+
+    1. the document's keys, version and name;
+    2. each block's keys and name, in document order (parts and effects
+       may name a later block, so every block name is read first);
+    3. each signal: its keys, then its name;
+    4. each block's parts, its receivable signals, then its machine: the
+       machine's keys, its states, its initial state, then each transition
+       (see ``_parse_transitions``);
+    5. part cycles.
+
+    Every error path is a document path: the index of a list entry, an
+    effect's included, is its place in the document, not in sorted order.
 
     Raises:
         SchemaError: the document is not well-formed for the model schema,
@@ -370,8 +403,24 @@ def load_model(text: str) -> SystemModel:
     if "name" not in doc:
         raise SchemaError("document requires 'name'", "$")
     name = _expect(doc["name"], str, "$.name", "name")
+    if not name:
+        raise ValidationError("model name must be non-empty", "$.name")
+
+    entries = _expect(doc.get("blocks", []), list, "$.blocks", "blocks")
+    seen_norm: dict[str, str] = {}
+    for i, obj in enumerate(entries):
+        path = f"$.blocks[{i}]"
+        _expect(obj, dict, path, "block")
+        _reject_unknown_keys(obj, {"name", "parts", "state_machine", "receivable_signals"}, path)
+        if "name" not in obj:
+            raise SchemaError("block requires 'name'", path)
+        if not _expect(obj["name"], str, f"{path}.name", "name"):
+            raise ValidationError("block name must be non-empty", f"{path}.name")
+        _check_normal_form("block", obj["name"], f"{path}.name", seen_norm)
+    block_names = set(seen_norm.values())
 
     signals = []
+    seen_norm = {}
     for i, entry in enumerate(_expect(doc.get("signals", []), list, "$.signals", "signals")):
         path = f"$.signals[{i}]"
         _expect(entry, dict, path, "signal")
@@ -381,75 +430,42 @@ def load_model(text: str) -> SystemModel:
         display = entry.get("display")
         if display is not None:
             _expect(display, str, f"{path}.display", "display")
-        signals.append(Signal(name=_expect(entry["name"], str, f"{path}.name", "name"), display=display))
-
-    entries = _expect(doc.get("blocks", []), list, "$.blocks", "blocks")
-    wrong_ids: list[str] = []
-    blocks = [_parse_block(entry, f"$.blocks[{i}]", wrong_ids) for i, entry in enumerate(entries)]
-    model = SystemModel(name=name, blocks=tuple(blocks), signals=tuple(signals))
-    validate_model(model, ids_checked=not wrong_ids)
-    return _normalized(model)
-
-
-def validate_model(model: SystemModel, *, ids_checked: bool = False) -> None:
-    """Check every model invariant; raise ValidationError on the first break.
-
-    ``ids_checked`` skips comparing each declared transition id with its
-    content hash, for a caller that has done so already.
-    """
-    if not model.name:
-        raise ValidationError("model name must be non-empty", "$.name")
-
-    block_names = {b.name for b in model.blocks}
-    seen_norm: dict[str, str] = {}
-    for i, block in enumerate(model.blocks):
-        path = f"$.blocks[{i}]"
-        if not block.name:
-            raise ValidationError("block name must be non-empty", f"{path}.name")
-        _check_normal_form("block", block.name, f"{path}.name", seen_norm)
-
-    signal_names = {s.name for s in model.signals}
-    seen_norm = {}
-    for i, signal in enumerate(model.signals):
-        path = f"$.signals[{i}]"
-        if not signal.name or any(ch.isspace() for ch in signal.name):
+        signal = _expect(entry["name"], str, f"{path}.name", "name")
+        if not signal or any(ch.isspace() for ch in signal):
+            raise ValidationError(f"signal name {signal!r} must be non-empty without whitespace", f"{path}.name")
+        if "(" in signal or ")" in signal:
             raise ValidationError(
-                f"signal name {signal.name!r} must be non-empty without whitespace", f"{path}.name"
+                f"signal name {signal!r} must be the canonical form without parentheses", f"{path}.name"
             )
-        if "(" in signal.name or ")" in signal.name:
-            raise ValidationError(
-                f"signal name {signal.name!r} must be the canonical form without parentheses",
-                f"{path}.name",
-            )
-        _check_normal_form("signal", signal.name, f"{path}.name", seen_norm)
+        _check_normal_form("signal", signal, f"{path}.name", seen_norm)
+        signals.append(Signal(signal, display))
+    signal_names = set(seen_norm.values())
 
-    for i, block in enumerate(model.blocks):
+    blocks = []
+    graph = {}  # each block's parts in document order
+    for i, obj in enumerate(entries):
         path = f"$.blocks[{i}]"
-        for j, part in enumerate(block.parts):
+        parts = graph[obj["name"]] = _expect_str_list(obj.get("parts", []), f"{path}.parts", "parts")
+        for j, part in enumerate(parts):
             if part not in block_names:
                 raise ValidationError(f"part {part!r} is not a block", f"{path}.parts[{j}]")
-        if block.receivable_signals is not None:
-            for j, sig in enumerate(block.receivable_signals):
-                if sig not in signal_names:
+        receivable = obj.get("receivable_signals")
+        if receivable is not None:
+            receivable = _expect_str_list(receivable, f"{path}.receivable_signals", "receivable_signals")
+            for j, signal in enumerate(receivable):
+                if signal not in signal_names:
                     raise ValidationError(
-                        f"receivable signal {sig!r} is not a signal",
-                        f"{path}.receivable_signals[{j}]",
+                        f"receivable signal {signal!r} is not a signal", f"{path}.receivable_signals[{j}]"
                     )
-        if block.state_machine is not None:
-            _validate_machine(block, block_names, signal_names, path, ids_checked)
-
-    _check_part_cycles(model)
-    # Transitions with one content share an id, so merging would lose one.
-    # Every id matches its content hash by now, so the id stands for it.
-    for i, block in enumerate(model.blocks):
-        first: dict[str, int] = {}
-        for j, t in enumerate(block.state_machine.transitions if block.state_machine else ()):
-            k = first.setdefault(t.id, j)
-            if k != j:
-                raise ValidationError(
-                    f"transition repeats transitions[{k}] (same source, target, trigger and effects)",
-                    f"$.blocks[{i}].state_machine.transitions[{j}]",
-                )
+            receivable = tuple(sorted(receivable))
+        machine = obj.get("state_machine")
+        if machine is not None:
+            machine = _parse_machine(machine, obj["name"], f"{path}.state_machine", block_names, signal_names)
+        blocks.append(Block(obj["name"], tuple(sorted(parts)), machine, receivable))
+    _check_part_cycles(graph)
+    blocks.sort(key=lambda b: b.name)
+    signals.sort(key=lambda s: s.name)
+    return SystemModel(name, tuple(blocks), tuple(signals))
 
 
 def _check_normal_form(kind: str, name: str, path: str, seen_norm: dict[str, str]) -> None:
@@ -465,46 +481,10 @@ def _check_normal_form(kind: str, name: str, path: str, seen_norm: dict[str, str
     seen_norm[norm] = name
 
 
-def _validate_machine(
-    block: Block, block_names: set[str], signal_names: set[str], path: str, ids_checked: bool
-) -> None:
-    machine = block.state_machine
-    assert machine is not None
-    mpath = f"{path}.state_machine"
-    names = set()
-    seen_norm: dict[str, str] = {}
-    for j, state in enumerate(machine.states):
-        if not state:
-            raise ValidationError("state name must be non-empty", f"{mpath}.states[{j}]")
-        if state in names:
-            raise ValidationError(f"duplicate state {state!r}", f"{mpath}.states[{j}]")
-        names.add(state)
-        _check_normal_form("state", state, f"{mpath}.states[{j}]", seen_norm)
-    if machine.initial is not None and machine.initial not in names:
-        raise ValidationError(f"initial state {machine.initial!r} undefined", f"{mpath}.initial")
-    tpath = mpath + ".transitions[%d]"  # formatted only for an error
-    for j, (tid, source, target, trigger, _, effects, _) in enumerate(machine.transitions):
-        if source not in names:
-            raise ValidationError(f"source state {source!r} undefined", tpath % j)
-        if target not in names:
-            raise ValidationError(f"target state {target!r} undefined", tpath % j)
-        if trigger is not None and trigger not in signal_names:
-            raise ValidationError(f"trigger {trigger!r} is not a signal", tpath % j)
-        for k, (signal, target_block) in enumerate(effects):
-            if signal not in signal_names:
-                raise ValidationError(f"effect signal {signal!r} is not a signal", f"{tpath % j}.effects[{k}]")
-            if target_block not in block_names:
-                raise ValidationError(
-                    f"effect target {target_block!r} is not a block", f"{tpath % j}.effects[{k}]"
-                )
-        if not ids_checked and tid != transition_identity(block.name, source, target, trigger, effects):
-            raise ValidationError(f"transition id {tid!r} does not match content hash", tpath % j)
-
-
-def _check_part_cycles(model: SystemModel) -> None:
-    """Depth-first search with an explicit stack, so chains of any depth
+def _check_part_cycles(graph: dict[str, tuple[str, ...]]) -> None:
+    """Raise on a cycle in ``graph``, each block's parts by its name.
+    Depth-first search with an explicit stack, so chains of any depth
     load without hitting the interpreter's recursion limit."""
-    graph = {b.name: b.parts for b in model.blocks}
     WHITE, GREY, BLACK = 0, 1, 2
     color = {name: WHITE for name in graph}
 
@@ -527,31 +507,6 @@ def _check_part_cycles(model: SystemModel) -> None:
             else:
                 color[trail.pop()] = BLACK
                 pending.pop()
-
-
-def _normalized(model: SystemModel) -> SystemModel:
-    """Canonical in-memory ordering: every list sorted by its key. Parsed
-    transitions are kept as they are, only reordered."""
-
-    def norm_machine(m):
-        transitions = tuple(sorted(m.transitions, key=lambda t: t.id))
-        return StateMachine(tuple(sorted(m.states)), transitions, m.initial)
-
-    def norm_block(b):
-        return Block(
-            name=b.name,
-            parts=tuple(sorted(b.parts)),
-            state_machine=norm_machine(b.state_machine) if b.state_machine else None,
-            receivable_signals=(
-                tuple(sorted(b.receivable_signals)) if b.receivable_signals is not None else None
-            ),
-        )
-
-    return SystemModel(
-        name=model.name,
-        blocks=tuple(sorted((norm_block(b) for b in model.blocks), key=lambda b: b.name)),
-        signals=tuple(sorted(model.signals, key=lambda s: s.name)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from modcomplete import (
 )
 from modcomplete.gherkin import RequirementDoc
 from modcomplete.kb import DEFAULT_KB_TEXT
-from modcomplete.model import validate_model
 
 from conftest import RAILWAY_REQUIREMENT
 from reference_complete import reference_complete
@@ -122,7 +121,7 @@ def test_complete_railway(railway_model, railway_corpus, kb):
     assert result.report.conflicts == ()
     assert result.report.duplicates == ()
     assert result.report.unmatched == ()
-    validate_model(result.model)
+    assert load_model(save_model(result.model)) == result.model
 
 
 def test_complete_empty_corpus(railway_model, kb):
@@ -610,7 +609,7 @@ def test_random_completions_stay_valid(kb):
         model, text, _ = random_case(rng)
         doc = RequirementDoc(id="R", text=text)
         result = complete_model(model, [doc], kb)
-        validate_model(result.model)
+        assert load_model(save_model(result.model)) == result.model
         for block in result.model.blocks:
             if block.state_machine:
                 keys = [(t.source, t.trigger) for t in block.state_machine.transitions]

@@ -31,7 +31,6 @@ from modcomplete.model import (
     dump_canonical,
     make_transition,
     transition_identity,
-    validate_model,
 )
 
 from conftest import FIXTURES, RAILWAY_REQUIREMENT
@@ -216,6 +215,13 @@ LOAD_FAULTS = [
      T0 + ".effects[0]", "effect signal 'Ghost' is not a signal"),
     ("effect-target", lambda d: _transition(d)["effects"][0].update(target_block="Nowhere"), ValidationError,
      T0 + ".effects[0]", "effect target 'Nowhere' is not a block"),
+    # An effect's path is its index in the document, not in sorted order.
+    ("effect-signal-second", lambda d: _transition(d).update(effects=[
+        {"signal": "Zed", "target_block": "Gate"}, {"signal": "Ghost", "target_block": "Gate"}]),
+     ValidationError, T0 + ".effects[1]", "effect signal 'Ghost' is not a signal"),
+    ("effect-target-first", lambda d: _transition(d).update(effects=[
+        {"signal": "Zed", "target_block": "Nowhere"}, {"signal": "Zed", "target_block": "Gate"}]),
+     ValidationError, T0 + ".effects[0]", "effect target 'Nowhere' is not a block"),
     ("id", lambda d: _transition(d).update(id="0123456789ab"), ValidationError, T0,
      "transition id '0123456789ab' does not match content hash"),
     ("repeat", lambda d: _machine(d)["transitions"].append({**_transition(d), "guard": "g"}), ValidationError,
@@ -233,6 +239,22 @@ def test_the_fault_base_loads():
 def test_each_load_fault_raises_its_class_message_and_path(mutate, error, path, message):
     doc = _fault_base()
     doc = mutate(doc) or doc
+    with pytest.raises((SchemaError, ValidationError)) as info:
+        load_model(json.dumps(doc))
+    assert (type(info.value), str(info.value), info.value.path) == (error, f"{path}: {message}", path)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("source", "machine-type"),  # block 0's references before block 1's fields
+    ("block-name-empty", "signal-name-type"),  # every block name before any signal
+    ("repeat", "cycle"),  # every machine before part cycles
+])
+def test_of_two_faults_the_first_in_check_order_is_raised(first, second):
+    faults = {row[0]: row[1:] for row in LOAD_FAULTS}
+    doc = _fault_base()
+    faults[first][0](doc)
+    faults[second][0](doc)
+    _, error, path, message = faults[first]
     with pytest.raises((SchemaError, ValidationError)) as info:
         load_model(json.dumps(doc))
     assert (type(info.value), str(info.value), info.value.path) == (error, f"{path}: {message}", path)
@@ -320,18 +342,22 @@ def test_bad_transition_field_message_and_path(patch, message, path):
     assert str(info.value) == f"{path}: {message}" and info.value.path == path
 
 
+@pytest.mark.parametrize("effects_order", [1, -1])
 @pytest.mark.parametrize("declared_id", [False, True])
-def test_repeated_transition_is_rejected_with_its_path(declared_id):
-    """Transitions that differ only in guard and provenance share an id, and
-    merging into such a machine would overwrite one with the other."""
-    first = {"source": "open", "target": "shut", "trigger": "Halt", "guard": "a", "provenance": ["X"]}
-    second = {**first, "guard": "b", "provenance": ["Y"]}
+def test_repeated_transition_is_rejected_with_its_path(declared_id, effects_order):
+    """Transitions that differ only in guard, provenance and the order of
+    their effects share an id, and merging into such a machine would
+    overwrite one with the other."""
+    effects = [{"signal": "Halt", "target_block": "Pump"}, {"signal": "Go", "target_block": "Pump"}]
+    first = {"source": "open", "target": "shut", "trigger": "Halt", "guard": "a", "provenance": ["X"],
+             "effects": effects}
+    second = {**first, "guard": "b", "provenance": ["Y"], "effects": effects[::effects_order]}
     if declared_id:
-        second["id"] = transition_identity("Gate", "open", "shut", "Halt", ())
+        second["id"] = transition_identity("Gate", "open", "shut", "Halt", tuple(SendEffect(**e) for e in effects))
     doc = {
         "version": "1",
         "name": "M",
-        "signals": [{"name": "Halt"}],
+        "signals": [{"name": "Halt"}, {"name": "Go"}],
         "blocks": [
             {"name": "Pump"},
             {
@@ -441,7 +467,7 @@ def with_second_machine(model):
         for b in model.blocks
     )
     model = model._replace(blocks=blocks)
-    validate_model(model)
+    assert load_model(save_model(model)) == model
     return model
 
 
@@ -815,22 +841,6 @@ def test_wrong_declared_id_is_rejected_with_its_path(railway_model, railway_corp
     assert info.value.path == "$.blocks[2].state_machine.transitions[0]"
 
 
-def test_empty_transition_id_is_checked_against_its_content_hash():
-    """An in-memory transition with id "" is no exception to the id check:
-    a model that passes ``validate_model`` round-trips through save and load."""
-    machine = StateMachine(states=("open", "shut"), transitions=(Transition("", "open", "shut"),))
-    model = SystemModel("M", blocks=(Block("Gate", state_machine=machine),))
-    with pytest.raises(ValidationError) as info:
-        validate_model(model)
-    path = "$.blocks[0].state_machine.transitions[0]"
-    assert str(info.value) == f"{path}: transition id '' does not match content hash"
-    assert info.value.path == path
-    fixed = model._replace(blocks=(Block("Gate", state_machine=machine._replace(
-        transitions=(make_transition("Gate", "open", "shut"),))),))
-    validate_model(fixed)
-    assert load_model(save_model(fixed)) == fixed
-
-
 @pytest.mark.parametrize("k", [1, 7, 40])
 def test_load_builds_one_transition_value_per_transition(monkeypatch, k):
     """Counts constructions, times nothing: each transition, with a declared
@@ -842,32 +852,6 @@ def test_load_builds_one_transition_value_per_transition(monkeypatch, k):
     monkeypatch.setattr(Transition, "_make", classmethod(lambda cls, fields: built.append(fields) or make(fields)))
     model = load_model(json.dumps(_machine_doc(k)))
     assert len(built) == 2 * k == len(model.machines()[0].transitions)
-
-
-@pytest.mark.parametrize("effects_order", [1, -1])
-def test_validate_model_rejects_repeated_transitions_in_memory(effects_order):
-    """Built without ``load_model``: transitions that differ only in guard,
-    provenance or the order of their effects repeat each other."""
-    effects = (SendEffect("Halt", "Pump"), SendEffect("Go", "Pump"))
-    first = make_transition("Gate", "open", "shut", "Halt", effects, ("X",))._replace(guard="a")
-    second = first._replace(guard="b", provenance=("Y",), effects=effects[::effects_order])
-    machine = StateMachine(
-        states=("open", "shut"),
-        transitions=(first, make_transition("Gate", "shut", "open"), second),
-    )
-    model = SystemModel(
-        "M",
-        blocks=(Block("Pump"), Block("Gate", state_machine=machine)),
-        signals=(Signal("Go"), Signal("Halt")),
-    )
-    with pytest.raises(ValidationError) as info:
-        validate_model(model)
-    path = "$.blocks[1].state_machine.transitions[2]"
-    assert str(info.value) == (
-        f"{path}: transition repeats transitions[0] (same source, target, trigger and effects)"
-    )
-    kept = machine._replace(transitions=machine.transitions[:2])
-    validate_model(model._replace(blocks=(model.blocks[0], Block("Gate", state_machine=kept))))
 
 
 # Valid names that still need escaping or normalize oddly.
