@@ -200,6 +200,12 @@ FRAGMENT = "fragment F:\n  owner: b   source: s   target: t\n"
     (RULE + FRAGMENT.replace("   target: t", ""), 4, 1, "fragment 'F' lacks 'target'"),
     ("\n".join(RULE.splitlines()[:2]) + "\n" + FRAGMENT, 1, 1,
      "metareq 'M' needs at least one given and one then template"),
+    (RULE.replace("<<Block as b>>", "<<Thing as b>>"), 2, 11, "unknown metaclass 'Thing'"),
+    (RULE.replace(" in ", " in, "), 2, 26, "bad literal 'in,'"),
+    (RULE.replace("goes in <<State as t>>", "goes in"), 3, 11, "then template declares no slot"),
+    (FRAGMENT + RULE.splitlines(keepends=True)[1], 3, 1, "clause template outside a metareq block"),
+    (RULE + "  nonsense here\n", 4, 1, "unrecognized line 'nonsense here'"),
+    (RULE + RULE + FRAGMENT, 4, 1, "duplicate metareq id 'M'"),
 ])
 def test_each_syntax_error_names_its_line_and_column(text, line, column, message):
     with pytest.raises(KBSyntaxError) as info:
@@ -207,6 +213,23 @@ def test_each_syntax_error_names_its_line_and_column(text, line, column, message
     assert type(info.value) is KBSyntaxError
     assert (info.value.line, info.value.column) == (line, column)
     assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (FRAGMENT + RULE.replace("-> F", "-> FX"), UnknownFragment,
+     "metareq 'M' maps to undefined fragment 'FX'"),
+    (RULE + FRAGMENT.replace("owner: b", "owner: nobody"), UntypedRole,
+     "fragment 'F' uses role 'nobody' that metareq 'M' never declares"),
+    (RULE + FRAGMENT.replace("owner: b", "owner: s"), UntypedRole,
+     "fragment 'F' needs role 's' as Block, but metareq 'M' declares it as State"),
+    (FRAGMENT.replace("target: t", "target: s") + RULE.replace("as t>>", "as s>>"), DuplicateRole,
+     "metareq 'M' declares role 's' twice"),
+])
+def test_each_rule_error_has_its_class_and_message(text, error, message):
+    with pytest.raises(error) as info:
+        parse_kb(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_a_rule_may_reach_the_size_limit():
