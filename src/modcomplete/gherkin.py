@@ -82,7 +82,8 @@ class MixedAndOr(ParseError):
 
 
 class DuplicateId(ModcompleteError):
-    """Two requirements in one corpus ended up with the same id."""
+    """Two requirements in one corpus ended up with the same id, or one
+    requirement was tagged twice."""
 
 
 def tokenize(text: str) -> list[Token]:
@@ -195,13 +196,16 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
     One document per block: ``Feature:`` and ``Scenario:`` lines end one
     and are otherwise ignored (a headerless file with text is a single
     block). Ids are ``REQ-<n>`` in file order unless an ``@id:`` tag line
-    inside the block overrides. Blank lines and ``#`` comments are ignored.
+    before the block's body overrides; a tag line after body text ends the
+    block, as a header does. Blank lines and ``#`` comments are ignored.
 
     Raises:
-        DuplicateId: two blocks resolve to the same requirement id.
+        DuplicateId: two blocks resolve to the same requirement id, or two
+            tag lines have no body text between them.
     """
     docs: list[RequirementDoc] = []
     tagged_id: str | None = None
+    tag_line = 0
     body: list[str] = []
     counter = 0
 
@@ -216,7 +220,7 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
             tagged_id = None
         body = []
 
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -224,7 +228,10 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
             flush()
             continue
         if m := _ID_TAG_RE.match(line):
-            tagged_id = m.group(1)
+            flush()
+            if tagged_id is not None:
+                raise DuplicateId(f"lines {tag_line} and {line_no}: two @id: tags with no requirement between them")
+            tagged_id, tag_line = m.group(1), line_no
             continue
         body.append(line)
     flush()

@@ -40,15 +40,15 @@ class KBSyntaxError(ModcompleteError):
         self.column = column
 
 
-class UnknownFragment(ModcompleteError):
+class UnknownFragment(KBSyntaxError):
     """A metareq maps to a fragment id the document never defines."""
 
 
-class UntypedRole(ModcompleteError):
+class UntypedRole(KBSyntaxError):
     """A fragment uses a role no slot declares, or with the wrong type."""
 
 
-class DuplicateRole(ModcompleteError):
+class DuplicateRole(KBSyntaxError):
     """The same role is declared by two slots of one metareq."""
 
 
@@ -70,9 +70,6 @@ TemplateItem = Literal | OptionalLiteral | SlotPattern
 
 class ClauseTemplate(NamedTuple):
     items: tuple[TemplateItem, ...]
-
-    def slots(self) -> tuple[SlotPattern, ...]:
-        return tuple(i for i in self.items if isinstance(i, SlotPattern))
 
 
 class MetaFragment(NamedTuple):
@@ -105,15 +102,6 @@ class MetaReq(NamedTuple):
     when: tuple[ClauseTemplate, ...]
     then: tuple[ClauseTemplate, ...]
     fragment: MetaFragment
-
-    def templates(self) -> tuple[ClauseTemplate, ...]:
-        return self.given + self.when + self.then
-
-    def slots(self) -> tuple[SlotPattern, ...]:
-        return tuple(s for t in self.templates() for s in t.slots())
-
-    def slot_types(self) -> dict[str, Metaclass]:
-        return {s.role: s.metaclass for s in self.slots()}
 
 
 class KnowledgeBase(NamedTuple):
@@ -150,20 +138,17 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
     for m in _ITEM_RE.finditer(body):
         col = col0 + m.start()
         if m.group(1) is not None:
-            metaclass_name, role = m.group(1), m.group(2)
             try:
-                metaclass = Metaclass(metaclass_name)
+                items.append(SlotPattern(Metaclass(m.group(1)), m.group(2)))
             except ValueError:
-                raise KBSyntaxError(f"unknown metaclass {metaclass_name!r}", line_no, col) from None
-            items.append(SlotPattern(metaclass, role))
+                raise KBSyntaxError(f"unknown metaclass {m.group(1)!r}", line_no, col) from None
         elif m.group(3) is not None:
             words = tuple(w.strip().lower() for w in m.group(3).split("|"))
             if not all(re.fullmatch(r"\w+", w) for w in words):
                 raise KBSyntaxError(f"bad optional literal {m.group(0)!r}", line_no, col)
             if any(w in KEYWORDS for w in words):
                 raise KBSyntaxError("keywords cannot appear inside templates", line_no, col)
-            words = tuple(w for w in words if w not in ARTICLES)
-            if words:
+            if words := tuple(w for w in words if w not in ARTICLES):
                 items.append(OptionalLiteral(words))
         else:
             word = m.group(4).lower()
@@ -180,143 +165,128 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
     return ClauseTemplate(tuple(items))
 
 
-def _parse_fragment_pairs(line: str, line_no: int) -> list[tuple[str, str, int]]:
+def _read_fragment_line(line: str, line_no: int, roles: dict[str, str], effects: list[tuple[str, str]]) -> None:
+    """Check one line of ``key: value`` pairs and add it to a fragment's roles and effects."""
     anchors = list(_FRAG_KEY_RE.finditer(line))
     if not anchors:
         raise KBSyntaxError(f"expected fragment key, got {line.strip()!r}", line_no)
-    head = line[: anchors[0].start()]
-    if head.strip():
-        raise KBSyntaxError(f"unreadable fragment text {head.strip()!r}", line_no)
-    pairs = []
+    if head := line[: anchors[0].start()].strip():
+        raise KBSyntaxError(f"unreadable fragment text {head!r}", line_no)
     for i, anchor in enumerate(anchors):
+        key, col = anchor.group(1), anchor.start() + 1
         end = anchors[i + 1].start() if i + 1 < len(anchors) else len(line)
         value = line[anchor.end() : end].strip()
         if not value:
-            raise KBSyntaxError(f"fragment key {anchor.group(1)!r} has no value", line_no, anchor.start() + 1)
-        pairs.append((anchor.group(1), value, anchor.start() + 1))
-    return pairs
+            raise KBSyntaxError(f"fragment key {key!r} has no value", line_no, col)
+        if key == "effect":
+            parts = [p.strip() for p in value.split("->")]
+            if len(parts) != 2 or not all(re.fullmatch(r"\w+", p) for p in parts):
+                raise KBSyntaxError(f"effect must be 'signal_role -> block_role', got {value!r}", line_no, col)
+            effects.append((parts[0], parts[1]))
+        elif not re.fullmatch(r"\w+", value):
+            raise KBSyntaxError(f"bad role name {value!r}", line_no, col)
+        elif key in roles:
+            raise KBSyntaxError(f"fragment key {key!r} given twice", line_no, col)
+        else:
+            roles[key] = value
 
 
 def parse_kb(text: str) -> KnowledgeBase:
-    """Parse and validate a knowledge-base document.
+    """Parse and check a knowledge-base document in one walk over its lines.
+
+    A ``metareq`` or ``fragment`` header opens a block; the next header, or
+    the end of the text, closes it. The first fault in this order is raised:
+
+    1. each line in file order: a header closes the open block, then checks
+       that its id is new; template and fragment lines are checked as read;
+    2. a closing block: a metareq needs a given and a then template, and a
+       fragment needs ``owner``, ``source`` and ``target``;
+    3. after the walk, each metareq in file order: its fragment is defined,
+       no role is declared twice, and each fragment role is declared with
+       the metaclass the fragment needs.
 
     Raises:
-        KBSyntaxError: malformed line, template or duplicate id, or a
-            template or section larger than ``SIZE_LIMIT``.
-        UnknownFragment: a metareq maps to an undefined fragment.
-        UntypedRole: a fragment role is undeclared or wrongly typed.
-        DuplicateRole: a role is declared twice within one metareq.
+        KBSyntaxError: a malformed line, template or block, a repeated id,
+            a template or section larger than ``SIZE_LIMIT``, or, as its
+            subclasses ``UnknownFragment``, ``UntypedRole`` and
+            ``DuplicateRole``, a fault of step 3 at the rule's header line.
     """
-    metareq_drafts: list[dict] = []
-    fragment_drafts: list[dict] = []
-    current: dict | None = None
-    current_fragment: dict | None = None
+    # Metareq id -> (header line, fragment id, given, when and then templates).
+    rules: dict[str, tuple[int, str, tuple[list[ClauseTemplate], ...]]] = {}
+    fragments: dict[str, MetaFragment] = {}
+    rule: str | None = None  # the open metareq block's id
+    fragment: tuple[int, str, dict[str, str], list[tuple[str, str]]] | None = None
+
+    def close() -> None:
+        if rule is not None:
+            line, _, (given, _, then) = rules[rule]
+            if not given or not then:
+                raise KBSyntaxError(f"metareq {rule!r} needs at least one given and one then template", line)
+        elif fragment is not None:
+            line, fragment_id, roles, effects = fragment
+            if missing := [key for key in ("owner", "source", "target") if key not in roles]:
+                raise KBSyntaxError(f"fragment {fragment_id!r} lacks {missing[0]!r}", line)
+            fragments[fragment_id] = MetaFragment(
+                fragment_id, roles["owner"], roles["source"], roles["target"], roles.get("trigger"), tuple(effects)
+            )
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if m := _METAREQ_RE.match(stripped):
-            current_fragment = None
-            current = {
-                "id": m.group(1),
-                "fragment": m.group(2),
-                "line": line_no,
-                "templates": {"given": [], "when": [], "then": []},
-            }
-            metareq_drafts.append(current)
+            close()
+            rule, fragment = m.group(1), None
+            if rule in rules:
+                raise KBSyntaxError(f"duplicate metareq id {rule!r}", line_no)
+            rules[rule] = (line_no, m.group(2), ([], [], []))
             continue
         if m := _FRAGMENT_RE.match(stripped):
-            current = None
-            current_fragment = {"id": m.group(1), "line": line_no, "fields": {}, "effects": []}
-            fragment_drafts.append(current_fragment)
+            close()
+            rule, fragment = None, (line_no, m.group(1), {}, [])
+            if m.group(1) in fragments:
+                raise KBSyntaxError(f"duplicate fragment id {m.group(1)!r}", line_no)
             continue
         if m := _CLAUSE_RE.match(stripped):
-            if current is None:
+            if rule is None:
                 raise KBSyntaxError("clause template outside a metareq block", line_no)
-            kind, body = m.group(1), m.group(2)
-            section = current["templates"][kind]
+            kind, body = m.groups()
+            section = rules[rule][2][("given", "when", "then").index(kind)]
             if len(section) == SIZE_LIMIT:
                 raise KBSyntaxError(f"more than {SIZE_LIMIT} {kind} templates in one metareq", line_no)
-            col0 = raw.index('"') + 2
-            section.append(_parse_template(kind, body, line_no, col0))
+            section.append(_parse_template(kind, body, line_no, raw.index('"') + 2))
             continue
-        if current_fragment is not None:
-            for key, value, col in _parse_fragment_pairs(raw, line_no):
-                if key == "effect":
-                    parts = [p.strip() for p in value.split("->")]
-                    if len(parts) != 2 or not all(re.fullmatch(r"\w+", p) for p in parts):
-                        raise KBSyntaxError(
-                            f"effect must be 'signal_role -> block_role', got {value!r}", line_no, col
-                        )
-                    current_fragment["effects"].append((parts[0], parts[1]))
-                else:
-                    if not re.fullmatch(r"\w+", value):
-                        raise KBSyntaxError(f"bad role name {value!r}", line_no, col)
-                    if key in current_fragment["fields"]:
-                        raise KBSyntaxError(f"fragment key {key!r} given twice", line_no, col)
-                    current_fragment["fields"][key] = value
-            continue
-        raise KBSyntaxError(f"unrecognized line {stripped!r}", line_no)
-
-    fragments: dict[str, MetaFragment] = {}
-    for draft in fragment_drafts:
-        fields = draft["fields"]
-        if draft["id"] in fragments:
-            raise KBSyntaxError(f"duplicate fragment id {draft['id']!r}", draft["line"])
-        for required in ("owner", "source", "target"):
-            if required not in fields:
-                raise KBSyntaxError(f"fragment {draft['id']!r} lacks {required!r}", draft["line"])
-        fragments[draft["id"]] = MetaFragment(
-            id=draft["id"],
-            owner_role=fields["owner"],
-            source_role=fields["source"],
-            target_role=fields["target"],
-            trigger_role=fields.get("trigger"),
-            effect_specs=tuple(draft["effects"]),
-        )
-
-    seen_ids: set[str] = set()
-    for draft in metareq_drafts:
-        if draft["id"] in seen_ids:
-            raise KBSyntaxError(f"duplicate metareq id {draft['id']!r}", draft["line"])
-        seen_ids.add(draft["id"])
-        if not draft["templates"]["given"] or not draft["templates"]["then"]:
-            raise KBSyntaxError(
-                f"metareq {draft['id']!r} needs at least one given and one then template",
-                draft["line"],
-            )
-
-    # Fragments resolve only once every id is known to be unique.
-    metareqs: list[MetaReq] = []
-    for draft in metareq_drafts:
-        fragment = fragments.get(draft["fragment"])
         if fragment is None:
-            raise UnknownFragment(
-                f"metareq {draft['id']!r} maps to undefined fragment {draft['fragment']!r}"
-            )
-        given, when, then = map(tuple, draft["templates"].values())
-        metareq = MetaReq(draft["id"], given, when, then, fragment)
-        metareqs.append(metareq)
-        roles: set[str] = set()
-        for slot in metareq.slots():
-            if slot.role in roles:
-                raise DuplicateRole(f"metareq {metareq.id!r} declares role {slot.role!r} twice")
-            roles.add(slot.role)
-        slot_types = metareq.slot_types()
-        for role, expected in fragment.roles():
-            actual = slot_types.get(role)
+            raise KBSyntaxError(f"unrecognized line {stripped!r}", line_no)
+        _read_fragment_line(raw, line_no, *fragment[2:])
+    close()
+
+    metareqs: list[MetaReq] = []
+    for rule_id, (line, fragment_id, sections) in rules.items():
+        if fragment_id not in fragments:
+            raise UnknownFragment(f"metareq {rule_id!r} maps to undefined fragment {fragment_id!r}", line)
+        metareq = MetaReq(rule_id, *map(tuple, sections), fragments[fragment_id])
+        declared: dict[str, Metaclass] = {}
+        for template in metareq.given + metareq.when + metareq.then:
+            for slot in template.items:
+                if isinstance(slot, SlotPattern):
+                    if slot.role in declared:
+                        raise DuplicateRole(f"metareq {rule_id!r} declares role {slot.role!r} twice", line)
+                    declared[slot.role] = slot.metaclass
+        for role, expected in metareq.fragment.roles():
+            actual = declared.get(role)
             if actual is None:
                 raise UntypedRole(
-                    f"fragment {fragment.id!r} uses role {role!r} that metareq "
-                    f"{metareq.id!r} never declares"
+                    f"fragment {fragment_id!r} uses role {role!r} that metareq {rule_id!r} never declares", line
                 )
             if actual is not expected:
                 raise UntypedRole(
-                    f"fragment {fragment.id!r} needs role {role!r} as {expected.value}, "
-                    f"but metareq {metareq.id!r} declares it as {actual.value}"
+                    f"fragment {fragment_id!r} needs role {role!r} as {expected.value}, "
+                    f"but metareq {rule_id!r} declares it as {actual.value}",
+                    line,
                 )
-    return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments.values()))
+        metareqs.append(metareq)
+    return KnowledgeBase(tuple(metareqs), tuple(fragments.values()))
 
 
 # ---------------------------------------------------------------------------

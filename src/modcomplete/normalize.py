@@ -1,10 +1,12 @@
 """Phrase normalization for matching requirement text against model elements.
 
 Matching is deliberately rigid: a phrase refers to a model element only when
-their normal forms coincide. The normal form is lowercase, article-free,
+their normal forms coincide. The normal form is casefolded, article-free,
 punctuation-free and space-free, so camel-cased element names and spaced
 prose spellings collapse to the same string ("BrakingSupervision" and
-"Braking Supervision" both normalize to "brakingsupervision").
+"Braking Supervision" both normalize to "brakingsupervision"). Words that
+are not ASCII are compared in Unicode normalization form NFKC, so composed
+and decomposed spellings of one name agree.
 
 Signal mentions get a slightly wider net: trailing filler nouns such as
 "Message" are droppable and the last word may be de-inflected by a small
@@ -35,8 +37,19 @@ WordSpan = Sequence[str] | str
 
 
 def clean_word(word: str) -> str:
-    """Lowercase a word and drop every non-alphanumeric character."""
-    low = word.lower()
+    """Casefold a word and drop every non-alphanumeric character.
+
+    A word that is not ASCII is put in NFKC, casefolded and put in NFKC
+    again (casefolding decomposes some letters, such as U+01F0), so every
+    spelling of it that is canonically or compatibility equivalent gives
+    one form. For an ASCII word that is plain ``lower()``.
+    """
+    if word.isascii():
+        low = word.lower()
+    else:
+        from unicodedata import normalize
+
+        low = normalize("NFKC", normalize("NFKC", word).casefold())
     if low.isalnum():  # nothing to drop, as for almost every word
         return low
     return "".join(ch for ch in low if ch.isalnum())

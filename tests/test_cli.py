@@ -227,11 +227,18 @@ def _repeated_id_corpus(tmp_path: Path) -> dict[str, str]:
     return {"--reqs": str(reqs)}
 
 
+def _doubly_tagged_corpus(tmp_path: Path) -> dict[str, str]:
+    reqs = tmp_path / "reqs.feature"
+    reqs.write_text(f"Scenario: A\n@id: R1\n\n@id: R2\n{RAILWAY_REQUIREMENT}\n", encoding="utf-8")
+    return {"--reqs": str(reqs)}
+
+
 @pytest.mark.parametrize("command", ["check", "complete"])
 @pytest.mark.parametrize("make_input, message", [
     (_dangling_part_model, "$.blocks[0].parts[0]: part 'Ghost' is not a block"),
     (_repeated_id_corpus, "requirement id 'R1' used twice"),
-], ids=["dangling-part", "repeated-id"])
+    (_doubly_tagged_corpus, "lines 2 and 4: two @id: tags with no requirement between them"),
+], ids=["dangling-part", "repeated-id", "two-tags"])
 def test_an_invalid_model_or_corpus_is_exit_1(tmp_path, capsys, command, make_input, message):
     """A model that fails validation and a corpus that repeats an ``@id:``
     end like an unreadable input: exit 1, one error line, nothing written."""
@@ -240,6 +247,23 @@ def test_an_invalid_model_or_corpus_is_exit_1(tmp_path, capsys, command, make_in
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_check_gives_each_tagged_block_its_own_verdict(tmp_path, capsys):
+    """Tagged blocks separated only by blank lines are three requirements:
+    a tag line after body text ends the block before it."""
+    reqs = tmp_path / "reqs.feature"
+    reqs.write_text(
+        f"@id: R1\n{RAILWAY_REQUIREMENT}\n\n"
+        "@id: R2\nGiven a Train in braking,\nThen the Train goes in running.\n\n"
+        "@id: R3\nGiven a Train in running, Then the Train goes in braking.\n",
+        encoding="utf-8",
+    )
+    argv = ["check", "--model", str(FIXTURES / "railway_model.json"), "--reqs", str(reqs)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "R1: MR1 (8 bindings)", "R2: MR3 (4 bindings)", "R3: MR3 (4 bindings)",
+    ]
 
 
 def test_strict_turns_redundancy_into_failure(tmp_path):
@@ -778,7 +802,8 @@ for argv in runs:
     codes.append(code)
     print("garbage", left, parser_left)
 print("codes", *codes)
-print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string", "tempfile", "modcomplete.oracle")
+print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string", "tempfile", "unicodedata",
+                                         "modcomplete.oracle")
                          if name in sys.modules))
 """
 
@@ -787,10 +812,12 @@ def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
     """Counts modules and objects, times nothing: a fresh process that runs
     ``complete``, ``check`` and ``kb-lint`` never imports ``dataclasses``
     (which brings in ``inspect``, ``ast``, ``dis`` and ``tokenize``),
-    ``string`` or ``tempfile`` (which brings in ``shutil`` and ``random``),
-    and never loads the reference oracle ``modcomplete.oracle``, which is
-    compiled only when ``oracle_match`` is first read. ``-S`` keeps site
-    hooks of the installation out of the count. No run leaves more objects
+    ``string``, ``tempfile`` (which brings in ``shutil`` and ``random``) or
+    ``unicodedata``, which only a word that is not ASCII needs (the railway
+    inputs are ASCII), and never loads the reference oracle
+    ``modcomplete.oracle``, which is compiled only when ``oracle_match`` is
+    first read. ``-S`` keeps site hooks of the installation out of the
+    count. No run leaves more objects
     in reference cycles than parsing its arguments alone: argparse's help
     formatter sections are cyclic, the pipeline is not."""
     env = {k: v for k, v in os.environ.items() if k != "MODCOMPLETE_KB"}

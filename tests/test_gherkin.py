@@ -221,6 +221,21 @@ def test_parse_corpus_id_tag_before_scenario_line():
     assert docs[0].id == "SAFETY-7"
 
 
+def test_a_tag_line_after_body_text_ends_the_block():
+    text = "@id: R1\nGiven a Then b\n\n@id: R2\nGiven c\nThen d\n\n@id: R3\nGiven e Then f\n"
+    assert parse_corpus(text) == [
+        RequirementDoc("R1", "Given a Then b"),
+        RequirementDoc("R2", "Given c Then d"),
+        RequirementDoc("R3", "Given e Then f"),
+    ]
+
+
+def test_two_tag_lines_with_no_body_between_them_are_one_error():
+    with pytest.raises(DuplicateId) as info:
+        parse_corpus("@id: A\nScenario: s\n\n@id: B\nGiven a Then b\n")
+    assert str(info.value) == "lines 1 and 4: two @id: tags with no requirement between them"
+
+
 def test_parse_corpus_empty_file():
     assert parse_corpus("") == []
     assert parse_corpus("# only a comment\n\n") == []

@@ -39,6 +39,12 @@ from support import (
 )
 
 
+def slots(metareq):
+    """A rule's slots, given to then, in template order."""
+    templates = metareq.given + metareq.when + metareq.then
+    return [item for template in templates for item in template.items if isinstance(item, SlotPattern)]
+
+
 def test_default_kb_shape():
     kb = default_kb()
     assert len(kb.metareqs) == 3
@@ -50,7 +56,7 @@ def test_default_kb_mr1_mirrors_published_pattern():
     kb = default_kb()
     mr1 = kb.metareqs[0]
     assert len(mr1.given) == 1 and len(mr1.when) == 1 and len(mr1.then) == 2
-    roles = [s.role for s in mr1.slots()]
+    roles = [s.role for s in slots(mr1)]
     assert roles == [
         "context1", "starting", "context2", "event",
         "context3", "operation", "context4", "final",
@@ -79,7 +85,7 @@ def test_round_trip_randomized():
 def test_fragment_roles_subset_of_slots():
     kb = default_kb()
     for metareq in kb.metareqs:
-        slot_types = metareq.slot_types()
+        slot_types = {s.role: s.metaclass for s in slots(metareq)}
         for role, metaclass in metareq.fragment.roles():
             assert slot_types[role] is metaclass
 
@@ -215,21 +221,24 @@ def test_each_syntax_error_names_its_line_and_column(text, line, column, message
     assert str(info.value) == f"line {line}, column {column}: {message}"
 
 
-@pytest.mark.parametrize("text, error, message", [
-    (FRAGMENT + RULE.replace("-> F", "-> FX"), UnknownFragment,
+@pytest.mark.parametrize("text, error, line, message", [
+    (FRAGMENT + RULE.replace("-> F", "-> FX"), UnknownFragment, 3,
      "metareq 'M' maps to undefined fragment 'FX'"),
-    (RULE + FRAGMENT.replace("owner: b", "owner: nobody"), UntypedRole,
+    (RULE + FRAGMENT.replace("owner: b", "owner: nobody"), UntypedRole, 1,
      "fragment 'F' uses role 'nobody' that metareq 'M' never declares"),
-    (RULE + FRAGMENT.replace("owner: b", "owner: s"), UntypedRole,
+    (RULE + FRAGMENT.replace("owner: b", "owner: s"), UntypedRole, 1,
      "fragment 'F' needs role 's' as Block, but metareq 'M' declares it as State"),
-    (FRAGMENT.replace("target: t", "target: s") + RULE.replace("as t>>", "as s>>"), DuplicateRole,
+    (FRAGMENT.replace("target: t", "target: s") + RULE.replace("as t>>", "as s>>"), DuplicateRole, 3,
      "metareq 'M' declares role 's' twice"),
 ])
-def test_each_rule_error_has_its_class_and_message(text, error, message):
+def test_each_rule_error_names_its_metareq_line(text, error, line, message):
+    """A rule's fragment and role errors are KB syntax errors that point at
+    the rule's ``metareq`` header."""
     with pytest.raises(error) as info:
         parse_kb(text)
-    assert type(info.value) is error
-    assert str(info.value) == message
+    assert type(info.value) is error and isinstance(info.value, KBSyntaxError)
+    assert (info.value.line, info.value.column) == (line, 1)
+    assert str(info.value) == f"line {line}, column 1: {message}"
 
 
 def test_a_rule_may_reach_the_size_limit():
@@ -340,7 +349,7 @@ def template_articles(kb) -> list:
     return [
         item
         for metareq in kb.metareqs
-        for template in metareq.templates()
+        for template in metareq.given + metareq.when + metareq.then
         for item in template.items
         if (isinstance(item, Literal) and item.word in ARTICLES)
         or (isinstance(item, OptionalLiteral) and ARTICLES & set(item.words))
@@ -408,3 +417,22 @@ def test_earlier_rules_role_error_is_reported_before_a_later_unknown_fragment():
     )
     with pytest.raises(UntypedRole, match="nobody"):
         parse_kb(text)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # A block's fault is raised when the next header closes it, before a
+    # later line is read.
+    (FRAGMENT.replace("   target: t", "") + RULE + "nonsense\n", 1, "fragment 'F' lacks 'target'"),
+    ("\n".join(RULE.splitlines()[:2]) + "\n" + FRAGMENT + FRAGMENT, 1,
+     "metareq 'M' needs at least one given and one then template"),
+    # A header's id is checked when the header is read, before a later block closes.
+    (RULE + RULE + FRAGMENT.replace("   target: t", ""), 4, "duplicate metareq id 'M'"),
+    # Every line is read before any rule resolves its fragment or roles.
+    (RULE.replace("-> F", "-> FX") + "nonsense\n", 4, "unrecognized line 'nonsense'"),
+    (RULE + FRAGMENT.replace("owner: b", "owner: nobody")
+     + FRAGMENT.replace("fragment F", "fragment G").replace("   target: t", ""), 6, "fragment 'G' lacks 'target'"),
+])
+def test_the_walk_reports_the_first_fault_in_its_order(text, line, message):
+    with pytest.raises(KBSyntaxError) as info:
+        parse_kb(text)
+    assert str(info.value) == f"line {line}, column 1: {message}"

@@ -117,6 +117,17 @@ def test_match_requirement_railway_table(railway_model, railway_ast, kb):
     ]
 
 
+def test_a_decomposed_name_names_the_composed_element(railway_model_text, kb):
+    """A name a model writes composed (NFC) and a requirement writes
+    decomposed (u and U+0308) is one name."""
+    composed, decomposed = "Brems\u00fcberwachung", "Bremsu\u0308berwachung"
+    model = load_model(railway_model_text.replace("BrakingSupervision", composed))
+    text = f"Given a Train in running, When {decomposed} receives EmergencyStop, Then {decomposed} goes in braking."
+    result = match_requirement(ast_of(text), kb, model)
+    assert result.metareq_id == "MR2"
+    assert ("context2", composed) in [(b.role, b.element) for b in result.bindings]
+
+
 def test_empty_kb_no_match(railway_model, railway_ast):
     with pytest.raises(NoMatch):
         match_requirement(railway_ast, KnowledgeBase(), railway_model)

@@ -231,6 +231,15 @@ LOAD_FAULTS = [
 ]
 
 
+def test_composed_and_decomposed_spellings_of_one_name_collide(railway_model_text):
+    doc = json.loads(railway_model_text)
+    doc["blocks"] += [{"name": "Brems\u00fcberwachung"}, {"name": "Bremsu\u0308berwachung"}]
+    with pytest.raises(ValidationError) as info:
+        load_model(json.dumps(doc))
+    assert info.value.path == "$.blocks[4].name"
+    assert "collides with 'Brems\u00fcberwachung' under normalization" in str(info.value)
+
+
 def test_the_fault_base_loads():
     assert len(load_model(json.dumps(_fault_base())).machines()[0].transitions) == 1
 
