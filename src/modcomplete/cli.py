@@ -180,16 +180,8 @@ def _exit_code(findings: list[Finding], strict: bool) -> int:
 
 
 def _report_doc(report: CompletionReport, findings: list[Finding]) -> dict:
-    return {
-        "version": "1",
-        "added": record_doc(report.added),
-        "duplicates": record_doc(report.duplicates),
-        "conflicts": [
-            {**record_doc(c), "requirement_ids": c.requirement_ids()} for c in report.conflicts
-        ],
-        "unmatched": record_doc(report.unmatched),
-        "findings": record_doc(findings),
-    }
+    """Each of the report's sections, under its field name, and the findings."""
+    return {"version": "1", **record_doc(report), "findings": record_doc(findings)}
 
 
 def _diagram_filename(requirement_id: str) -> str:

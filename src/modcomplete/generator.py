@@ -107,15 +107,14 @@ class ConflictVariant(NamedTuple):
 
 
 class ConflictRecord(NamedTuple):
-    """Transitions that share (owner, source, trigger) but disagree."""
+    """Transitions that share (owner, source, trigger) but disagree.
+    ``requirement_ids`` is every variant's ids, sorted."""
 
     owner: str
     source: str
     trigger: str | None
     variants: tuple[ConflictVariant, ...]
-
-    def requirement_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({rid for v in self.variants for rid in v.requirement_ids}))
+    requirement_ids: tuple[str, ...]
 
 
 class UnmatchedEntry(NamedTuple):
@@ -193,86 +192,70 @@ def complete_model(
         outcomes.append(RequirementOutcome(doc, match, error, instance))
 
     instantiated = [o for o in outcomes if o.instance is not None]
-    conflicts, withheld = _detect_conflicts(model, instantiated)
 
-    # A candidate is new when its id is neither in its owner's machine nor
-    # added by an earlier requirement. Only the machines named are read.
-    known: dict[str, set[str]] = {}
-    candidates: list[tuple[str, Transition]] = []
+    # The candidates by (owner, source, trigger), then by right-hand side:
+    # (target, effects) -> ids of the requirements that give it.
+    sides_by_key: dict[tuple[str, str, str | None], dict[tuple, set[str]]] = {}
+    for doc, _, _, instance in instantiated:
+        for owner, t in instance.pairs:
+            key = (owner, t.source, t.trigger)
+            sides_by_key.setdefault(key, {}).setdefault((t.target, t.effects), set()).add(doc.id)
+
+    # Each owner machine a candidate names, read once: id -> (transition,
+    # ids of the requirements that repeat it). An existing transition whose
+    # key a candidate has is one more side of that key.
+    machines: dict[str, dict[str, tuple[Transition, list[str]]]] = {o: {} for o, _, _ in sides_by_key}
+    for owner, merged in machines.items():
+        for t in model.block(owner).state_machine.transitions:
+            merged[t.id] = (t, [])
+            sides = sides_by_key.get((owner, t.source, t.trigger))
+            if sides is not None:
+                sides.setdefault((t.target, t.effects), set()).update(t.provenance)
+
+    # More than one side is a conflict, and every requirement with a
+    # conflicted candidate is withheld.
+    conflicts = [
+        ConflictRecord(
+            owner, source, trigger,
+            tuple(ConflictVariant(*rhs, tuple(sorted(ids))) for rhs, ids in sorted(sides.items())),
+            tuple(sorted(set().union(*sides.values()))),
+        )
+        for (owner, source, trigger), sides in sides_by_key.items()
+        if len(sides) > 1
+    ]
+    conflicted = {(c.owner, c.source, c.trigger) for c in conflicts}
+
+    # The rest merge in corpus order: an id its owner's map holds already is
+    # repeated, any other is new and joins the map.
     added: list[MergeEntry] = []
     duplicates: list[MergeEntry] = []
     trace: list[TraceRecord] = []
     for doc, match, _, instance in instantiated:
-        if doc.id in withheld:
+        if any((owner, t.source, t.trigger) in conflicted for owner, t in instance.pairs):
             continue
-        added_ids: list[str] = []
-        duplicate_ids: list[str] = []
-        for owner, transition in instance.pairs:
-            ids = known.get(owner)
-            if ids is None:
-                ids = known[owner] = {t.id for t in model.block(owner).state_machine.transitions}
-            if transition.id in ids:
-                duplicate_ids.append(transition.id)
+        new_ids: list[str] = []
+        repeated_ids: list[str] = []
+        for owner, t in instance.pairs:
+            entry = machines[owner].get(t.id)
+            if entry is not None:
+                entry[1].append(doc.id)
+                repeated_ids.append(t.id)
             else:
-                ids.add(transition.id)
-                added_ids.append(transition.id)
-                added.append(MergeEntry(owner, transition.id, (doc.id,)))
-        if not added_ids:
-            for owner, transition in instance.pairs:
-                duplicates.append(MergeEntry(owner, transition.id, (doc.id,)))
-        candidates.extend(instance.pairs)
-        trace.append(build_trace(match, tuple(added_ids + duplicate_ids), text=doc.text))
+                machines[owner][t.id] = (t, [])
+                new_ids.append(t.id)
+                added.append(MergeEntry(owner, t.id, (doc.id,)))
+        if not new_ids:
+            duplicates.extend(MergeEntry(owner, t.id, (doc.id,)) for owner, t in instance.pairs)
+        trace.append(build_trace(match, tuple(new_ids + repeated_ids), text=doc.text))
 
     report = CompletionReport(
         tuple(added), tuple(duplicates), tuple(conflicts),
         tuple(UnmatchedEntry(o.doc.id, o.diagnostics()) for o in outcomes if o.error is not None),
     )
     return CompletionResult(
-        model=add_transition(model, candidates), report=report, trace=tuple(trace),
+        model=add_transition(model, machines), report=report, trace=tuple(trace),
         outcomes=tuple(outcomes),
     )
-
-
-def _detect_conflicts(
-    model: SystemModel, instantiated: list[RequirementOutcome]
-) -> tuple[list[ConflictRecord], set[str]]:
-    """Group candidates by (owner, source, trigger); >1 right-hand side is a
-    conflict. Returns the records plus the ids of withheld requirements (a
-    requirement with any conflicted candidate is withheld atomically)."""
-    Key = tuple[str, str, str | None]
-    Rhs = tuple[str, tuple[SendEffect, ...]]
-
-    sides_by_key: dict[Key, dict[Rhs, set[str]]] = {}
-    for doc, _, _, instance in instantiated:
-        for owner, t in instance.pairs:
-            key = (owner, t.source, t.trigger)
-            sides_by_key.setdefault(key, {}).setdefault((t.target, t.effects), set()).add(doc.id)
-    # Only an existing transition whose key some candidate has can conflict.
-    for block in model.blocks:
-        for t in block.state_machine.transitions if block.state_machine else ():
-            sides = sides_by_key.get((block.name, t.source, t.trigger))
-            if sides is not None:
-                sides.setdefault((t.target, t.effects), set()).update(t.provenance)
-
-    conflicts: list[ConflictRecord] = []
-    conflicted_keys: set[Key] = set()
-    for key, sides in sides_by_key.items():
-        if len(sides) < 2:
-            continue
-        conflicted_keys.add(key)
-        owner, source, trigger = key
-        variants = tuple(
-            ConflictVariant(target=rhs[0], effects=rhs[1], requirement_ids=tuple(sorted(ids)))
-            for rhs, ids in sorted(sides.items(), key=lambda kv: kv[0])
-        )
-        conflicts.append(ConflictRecord(owner, source, trigger, variants))
-
-    withheld = {
-        doc.id
-        for doc, _, _, instance in instantiated
-        if any((owner, t.source, t.trigger) in conflicted_keys for owner, t in instance.pairs)
-    }
-    return conflicts, withheld
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +283,27 @@ def check_acceptability(result: CompletionResult) -> list[Finding]:
     from ``result.outcomes`` in corpus order, so an instantiated requirement
     that a conflict withholds still has its signals checked.
     """
-    report = result.report
-    findings: list[Finding] = []
-    for conflict in report.conflicts:
-        trigger = conflict.trigger or "(no trigger)"
-        findings.append(
-            Finding(
-                kind="Conflict",
-                severity=SEVERITY_ERROR,
-                message=(
-                    f"transitions from {conflict.source!r} on {trigger} in {conflict.owner!r} "
-                    f"disagree ({len(conflict.variants)} variants)"
-                ),
-                requirement_ids=conflict.requirement_ids(),
-            )
+    findings = [
+        Finding(
+            kind="Conflict",
+            severity=SEVERITY_ERROR,
+            message=(
+                f"transitions from {c.source!r} on {c.trigger or '(no trigger)'} in {c.owner!r} "
+                f"disagree ({len(c.variants)} variants)"
+            ),
+            requirement_ids=c.requirement_ids,
         )
-    for entry in report.duplicates:
-        findings.append(
-            Finding(
-                kind="Redundancy",
-                severity=SEVERITY_WARNING,
-                message=(
-                    f"requirement repeats transition {entry.transition_id} of {entry.owner!r}"
-                ),
-                requirement_ids=entry.requirement_ids,
-            )
+        for c in result.report.conflicts
+    ]
+    findings.extend(
+        Finding(
+            kind="Redundancy",
+            severity=SEVERITY_WARNING,
+            message=f"requirement repeats transition {entry.transition_id} of {entry.owner!r}",
+            requirement_ids=entry.requirement_ids,
         )
+        for entry in result.report.duplicates
+    )
     instantiated = [o for o in result.outcomes if o.instance is not None]
     findings.extend(
         Finding(

@@ -18,13 +18,14 @@ import re
 from typing import NamedTuple
 
 from .errors import ModcompleteError
+from .normalize import fold_word
 
 KEYWORDS = frozenset({"given", "when", "then", "and", "or"})
 TERMINAL_PUNCT = frozenset({",", ".", ";"})
 
 
 class Token(NamedTuple):
-    """One token with original spelling, lowercased form, and stream index.
+    """One token with original spelling, ``fold_word`` form, and stream index.
     A keyword's ``lower`` is in ``KEYWORDS``, a punctuation mark's in
     ``TERMINAL_PUNCT``; every other token is a word."""
 
@@ -100,7 +101,7 @@ def tokenize(text: str) -> list[Token]:
             trailing.append(chunk[-1])
             chunk = chunk[:-1]
         if chunk:
-            tokens.append(Token(chunk, chunk.lower(), len(tokens)))
+            tokens.append(Token(chunk, fold_word(chunk), len(tokens)))
         for punct in reversed(trailing):
             tokens.append(Token(punct, punct, len(tokens)))
     return tokens

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .errors import ModcompleteError
 from .gherkin import KEYWORDS
 from .model import Metaclass
-from .normalize import ARTICLES
+from .normalize import ARTICLES, fold_word
 
 
 class KBSyntaxError(ModcompleteError):
@@ -143,7 +143,7 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
             except ValueError:
                 raise KBSyntaxError(f"unknown metaclass {m.group(1)!r}", line_no, col) from None
         elif m.group(3) is not None:
-            words = tuple(w.strip().lower() for w in m.group(3).split("|"))
+            words = tuple(fold_word(w.strip()) for w in m.group(3).split("|"))
             if not all(re.fullmatch(r"\w+", w) for w in words):
                 raise KBSyntaxError(f"bad optional literal {m.group(0)!r}", line_no, col)
             if any(w in KEYWORDS for w in words):
@@ -151,7 +151,7 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
             if words := tuple(w for w in words if w not in ARTICLES):
                 items.append(OptionalLiteral(words))
         else:
-            word = m.group(4).lower()
+            word = fold_word(m.group(4))
             if not re.fullmatch(r"[\w]+", word):
                 raise KBSyntaxError(f"bad literal {m.group(4)!r}", line_no, col)
             if word in KEYWORDS:

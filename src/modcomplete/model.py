@@ -1,9 +1,10 @@
-"""In-memory system model, its JSON document format, and merge operations.
+"""In-memory system model, its JSON document format, and the merge's write-back.
 
 A model is blocks (optionally composed of parts and carrying one state
 machine each), signals, and machine states. Input models typically have no
-transitions; the pipeline adds them. All types are immutable value objects;
-operations return new values.
+transitions; the pipeline adds them: ``generator.complete_model`` decides
+each candidate's fate, and ``add_transition`` writes the decided machines
+back. All types are immutable value objects; operations return new values.
 
 The document format is canonical JSON: keys sorted, name lists sorted,
 transitions sorted by id, two-space indentation. ``dump_canonical`` writes
@@ -222,10 +223,7 @@ def _expect(value: Any, kind: type, path: str, what: str) -> Any:
 
 def _expect_str_list(value: Any, path: str, what: str) -> tuple[str, ...]:
     _expect(value, list, path, what)
-    out = []
-    for i, item in enumerate(value):
-        out.append(_expect(item, str, f"{path}[{i}]", "entry"))
-    return tuple(out)
+    return tuple(_expect(item, str, f"{path}[{i}]", "entry") for i, item in enumerate(value))
 
 
 def _reject_unknown_keys(obj: dict, allowed: set[str], path: str) -> None:
@@ -658,41 +656,34 @@ def save_model(model: SystemModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-def add_transition(model: SystemModel, candidates: list[tuple[str, Transition]]) -> SystemModel:
-    """Merge every ``(owner, transition)`` candidate into the model at once.
+def add_transition(
+    model: SystemModel, machines: dict[str, dict[str, tuple[Transition, list[str]]]]
+) -> SystemModel:
+    """Write the machines ``generator.complete_model`` decided back into the model.
 
     The name is singular only because the benchmark's tracer wraps it by
-    name; it is the whole merge. The candidates are trusted: slot lookup
-    bound their owner, signals and blocks to model elements,
-    ``generator.instantiate_fragment`` checked that the owner's machine
-    holds both states and gave each transition its content id, and
-    ``generator.complete_model`` withheld every conflict.
-
-    Candidates that share an id collapse into one transition, and one that
-    the owner's machine holds already adds only its provenance. Each id's
-    provenance is sorted once, and each machine named is built once, its
-    transitions sorted by id; unchanged transitions are kept as they are.
+    name. ``machines`` maps an owner to its transitions by id, each with the
+    ids of the requirements that repeat it. A transition's provenance is
+    sorted once, and a transition that gains no id is kept as it is, as is
+    a block ``machines`` does not name. A machine that grew is sorted by id.
     """
-    groups: dict[str, dict[str, tuple[Transition, list[str]]]] = {}
-    for owner, t in candidates:
-        groups.setdefault(owner, {}).setdefault(t.id, (t, []))[1].extend(t.provenance)
     blocks = list(model.blocks)
     for i, block in enumerate(blocks):
-        group = groups.get(block.name)
-        if group is None:
+        merged = machines.get(block.name)
+        if merged is None:
             continue
-        transitions = list(block.state_machine.transitions)
-        for j, existing in enumerate(transitions):
-            if existing.id in group:
-                provenance = _sorted_unique(existing.provenance + tuple(group.pop(existing.id)[1]))
-                if provenance != existing.provenance:
-                    transitions[j] = existing._replace(provenance=provenance)
-        if group:
-            transitions.extend(t._replace(provenance=_sorted_unique(p)) for t, p in group.values())
+        transitions = []
+        for t, repeats in merged.values():
+            if repeats:
+                provenance = _sorted_unique(t.provenance + tuple(repeats))
+                if provenance != t.provenance:
+                    t = t._replace(provenance=provenance)
+            transitions.append(t)
+        if len(transitions) > len(block.state_machine.transitions):
             transitions.sort(key=lambda t: t.id)
         machine = block.state_machine._replace(transitions=tuple(transitions))
         blocks[i] = block._replace(state_machine=machine)
-    return model._replace(blocks=tuple(blocks)) if groups else model
+    return model._replace(blocks=tuple(blocks)) if machines else model
 
 
 # ---------------------------------------------------------------------------

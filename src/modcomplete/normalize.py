@@ -36,20 +36,26 @@ STEM_RULES: tuple[tuple[str, str], ...] = (
 WordSpan = Sequence[str] | str
 
 
-def clean_word(word: str) -> str:
-    """Casefold a word and drop every non-alphanumeric character.
+def fold_word(word: str) -> str:
+    """A word's case-free form, in which keywords, template literals and
+    names are compared. A word that is not ASCII is put in NFKC, casefolded
+    and put in NFKC again (casefolding decomposes some letters, such as
+    U+01F0), so every spelling of it that is canonically or compatibility
+    equivalent gives one form. An ASCII word is only lowercased.
 
-    A word that is not ASCII is put in NFKC, casefolded and put in NFKC
-    again (casefolding decomposes some letters, such as U+01F0), so every
-    spelling of it that is canonically or compatibility equivalent gives
-    one form. For an ASCII word that is plain ``lower()``.
+    >>> fold_word("U\u0308BER") == fold_word("\u00fcber") == "\u00fcber"
+    True
     """
     if word.isascii():
-        low = word.lower()
-    else:
-        from unicodedata import normalize
+        return word.lower()
+    from unicodedata import normalize
 
-        low = normalize("NFKC", normalize("NFKC", word).casefold())
+    return normalize("NFKC", normalize("NFKC", word).casefold())
+
+
+def clean_word(word: str) -> str:
+    """``fold_word`` with every non-alphanumeric character dropped."""
+    low = fold_word(word)
     if low.isalnum():  # nothing to drop, as for almost every word
         return low
     return "".join(ch for ch in low if ch.isalnum())

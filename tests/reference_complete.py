@@ -2,7 +2,7 @@
 
 It follows the README's "Completion semantics" from the model and each
 requirement's ``FragmentInstance``, and shares no code with
-``generator._detect_conflicts`` or ``model.add_transition``:
+``generator.complete_model`` or ``model.add_transition``:
 
 * candidates that share (owner, source, trigger) with another candidate or
   with an existing transition, but differ in target or effects, are a
@@ -10,7 +10,8 @@ requirement's ``FragmentInstance``, and shares no code with
 * the other requirements are merged in corpus order. A transition whose
   content is already in the machine is a duplicate and only gains the
   requirement in its provenance; any other is added. A requirement with no
-  added transition lists all of its transitions as duplicates.
+  added transition lists all of its transitions as duplicates. A kept
+  requirement's generated ids are its added ones, then its repeated ones.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ class ReferenceCompletion(NamedTuple):
     duplicates: list[MergeEntry]
     #: owner -> its final transitions, sorted by id
     transitions: dict[str, tuple[Transition, ...]]
+    #: kept requirement id -> its generated transition ids
+    generated: dict[str, tuple[str, ...]]
 
 
 def _key(owner: str, t: Transition) -> tuple:
@@ -76,27 +79,31 @@ def reference_complete(
                 ConflictVariant(side[0], side[1], tuple(sorted(ids)))
                 for side, ids in sorted(ids_by_side.items())
             )
-            conflicts.append(ConflictRecord(*key, variants))
+            every_id = tuple(sorted({rid for ids in ids_by_side.values() for rid in ids}))
+            conflicts.append(ConflictRecord(*key, variants, every_id))
     withheld = {rid for rid, owner, t in candidates if _key(owner, t) in conflicted}
 
     # content -> [owner, transition, provenance], in the order first seen
     machine: dict[tuple, list] = {_content(o, e): [o, e, set(e.provenance)] for o, e in existing}
     added: list[MergeEntry] = []
     duplicates: list[MergeEntry] = []
+    generated: dict[str, tuple[str, ...]] = {}
     for rid, instance in instances:
         if rid in withheld:
             continue
-        new = []
+        new, repeated = [], []
         for owner, t in instance.pairs:
             content = _content(owner, t)
             if content in machine:
                 machine[content][2].add(rid)
+                repeated.append(t.id)
             else:
                 machine[content] = [owner, t, {rid}]
                 new.append(MergeEntry(owner, t.id, (rid,)))
         added.extend(new)
         if not new:
             duplicates.extend(MergeEntry(owner, t.id, (rid,)) for owner, t in instance.pairs)
+        generated[rid] = tuple(e.transition_id for e in new) + tuple(repeated)
 
     transitions: dict[str, list[Transition]] = {
         b.name: [] for b in model.blocks if b.state_machine is not None
@@ -109,4 +116,5 @@ def reference_complete(
         added,
         duplicates,
         {owner: tuple(sorted(ts, key=lambda t: t.id)) for owner, ts in transitions.items()},
+        generated,
     )

@@ -26,6 +26,7 @@ from modcomplete import (
 )
 from modcomplete.gherkin import RequirementDoc
 from modcomplete.kb import DEFAULT_KB_TEXT
+from modcomplete.model import make_transition
 
 from conftest import RAILWAY_REQUIREMENT
 from reference_complete import reference_complete
@@ -206,7 +207,7 @@ def test_conflicting_pair_reported_and_withheld(railway_model, kb):
     result = complete_model(railway_model, corpus, kb)
     assert len(result.report.conflicts) == 1
     conflict = result.report.conflicts[0]
-    assert conflict.requirement_ids() == ("REQ-A", "REQ-B")
+    assert conflict.requirement_ids == ("REQ-A", "REQ-B")
     assert (conflict.owner, conflict.source, conflict.trigger) == (
         "Train", "Running", "EmergencyStop",
     )
@@ -214,6 +215,34 @@ def test_conflicting_pair_reported_and_withheld(railway_model, kb):
     # both withheld: the model gains nothing
     assert result.model == railway_model
     assert result.report.added == ()
+
+
+def test_a_candidate_repeating_one_of_two_disagreeing_transitions_is_a_conflict(railway_model, kb):
+    """Train already holds two transitions on EmergencyStop from Running:
+    to Braking (OLD-1), which R1 repeats, and to Running (OLD-2). R1 is one
+    conflict with both variants, and nothing is added or repeated."""
+    activate = (SendEffect("Activate", "Brake"),)
+    existing = (
+        make_transition("Train", "Running", "Braking", "EmergencyStop", activate, ("OLD-1",)),
+        make_transition("Train", "Running", "Running", "EmergencyStop", (), ("OLD-2",)),
+    )
+    blocks = tuple(
+        b._replace(state_machine=b.state_machine._replace(
+            transitions=tuple(sorted(existing, key=lambda t: t.id))
+        )) if b.name == "Train" else b
+        for b in railway_model.blocks
+    )
+    model = railway_model._replace(blocks=blocks)
+    assert load_model(save_model(model)) == model
+    result = complete_model(model, corpus_of(("R1", RAILWAY_REQUIREMENT)), kb)
+    (conflict,) = result.report.conflicts
+    assert (conflict.owner, conflict.source, conflict.trigger) == ("Train", "Running", "EmergencyStop")
+    assert [(v.target, v.effects, v.requirement_ids) for v in conflict.variants] == [
+        ("Braking", activate, ("OLD-1", "R1")), ("Running", (), ("OLD-2",)),
+    ]
+    assert conflict.requirement_ids == ("OLD-1", "OLD-2", "R1")
+    assert result.report.added == result.report.duplicates == result.trace == ()
+    assert result.model == model
 
 
 def test_conflict_does_not_block_other_requirements(railway_model, kb):
@@ -250,7 +279,7 @@ def test_requirement_ids_land_in_exactly_one_bucket(railway_model, kb):
     buckets = {
         "added": {rid for e in result.report.added for rid in e.requirement_ids},
         "duplicates": {rid for e in result.report.duplicates for rid in e.requirement_ids},
-        "conflicts": {rid for c in result.report.conflicts for rid in c.requirement_ids()},
+        "conflicts": {rid for c in result.report.conflicts for rid in c.requirement_ids},
         "unmatched": {u.requirement_id for u in result.report.unmatched},
     }
     for rid in ("R1", "R2", "R3", "R4"):
@@ -304,7 +333,7 @@ def test_corpus_order_insensitivity(railway_model, kb):
         outputs.add(save_model(result.model))
         conflict_sets.add(
             frozenset(
-                (c.owner, c.source, c.trigger, c.requirement_ids())
+                (c.owner, c.source, c.trigger, c.requirement_ids)
                 for c in result.report.conflicts
             )
         )
@@ -349,47 +378,109 @@ def test_random_corpora_keep_order_and_split_invariants():
     assert min(seen.values()) >= cases // 10, seen
 
 
-def varied_corpus(rng: random.Random, model, render, prefix: str, size: int) -> list[RequirementDoc]:
-    """Requirements from ``render()``, with exact repeats of an earlier text
-    and variants of one with a state word swapped (a new target or source,
-    so conflicts arise) injected."""
-    texts: list[str] = []
+def varied_corpus(rng: random.Random, model, render, prefix: str, size: int, earlier=()) -> list[RequirementDoc]:
+    """Requirements from ``render()``, with three kinds of copy of an
+    earlier text (of this corpus or of ``earlier``) injected: exact repeats,
+    variants with a state word swapped (a new target or source, so conflicts
+    arise), and variants whose When gains ``or`` and a signal name (so one
+    requirement can repeat a transition and add another)."""
+    signals = [s.name for s in model.signals]
+    pool, texts = list(earlier), []
     for _ in range(size):
         roll = rng.random()
-        if texts and roll < 0.25:
-            texts.append(rng.choice(texts))
-        elif texts and roll < 0.45:
-            words = rng.choice(texts).split()
+        if pool and roll < 0.25:
+            texts.append(rng.choice(pool))
+        elif pool and roll < 0.45:
+            words = rng.choice(pool).split()
             spots = [i for i, w in enumerate(words) if w.rstrip(",.") in STATE_POOL]
             if spots:
                 i = rng.choice(spots)
                 words[i] = words[i].replace(words[i].rstrip(",."), rng.choice(STATE_POOL))
             texts.append(" ".join(words))
+        elif pool and signals and roll < 0.6:
+            head, _, then = rng.choice(pool).partition(", Then ")
+            if ", When " in head:
+                texts.append(f"{head} or {rng.choice(signals)}, Then {then}")
         else:
             texts.append(render())
+        pool[len(earlier):] = texts
     return [RequirementDoc(id=f"{prefix}{i}", text=text) for i, text in enumerate(texts, start=1)]
 
 
+def disjunctive_requirement(rng: random.Random, model) -> str:
+    """A requirement for the built-in rule MR2 whose When names one or two
+    of the model's signals, joined by ``or``. Its target is the state after
+    its source, so two such requirements never conflict, and a later one
+    often repeats one transition of an earlier one and adds another."""
+    block = rng.choice([b for b in model.blocks if b.state_machine])
+    states = block.state_machine.states
+    i = rng.randrange(len(states))
+    signals = rng.sample([s.name for s in model.signals], rng.randint(1, min(2, len(model.signals))))
+    return (
+        f"Given {block.name} in {states[i]}, When {block.name} receives {' or '.join(signals)}, "
+        f"Then {block.name} goes in {states[(i + 1) % len(states)]}."
+    )
+
+
+def with_disagreeing_pair(rng: random.Random, model, owner, t):
+    """``model`` whose ``owner`` machine also holds two transitions on
+    ``t``'s (source, trigger) that disagree: ``t``'s own content (provenance
+    OLD-1) or another target, and another target (OLD-2)."""
+    block = model.block(owner)
+    machine = block.state_machine
+    targets = [s for s in machine.states if s != t.target]
+    first = t.target if rng.random() < 0.5 else rng.choice(targets)
+    second = rng.choice([s for s in machine.states if s != first])
+    pair = [
+        make_transition(owner, t.source, target, t.trigger, t.effects, (rid,))
+        for target, rid in ((first, "OLD-1"), (second, "OLD-2"))
+    ]
+    held = {e.id for e in machine.transitions}
+    transitions = machine.transitions + tuple(e for e in pair if e.id not in held)
+    machine = machine._replace(transitions=tuple(sorted(transitions, key=lambda e: e.id)))
+    blocks = tuple(b._replace(state_machine=machine) if b is block else b for b in model.blocks)
+    return model._replace(blocks=blocks)
+
+
 def test_complete_model_agrees_with_the_reference_merge():
-    """Conflicts, withheld requirements, added and duplicate entries and the
+    """Conflicts, withheld requirements, added and duplicate entries, each
+    kept requirement's generated ids (new first, then repeated) and the
     final transitions with their provenance, against ``reference_complete``
     on 1000 corpora. A third start from a model that an earlier corpus
-    completed, so candidates also meet existing transitions. A quarter use
-    the built-in rules, whose disjunctive When gives a requirement several
-    transitions, some of them new and some not."""
+    completed, so candidates also meet existing transitions. A quarter start
+    from a model whose machine holds two disagreeing transitions on the
+    (source, trigger) of one candidate, one of them sometimes that
+    candidate's own content. A quarter use the built-in rules, whose
+    disjunctive When gives a requirement several transitions; such a
+    requirement that repeats one and adds another ("mixed") is rarer, so it
+    has its own floor."""
     rng = random.Random(7)
-    cases, seen = 1000, dict.fromkeys(("added", "duplicate", "conflict", "withheld"), 0)
+    kinds = ("added", "duplicate", "conflict", "withheld", "disagreeing start")
+    cases, seen, mixed = 1000, dict.fromkeys(kinds, 0), 0
     for case in range(cases):
         model = random_model(rng)
         if rng.random() < 0.25:
-            kb, render = default_kb(), lambda: random_requirement(rng, model)
+            kb = default_kb()
+            render = lambda: (
+                disjunctive_requirement(rng, model) if model.signals and rng.random() < 0.8
+                else random_requirement(rng, model)
+            )
         else:
             kb = random_multi_kb(rng)
             render = lambda: rendered_requirement(rng, kb, model)
+        earlier = []
         if rng.random() < 1 / 3:
-            model = complete_model(model, varied_corpus(rng, model, render, "S", 6), kb).model
-        corpus = varied_corpus(rng, model, render, "R", rng.randint(1, 10))
+            start = varied_corpus(rng, model, render, "S", 6)
+            model = complete_model(model, start, kb).model
+            earlier = [doc.text for doc in start]
+        corpus = varied_corpus(rng, model, render, "R", rng.randint(1, 10), earlier)
         result = complete_model(model, corpus, kb)
+        pairs = [pair for o in result.outcomes if o.instance for pair in o.instance.pairs]
+        if pairs and rng.random() < 0.25:
+            model = with_disagreeing_pair(rng, model, *rng.choice(pairs))
+            assert load_model(save_model(model)) == model
+            result = complete_model(model, corpus, kb)
+            seen["disagreeing start"] += 1
         instances = []
         fragments = {metareq.id: metareq.fragment for metareq in kb.metareqs}
         for outcome in result.outcomes:
@@ -406,11 +497,15 @@ def test_complete_model_agrees_with_the_reference_merge():
         assert {rid for rid, _ in instances} - merged == ref.withheld, context
         assert list(result.report.added) == ref.added, context
         assert list(result.report.duplicates) == ref.duplicates, context
+        assert {r.requirement_id: r.generated for r in result.trace} == ref.generated, context
         final = {b.name: b.state_machine.transitions for b in result.model.blocks if b.state_machine}
         assert final == ref.transitions, context
-        for kind, happened in zip(seen, (ref.added, ref.duplicates, ref.conflicts, ref.withheld)):
+        for kind, happened in zip(kinds, (ref.added, ref.duplicates, ref.conflicts, ref.withheld)):
             seen[kind] += bool(happened)
+        added_by = [e.requirement_ids[0] for e in ref.added]
+        mixed += any(0 < added_by.count(rid) < len(ids) for rid, ids in ref.generated.items())
     assert min(seen.values()) >= cases // 10, seen
+    assert mixed >= cases // 100, mixed
 
 
 def test_conservation(railway_model, railway_corpus, kb):

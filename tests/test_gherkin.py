@@ -83,6 +83,16 @@ def test_tokenize_matches_reference_everywhere(text):
     assert kinds(tokenize(text)) == reference_tokenize(text)
 
 
+def test_a_full_width_keyword_reads_as_a_keyword():
+    """A keyword is read in its folded form, so full-width letters (NFKC
+    maps them to ASCII) spell one too."""
+    text = "\uff27\uff49\uff56\uff45\uff4e a Train in running, \uff34\uff28\uff25\uff2e the Train goes in braking."
+    tokens = tokenize(text)
+    assert [t.lower for t in tokens if t.lower in KEYWORDS] == ["given", "then"]
+    ast = parse_requirement(RequirementDoc("R", text))
+    assert [len(ast.given), len(ast.when), len(ast.then)] == [1, 0, 1]
+
+
 def test_parse_railway_requirement():
     ast = parse_requirement(RequirementDoc(id="REQ-001", text=RAILWAY_REQUIREMENT))
     words = lambda c: " ".join(t.text for t in c.words)

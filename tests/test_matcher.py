@@ -128,6 +128,34 @@ def test_a_decomposed_name_names_the_composed_element(railway_model_text, kb):
     assert ("context2", composed) in [(b.role, b.element) for b in result.bindings]
 
 
+UBER_SPELLINGS = {
+    "composed": "\u00fcber",
+    "decomposed": "u\u0308ber",
+    "upper": "\u00dcBER",
+    "upper-decomposed": "U\u0308BER",
+}
+
+
+@pytest.mark.parametrize("in_text", UBER_SPELLINGS, ids=[f"text-{k}" for k in UBER_SPELLINGS])
+@pytest.mark.parametrize("in_rule", UBER_SPELLINGS, ids=[f"rule-{k}" for k in UBER_SPELLINGS])
+def test_a_literal_matches_every_spelling_of_its_word(railway_model, in_rule, in_text):
+    """Template literals and requirement words are compared in one folded
+    form, so composed, decomposed and upper-case spellings of a literal
+    match each other, in the rule and in the text."""
+    kb = parse_kb(
+        "metareq M1 -> F1:\n"
+        '  given: "<<Block as b>> in <<State as s>>"\n'
+        f'  then: "geht {UBER_SPELLINGS[in_rule]} in <<State as t>>"\n'
+        "fragment F1:\n"
+        "  owner: b   source: s   target: t\n"
+    )
+    assert kb.metareqs[0].then[0].items[1].word == "\u00fcber"
+    text = f"Given a Train in running, Then geht {UBER_SPELLINGS[in_text]} in braking."
+    result = match_requirement(ast_of(text), kb, railway_model)
+    assert result.metareq_id == "M1"
+    assert ("t", "Braking") in [(b.role, b.element) for b in result.bindings]
+
+
 def test_empty_kb_no_match(railway_model, railway_ast):
     with pytest.raises(NoMatch):
         match_requirement(railway_ast, KnowledgeBase(), railway_model)

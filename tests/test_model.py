@@ -480,75 +480,94 @@ def with_second_machine(model):
     return model
 
 
+def decided(*entries):
+    """One owner's map as ``complete_model`` decides it: id -> (transition,
+    ids of the requirements that repeat it)."""
+    return {t.id: (t, list(repeats)) for t, repeats in entries}
+
+
 def test_add_transition_added(railway_model):
     t = emergency_stop("REQ-001")
-    merged = add_transition(railway_model, [("Train", t)])
+    merged = add_transition(railway_model, {"Train": decided((t, []))})
     assert merged.block("Train").state_machine.transitions == (t,)
 
 
 def test_add_transition_duplicate_unions_provenance(railway_model):
-    first = add_transition(railway_model, [("Train", emergency_stop("REQ-001"))])
-    second = add_transition(first, [("Train", emergency_stop("SAFETY-7"))])
+    first = add_transition(railway_model, {"Train": decided((emergency_stop("REQ-001"), []))})
+    (held,) = first.block("Train").state_machine.transitions
+    second = add_transition(first, {"Train": decided((held, ["SAFETY-7", "REQ-001"]))})
     machine = second.block("Train").state_machine
     assert len(machine.transitions) == 1
     assert machine.transitions[0].provenance == ("REQ-001", "SAFETY-7")
     assert machine.transitions[0].id == emergency_stop().id
 
 
-def test_add_transition_agrees_with_pair_scanner(railway_model):
-    # Brute-force reference: scan all pairs; candidates of one owner with
-    # one id (equal but for provenance) become one transition holding the
-    # union of their provenance.
-    owners = ["Train", "BrakingSupervision"]
+def test_add_transition_agrees_with_a_plain_rebuild(railway_model):
+    # Brute-force reference: a transition's provenance becomes the sorted
+    # union of its own and its repeats, and is kept as it is when that adds
+    # nothing; a machine that gained a transition is sorted by id, any other
+    # keeps the map's order; a block the map does not name is kept as it is.
     states = ["Running", "Braking"]
     triggers = [None, "EmergencyStop", "Activate"]
     effect_options = [(), (SendEffect("Activate", "Brake"),)]
-    contents = list(itertools.product(owners, states, states, triggers, effect_options))
-    # Every candidate comes twice, under two requirement ids.
-    candidates = [
-        (owner, make_transition(owner, s, t, trg, eff, (f"{prefix}{i}",)))
-        for prefix in ("R", "S")
-        for i, (owner, s, t, trg, eff) in enumerate(contents)
-    ]
+    contents = list(itertools.product(states, states, triggers, effect_options))
+    rids = ["R1", "R2", "R3"]
     rng = random.Random(5)
-    candidates = rng.sample(candidates, len(candidates))
-    model = with_second_machine(railway_model)
-    half = len(candidates) // 2
-    in_one_pass = add_transition(model, candidates)
-    # A second pass merges onto the transitions the first one added.
-    in_two_passes = add_transition(add_transition(model, candidates[:half]), candidates[half:])
-    assert in_one_pass == in_two_passes
-    for owner in owners:
-        expected = []
-        for owner_a, a in candidates:
-            if owner_a != owner or any(a.id == b.id for b in expected):
+    base = with_second_machine(railway_model)
+    for _ in range(300):
+        blocks, machines = [], {}
+        for block in base.blocks:
+            if block.state_machine is not None:
+                transitions = [
+                    make_transition(block.name, *content, tuple(rng.sample(rids, rng.randint(0, 2))))
+                    for content in rng.sample(contents, rng.randint(0, 5))
+                ]
+                cut = rng.randint(0, len(transitions))
+                machine = block.state_machine._replace(transitions=tuple(transitions[:cut]))
+                block = block._replace(state_machine=machine)
+                if rng.random() < 0.8:
+                    machines[block.name] = decided(
+                        *((t, rng.sample(rids, rng.randint(0, 3))) for t in transitions)
+                    )
+            blocks.append(block)
+        model = base._replace(blocks=tuple(blocks))
+        merged = add_transition(model, machines)
+        for before, after in zip(model.blocks, merged.blocks):
+            if before.name not in machines:
+                assert after is before
                 continue
-            provenance = {
-                rid for owner_b, b in candidates if owner_b == owner and b.id == a.id
-                for rid in b.provenance
-            }
-            expected.append(a._replace(provenance=tuple(sorted(provenance))))
-        assert len(expected) == len(contents) // len(owners)
-        transitions = in_one_pass.block(owner).state_machine.transitions
-        assert transitions == tuple(sorted(expected, key=lambda t: t.id))
+            expected, kept = [], []
+            for t, repeats in machines[before.name].values():
+                provenance = tuple(sorted({*t.provenance, *repeats}))
+                expected.append(t._replace(provenance=provenance))
+                if provenance == t.provenance:
+                    kept.append(t)
+            if len(expected) > len(before.state_machine.transitions):
+                expected.sort(key=lambda t: t.id)
+            transitions = after.state_machine.transitions
+            assert transitions == tuple(expected)
+            assert all(any(t is k for t in transitions) for k in kept)
 
 
 def test_add_transition_same_value_twice_is_identity(railway_model):
-    candidates = [("Train", emergency_stop("REQ-001"))]
-    once = add_transition(railway_model, candidates)
-    assert add_transition(once, candidates) == once
+    machines = {"Train": decided((emergency_stop("REQ-001"), ["REQ-002"]))}
+    once = add_transition(railway_model, machines)
+    assert add_transition(once, machines) == once
 
 
 def test_add_transition_leaves_its_input_untouched(railway_model):
     model = with_second_machine(railway_model)
-    model = add_transition(model, [("Train", emergency_stop("REQ-001"))])
-    before = copy.deepcopy(model)
-    candidates = [
-        ("Train", emergency_stop("REQ-002")),
-        ("BrakingSupervision", make_transition("BrakingSupervision", "Running", "Braking", None, (), ("R",))),
-    ]
-    merged = add_transition(model, candidates)
-    assert model == before
+    model = add_transition(model, {"Train": decided((emergency_stop("REQ-001"), []))})
+    (held,) = model.block("Train").state_machine.transitions
+    machines = {
+        "Train": decided((held, ["REQ-002"])),
+        "BrakingSupervision": decided(
+            (make_transition("BrakingSupervision", "Running", "Braking", None, (), ("R",)), [])
+        ),
+    }
+    before = copy.deepcopy((model, machines))
+    merged = add_transition(model, machines)
+    assert (model, machines) == before
     assert merged != model
 
 
@@ -556,16 +575,21 @@ def test_add_transition_of_a_completed_models_own_transitions_changes_nothing(
     railway_model, railway_corpus, kb
 ):
     completed = complete_model(railway_model, railway_corpus, kb).model
-    own = [
-        (block.name, t) for block in completed.blocks if block.state_machine
-        for t in block.state_machine.transitions
-    ]
-    assert own
-    assert add_transition(completed, own) == completed
+    machines = {
+        block.name: decided(*((t, t.provenance) for t in block.state_machine.transitions))
+        for block in completed.blocks if block.state_machine
+    }
+    assert any(machines.values())
+    merged = add_transition(completed, machines)
+    assert merged == completed
+    assert all(
+        a is b for m, n in zip(merged.machines(), completed.machines())
+        for a, b in zip(m.transitions, n.transitions)
+    )
 
 
 def test_add_transition_of_no_candidates_returns_the_input_model(railway_model):
-    assert add_transition(railway_model, []) is railway_model
+    assert add_transition(railway_model, {}) is railway_model
 
 
 def test_display_field_round_trips():

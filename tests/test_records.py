@@ -199,10 +199,11 @@ RECORDS = [
      "ConflictVariant(target='b', effects=(SendEffect(signal='Stop', target_block='Brake'),), "
      "requirement_ids=('R1',))",
      None, None),
-    (ConflictRecord, dict(owner="Brake", source="a", trigger="Go", variants=(VARIANT,)),
+    (ConflictRecord, dict(owner="Brake", source="a", trigger="Go", variants=(VARIANT,),
+                          requirement_ids=("R1",)),
      "ConflictRecord(owner='Brake', source='a', trigger='Go', variants=(ConflictVariant("
      "target='b', effects=(SendEffect(signal='Stop', target_block='Brake'),), "
-     "requirement_ids=('R1',)),))",
+     "requirement_ids=('R1',)),), requirement_ids=('R1',))",
      None, None),
     (UnmatchedEntry, dict(requirement_id="R1", diagnostics=("no rule",)),
      "UnmatchedEntry(requirement_id='R1', diagnostics=('no rule',))", None, None),
