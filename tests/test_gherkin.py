@@ -164,6 +164,46 @@ def test_out_of_order_and_misplaced_keywords(text):
         parse_requirement(RequirementDoc(id="R", text=text))
 
 
+def _requirement(text):
+    return parse_requirement(RequirementDoc("R", text))
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, message",
+    [
+        (_requirement, "Then something happens", MissingGiven, "requirement has no 'Given' (token 0)"),
+        (_requirement, "Given alpha When beta.", MissingThen, "requirement has no 'Then' (token 4)"),
+        (_requirement, "alpha Given beta Then x", OutOfOrderKeyword,
+         "requirement must start with 'Given' (token 0)"),
+        (_requirement, "When alpha Given beta Then x", OutOfOrderKeyword, "'When' before 'Given' (token 0)"),
+        (_requirement, "and alpha Given beta Then x", OutOfOrderKeyword, "'and' before 'Given' (token 0)"),
+        (_requirement, "Given alpha Then beta When gamma", OutOfOrderKeyword,
+         "'When' cannot follow the Then section (token 4)"),
+        (_requirement, "Given alpha or beta Then x", OutOfOrderKeyword,
+         "'or' is only allowed between When clauses (token 2)"),
+        (_requirement, "Given When beta Then x", OutOfOrderKeyword, "empty clause after 'Given' (token 1)"),
+        (_requirement, "Given alpha Then beta and.", OutOfOrderKeyword, "empty clause after 'and' (token 4)"),
+        (_requirement, "Given alpha When beta or gamma and delta Then x", MixedAndOr,
+         "When group mixes 'and' and 'or' (token 6)"),
+        (parse_corpus, "@id: A\nScenario: s\n\n@id: B\nGiven a Then b\n", DuplicateId,
+         "lines 1 and 4: two @id: tags with no requirement between them"),
+        (parse_corpus, "@id: X\nGiven a Then b\nScenario:\n@id: X\nGiven c Then d\n", DuplicateId,
+         "requirement id 'X' used twice"),
+    ],
+)
+def test_each_parse_error_has_its_class_message_and_position(parse, text, error, message):
+    """One row per raise site of ``parse_requirement`` (the empty-clause
+    site twice: a keyword ends the clause, or the text does) and of
+    ``parse_corpus``. A requirement error's position is the token index
+    its message ends with."""
+    with pytest.raises(error) as raised:
+        parse(text)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+    if isinstance(raised.value, ParseError):
+        assert message.endswith(f"(token {raised.value.position})")
+
+
 def test_keyword_permutation_suite():
     # The grammar accepts exactly Given [When] Then as section order.
     fillers = {"given": "alpha", "when": "beta", "then": "gamma"}
