@@ -23,37 +23,20 @@ class StateNotInOwnerMachine(ModcompleteError):
     """A bound state is absent from the owner block's machine."""
 
 
-class ReceivabilityWarning(NamedTuple):
-    """An effect targets a block whose declared signals lack the one sent."""
-
-    signal: str
-    target_block: str
-
-
-class FragmentInstance(NamedTuple):
-    """Concrete transitions produced from one matched requirement."""
-
-    pairs: tuple[tuple[str, Transition], ...]  # (owner, transition)
-    warnings: tuple[ReceivabilityWarning, ...] = ()
-
-
 def instantiate_fragment(
     fragment: MetaFragment,
     binding_sets: tuple[BindingSet, ...],
     model: SystemModel,
     requirement_id: str,
-) -> FragmentInstance:
-    """Fill a fragment from bindings; one transition per binding set.
+) -> tuple[tuple[str, Transition], ...]:
+    """Fill a fragment from bindings: the (owner, transition) pairs, one
+    transition per binding set, each distinct transition once.
 
     Raises:
         StateNotInOwnerMachine: a bound source or target state is not defined
-            by the owner block's machine (or the owner has none). Effects
-            whose target block does not list the sent signal are downgraded
-            to :class:`ReceivabilityWarning`.
+            by the owner block's machine (or the owner has none).
     """
-    pairs: list[tuple[str, Transition]] = []
-    warnings: list[ReceivabilityWarning] = []
-    seen_ids: set[str] = set()
+    pairs: dict[str, tuple[str, Transition]] = {}  # transition id -> pair
     for bindings in binding_sets:
         elements = {b.role: b.element for b in bindings}
         owner = elements[fragment.owner_role]
@@ -74,19 +57,11 @@ def instantiate_fragment(
             SendEffect(signal=elements[sig_role], target_block=elements[tgt_role])
             for sig_role, tgt_role in fragment.effect_specs
         )
-        for effect in effects:
-            target_block = model.block(effect.target_block)
-            assert target_block is not None
-            declared = target_block.receivable_signals
-            if declared is not None and effect.signal not in declared:
-                warnings.append(ReceivabilityWarning(effect.signal, effect.target_block))
         transition = make_transition(
             owner, source, target, trigger, effects, provenance=(requirement_id,)
         )
-        if transition.id not in seen_ids:
-            seen_ids.add(transition.id)
-            pairs.append((owner, transition))
-    return FragmentInstance(tuple(pairs), tuple(warnings))
+        pairs.setdefault(transition.id, (owner, transition))
+    return tuple(pairs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +114,15 @@ class RequirementOutcome(NamedTuple):
     ``error`` is the ParseError, NoMatch, AmbiguousMatch or
     StateNotInOwnerMachine that stopped it, or None. ``match`` is set
     whenever matching succeeded, even if instantiation then failed.
-    ``instance`` holds the transitions and receivability warnings of an
-    instantiated requirement, whether or not a conflict then withheld it;
-    it is None whenever ``error`` is set.
+    ``instance`` holds the (owner, transition) pairs of an instantiated
+    requirement, whether or not a conflict then withheld it; it is None
+    whenever ``error`` is set.
     """
 
     doc: RequirementDoc
     match: MatchResult | None = None
     error: ModcompleteError | None = None
-    instance: FragmentInstance | None = None
+    instance: tuple[tuple[str, Transition], ...] | None = None
 
     def diagnostics(self) -> tuple[str, ...]:
         """Report lines explaining ``error``."""
@@ -197,7 +172,7 @@ def complete_model(
     # (target, effects) -> ids of the requirements that give it.
     sides_by_key: dict[tuple[str, str, str | None], dict[tuple, set[str]]] = {}
     for doc, _, _, instance in instantiated:
-        for owner, t in instance.pairs:
+        for owner, t in instance:
             key = (owner, t.source, t.trigger)
             sides_by_key.setdefault(key, {}).setdefault((t.target, t.effects), set()).add(doc.id)
 
@@ -231,11 +206,11 @@ def complete_model(
     duplicates: list[MergeEntry] = []
     trace: list[TraceRecord] = []
     for doc, match, _, instance in instantiated:
-        if any((owner, t.source, t.trigger) in conflicted for owner, t in instance.pairs):
+        if any((owner, t.source, t.trigger) in conflicted for owner, t in instance):
             continue
         new_ids: list[str] = []
         repeated_ids: list[str] = []
-        for owner, t in instance.pairs:
+        for owner, t in instance:
             entry = machines[owner].get(t.id)
             if entry is not None:
                 entry[1].append(doc.id)
@@ -245,7 +220,7 @@ def complete_model(
                 new_ids.append(t.id)
                 added.append(MergeEntry(owner, t.id, (doc.id,)))
         if not new_ids:
-            duplicates.extend(MergeEntry(owner, t.id, (doc.id,)) for owner, t in instance.pairs)
+            duplicates.extend(MergeEntry(owner, t.id, (doc.id,)) for owner, t in instance)
         trace.append(build_trace(match, tuple(new_ids + repeated_ids), text=doc.text))
 
     report = CompletionReport(
@@ -281,7 +256,9 @@ def check_acceptability(result: CompletionResult) -> list[Finding]:
     warnings; non-singular and unverifiable requirements are informational.
     Conflicts and redundancies come from ``result.report``; the rest come
     from ``result.outcomes`` in corpus order, so an instantiated requirement
-    that a conflict withholds still has its signals checked.
+    that a conflict withholds still has its signals checked. A send effect
+    is checked against its target block's ``receivable_signals`` in
+    ``result.model``: None leaves the block unchecked, ``()`` receives nothing.
     """
     findings = [
         Finding(
@@ -309,11 +286,14 @@ def check_acceptability(result: CompletionResult) -> list[Finding]:
         Finding(
             kind="SignalNotReceivable",
             severity=SEVERITY_WARNING,
-            message=f"block {w.target_block!r} does not list signal {w.signal!r} as receivable",
+            message=f"block {e.target_block!r} does not list signal {e.signal!r} as receivable",
             requirement_ids=(o.doc.id,),
         )
         for o in instantiated
-        for w in o.instance.warnings
+        for _, t in o.instance
+        for e in t.effects
+        if (declared := result.model.block(e.target_block).receivable_signals) is not None
+        and e.signal not in declared
     )
     findings.extend(
         Finding(
@@ -323,7 +303,7 @@ def check_acceptability(result: CompletionResult) -> list[Finding]:
             requirement_ids=(o.doc.id,),
         )
         for o in instantiated
-        if any(len(t.effects) > 1 for _, t in o.instance.pairs)
+        if any(len(t.effects) > 1 for _, t in o.instance)
     )
     findings.extend(
         Finding(

@@ -90,20 +90,21 @@ class DuplicateId(ModcompleteError):
 def tokenize(text: str) -> list[Token]:
     """Split text on whitespace into keyword/word/punct tokens.
 
-    Terminal punctuation (comma, period, semicolon) is peeled off the end of
-    each chunk into its own token; original spelling is preserved on every
-    token.
+    Terminal punctuation (a comma, period or semicolon, in any width: each
+    character whose ``fold_word`` form is in ``TERMINAL_PUNCT``) is peeled
+    off the end of each chunk into its own token, whose ``lower`` is the
+    ASCII mark; original spelling is preserved on every token.
     """
     tokens: list[Token] = []
     for chunk in text.split():
-        trailing: list[str] = []
-        while chunk and chunk[-1] in TERMINAL_PUNCT:
-            trailing.append(chunk[-1])
+        trailing: list[tuple[str, str]] = []
+        while chunk and (mark := fold_word(chunk[-1])) in TERMINAL_PUNCT:
+            trailing.append((chunk[-1], mark))
             chunk = chunk[:-1]
         if chunk:
             tokens.append(Token(chunk, fold_word(chunk), len(tokens)))
-        for punct in reversed(trailing):
-            tokens.append(Token(punct, punct, len(tokens)))
+        for punct, mark in reversed(trailing):
+            tokens.append(Token(punct, mark, len(tokens)))
     return tokens
 
 
@@ -188,21 +189,27 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
     )
 
 
-_ID_TAG_RE = re.compile(r"^@id:\s*(\S+)\s*$")
+_ID_TAG_RE = re.compile(r"@id:\s*([^\s@]\S*)")
+_HEADERS = (
+    "Feature:", "Rule:", "Background:", "Scenario:", "Scenario Outline:", "Scenario Template:",
+    "Example:", "Examples:", "Scenarios:",
+)
 
 
 def parse_corpus(text: str) -> list[RequirementDoc]:
     """Parse a feature file into requirement documents.
 
-    One document per block: ``Feature:`` and ``Scenario:`` lines end one
-    and are otherwise ignored (a headerless file with text is a single
-    block). Ids are ``REQ-<n>`` in file order unless an ``@id:`` tag line
-    before the block's body overrides; a tag line after body text ends the
-    block, as a header does. Blank lines and ``#`` comments are ignored.
+    One document per block: a Gherkin header line (``Feature:``,
+    ``Scenario:``, ``Rule:``, ``Examples:``, ...) ends one and is otherwise
+    ignored (a headerless file with text is a single block). A line that
+    starts with ``@`` is a tag line and ends the block too; an ``@id:`` tag
+    on it names the next block, any other tag is dropped. Ids are
+    ``REQ-<n>`` in file order unless so named. Blank lines and ``#``
+    comments are ignored.
 
     Raises:
         DuplicateId: two blocks resolve to the same requirement id, or two
-            tag lines have no body text between them.
+            ``@id:`` tag lines have no body text between them.
     """
     docs: list[RequirementDoc] = []
     tagged_id: str | None = None
@@ -225,16 +232,16 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith(("Feature:", "Scenario:")):
+        if line.startswith(_HEADERS):
             flush()
-            continue
-        if m := _ID_TAG_RE.match(line):
+        elif line.startswith("@"):
             flush()
-            if tagged_id is not None:
-                raise DuplicateId(f"lines {tag_line} and {line_no}: two @id: tags with no requirement between them")
-            tagged_id, tag_line = m.group(1), line_no
-            continue
-        body.append(line)
+            if m := _ID_TAG_RE.search(line):
+                if tagged_id is not None:
+                    raise DuplicateId(f"lines {tag_line} and {line_no}: two @id: tags with no requirement between them")
+                tagged_id, tag_line = m.group(1), line_no
+        else:
+            body.append(line)
     flush()
 
     seen: set[str] = set()

@@ -248,13 +248,7 @@ def match_clause(
             if span[-1].lower in ARTICLES:
                 continue
             phrase = " ".join(t.text for t in span)
-            elements = lookup_elements(
-                model,
-                [t.text for t in span],
-                item.metaclass,
-                scope=scope if item.metaclass is Metaclass.STATE else None,
-            )
-            for element in sorted(set(elements)):
+            for element in lookup_elements(model, [t.text for t in span], item.metaclass, scope=scope):
                 resolved_any = True
                 binding = Binding(item.role, item.metaclass, phrase, element)
                 step(wi + length, ii + 1, acc + (binding,),

@@ -117,26 +117,27 @@ class SystemModel(_SystemModelFields):
         return tuple(b.state_machine for b in self.blocks if b.state_machine)
 
     @cached_property
-    def _lookup_index(self) -> dict[tuple[Metaclass, str | None, str], list[str]]:
-        """Element names by (metaclass, scope, normal form), duplicates kept,
-        built on first lookup. The scope is None except for states, which are
-        keyed once by their owning block and once by None for unscoped lookups.
+    def _lookup_index(self) -> dict[tuple[Metaclass, str | None, str], tuple[str, ...]]:
+        """Element names by (metaclass, scope, normal form), each name once,
+        sorted, built on first lookup. The scope is None except for states,
+        which are keyed once by their owning block and once by None for
+        unscoped lookups.
 
         ``cached_property`` stores the index in the instance ``__dict__``, so
         it stays out of equality, hashing and ``repr``, and ``_replace``
         returns a model without it.
         """
-        index: dict[tuple[Metaclass, str | None, str], list[str]] = defaultdict(list)
+        index: dict[tuple[Metaclass, str | None, str], set[str]] = defaultdict(set)
         for block in self.blocks:
-            index[(Metaclass.BLOCK, None, normalize_phrase(block.name))].append(block.name)
+            index[(Metaclass.BLOCK, None, normalize_phrase(block.name))].add(block.name)
             if block.state_machine is not None:
                 for state in block.state_machine.states:
                     form = normalize_phrase(state)
-                    index[(Metaclass.STATE, block.name, form)].append(state)
-                    index[(Metaclass.STATE, None, form)].append(state)
+                    index[(Metaclass.STATE, block.name, form)].add(state)
+                    index[(Metaclass.STATE, None, form)].add(state)
         for signal in self.signals:
-            index[(Metaclass.SIGNAL, None, normalize_phrase(signal.name))].append(signal.name)
-        return index
+            index[(Metaclass.SIGNAL, None, normalize_phrase(signal.name))].add(signal.name)
+        return {key: tuple(sorted(names)) for key, names in index.items()}
 
     @cached_property
     def _lookup_memo(self) -> dict[tuple, tuple[str, ...]]:
@@ -697,48 +698,41 @@ def lookup_elements(
     metaclass: Metaclass,
     scope: str | None = None,
 ) -> list[str]:
-    """Names of model elements a phrase refers to, lexicographically sorted.
+    """Names of model elements a phrase refers to, sorted and unique.
 
     Resolution is longest-suffix: the full phrase is tried first; if nothing
     matches, leading modifier words are dropped one at a time ("the Emergency
     Brake" reaches a block named Brake). Signals additionally answer to their
-    stopword-stripped and stemmed forms. State lookups with a ``scope``
-    search only that block's machine; without one they search every machine,
-    and a name is repeated once per machine that defines it.
+    stopword-stripped and stemmed forms. The ``scope`` applies to states
+    only: with one, a state lookup searches only that block's machine;
+    without one it searches every machine. Any other metaclass ignores it.
 
     Each suffix costs one probe of the model's lookup index (one per signal
     variant), not a scan of the model. The index is built on the model's
     first lookup and cached on that value; it is never part of equality or
     of any output. Results are memoized on the model value the same way,
-    lazily, keyed by (phrase, metaclass, scope): each distinct key is
-    resolved once, and the memo holds one entry per distinct key queried.
+    lazily, keyed by (phrase, metaclass, scope of a state): each distinct
+    key is resolved once, and the memo holds one entry per distinct key
+    queried.
     Two threads that look up the same new key at once may both resolve it;
     they store equal results, so that is harmless. Every call returns a
     fresh list.
     """
-    key = (phrase if isinstance(phrase, str) else tuple(phrase), metaclass, scope)
+    key = (phrase if isinstance(phrase, str) else tuple(phrase), metaclass,
+           scope if metaclass is Metaclass.STATE else None)
     names = model._lookup_memo.get(key)
     if names is None:
-        names = model._lookup_memo[key] = tuple(_longest_suffix(model, key[0], metaclass, scope))
+        names = model._lookup_memo[key] = _lookup_exact(model, *key)
     return list(names)
 
 
-def _longest_suffix(model: SystemModel, phrase, metaclass: Metaclass, scope: str | None) -> list[str]:
+def _lookup_exact(model: SystemModel, phrase, metaclass: Metaclass, scope: str | None) -> tuple[str, ...]:
+    """The names of the longest suffix of ``phrase`` that names an element."""
     words = core_words(phrase)
-    for k in range(len(words)):
-        found = _lookup_exact(model, words[k:], metaclass, scope)
-        if found:
-            return sorted(found)
-    return []
-
-
-def _lookup_exact(
-    model: SystemModel, words: list[str], metaclass: Metaclass, scope: str | None
-) -> list[str]:
-    form = "".join(words)
-    if not form:
-        return []
     index = model._lookup_index
-    if metaclass is Metaclass.SIGNAL:
-        return [name for v in normalize_signal_phrase(words) for name in index.get((metaclass, None, v), ())]
-    return list(index.get((metaclass, scope if metaclass is Metaclass.STATE else None, form), ()))
+    for k in range(len(words)):
+        forms = normalize_signal_phrase(words[k:]) if metaclass is Metaclass.SIGNAL else ("".join(words[k:]),)
+        found = {name for form in forms for name in index.get((metaclass, scope, form), ())}
+        if found:
+            return tuple(sorted(found))
+    return ()

@@ -10,7 +10,7 @@ matcher against it; the two must agree on result or error class.
 
 No ``complete``, ``check`` or ``kb-lint`` run uses it. The module is imported
 only on first use, when ``modcomplete.oracle_match`` is read. It takes only
-records and ``SPAN_LIMIT`` from ``matcher``: the clause rejoining, the
+records from ``matcher``: the span bound, the clause rejoining, the
 elliptical tail and the de-duplication below are its own, so a bug in the
 matcher's versions is not shared.
 """
@@ -20,11 +20,14 @@ from typing import Sequence
 
 from .gherkin import Clause, RequirementAST, Token
 from .kb import ClauseTemplate, KnowledgeBase, Literal, OptionalLiteral, SlotPattern
-from .matcher import SPAN_LIMIT, AmbiguousMatch, Binding, BindingSet, MatchResult, NoMatch
+from .matcher import AmbiguousMatch, Binding, MatchResult, NoMatch
 from .model import Metaclass, SystemModel
 from .normalize import ARTICLES, core_words, normalize_phrase, normalize_signal_phrase
 
 __all__ = ["oracle_match"]
+
+SPAN_LIMIT = 4  # raw words per slot span
+BindingSet = tuple[Binding, ...]
 
 
 def _oracle_join(clauses: Sequence[Clause]) -> Clause:

@@ -1,7 +1,7 @@
 """Reference for the merge half of ``complete_model``, computed by brute force.
 
 It follows the README's "Completion semantics" from the model and each
-requirement's ``FragmentInstance``, and shares no code with
+requirement's (owner, transition) pairs, and shares no code with
 ``generator.complete_model`` or ``model.add_transition``:
 
 * candidates that share (owner, source, trigger) with another candidate or
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from modcomplete.generator import ConflictRecord, ConflictVariant, FragmentInstance, MergeEntry
+from modcomplete.generator import ConflictRecord, ConflictVariant, MergeEntry
 from modcomplete.model import SystemModel, Transition
 
 
@@ -46,9 +46,9 @@ def _content(owner: str, t: Transition) -> tuple:
 
 
 def reference_complete(
-    model: SystemModel, instances: list[tuple[str, FragmentInstance]]
+    model: SystemModel, instances: list[tuple[str, tuple[tuple[str, Transition], ...]]]
 ) -> ReferenceCompletion:
-    """``instances`` holds (requirement id, instance) in corpus order, one for
+    """``instances`` holds (requirement id, its pairs) in corpus order, one for
     each requirement that matched and instantiated."""
     existing = [
         (block.name, t)
@@ -56,7 +56,7 @@ def reference_complete(
         if block.state_machine is not None
         for t in block.state_machine.transitions
     ]
-    candidates = [(rid, owner, t) for rid, instance in instances for owner, t in instance.pairs]
+    candidates = [(rid, owner, t) for rid, instance in instances for owner, t in instance]
 
     conflicts: list[ConflictRecord] = []
     seen: set[tuple] = set()
@@ -92,7 +92,7 @@ def reference_complete(
         if rid in withheld:
             continue
         new, repeated = [], []
-        for owner, t in instance.pairs:
+        for owner, t in instance:
             content = _content(owner, t)
             if content in machine:
                 machine[content][2].add(rid)
@@ -102,7 +102,7 @@ def reference_complete(
                 new.append(MergeEntry(owner, t.id, (rid,)))
         added.extend(new)
         if not new:
-            duplicates.extend(MergeEntry(owner, t.id, (rid,)) for owner, t in instance.pairs)
+            duplicates.extend(MergeEntry(owner, t.id, (rid,)) for owner, t in instance)
         generated[rid] = tuple(e.transition_id for e in new) + tuple(repeated)
 
     transitions: dict[str, list[Transition]] = {

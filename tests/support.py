@@ -371,12 +371,13 @@ def reference_lookup_elements(
     model: SystemModel, phrase, metaclass: Metaclass, scope: str | None = None
 ) -> list[str]:
     """``lookup_elements`` as a linear scan that normalizes every element
-    name per suffix: the reference the indexed lookup must agree with."""
+    name per suffix: the reference the indexed lookup must agree with. A
+    name found twice (a state of two machines) is listed once."""
     words = core_words(split_words(phrase))
     for k in range(len(words)):
         found = _reference_lookup_exact(model, words[k:], metaclass, scope)
         if found:
-            return sorted(found)
+            return sorted(set(found))
     return []
 
 

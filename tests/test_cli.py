@@ -266,6 +266,25 @@ def test_check_gives_each_tagged_block_its_own_verdict(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("feature, verdicts", [
+    (f"Feature: F\n  @smoke\n  Scenario: one\n    {RAILWAY_REQUIREMENT}\n"
+     "  Scenario Outline: two\n    Given a Train in braking, Then the Train goes in running.\n"
+     "  Scenario: three\n    Given a Train in running, Then the Train goes in braking.\n",
+     ["REQ-001: MR1 (8 bindings)", "REQ-002: MR3 (4 bindings)", "REQ-003: MR3 (4 bindings)"]),
+    (f"@id: R1 @smoke\n{RAILWAY_REQUIREMENT}\nRule: braking\nExample: two\n"
+     "Given a Train in braking, Then the Train goes in running.\n",
+     ["R1: MR1 (8 bindings)", "REQ-002: MR3 (4 bindings)"]),
+], ids=["smoke-tag-and-outline", "id-with-tag-and-rule"])
+def test_tag_and_header_lines_neither_merge_nor_invent_requirements(tmp_path, capsys, feature, verdicts):
+    """A tag line is never body text, an ``@id:`` tag names its block
+    wherever it stands on the line, and every Gherkin header ends a block."""
+    reqs = tmp_path / "reqs.feature"
+    reqs.write_text(feature, encoding="utf-8")
+    argv = ["check", "--model", str(FIXTURES / "railway_model.json"), "--reqs", str(reqs)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == verdicts
+
+
 def test_strict_turns_redundancy_into_failure(tmp_path):
     code, _ = run_complete(
         tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "duplicate.feature")

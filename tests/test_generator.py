@@ -28,7 +28,7 @@ from modcomplete.gherkin import RequirementDoc
 from modcomplete.kb import DEFAULT_KB_TEXT
 from modcomplete.model import make_transition
 
-from conftest import RAILWAY_REQUIREMENT
+from conftest import FIXTURES, RAILWAY_REQUIREMENT
 from reference_complete import reference_complete
 from support import STATE_POOL, random_model, random_multi_kb, random_requirement, rendered_requirement
 
@@ -45,14 +45,13 @@ def test_instantiate_railway_fragment(railway_model, railway_ast, kb):
     match = match_requirement(railway_ast, kb, railway_model)
     fragment = kb.metareqs[0].fragment
     instance = instantiate_fragment(fragment, match.binding_sets, railway_model, "REQ-001")
-    ((owner, transition),) = instance.pairs
+    ((owner, transition),) = instance
     assert owner == "Train"
     assert (transition.source, transition.target, transition.trigger) == (
         "Running", "Braking", "EmergencyStop",
     )
     assert transition.effects == (SendEffect("Activate", "Brake"),)
     assert transition.provenance == ("REQ-001",)
-    assert instance.warnings == ()
 
 
 def test_instantiate_triggerless_fragment(kb):
@@ -64,7 +63,7 @@ def test_instantiate_triggerless_fragment(kb):
     match = match_requirement(ast, kb, model)
     assert match.metareq_id == "MR3"
     instance = instantiate_fragment(kb.metareqs[2].fragment, match.binding_sets, model, "R")
-    ((_, transition),) = instance.pairs
+    ((_, transition),) = instance
     assert transition.trigger is None and transition.effects == ()
 
 
@@ -77,10 +76,10 @@ def test_instantiate_disjunctive_fans_out(kb):
     ast = ast_of("Given Gate in s1, When Gate receives Sig1 or Sig2, Then Gate goes in s2")
     match = match_requirement(ast, kb, model)
     instance = instantiate_fragment(kb.metareqs[1].fragment, match.binding_sets, model, "R")
-    assert len(instance.pairs) == 2
-    assert {t.trigger for _, t in instance.pairs} == {"Sig1", "Sig2"}
+    assert len(instance) == 2
+    assert {t.trigger for _, t in instance} == {"Sig1", "Sig2"}
     stripped = {
-        (t.source, t.target, t.effects) for _, t in instance.pairs
+        (t.source, t.target, t.effects) for _, t in instance
     }
     assert len(stripped) == 1  # identical but for trigger
 
@@ -475,7 +474,7 @@ def test_complete_model_agrees_with_the_reference_merge():
             earlier = [doc.text for doc in start]
         corpus = varied_corpus(rng, model, render, "R", rng.randint(1, 10), earlier)
         result = complete_model(model, corpus, kb)
-        pairs = [pair for o in result.outcomes if o.instance for pair in o.instance.pairs]
+        pairs = [pair for o in result.outcomes if o.instance for pair in o.instance]
         if pairs and rng.random() < 0.25:
             model = with_disagreeing_pair(rng, model, *rng.choice(pairs))
             assert load_model(save_model(model)) == model
@@ -581,6 +580,24 @@ def test_receivable_omitted_means_unchecked(railway_model_text, kb):
     result = complete_model(model, parse_corpus(RAILWAY_REQUIREMENT), kb)
     findings = check_acceptability(result)
     assert [f for f in findings if f.kind == "SignalNotReceivable"] == []
+
+
+def test_one_transition_reports_its_unreceivable_signal_once(kb):
+    """Both When alternatives bind the same transition (the rule does not
+    read the When block), so the requirement instantiates it once and the
+    check names its unreceivable effect once, not once per binding set."""
+    model = load_model((FIXTURES / "report_golden" / "model.json").read_text(encoding="utf-8"))
+    text = (
+        "Given a Train in running, When the Braking Supervision receives an Emergency Stop "
+        "Message or the Train receives an Emergency Stop Message, Then the Braking "
+        "Supervision activates the Emergency Brake and goes in braking."
+    )
+    result = complete_model(model, [RequirementDoc("R", text)], kb)
+    (outcome,) = result.outcomes
+    assert len(outcome.match.binding_sets) == 2 and len(outcome.instance) == 1
+    assert [tuple(f) for f in check_acceptability(result)] == [
+        ("SignalNotReceivable", "warning", "block 'Brake' does not list signal 'Activate' as receivable", ("R",)),
+    ]
 
 
 def test_non_singular_info_for_multi_effect_rule():

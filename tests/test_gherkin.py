@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,9 @@ from conftest import RAILWAY_REQUIREMENT
 
 
 def reference_tokenize(text: str):
-    """Character-level reference tokenizer (independent of tokenize())."""
+    """Character-level reference tokenizer (independent of tokenize()): a
+    trailing mark is peeled when its NFKC form is an ASCII comma, period or
+    semicolon."""
     out = []
     chunk = ""
     for ch in text + " ":
@@ -32,7 +35,7 @@ def reference_tokenize(text: str):
             if not chunk:
                 continue
             tail = ""
-            while chunk and chunk[-1] in ",.;":
+            while chunk and unicodedata.normalize("NFKC", chunk[-1]) in ",.;":
                 tail = chunk[-1] + tail
                 chunk = chunk[:-1]
             if chunk:
@@ -78,7 +81,7 @@ def test_tokenize_railway_sentence_against_reference():
     assert [t.index for t in tokens if t.lower in KEYWORDS] == [0, 6, 16, 24]
 
 
-@given(st.text(alphabet="abcG ivenwhthndor,.;() \t", max_size=60))
+@given(st.text(alphabet="abcG ivenwhthndor,.;() \t\uff0c\uff0e\uff1b", max_size=60))
 def test_tokenize_matches_reference_everywhere(text):
     assert kinds(tokenize(text)) == reference_tokenize(text)
 
@@ -284,6 +287,34 @@ def test_two_tag_lines_with_no_body_between_them_are_one_error():
     with pytest.raises(DuplicateId) as info:
         parse_corpus("@id: A\nScenario: s\n\n@id: B\nGiven a Then b\n")
     assert str(info.value) == "lines 1 and 4: two @id: tags with no requirement between them"
+
+
+def test_every_gherkin_header_ends_a_block():
+    headers = [
+        "Feature:", "Rule:", "Background:", "Scenario:", "Scenario Outline:", "Scenario Template:",
+        "Example:", "Examples:", "Scenarios:",
+    ]
+    text = "".join(f"{header} title\nGiven b{i}\n" for i, header in enumerate(headers))
+    assert parse_corpus(text) == [RequirementDoc(f"REQ-{i + 1:03d}", f"Given b{i}") for i in range(9)]
+
+
+def test_a_tag_line_is_never_body_text():
+    """Any line starting with ``@`` is a tag line: it ends the block, an
+    ``@id:`` tag anywhere on it names the next one, other tags are dropped,
+    and only tag lines with an id count as a second tag."""
+    text = (
+        "@smoke\nScenario: a\nGiven a\n"
+        "@slow @id: R2 @wip\n@smoke\nScenario: b\nGiven b\n"
+        "Scenario: c\nGiven c\n@flaky\nGiven d\n"
+    )
+    assert parse_corpus(text) == [
+        RequirementDoc("REQ-001", "Given a"),
+        RequirementDoc("R2", "Given b"),
+        RequirementDoc("REQ-003", "Given c"),
+        RequirementDoc("REQ-004", "Given d"),
+    ]
+    with pytest.raises(DuplicateId, match="lines 1 and 3: two @id: tags"):
+        parse_corpus("@id: A @smoke\n@smoke\n@wip @id:B\nGiven a\n")
 
 
 def test_parse_corpus_empty_file():

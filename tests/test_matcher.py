@@ -156,6 +156,24 @@ def test_a_literal_matches_every_spelling_of_its_word(railway_model, in_rule, in
     assert ("t", "Braking") in [(b.role, b.element) for b in result.bindings]
 
 
+@pytest.mark.parametrize("comma, period", [(",", "."), ("，", "．")], ids=["ascii", "full-width"])
+def test_a_literal_before_full_width_punctuation_matches(railway_model, comma, period):
+    """A full-width comma or period is peeled off the word before it, as
+    the ASCII one is, so the literal ``now`` still reads ``now``."""
+    kb = parse_kb(
+        "metareq M1 -> F1:\n"
+        '  given: "<<Block as b>> in <<State as s>>"\n'
+        '  then: "<<Block as c>> goes in <<State as t>> now"\n'
+        "fragment F1:\n"
+        "  owner: b   source: s   target: t\n"
+    )
+    text = f"Given a Train in running{comma} Then the Train goes in braking now{period}"
+    result = match_requirement(ast_of(text), kb, railway_model)
+    assert [(b.role, b.element) for b in result.bindings] == [
+        ("b", "Train"), ("s", "Running"), ("c", "Train"), ("t", "Braking"),
+    ]
+
+
 def test_empty_kb_no_match(railway_model, railway_ast):
     with pytest.raises(NoMatch):
         match_requirement(railway_ast, KnowledgeBase(), railway_model)

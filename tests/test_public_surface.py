@@ -6,6 +6,7 @@ of this file, not a side effect of refactoring.
 
 from __future__ import annotations
 
+import ast
 import inspect
 from dataclasses import is_dataclass
 
@@ -53,7 +54,8 @@ SIGNATURES = {
     "instantiate_fragment": (
         "(fragment: modcomplete.kb.MetaFragment, "
         "binding_sets: tuple[tuple[modcomplete.matcher.Binding, ...], ...], "
-        "model: modcomplete.model.SystemModel, requirement_id: str) -> modcomplete.generator.FragmentInstance"
+        "model: modcomplete.model.SystemModel, requirement_id: str) "
+        "-> tuple[tuple[str, modcomplete.model.Transition], ...]"
     ),
     "check_acceptability": (
         "(result: modcomplete.generator.CompletionResult) -> list[modcomplete.generator.Finding]"
@@ -98,18 +100,20 @@ def test_oracle_match_is_loaded_on_first_read():
 
 
 def test_oracle_shares_only_records_with_the_matcher():
-    """The reference oracle rejoins clauses, cuts the elliptical tail and
-    drops repeated binding sets with its own code, so a bug in the matcher's
-    ``merge_clauses``, ``_tail_template`` or ``_binding_key`` cannot hide
-    from the differential tests. From ``matcher`` it takes only records and
-    ``SPAN_LIMIT``."""
+    """The reference oracle bounds spans, rejoins clauses, cuts the
+    elliptical tail and drops repeated binding sets with its own code, so a
+    bug in the matcher's ``SPAN_LIMIT``, ``merge_clauses``,
+    ``_tail_template`` or ``_binding_key`` cannot hide from the differential
+    tests. From ``matcher`` it takes only records."""
     from modcomplete import oracle
 
     helpers = (matcher.merge_clauses, matcher._tail_template, matcher._binding_key)
     own = (oracle._oracle_join, oracle._oracle_tail, oracle._oracle_unique)
     assert all(mine is not theirs for mine in own for theirs in helpers)
-    assert not [value for value in vars(oracle).values()
-                if inspect.isfunction(value) and value.__module__ == matcher.__name__]
+    taken = [alias.name for node in ast.walk(ast.parse(inspect.getsource(oracle)))
+             if isinstance(node, ast.ImportFrom) and node.module == "matcher" for alias in node.names]
+    assert "MatchResult" in taken
+    assert [name for name in taken if not inspect.isclass(getattr(matcher, name))] == []
 
 
 def test_signatures():

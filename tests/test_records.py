@@ -21,9 +21,7 @@ from modcomplete.generator import (
     ConflictRecord,
     ConflictVariant,
     Finding,
-    FragmentInstance,
     MergeEntry,
-    ReceivabilityWarning,
     RequirementOutcome,
     UnmatchedEntry,
 )
@@ -79,8 +77,7 @@ EFFECT = SendEffect("Stop", "Brake")
 TRANSITION = Transition("abc", "a", "b", "Go", None, (EFFECT,), ("R1",))
 MACHINE = StateMachine(("a",), (), "a")
 MODEL = SystemModel("m")
-WARNING = ReceivabilityWarning("Stop", "Brake")
-INSTANCE = FragmentInstance((("Brake", TRANSITION),), (WARNING,))
+INSTANCE = (("Brake", TRANSITION),)
 ENTRY = MergeEntry("Brake", "abc", ("R1",))
 VARIANT = ConflictVariant("b", (EFFECT,), ("R1",))
 REPORT = CompletionReport(added=(ENTRY,))
@@ -185,14 +182,6 @@ RECORDS = [
      "SystemModel(name='m', blocks=(Block(name='Brake', parts=(), state_machine=None, "
      "receivable_signals=None),), signals=(Signal(name='Stop', display=None),))",
      dict(name="m"), "SystemModel(name='m', blocks=(), signals=())"),
-    (ReceivabilityWarning, dict(signal="Stop", target_block="Brake"),
-     "ReceivabilityWarning(signal='Stop', target_block='Brake')", None, None),
-    (FragmentInstance, dict(pairs=(("Brake", TRANSITION),), warnings=(WARNING,)),
-     "FragmentInstance(pairs=(('Brake', Transition(id='abc', source='a', target='b', "
-     "trigger='Go', guard=None, effects=(SendEffect(signal='Stop', target_block='Brake'),), "
-     "provenance=('R1',))),), warnings=(ReceivabilityWarning(signal='Stop', "
-     "target_block='Brake'),))",
-     dict(pairs=()), "FragmentInstance(pairs=(), warnings=())"),
     (MergeEntry, dict(owner="Brake", transition_id="abc", requirement_ids=("R1",)),
      "MergeEntry(owner='Brake', transition_id='abc', requirement_ids=('R1',))", None, None),
     (ConflictVariant, dict(target="b", effects=(EFFECT,), requirement_ids=("R1",)),
@@ -216,10 +205,9 @@ RECORDS = [
      "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train'), "
      "match=MatchResult(requirement_id='R1', metareq_id='M1', binding_sets=(("
      "Binding(role='b', metaclass=<Metaclass.BLOCK: 'Block'>, phrase='the Brake', "
-     "element='Brake'),),)), error=None, instance=FragmentInstance(pairs=(('Brake', "
+     "element='Brake'),),)), error=None, instance=(('Brake', "
      "Transition(id='abc', source='a', target='b', trigger='Go', guard=None, "
-     "effects=(SendEffect(signal='Stop', target_block='Brake'),), provenance=('R1',))),), "
-     "warnings=(ReceivabilityWarning(signal='Stop', target_block='Brake'),)))",
+     "effects=(SendEffect(signal='Stop', target_block='Brake'),), provenance=('R1',))),))",
      dict(doc=DOC),
      "RequirementOutcome(doc=RequirementDoc(id='R1', text='Given a Train'), match=None, "
      "error=None, instance=None)"),
@@ -264,7 +252,7 @@ def test_every_record_type_is_pinned():
         if isinstance(obj, type) and obj.__module__ == module.__name__
         and hasattr(obj, "_fields") and not obj.__name__.startswith("_")
     }
-    assert len(RECORDS) == len(defined) == 36
+    assert len(RECORDS) == len(defined) == 34
     assert {spec[0] for spec in RECORDS} == defined
 
 
