@@ -256,8 +256,9 @@ def check_acceptability(result: CompletionResult) -> list[Finding]:
     warnings; non-singular and unverifiable requirements are informational.
     Conflicts and redundancies come from ``result.report``; the rest come
     from ``result.outcomes`` in corpus order, so an instantiated requirement
-    that a conflict withholds still has its signals checked. A send effect
-    is checked against its target block's ``receivable_signals`` in
+    that a conflict withholds still has its signals checked. Each distinct
+    (target block, signal) of a requirement's send effects is checked once,
+    in first-seen order, against the block's ``receivable_signals`` in
     ``result.model``: None leaves the block unchecked, ``()`` receives nothing.
     """
     findings = [
@@ -286,14 +287,12 @@ def check_acceptability(result: CompletionResult) -> list[Finding]:
         Finding(
             kind="SignalNotReceivable",
             severity=SEVERITY_WARNING,
-            message=f"block {e.target_block!r} does not list signal {e.signal!r} as receivable",
+            message=f"block {block!r} does not list signal {signal!r} as receivable",
             requirement_ids=(o.doc.id,),
         )
         for o in instantiated
-        for _, t in o.instance
-        for e in t.effects
-        if (declared := result.model.block(e.target_block).receivable_signals) is not None
-        and e.signal not in declared
+        for block, signal in dict.fromkeys((e.target_block, e.signal) for _, t in o.instance for e in t.effects)
+        if (declared := result.model.block(block).receivable_signals) is not None and signal not in declared
     )
     findings.extend(
         Finding(

@@ -3,15 +3,14 @@
 The grammar over the five keywords (given, when, then, and, or) is
 
     req := GIVEN clause (AND clause)*
-           [WHEN clause ((AND | OR) clause)*]
+           [WHEN clause ((AND clause)* | (OR clause)*)]
            THEN clause (AND clause)*
 
-Keywords must appear in Given < When < Then order. ``and``/``or`` always
-split clauses at parse time; the matcher may re-merge adjacent clauses when
-a single template spans them (an ``and`` can join clauses or noun phrases,
-and only matching against the knowledge base can tell which). ``or`` is only
-meaningful between When clauses, where it switches the requirement into
-disjunctive mode (one alternative trigger per clause).
+``and``/``or`` always split clauses at parse time; the matcher may re-merge
+adjacent clauses when a single template spans them (an ``and`` can join
+clauses or noun phrases, and only matching against the knowledge base can
+tell which). ``or`` switches the When section into disjunctive mode (one
+alternative trigger per clause).
 """
 
 import re
@@ -108,11 +107,12 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-_SECTION_ORDER = {"given": 0, "when": 1, "then": 2}
-
-
 def parse_requirement(doc: RequirementDoc) -> RequirementAST:
     """Parse one requirement into its Given/When/Then clause lists.
+
+    One walk over the tokens: each keyword closes the open clause, and the
+    end of the text the last one. ``MissingGiven`` is raised before any
+    other fault, then the first fault in token order, ``MissingThen`` last.
 
     Raises:
         MissingGiven, MissingThen: a mandatory section is absent.
@@ -126,72 +126,45 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
     if not any(t.lower == "given" for t in tokens):
         raise MissingGiven("requirement has no 'Given'", 0)
 
-    sections: dict[str, list[Clause]] = {"given": [], "when": [], "then": []}
-    when_connective: str | None = None
-    current_section: str | None = None
-    current_words: list[Token] = []
-    current_lead: Token | None = None
-
-    def close_clause(next_kw):
-        nonlocal current_words, current_lead
-        if current_section is None:
-            return
-        if not current_words:
-            where = next_kw.index if next_kw is not None else current_lead.index
-            raise OutOfOrderKeyword(f"empty clause after {current_lead.text!r}", where)
-        sections[current_section].append(Clause(tuple(current_words), current_lead))
-        current_words = []
-
-    for tok in tokens:
-        if tok.lower in TERMINAL_PUNCT:
+    clauses: dict[str, list[Clause]] = {"given": [], "when": [], "then": []}
+    section = ""  # the open section's keyword; "" before 'Given'
+    lead: Token | None = None  # the open clause's lead
+    words: list[Token] = []
+    for tok in [*tokens, None]:  # None ends the text
+        key = tok.lower if tok else None
+        if key in TERMINAL_PUNCT:
             continue
-        if tok.lower not in KEYWORDS:
-            if current_section is None:
-                raise OutOfOrderKeyword("requirement must start with 'Given'", tok.index)
-            current_words.append(tok)
+        if not section and key != "given":
+            what = f"{tok.text!r} before 'Given'" if key in KEYWORDS else "requirement must start with 'Given'"
+            raise OutOfOrderKeyword(what, tok.index)
+        if tok and key not in KEYWORDS:
+            words.append(tok)
             continue
-        # keyword
-        if tok.lower in _SECTION_ORDER:
-            order = _SECTION_ORDER[tok.lower]
-            if current_section is None:
-                if tok.lower != "given":
-                    raise OutOfOrderKeyword(f"{tok.text!r} before 'Given'", tok.index)
-            else:
-                if order <= _SECTION_ORDER[current_section]:
-                    raise OutOfOrderKeyword(
-                        f"{tok.text!r} cannot follow the {current_section.capitalize()} section",
-                        tok.index,
-                    )
-            close_clause(tok)
-            current_section = tok.lower
-            current_lead = tok
-        else:  # and / or
-            if current_section is None:
-                raise OutOfOrderKeyword(f"{tok.text!r} before 'Given'", tok.index)
-            if tok.lower == "or" and current_section != "when":
-                raise OutOfOrderKeyword(
-                    "'or' is only allowed between When clauses", tok.index
-                )
-            if current_section == "when":
-                when_connective = when_connective or tok.lower
-                if tok.lower != when_connective:
-                    raise MixedAndOr("When group mixes 'and' and 'or'", tok.index)
-            close_clause(tok)
-            current_lead = tok
+        if section:
+            # ``clauses`` holds the sections in the order they must appear.
+            if key in clauses and [*clauses].index(key) <= [*clauses].index(section):
+                raise OutOfOrderKeyword(f"{tok.text!r} cannot follow the {section.capitalize()} section", tok.index)
+            if key == "or" and section != "when":
+                raise OutOfOrderKeyword("'or' is only allowed between When clauses", tok.index)
+            # A When clause is led by 'when' or by the group's one connective.
+            if {lead.lower, key} == {"and", "or"}:
+                raise MixedAndOr("When group mixes 'and' and 'or'", tok.index)
+            if not words:
+                raise OutOfOrderKeyword(f"empty clause after {lead.text!r}", (tok or lead).index)
+            clauses[section].append(Clause(tuple(words), lead))
+            words = []
+        if key in clauses:
+            section = key
+        lead = tok
 
-    close_clause(None)
-
-    if not sections["then"]:
-        raise MissingThen("requirement has no 'Then'", tokens[-1].index if tokens else 0)
-
-    return RequirementAST(
-        doc.id, tuple(sections["given"]), tuple(sections["when"]), tuple(sections["then"])
-    )
+    if not clauses["then"]:
+        raise MissingThen("requirement has no 'Then'", tokens[-1].index)
+    return RequirementAST(doc.id, *map(tuple, clauses.values()))
 
 
 _ID_TAG_RE = re.compile(r"@id:\s*([^\s@]\S*)")
-_HEADERS = (
-    "Feature:", "Rule:", "Background:", "Scenario:", "Scenario Outline:", "Scenario Template:",
+_BLOCK_ENDS = (  # a tag line or a Gherkin header
+    "@", "Feature:", "Rule:", "Background:", "Scenario:", "Scenario Outline:", "Scenario Template:",
     "Example:", "Examples:", "Scenarios:",
 )
 
@@ -208,41 +181,30 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
     comments are ignored.
 
     Raises:
-        DuplicateId: two blocks resolve to the same requirement id, or two
-            ``@id:`` tag lines have no body text between them.
+        DuplicateId: two blocks resolve to the same requirement id, one tag
+            line holds two ``@id:`` tags, or two ``@id:`` tag lines have no
+            body text between them.
     """
     docs: list[RequirementDoc] = []
-    tagged_id: str | None = None
-    tag_line = 0
+    tag: tuple[str, int] | None = None  # an id waiting for its block's body, and its line
     body: list[str] = []
-    counter = 0
-
-    def flush():
-        # A tag with no body yet ("@id:" above the Scenario line) carries
-        # over to the next block.
-        nonlocal tagged_id, body, counter
-        if body:
-            counter += 1
-            rid = tagged_id if tagged_id is not None else f"REQ-{counter:03d}"
-            docs.append(RequirementDoc(id=rid, text=" ".join(body)))
-            tagged_id = None
-        body = []
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate([*text.splitlines(), "@"], start=1):  # "@" ends the last block
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith(_HEADERS):
-            flush()
-        elif line.startswith("@"):
-            flush()
-            if m := _ID_TAG_RE.search(line):
-                if tagged_id is not None:
-                    raise DuplicateId(f"lines {tag_line} and {line_no}: two @id: tags with no requirement between them")
-                tagged_id, tag_line = m.group(1), line_no
-        else:
+        if not line.startswith(_BLOCK_ENDS):
             body.append(line)
-    flush()
+            continue
+        if body:
+            docs.append(RequirementDoc(tag[0] if tag else f"REQ-{len(docs) + 1:03d}", " ".join(body)))
+            tag, body = None, []
+        ids = _ID_TAG_RE.findall(line) if line[0] == "@" else []
+        if len(ids) > 1:
+            raise DuplicateId(f"line {line_no}: two @id: tags on one line")
+        if ids:
+            if tag:
+                raise DuplicateId(f"lines {tag[1]} and {line_no}: two @id: tags with no requirement between them")
+            tag = ids[0], line_no
 
     seen: set[str] = set()
     for doc in docs:

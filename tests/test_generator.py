@@ -600,6 +600,23 @@ def test_one_transition_reports_its_unreceivable_signal_once(kb):
     ]
 
 
+def test_two_transitions_report_their_shared_unreceivable_signal_once(kb):
+    """Each When alternative triggers its own transition, and both send the
+    same signal to the same block; the finding names neither transition, so
+    the requirement reports it once."""
+    model = load_model((FIXTURES / "report_golden" / "model.json").read_text(encoding="utf-8"))
+    text = (
+        "Given a Train in running, When the Braking Supervision receives an Emergency Stop "
+        "Message or Halt, Then the Braking Supervision activates the Emergency Brake and goes in braking."
+    )
+    result = complete_model(model, [RequirementDoc("R", text)], kb)
+    (outcome,) = result.outcomes
+    assert len(outcome.instance) == 2
+    assert [tuple(f) for f in check_acceptability(result)] == [
+        ("SignalNotReceivable", "warning", "block 'Brake' does not list signal 'Activate' as receivable", ("R",)),
+    ]
+
+
 def test_non_singular_info_for_multi_effect_rule():
     kb = parse_kb(
         'metareq M2 -> F2:\n'

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import unicodedata
 
 import pytest
@@ -192,6 +193,8 @@ def _requirement(text):
          "lines 1 and 4: two @id: tags with no requirement between them"),
         (parse_corpus, "@id: X\nGiven a Then b\nScenario:\n@id: X\nGiven c Then d\n", DuplicateId,
          "requirement id 'X' used twice"),
+        (parse_corpus, "Given a Then b\n@smoke @id: A @id: B\nGiven c Then d\n", DuplicateId,
+         "line 2: two @id: tags on one line"),
     ],
 )
 def test_each_parse_error_has_its_class_message_and_position(parse, text, error, message):
@@ -222,6 +225,62 @@ def test_keyword_permutation_suite():
             else:
                 with pytest.raises(ParseError):
                     parse_requirement(doc)
+
+
+# The clause grammar as a regular expression over one symbol per
+# non-punctuation token: G, W, T, A, O for the keywords, x for a word.
+GRAMMAR = re.compile(r"(?P<given>Gx+(Ax+)*)(?P<when>Wx+((Ax+)*|(Ox+)*))?(?P<then>Tx+(Ax+)*)")
+SYMBOLS = {"given": "G", "when": "W", "then": "T", "and": "A", "or": "O"}
+# How each symbol is written; p is a punctuation chunk, which has no symbol.
+SPELLINGS = {
+    "G": ["Given", "GIVEN", "\uff27iven"], "W": ["When", "when"], "T": ["Then", "THEN"],
+    "A": ["and", "And"], "O": ["or", "OR"], "x": ["train", "andy", "in,", "Brake\uff0e"], "p": [",", "\uff1b"],
+}
+
+
+@st.composite
+def derivations(draw):
+    """A symbol string the grammar derives."""
+
+    def section(lead, connective):
+        clauses = [[connective] + ["x"] * draw(st.integers(1, 2)) for _ in range(draw(st.integers(1, 3)))]
+        clauses[0][0] = lead
+        return [s for clause in clauses for s in clause]
+
+    symbols = section("G", "A")
+    if draw(st.booleans()):
+        symbols += section("W", draw(st.sampled_from("AO")))
+    return symbols + section("T", "A")
+
+
+def one_symbol_edits(symbols):
+    """The string, and each string one symbol inserted, deleted or replaced
+    away from it."""
+    yield symbols
+    for at in range(len(symbols) + 1):
+        yield symbols[:at] + symbols[at + 1:]
+        for symbol in "GWTAOx":
+            yield symbols[:at] + [symbol] + symbols[at:]
+            yield symbols[:at] + [symbol] + symbols[at + 1:]
+
+
+@given(st.one_of(st.lists(st.sampled_from("GWTAOxp"), max_size=10), derivations()))
+def test_parse_requirement_accepts_exactly_the_reference_grammar(base):
+    """Random symbols almost never spell a requirement, so half the bases
+    are derivations; each base is checked with every one-symbol edit."""
+    for symbols in one_symbol_edits(base):
+        text = " ".join(SPELLINGS[s][i % len(SPELLINGS[s])] for i, s in enumerate(symbols))
+        read = "".join(SYMBOLS.get(t.lower, "x") for t in tokenize(text) if t.lower not in TERMINAL_PUNCT)
+        match = GRAMMAR.fullmatch(read)
+        try:
+            ast = parse_requirement(RequirementDoc("R", text))
+        except ParseError:
+            assert match is None, text
+            continue
+        assert match is not None, text
+        for section in ("given", "when", "then"):
+            expected = [(lead, len(words)) for lead, words in re.findall(r"([GWTAO])(x+)", match[section] or "")]
+            assert [(SYMBOLS[c.lead.lower], len(c.words)) for c in getattr(ast, section)] == expected, text
 
 
 def assert_lossless(text: str) -> None:
