@@ -40,7 +40,9 @@ from .matcher import (
     AmbiguousMatch,
     Binding,
     MatchResult,
+    Mentions,
     NoMatch,
+    lookup_elements,
     match_clause,
     match_requirement,
 )
@@ -55,7 +57,6 @@ from .model import (
     Transition,
     ValidationError,
     load_model,
-    lookup_elements,
     save_model,
 )
 from .normalize import normalize_phrase, normalize_signal_phrase
@@ -91,7 +92,9 @@ __all__ = [
     "AmbiguousMatch",
     "Binding",
     "MatchResult",
+    "Mentions",
     "NoMatch",
+    "lookup_elements",
     "match_clause",
     "match_requirement",
     "normalize_phrase",
@@ -107,7 +110,6 @@ __all__ = [
     "Transition",
     "ValidationError",
     "load_model",
-    "lookup_elements",
     "save_model",
     "TraceRecord",
     "build_trace",

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .errors import ModcompleteError
 from .gherkin import ParseError, RequirementDoc, parse_requirement
 from .kb import KnowledgeBase, MetaFragment
-from .matcher import BindingSet, MatchError, MatchResult, NoMatch, match_requirement
+from .matcher import BindingSet, MatchError, MatchResult, Mentions, NoMatch, match_requirement
 from .model import SendEffect, SystemModel, Transition, add_transition, make_transition
 from .trace import TraceRecord, build_trace
 
@@ -153,11 +153,12 @@ def complete_model(
     """
     outcomes: list[RequirementOutcome] = []
     fragments = {metareq.id: metareq.fragment for metareq in kb.metareqs}
+    mentions = Mentions(model)  # one lookup index and memo for the whole run
 
     for doc in corpus:
         match = error = instance = None
         try:
-            match = match_requirement(parse_requirement(doc), kb, model)
+            match = match_requirement(parse_requirement(doc), kb, mentions)
             fragment = fragments[match.metareq_id]
             instance = instantiate_fragment(fragment, match.binding_sets, model, doc.id)
         except (ParseError, MatchError, StateNotInOwnerMachine) as exc:

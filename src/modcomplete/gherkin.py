@@ -83,7 +83,11 @@ class MixedAndOr(ParseError):
 
 class DuplicateId(ModcompleteError):
     """Two requirements in one corpus ended up with the same id, or one
-    requirement was tagged twice."""
+    requirement was tagged twice, on one tag line or on two."""
+
+
+class EmptyId(ModcompleteError):
+    """An ``@id:`` tag names no id."""
 
 
 def tokenize(text: str) -> list[Token]:
@@ -182,8 +186,9 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
 
     Raises:
         DuplicateId: two blocks resolve to the same requirement id, one tag
-            line holds two ``@id:`` tags, or two ``@id:`` tag lines have no
-            body text between them.
+            line holds two ``@id:`` tags (glued or empty ones included), or
+            two ``@id:`` tag lines have no body text between them.
+        EmptyId: an ``@id:`` tag is followed by no id on its line.
     """
     docs: list[RequirementDoc] = []
     tag: tuple[str, int] | None = None  # an id waiting for its block's body, and its line
@@ -198,13 +203,16 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
         if body:
             docs.append(RequirementDoc(tag[0] if tag else f"REQ-{len(docs) + 1:03d}", " ".join(body)))
             tag, body = None, []
-        ids = _ID_TAG_RE.findall(line) if line[0] == "@" else []
-        if len(ids) > 1:
+        tags = line.count("@id:") if line[0] == "@" else 0
+        if tags > 1:
             raise DuplicateId(f"line {line_no}: two @id: tags on one line")
-        if ids:
+        if tags:
+            found = _ID_TAG_RE.search(line)
+            if found is None:
+                raise EmptyId(f"line {line_no}: @id: tag names no id")
             if tag:
                 raise DuplicateId(f"lines {tag[1]} and {line_no}: two @id: tags with no requirement between them")
-            tag = ids[0], line_no
+            tag = found[1], line_no
 
     seen: set[str] = set()
     for doc in docs:

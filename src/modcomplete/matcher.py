@@ -6,7 +6,8 @@ is deterministic and rigid (no statistical language processing):
 
 * literals match case-insensitively; a run of articles is skipped anywhere;
 * a slot consumes a span of one to four words that starts and ends on a
-  non-article, resolved through :func:`modcomplete.model.lookup_elements`;
+  non-article, resolved through :func:`lookup_elements` against the run's
+  :class:`Mentions`, which ``generator.complete_model`` builds once;
 * adjacent parsed clauses may be re-merged (undoing an ``and`` split) when a
   single template spans them, which is how ``and`` inside a noun phrase is
   told apart from ``and`` between clauses. A section's groupings are searched
@@ -21,13 +22,14 @@ is deterministic and rigid (no statistical language processing):
   Halt or Reset").
 """
 
+from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ModcompleteError
 from .gherkin import Clause, RequirementAST, Token
 from .kb import ClauseTemplate, KnowledgeBase, Literal, MetaReq, OptionalLiteral, SlotPattern
-from .model import Metaclass, SystemModel, lookup_elements
-from .normalize import ARTICLES
+from .model import Metaclass, SystemModel
+from .normalize import ARTICLES, core_words, normalize_phrase, normalize_signal_phrase
 
 __all__ = [
     "Binding",
@@ -38,6 +40,8 @@ __all__ = [
     "MatchError",
     "NoMatch",
     "AmbiguousMatch",
+    "Mentions",
+    "lookup_elements",
     "match_clause",
     "match_requirement",
 ]
@@ -172,6 +176,73 @@ class AmbiguousMatch(MatchError):
         return tuple(SpanAmbiguity(*k, tuple(sorted(e))) for k, e in found.items() if len(e) > 1)
 
 
+# ---------------------------------------------------------------------------
+# Element lookup
+# ---------------------------------------------------------------------------
+
+
+class Mentions:
+    """One run's phrase lookup over a model. ``index`` holds element names
+    by (metaclass, scope, normal form), each once, sorted; the scope is None
+    but for states, keyed by their block and by None. ``memo`` holds
+    ``lookup_elements`` results by (phrase, metaclass, scope of a state)."""
+
+    __slots__ = ("index", "memo")
+
+    def __init__(self, model: SystemModel) -> None:
+        self.index = _mention_index(model)
+        self.memo: dict[tuple, tuple[str, ...]] = {}
+
+
+def _mention_index(model: SystemModel) -> dict[tuple[Metaclass, str | None, str], tuple[str, ...]]:
+    index: dict[tuple[Metaclass, str | None, str], set[str]] = defaultdict(set)
+    for block in model.blocks:
+        index[(Metaclass.BLOCK, None, normalize_phrase(block.name))].add(block.name)
+        if block.state_machine is not None:
+            for state in block.state_machine.states:
+                form = normalize_phrase(state)
+                index[(Metaclass.STATE, block.name, form)].add(state)
+                index[(Metaclass.STATE, None, form)].add(state)
+    for signal in model.signals:
+        index[(Metaclass.SIGNAL, None, normalize_phrase(signal.name))].add(signal.name)
+    return {key: tuple(sorted(names)) for key, names in index.items()}
+
+
+def lookup_elements(
+    mentions: Mentions, phrase, metaclass: Metaclass, scope: str | None = None
+) -> list[str]:
+    """Names of model elements a phrase refers to, sorted and unique.
+
+    Resolution is longest-suffix: the full phrase is tried first; if nothing
+    matches, leading modifier words are dropped one at a time ("the Emergency
+    Brake" reaches a block named Brake). Signals additionally answer to their
+    stopword-stripped and stemmed forms. The ``scope`` applies to states
+    only: with one, a state lookup searches only that block's machine;
+    without one it searches every machine. Any other metaclass ignores it.
+
+    Each suffix costs one probe of ``mentions.index`` (one per signal
+    variant). Each distinct key is resolved once per ``mentions`` and kept
+    in its memo. Every call returns a fresh list.
+    """
+    key = (phrase if isinstance(phrase, str) else tuple(phrase), metaclass,
+           scope if metaclass is Metaclass.STATE else None)
+    names = mentions.memo.get(key)
+    if names is None:
+        names = mentions.memo[key] = _lookup_exact(mentions.index, *key)
+    return list(names)
+
+
+def _lookup_exact(index: dict, phrase, metaclass: Metaclass, scope: str | None) -> tuple[str, ...]:
+    """The names of the longest suffix of ``phrase`` that names an element."""
+    words = core_words(phrase)
+    for k in range(len(words)):
+        forms = normalize_signal_phrase(words[k:]) if metaclass is Metaclass.SIGNAL else ("".join(words[k:]),)
+        found = {name for form in forms for name in index.get((metaclass, scope, form), ())}
+        if found:
+            return tuple(sorted(found))
+    return ()
+
+
 def _binding_key(bindings: Iterable[Binding]) -> tuple[tuple[str, str], ...]:
     return tuple((b.role, b.element) for b in bindings)
 
@@ -184,7 +255,7 @@ def _owner_scope(ctx: BindingSet, owner_role: str | None) -> str | None:
 def match_clause(
     clause: Clause,
     template: ClauseTemplate,
-    model: SystemModel,
+    model: SystemModel | Mentions,
     *,
     owner_role: str | None = None,
     scope: str | None = None,
@@ -197,8 +268,10 @@ def match_clause(
     element. A state slot is looked up in the machine of ``scope``, the
     block the context binds to ``owner_role``, until the clause binds
     ``owner_role`` itself; with neither, it is looked up in every machine.
-    So (word, item, scope) is the whole state of the search.
+    So (word, item, scope) is the whole state of the search. A model is
+    read through a new :class:`Mentions`.
     """
+    mentions = model if isinstance(model, Mentions) else Mentions(model)
     words = clause.words
     items = template.items
 
@@ -248,7 +321,7 @@ def match_clause(
             if span[-1].lower in ARTICLES:
                 continue
             phrase = " ".join(t.text for t in span)
-            for element in lookup_elements(model, [t.text for t in span], item.metaclass, scope=scope):
+            for element in lookup_elements(mentions, [t.text for t in span], item.metaclass, scope=scope):
                 resolved_any = True
                 binding = Binding(item.role, item.metaclass, phrase, element)
                 step(wi + length, ii + 1, acc + (binding,),
@@ -298,7 +371,7 @@ def _match_section(
     section: str,
     clauses: Sequence[Clause],
     templates: Sequence[ClauseTemplate],
-    model: SystemModel,
+    mentions: Mentions,
     owner_role: str | None,
     ctxs: list[BindingSet],
 ) -> list[BindingSet] | MetaReqDiagnostic:
@@ -335,7 +408,7 @@ def _match_section(
             extended = []
             deepest = None
             for ctx in branch:
-                cm = match_clause(group, templates[ti], model, owner_role=owner_role,
+                cm = match_clause(group, templates[ti], mentions, owner_role=owner_role,
                                   scope=_owner_scope(ctx, owner_role))
                 extended.extend(ctx + mp for mp in cm.maps)
                 if cm.failure is not None and (deepest is None or cm.failure[:2] > deepest[:2]):
@@ -365,7 +438,7 @@ def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
 
 
 def _try_metareq(
-    ast: RequirementAST, metareq: MetaReq, model: SystemModel
+    ast: RequirementAST, metareq: MetaReq, mentions: Mentions
 ) -> MatchResult | MetaReqDiagnostic:
     """The rule's match, or the diagnostic of why it does not fit.
 
@@ -373,7 +446,7 @@ def _try_metareq(
         AmbiguousMatch: the rule fits with two distinct complete binding sets.
     """
     owner_role = metareq.fragment.owner_role
-    given = _match_section(metareq.id, "given", ast.given, metareq.given, model, owner_role, [()])
+    given = _match_section(metareq.id, "given", ast.given, metareq.given, mentions, owner_role, [()])
     if isinstance(given, MetaReqDiagnostic):
         return given
 
@@ -393,11 +466,11 @@ def _try_metareq(
     sets: list[BindingSet] = []
     for i, when_clauses in enumerate(alternatives):
         when = _match_section(
-            metareq.id, "when", when_clauses, metareq.when, model, owner_role, given
+            metareq.id, "when", when_clauses, metareq.when, mentions, owner_role, given
         )
         if not isinstance(when, MetaReqDiagnostic):
             candidates = _match_section(
-                metareq.id, "then", ast.then, metareq.then, model, owner_role, when
+                metareq.id, "then", ast.then, metareq.then, mentions, owner_role, when
             )
             if isinstance(candidates, MetaReqDiagnostic):
                 return candidates
@@ -406,7 +479,7 @@ def _try_metareq(
         else:
             # Elliptical alternative: only the final slot of the template,
             # read against the first alternative's bindings.
-            cm = match_clause(when_clauses[0], _tail_template(metareq.when[0]), model,
+            cm = match_clause(when_clauses[0], _tail_template(metareq.when[0]), mentions,
                               owner_role=owner_role, scope=_owner_scope(sets[0], owner_role))
             if not cm.maps:
                 return MetaReqDiagnostic(
@@ -426,9 +499,10 @@ def _try_metareq(
 
 
 def match_requirement(
-    ast: RequirementAST, kb: KnowledgeBase, model: SystemModel
+    ast: RequirementAST, kb: KnowledgeBase, model: SystemModel | Mentions
 ) -> MatchResult:
-    """Match a parsed requirement against the rules in priority order.
+    """Match a parsed requirement against the rules in priority order. A
+    model is read through a new :class:`Mentions`; pass one to share it.
 
     Raises:
         NoMatch: no rule fits (diagnostics say which clause, slot and phrase
@@ -436,9 +510,10 @@ def match_requirement(
         AmbiguousMatch: the first rule that fits does so with two distinct
             complete binding sets.
     """
+    mentions = model if isinstance(model, Mentions) else Mentions(model)
     diagnostics: list[MetaReqDiagnostic] = []
     for metareq in kb.metareqs:
-        outcome = _try_metareq(ast, metareq, model)
+        outcome = _try_metareq(ast, metareq, mentions)
         if isinstance(outcome, MatchResult):
             return outcome
         diagnostics.append(outcome)

@@ -5,6 +5,8 @@ machine each), signals, and machine states. Input models typically have no
 transitions; the pipeline adds them: ``generator.complete_model`` decides
 each candidate's fate, and ``add_transition`` writes the decided machines
 back. All types are immutable value objects; operations return new values.
+A model carries no cache: the matcher's phrase lookup keeps its index and
+memo in a ``matcher.Mentions`` that lives for one run.
 
 The document format is canonical JSON: keys sorted, name lists sorted,
 transitions sorted by id, two-space indentation. ``dump_canonical`` writes
@@ -14,15 +16,15 @@ structural equality.
 """
 
 import json
-from collections import defaultdict
 from enum import Enum
-from functools import cached_property
 from hashlib import sha256
 from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Any, NamedTuple
 
 from .errors import ModcompleteError
-from .normalize import core_words, normalize_phrase, normalize_signal_phrase
+# normalize_signal_phrase is unused here; it stays an attribute of this
+# module because bench/traced_cli.py counts its calls by that name.
+from .normalize import normalize_phrase, normalize_signal_phrase  # noqa: F401
 
 MODEL_FORMAT_VERSION = "1"
 
@@ -90,22 +92,10 @@ class Block(NamedTuple):
     receivable_signals: tuple[str, ...] | None = None
 
 
-class _SystemModelFields(NamedTuple):
+class SystemModel(NamedTuple):
     name: str
     blocks: tuple[Block, ...] = ()
     signals: tuple[Signal, ...] = ()
-
-
-class SystemModel(_SystemModelFields):
-    """The three fields are the value. The instance ``__dict__`` holds only
-    the lazy lookup caches below, which stay out of equality, hashing,
-    ``repr`` and ``_replace``; no attribute can be set or deleted."""
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: SystemModel is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: SystemModel is immutable")
 
     def block(self, name: str) -> Block | None:
         for b in self.blocks:
@@ -115,35 +105,6 @@ class SystemModel(_SystemModelFields):
 
     def machines(self) -> tuple[StateMachine, ...]:
         return tuple(b.state_machine for b in self.blocks if b.state_machine)
-
-    @cached_property
-    def _lookup_index(self) -> dict[tuple[Metaclass, str | None, str], tuple[str, ...]]:
-        """Element names by (metaclass, scope, normal form), each name once,
-        sorted, built on first lookup. The scope is None except for states,
-        which are keyed once by their owning block and once by None for
-        unscoped lookups.
-
-        ``cached_property`` stores the index in the instance ``__dict__``, so
-        it stays out of equality, hashing and ``repr``, and ``_replace``
-        returns a model without it.
-        """
-        index: dict[tuple[Metaclass, str | None, str], set[str]] = defaultdict(set)
-        for block in self.blocks:
-            index[(Metaclass.BLOCK, None, normalize_phrase(block.name))].add(block.name)
-            if block.state_machine is not None:
-                for state in block.state_machine.states:
-                    form = normalize_phrase(state)
-                    index[(Metaclass.STATE, block.name, form)].add(state)
-                    index[(Metaclass.STATE, None, form)].add(state)
-        for signal in self.signals:
-            index[(Metaclass.SIGNAL, None, normalize_phrase(signal.name))].add(signal.name)
-        return {key: tuple(sorted(names)) for key, names in index.items()}
-
-    @cached_property
-    def _lookup_memo(self) -> dict[tuple, tuple[str, ...]]:
-        """``lookup_elements`` results by (phrase, metaclass, scope), filled on
-        demand. Stored like ``_lookup_index``, so it is never part of the value."""
-        return {}
 
 
 def transition_identity(
@@ -686,53 +647,3 @@ def add_transition(
         blocks[i] = block._replace(state_machine=machine)
     return model._replace(blocks=tuple(blocks)) if machines else model
 
-
-# ---------------------------------------------------------------------------
-# Element lookup
-# ---------------------------------------------------------------------------
-
-
-def lookup_elements(
-    model: SystemModel,
-    phrase,
-    metaclass: Metaclass,
-    scope: str | None = None,
-) -> list[str]:
-    """Names of model elements a phrase refers to, sorted and unique.
-
-    Resolution is longest-suffix: the full phrase is tried first; if nothing
-    matches, leading modifier words are dropped one at a time ("the Emergency
-    Brake" reaches a block named Brake). Signals additionally answer to their
-    stopword-stripped and stemmed forms. The ``scope`` applies to states
-    only: with one, a state lookup searches only that block's machine;
-    without one it searches every machine. Any other metaclass ignores it.
-
-    Each suffix costs one probe of the model's lookup index (one per signal
-    variant), not a scan of the model. The index is built on the model's
-    first lookup and cached on that value; it is never part of equality or
-    of any output. Results are memoized on the model value the same way,
-    lazily, keyed by (phrase, metaclass, scope of a state): each distinct
-    key is resolved once, and the memo holds one entry per distinct key
-    queried.
-    Two threads that look up the same new key at once may both resolve it;
-    they store equal results, so that is harmless. Every call returns a
-    fresh list.
-    """
-    key = (phrase if isinstance(phrase, str) else tuple(phrase), metaclass,
-           scope if metaclass is Metaclass.STATE else None)
-    names = model._lookup_memo.get(key)
-    if names is None:
-        names = model._lookup_memo[key] = _lookup_exact(model, *key)
-    return list(names)
-
-
-def _lookup_exact(model: SystemModel, phrase, metaclass: Metaclass, scope: str | None) -> tuple[str, ...]:
-    """The names of the longest suffix of ``phrase`` that names an element."""
-    words = core_words(phrase)
-    index = model._lookup_index
-    for k in range(len(words)):
-        forms = normalize_signal_phrase(words[k:]) if metaclass is Metaclass.SIGNAL else ("".join(words[k:]),)
-        found = {name for form in forms for name in index.get((metaclass, scope, form), ())}
-        if found:
-            return tuple(sorted(found))
-    return ()

@@ -233,15 +233,22 @@ def _doubly_tagged_corpus(tmp_path: Path) -> dict[str, str]:
     return {"--reqs": str(reqs)}
 
 
+def _empty_tag_corpus(tmp_path: Path) -> dict[str, str]:
+    reqs = tmp_path / "reqs.feature"
+    reqs.write_text(f"Scenario: A\n@smoke @id:\n{RAILWAY_REQUIREMENT}\n", encoding="utf-8")
+    return {"--reqs": str(reqs)}
+
+
 @pytest.mark.parametrize("command", ["check", "complete"])
 @pytest.mark.parametrize("make_input, message", [
     (_dangling_part_model, "$.blocks[0].parts[0]: part 'Ghost' is not a block"),
     (_repeated_id_corpus, "requirement id 'R1' used twice"),
     (_doubly_tagged_corpus, "lines 2 and 4: two @id: tags with no requirement between them"),
-], ids=["dangling-part", "repeated-id", "two-tags"])
+    (_empty_tag_corpus, "line 2: @id: tag names no id"),
+], ids=["dangling-part", "repeated-id", "two-tags", "empty-tag"])
 def test_an_invalid_model_or_corpus_is_exit_1(tmp_path, capsys, command, make_input, message):
     """A model that fails validation and a corpus that repeats an ``@id:``
-    end like an unreadable input: exit 1, one error line, nothing written."""
+    or leaves one empty end like an unreadable input: exit 1, one error line, nothing written."""
     assert main(io_argv(tmp_path, command, make_input(tmp_path))) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]

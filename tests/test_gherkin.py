@@ -11,6 +11,7 @@ from modcomplete.gherkin import (
     KEYWORDS,
     TERMINAL_PUNCT,
     DuplicateId,
+    EmptyId,
     MissingGiven,
     MissingThen,
     MixedAndOr,
@@ -195,6 +196,9 @@ def _requirement(text):
          "requirement id 'X' used twice"),
         (parse_corpus, "Given a Then b\n@smoke @id: A @id: B\nGiven c Then d\n", DuplicateId,
          "line 2: two @id: tags on one line"),
+        (parse_corpus, "@id:A@id:B\nGiven a Then b\n", DuplicateId, "line 1: two @id: tags on one line"),
+        (parse_corpus, "@id: @id: B\nGiven a Then b\n", DuplicateId, "line 1: two @id: tags on one line"),
+        (parse_corpus, "Given a Then b\n@id:\nGiven c Then d\n", EmptyId, "line 2: @id: tag names no id"),
     ],
 )
 def test_each_parse_error_has_its_class_message_and_position(parse, text, error, message):

@@ -410,18 +410,19 @@ def test_oracle_agrees_with_runs_of_articles_anywhere(seed, use_default_kb, runs
 
 
 def test_binding_soundness(railway_model, railway_ast, kb):
-    from modcomplete import lookup_elements
+    from modcomplete import Mentions, lookup_elements
 
     result = match_requirement(railway_ast, kb, railway_model)
+    mentions = Mentions(railway_model)
     for binding_set in result.binding_sets:
         for binding in binding_set:
             assert binding.element in lookup_elements(
-                railway_model, binding.phrase, binding.metaclass
+                mentions, binding.phrase, binding.metaclass
             )
 
 
 def test_binding_soundness_randomized(kb):
-    from modcomplete import lookup_elements
+    from modcomplete import Mentions, lookup_elements
 
     rng = random.Random(4242)
     for _ in range(120):
@@ -433,7 +434,7 @@ def test_binding_soundness_randomized(kb):
         for binding_set in result.binding_sets:
             for binding in binding_set:
                 assert binding.element in lookup_elements(
-                    model, binding.phrase, binding.metaclass
+                    Mentions(model), binding.phrase, binding.metaclass
                 ), (binding, text)
 
 

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import modcomplete.matcher as matcher_module
 import modcomplete.model as model_module
 from modcomplete import (
+    Mentions,
     Metaclass,
     SchemaError,
     SendEffect,
@@ -17,6 +21,8 @@ from modcomplete import (
     complete_model,
     load_model,
     lookup_elements,
+    parse_corpus,
+    parse_kb,
     save_model,
 )
 from modcomplete.gherkin import RequirementDoc
@@ -41,6 +47,8 @@ from support import (
     reference_parse_transition,
     reference_transition_identity,
 )
+
+ROOT = FIXTURES.parents[1]
 
 
 def test_load_railway_model(railway_model):
@@ -605,24 +613,26 @@ def test_display_field_round_trips():
 
 
 def test_lookup_signal_through_stopwords(railway_model):
-    assert lookup_elements(railway_model, "Emergency Stop Message", Metaclass.SIGNAL) == [
+    assert lookup_elements(Mentions(railway_model), "Emergency Stop Message", Metaclass.SIGNAL) == [
         "EmergencyStop"
     ]
 
 
 def test_lookup_state_scoped(railway_model):
-    assert lookup_elements(railway_model, "running", Metaclass.STATE, scope="Train") == ["Running"]
-    assert lookup_elements(railway_model, "running", Metaclass.STATE, scope="Brake") == []
+    mentions = Mentions(railway_model)
+    assert lookup_elements(mentions, "running", Metaclass.STATE, scope="Train") == ["Running"]
+    assert lookup_elements(mentions, "running", Metaclass.STATE, scope="Brake") == []
 
 
 def test_lookup_unknown_block(railway_model):
-    assert lookup_elements(railway_model, "Spaceship", Metaclass.BLOCK) == []
+    assert lookup_elements(Mentions(railway_model), "Spaceship", Metaclass.BLOCK) == []
 
 
 def test_lookup_absorbs_leading_modifiers(railway_model):
-    assert lookup_elements(railway_model, "the Emergency Brake", Metaclass.BLOCK) == ["Brake"]
+    mentions = Mentions(railway_model)
+    assert lookup_elements(mentions, "the Emergency Brake", Metaclass.BLOCK) == ["Brake"]
     # full-phrase match always wins over a shorter suffix
-    assert lookup_elements(railway_model, "Braking Supervision", Metaclass.BLOCK) == [
+    assert lookup_elements(mentions, "Braking Supervision", Metaclass.BLOCK) == [
         "BrakingSupervision"
     ]
 
@@ -669,52 +679,72 @@ def test_indexed_lookup_agrees_with_linear_scan(model, modifiers, rng):
         for scope in [None, "Ghost"] + [b.name for b in model.blocks]
     ] * 2
     rng.shuffle(queries)
+    mentions = Mentions(model)
     for phrase, metaclass, scope in queries:
-        assert lookup_elements(model, phrase, metaclass, scope) == reference_lookup_elements(
+        assert lookup_elements(mentions, phrase, metaclass, scope) == reference_lookup_elements(
             model, phrase, metaclass, scope
         ), (phrase, metaclass, scope)
 
 
 def test_mutating_a_lookup_result_does_not_change_the_next(railway_model):
-    first = lookup_elements(railway_model, "Emergency Stop Message", Metaclass.SIGNAL)
+    mentions = Mentions(railway_model)
+    first = lookup_elements(mentions, "Emergency Stop Message", Metaclass.SIGNAL)
     first.append("Ghost")
     first.sort(reverse=True)
-    assert lookup_elements(railway_model, "Emergency Stop Message", Metaclass.SIGNAL) == ["EmergencyStop"]
-    missing = lookup_elements(railway_model, "Spaceship", Metaclass.BLOCK)
+    assert lookup_elements(mentions, "Emergency Stop Message", Metaclass.SIGNAL) == ["EmergencyStop"]
+    missing = lookup_elements(mentions, "Spaceship", Metaclass.BLOCK)
     missing.append("Spaceship")
-    assert lookup_elements(railway_model, "Spaceship", Metaclass.BLOCK) == []
+    assert lookup_elements(mentions, "Spaceship", Metaclass.BLOCK) == []
 
 
 def test_lookup_index_is_not_part_of_the_value(railway_model_text):
-    """Neither the index nor the result memo shows in equality, hashing,
-    repr, ``_replace`` or output, and neither can be deleted."""
+    """The index and the result memo live in a run's ``Mentions``: a model
+    value has no ``__dict__`` to hold either, and looking phrases up leaves
+    its equality, hashing, repr and output as they were."""
     looked_up, fresh = load_model(railway_model_text), load_model(railway_model_text)
-    assert lookup_elements(looked_up, "Train", Metaclass.BLOCK) == ["Train"]
-    assert lookup_elements(looked_up, ["the", "Train"], Metaclass.BLOCK) == ["Train"]
-    assert {"_lookup_index", "_lookup_memo"} <= set(vars(looked_up))
-    assert looked_up._lookup_memo
+    mentions = Mentions(looked_up)
+    assert lookup_elements(mentions, "Train", Metaclass.BLOCK) == ["Train"]
+    assert lookup_elements(mentions, ["the", "Train"], Metaclass.BLOCK) == ["Train"]
+    assert len(mentions.memo) == 2
+    assert not hasattr(looked_up, "__dict__") and not hasattr(mentions, "__dict__")
     assert looked_up == fresh and hash(looked_up) == hash(fresh)
     assert repr(looked_up) == repr(fresh)
     assert save_model(looked_up) == save_model(fresh)
-    assert not {"_lookup_index", "_lookup_memo"} & set(vars(looked_up._replace()))
     with pytest.raises(AttributeError):
-        del looked_up._lookup_memo
-    assert looked_up._lookup_memo
+        looked_up.cache = {}
 
 
-def test_second_run_on_one_model_value_probes_nothing(monkeypatch, railway_model, railway_corpus, kb):
-    """Counts calls, times nothing: every phrase the second run asks for was
-    resolved by the first, so it never reaches the index."""
-    probes = []
-    real = model_module._lookup_exact
-    monkeypatch.setattr(model_module, "_lookup_exact", lambda *args: probes.append(args) or real(*args))
-    first = complete_model(railway_model, railway_corpus, kb)
-    assert probes
+def _bench_workload(monkeypatch, name: str):
+    """Seed 1 of a benchmark workload: its model, corpus and knowledge base."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name](1)
+    return load_model(workload.model_text()), parse_corpus(workload.feature_text()), parse_kb(workloads.KB_TEXT)
+
+
+@pytest.mark.parametrize("name, keys", [("wide-model", 343), ("clause-search", 279), ("dense-machines", 543)])
+def test_each_run_builds_one_index_and_resolves_each_key_once(monkeypatch, name, keys):
+    """Counts calls, times nothing: a ``complete_model`` run builds one
+    lookup index, and its requirements share one memo, so each distinct
+    (phrase, metaclass, scope) key reaches the index once per run. A second
+    run on the same model value starts from a new index and memo, and makes
+    the same resolutions."""
+    builds, probes = [], []
+    real_index, real_exact = matcher_module._mention_index, matcher_module._lookup_exact
+    monkeypatch.setattr(matcher_module, "_mention_index", lambda model: builds.append(model) or real_index(model))
+    monkeypatch.setattr(matcher_module, "_lookup_exact", lambda *args: probes.append(args[1:]) or real_exact(*args))
+    model, corpus, kb = _bench_workload(monkeypatch, name)
+    first = complete_model(model, corpus, kb)
+    assert builds == [model]
+    assert len(probes) == len(set(probes)) == keys
+    first_probes = list(probes)
+    builds.clear()
     probes.clear()
-    second = complete_model(railway_model, railway_corpus, kb)
-    assert probes == []
-    assert second.model == first.model and second.report == first.report
-    assert second.trace == first.trace and second.outcomes == first.outcomes
+    second = complete_model(model, corpus, kb)
+    assert builds == [model] and probes == first_probes
+    assert second[:3] == first[:3]  # the model, report and trace
 
 
 def _padded_railway(n_blocks: int):
@@ -738,9 +768,9 @@ def test_lookup_normalizes_each_element_at_most_once(monkeypatch, kb):
     ]
     models = [_padded_railway(10), _padded_railway(300)]
     calls = []
-    real = model_module.normalize_phrase
+    real = matcher_module.normalize_phrase
     monkeypatch.setattr(
-        model_module, "normalize_phrase", lambda phrase: calls.append(phrase) or real(phrase)
+        matcher_module, "normalize_phrase", lambda phrase: calls.append(phrase) or real(phrase)
     )
     for model in models:
         calls.clear()

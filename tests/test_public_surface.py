@@ -21,34 +21,38 @@ PACKAGE_ALL = [
     "StateNotInOwnerMachine", "check_acceptability", "complete_model",
     "instantiate_fragment", "ClauseTemplate", "KnowledgeBase", "MetaFragment", "MetaReq",
     "SlotPattern", "default_kb", "parse_kb", "serialize_kb", "AmbiguousMatch", "Binding",
-    "MatchResult", "NoMatch", "match_clause", "match_requirement", "normalize_phrase",
+    "MatchResult", "Mentions", "NoMatch", "lookup_elements", "match_clause", "match_requirement",
+    "normalize_phrase",
     "normalize_signal_phrase", "oracle_match", "Block",
     "Metaclass", "SchemaError", "SendEffect", "Signal", "StateMachine",
     "SystemModel", "Transition", "ValidationError", "load_model",
-    "lookup_elements", "save_model", "TraceRecord", "build_trace",
+    "save_model", "TraceRecord", "build_trace",
     "emit_requirement_diagram", "emit_trace_json", "__version__",
 ]
 
 MATCHER_ALL = [
     "Binding", "MatchResult", "SpanAmbiguity", "ClauseMatches", "MetaReqDiagnostic",
-    "MatchError", "NoMatch", "AmbiguousMatch", "match_clause", "match_requirement",
+    "MatchError", "NoMatch", "AmbiguousMatch", "Mentions", "lookup_elements", "match_clause",
+    "match_requirement",
 ]
 
 # The record modules do not postpone annotations, so each annotation is the
 # type object itself and renders with its module; ``BindingSet`` renders as
-# the tuple type it names.
+# the tuple type it names. The matchers' third parameter takes a model or a
+# run's ``Mentions``, and ``lookup_elements`` reads only a ``Mentions``.
 SIGNATURES = {
     "match_requirement": (
         "(ast: modcomplete.gherkin.RequirementAST, kb: modcomplete.kb.KnowledgeBase, "
-        "model: modcomplete.model.SystemModel) -> modcomplete.matcher.MatchResult"
+        "model: modcomplete.model.SystemModel | modcomplete.matcher.Mentions) "
+        "-> modcomplete.matcher.MatchResult"
     ),
     "match_clause": (
         "(clause: modcomplete.gherkin.Clause, template: modcomplete.kb.ClauseTemplate, "
-        "model: modcomplete.model.SystemModel, *, owner_role: str | None = None, "
-        "scope: str | None = None) -> modcomplete.matcher.ClauseMatches"
+        "model: modcomplete.model.SystemModel | modcomplete.matcher.Mentions, *, "
+        "owner_role: str | None = None, scope: str | None = None) -> modcomplete.matcher.ClauseMatches"
     ),
     "lookup_elements": (
-        "(model: modcomplete.model.SystemModel, phrase, metaclass: modcomplete.model.Metaclass, "
+        "(mentions: modcomplete.matcher.Mentions, phrase, metaclass: modcomplete.model.Metaclass, "
         "scope: str | None = None) -> list[str]"
     ),
     "instantiate_fragment": (
