@@ -255,7 +255,7 @@ def _owner_scope(ctx: BindingSet, owner_role: str | None) -> str | None:
 def match_clause(
     clause: Clause,
     template: ClauseTemplate,
-    model: SystemModel | Mentions,
+    mentions: Mentions,
     *,
     owner_role: str | None = None,
     scope: str | None = None,
@@ -268,10 +268,8 @@ def match_clause(
     element. A state slot is looked up in the machine of ``scope``, the
     block the context binds to ``owner_role``, until the clause binds
     ``owner_role`` itself; with neither, it is looked up in every machine.
-    So (word, item, scope) is the whole state of the search. A model is
-    read through a new :class:`Mentions`.
+    So (word, item, scope) is the whole state of the search.
     """
-    mentions = model if isinstance(model, Mentions) else Mentions(model)
     words = clause.words
     items = template.items
 

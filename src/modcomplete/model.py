@@ -336,7 +336,8 @@ def load_model(text: str) -> SystemModel:
     4. each block's parts, its receivable signals, then its machine: the
        machine's keys, its states, its initial state, then each transition
        (see ``_parse_transitions``);
-    5. part cycles.
+    5. part cycles: of several, the first that a depth-first walk meets,
+       from block names in sorted order, following parts in document order.
 
     Every error path is a document path: the index of a list entry, an
     effect's included, is its place in the document, not in sorted order.
@@ -442,31 +443,25 @@ def _check_normal_form(kind: str, name: str, path: str, seen_norm: dict[str, str
 
 
 def _check_part_cycles(graph: dict[str, tuple[str, ...]]) -> None:
-    """Raise on a cycle in ``graph``, each block's parts by its name.
-    Depth-first search with an explicit stack, so chains of any depth
-    load without hitting the interpreter's recursion limit."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in graph}
+    """Raise on a cycle in ``graph``, each block's parts by its name: the
+    first that a depth-first walk meets, from block names in sorted order,
+    following parts in document order. ``graphlib`` walks without
+    recursion, so chains of any depth load."""
+    if not any(graph.values()):
+        return
+    from graphlib import CycleError, TopologicalSorter
 
-    for root in sorted(graph):
-        if color[root] != WHITE:
-            continue
-        color[root] = GREY
-        trail = [root]  # the path from root; trail[i] is iterating pending[i]
-        pending = [iter(graph[root])]
-        while pending:
-            for part in pending[-1]:
-                if color[part] == GREY:
-                    cycle = " -> ".join(trail[trail.index(part):] + [part])
-                    raise ValidationError(f"part composition cycle: {cycle}", "$.blocks")
-                if color[part] == WHITE:
-                    color[part] = GREY
-                    trail.append(part)
-                    pending.append(iter(graph[part]))
-                    break
-            else:
-                color[trail.pop()] = BLACK
-                pending.pop()
+    sorter = TopologicalSorter()
+    for name in sorted(graph):
+        sorter.add(name)
+    for block, parts in graph.items():
+        for part in parts:
+            sorter.add(part, block)
+    try:
+        sorter.prepare()
+    except CycleError as error:
+        cycle = " -> ".join(error.args[1])
+        raise ValidationError(f"part composition cycle: {cycle}", "$.blocks") from None
 
 
 # ---------------------------------------------------------------------------

@@ -805,6 +805,9 @@ import gc
 import sys
 sys.path.insert(0, sys.argv[1])
 import modcomplete.cli
+from modcomplete.model import ValidationError, load_model
+load_model('{"version": "1", "name": "M", "blocks": [{"name": "Gate"}, {"name": "Pump"}]}')
+print("graphlib after a part-free load", "graphlib" in sys.modules)
 model, reqs, out = sys.argv[2:5]
 runs = [
     ["complete", "--model", model, "--reqs", reqs, "--out", out + "/model.json",
@@ -828,6 +831,11 @@ for argv in runs:
     codes.append(code)
     print("garbage", left, parser_left)
 print("codes", *codes)
+try:
+    load_model('{"version": "1", "name": "M", "blocks": [{"name": "Gate", "parts": ["Pump"]}, '
+               '{"name": "Pump", "parts": ["Gate"]}]}')
+except ValidationError as error:
+    print(error)
 print("loaded", *sorted(name for name in ("dataclasses", "inspect", "string", "tempfile", "unicodedata",
                                          "modcomplete.oracle")
                          if name in sys.modules))
@@ -842,8 +850,10 @@ def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
     ``unicodedata``, which only a word that is not ASCII needs (the railway
     inputs are ASCII), and never loads the reference oracle
     ``modcomplete.oracle``, which is compiled only when ``oracle_match`` is
-    first read. ``-S`` keeps site hooks of the installation out of the
-    count. No run leaves more objects
+    first read. Nor does loading a model without parts import
+    ``graphlib``, which only the part-cycle check needs; a model with a
+    part cycle is still rejected. ``-S`` keeps site hooks of the
+    installation out of the count. No run leaves more objects
     in reference cycles than parsing its arguments alone: argparse's help
     formatter sections are cyclic, the pipeline is not."""
     env = {k: v for k, v in os.environ.items() if k != "MODCOMPLETE_KB"}
@@ -857,7 +867,9 @@ def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
+    assert lines[0] == "graphlib after a part-free load False"
     assert "codes 0 0 0" in lines
+    assert "$.blocks: part composition cycle: Gate -> Pump -> Gate" in lines
     garbage = [line.split()[1:] for line in lines if line.startswith("garbage ")]
     assert len(garbage) == 3
     assert all(int(left) <= int(parser_left) for left, parser_left in garbage), garbage

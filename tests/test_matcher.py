@@ -11,10 +11,12 @@ from modcomplete import (
     Binding,
     KnowledgeBase,
     MatchResult,
+    Mentions,
     Metaclass,
     NoMatch,
     default_kb,
     load_model,
+    lookup_elements,
     match_clause,
     match_requirement,
     oracle_match,
@@ -60,7 +62,7 @@ def small_model(**overrides):
 def test_match_clause_given_template(railway_model, kb):
     ast = ast_of("Given a Train in running Then x goes in braking")
     template = kb.metareqs[0].given[0]
-    result = match_clause(ast.given[0], template, railway_model, owner_role="context1")
+    result = match_clause(ast.given[0], template, Mentions(railway_model), owner_role="context1")
     assert len(result.maps) == 1
     assert {b.role: b.element for b in result.maps[0]} == {
         "context1": "Train",
@@ -71,7 +73,7 @@ def test_match_clause_given_template(railway_model, kb):
 def test_match_clause_unknown_block(railway_model, kb):
     ast = ast_of("Given a Spaceship in running Then x goes in braking")
     template = kb.metareqs[0].given[0]
-    result = match_clause(ast.given[0], template, railway_model, owner_role="context1")
+    result = match_clause(ast.given[0], template, Mentions(railway_model), owner_role="context1")
     assert result.maps == ()
     assert result.failure is not None
     assert "Spaceship" in (result.failure.phrase or "")
@@ -90,7 +92,7 @@ def test_match_clause_only_resolving_split_survives(kb):
     }))
     ast = ast_of("Given x in s1 When the Brake Monitor receives a Halt Then y goes in s2")
     template = kb.metareqs[0].when[0]
-    result = match_clause(ast.when[0], template, model)
+    result = match_clause(ast.when[0], template, Mentions(model))
     assert [{b.role: b.element for b in m} for m in result.maps] == [
         {"context2": "BrakeMonitor", "event": "Halt"}
     ]
@@ -410,8 +412,6 @@ def test_oracle_agrees_with_runs_of_articles_anywhere(seed, use_default_kb, runs
 
 
 def test_binding_soundness(railway_model, railway_ast, kb):
-    from modcomplete import Mentions, lookup_elements
-
     result = match_requirement(railway_ast, kb, railway_model)
     mentions = Mentions(railway_model)
     for binding_set in result.binding_sets:
@@ -422,8 +422,6 @@ def test_binding_soundness(railway_model, railway_ast, kb):
 
 
 def test_binding_soundness_randomized(kb):
-    from modcomplete import Mentions, lookup_elements
-
     rng = random.Random(4242)
     for _ in range(120):
         model, text, ast = random_case(rng)

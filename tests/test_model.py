@@ -417,6 +417,33 @@ def test_part_cycle_rejected():
         load_model(json.dumps(doc))
 
 
+def _part_cycle_message(parts: dict[str, list[str]]) -> str:
+    """The message of the cycle that a model of blocks with ``parts``, in
+    that document order, is rejected with."""
+    blocks = [{"name": name, "parts": names} for name, names in parts.items()]
+    with pytest.raises(ValidationError) as info:
+        load_model(json.dumps({"version": "1", "name": "M", "signals": [], "blocks": blocks}))
+    assert info.value.path == "$.blocks"
+    return str(info.value).removeprefix("$.blocks: part composition cycle: ")
+
+
+# Each model has more than one cycle, or one that a walk could enter
+# elsewhere: the message names the first cycle that a depth-first walk
+# meets from block names in sorted order, following parts in document order.
+@pytest.mark.parametrize("parts, cycle", [
+    # two disjoint cycles; a walk in document order would start at Delta
+    ({"Delta": ["Chi"], "Chi": ["Delta"], "Beta": ["Alpha"], "Alpha": ["Beta"]}, "Alpha -> Beta -> Alpha"),
+    # entered from Alpha, which is not on it
+    ({"Alpha": ["Beta"], "Beta": ["Chi"], "Chi": ["Beta"]}, "Beta -> Chi -> Beta"),
+    # through Chi, which Alpha lists twice; sorted, Alpha's parts would reach Beta first
+    ({"Alpha": ["Chi", "Beta", "Chi"], "Beta": ["Alpha"], "Chi": ["Alpha"]}, "Alpha -> Chi -> Alpha"),
+    # a block that lists itself
+    ({"Beta": ["Alpha"], "Alpha": ["Alpha"]}, "Alpha -> Alpha"),
+], ids=["disjoint", "entered-from-outside", "repeated-part", "self"])
+def test_the_first_part_cycle_of_a_sorted_walk_is_reported(parts, cycle):
+    assert _part_cycle_message(parts) == cycle
+
+
 def test_deep_part_chain_loads():
     depth = 3000
     blocks = [
@@ -424,6 +451,14 @@ def test_deep_part_chain_loads():
     ]
     model = load_model(json.dumps({"version": "1", "name": "M", "signals": [], "blocks": blocks}))
     assert len(model.blocks) == depth
+
+
+def test_deep_part_cycle_is_reported_from_its_first_name():
+    # Listed last to first, so only a walk in sorted order starts at B0.
+    depth = 50000
+    names = [f"B{i}" for i in range(depth)]
+    parts = {names[i]: [names[(i + 1) % depth]] for i in reversed(range(depth))}
+    assert _part_cycle_message(parts) == " -> ".join(names + ["B0"])
 
 
 def test_save_empty_model_is_canonical():

@@ -38,8 +38,9 @@ MATCHER_ALL = [
 
 # The record modules do not postpone annotations, so each annotation is the
 # type object itself and renders with its module; ``BindingSet`` renders as
-# the tuple type it names. The matchers' third parameter takes a model or a
-# run's ``Mentions``, and ``lookup_elements`` reads only a ``Mentions``.
+# the tuple type it names. ``match_requirement``'s third parameter takes a
+# model or a run's ``Mentions``; ``match_clause`` and ``lookup_elements``
+# read only a ``Mentions``.
 SIGNATURES = {
     "match_requirement": (
         "(ast: modcomplete.gherkin.RequirementAST, kb: modcomplete.kb.KnowledgeBase, "
@@ -48,7 +49,7 @@ SIGNATURES = {
     ),
     "match_clause": (
         "(clause: modcomplete.gherkin.Clause, template: modcomplete.kb.ClauseTemplate, "
-        "model: modcomplete.model.SystemModel | modcomplete.matcher.Mentions, *, "
+        "mentions: modcomplete.matcher.Mentions, *, "
         "owner_role: str | None = None, scope: str | None = None) -> modcomplete.matcher.ClauseMatches"
     ),
     "lookup_elements": (
