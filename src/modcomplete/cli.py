@@ -41,7 +41,7 @@ from .generator import (
 )
 from .kb import default_kb, parse_kb, shadowed_rules
 from .matcher import AmbiguousMatch, NoMatch, match_requirement  # noqa: F401
-from .model import dump_canonical, load_model, record_doc, save_model
+from .model import dump_canonical, load_model, save_model
 from .trace import emit_requirement_diagram, emit_trace_json
 
 KB_ENV_VAR = "MODCOMPLETE_KB"
@@ -181,7 +181,7 @@ def _exit_code(findings: list[Finding], strict: bool) -> int:
 
 def _report_doc(report: CompletionReport, findings: list[Finding]) -> dict:
     """Each of the report's sections, under its field name, and the findings."""
-    return {"version": "1", **record_doc(report), "findings": record_doc(findings)}
+    return {"version": "1", **report._asdict(), "findings": findings}
 
 
 def _diagram_filename(requirement_id: str) -> str:

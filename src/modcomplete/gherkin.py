@@ -90,6 +90,11 @@ class EmptyId(ModcompleteError):
     """An ``@id:`` tag names no id."""
 
 
+class InvalidId(ModcompleteError):
+    """An ``@id:`` tag's id holds an ``@``, as when another tag is glued
+    to it (``@id:A@smoke``)."""
+
+
 def tokenize(text: str) -> list[Token]:
     """Split text on whitespace into keyword/word/punct tokens.
 
@@ -184,13 +189,17 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
     ``REQ-<n>`` in file order unless so named. Blank lines and ``#``
     comments are ignored.
 
+    Each fault is raised where it is read, so the first one in the file
+    is the one raised.
+
     Raises:
         DuplicateId: two blocks resolve to the same requirement id, one tag
             line holds two ``@id:`` tags (glued or empty ones included), or
             two ``@id:`` tag lines have no body text between them.
         EmptyId: an ``@id:`` tag is followed by no id on its line.
+        InvalidId: an ``@id:`` tag's id holds an ``@``.
     """
-    docs: list[RequirementDoc] = []
+    docs: dict[str, RequirementDoc] = {}
     tag: tuple[str, int] | None = None  # an id waiting for its block's body, and its line
     body: list[str] = []
     for line_no, raw in enumerate([*text.splitlines(), "@"], start=1):  # "@" ends the last block
@@ -201,7 +210,10 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
             body.append(line)
             continue
         if body:
-            docs.append(RequirementDoc(tag[0] if tag else f"REQ-{len(docs) + 1:03d}", " ".join(body)))
+            doc_id = tag[0] if tag else f"REQ-{len(docs) + 1:03d}"
+            if doc_id in docs:
+                raise DuplicateId(f"requirement id {doc_id!r} used twice")
+            docs[doc_id] = RequirementDoc(doc_id, " ".join(body))
             tag, body = None, []
         tags = line.count("@id:") if line[0] == "@" else 0
         if tags > 1:
@@ -210,13 +222,9 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
             found = _ID_TAG_RE.search(line)
             if found is None:
                 raise EmptyId(f"line {line_no}: @id: tag names no id")
+            if "@" in found[1]:
+                raise InvalidId(f"line {line_no}: @id: tag {found[1]!r} holds '@'")
             if tag:
                 raise DuplicateId(f"lines {tag[1]} and {line_no}: two @id: tags with no requirement between them")
             tag = found[1], line_no
-
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise DuplicateId(f"requirement id {doc.id!r} used twice")
-        seen.add(doc.id)
-    return docs
+    return list(docs.values())

@@ -5,8 +5,9 @@ clause templates and every slot binds to exactly one model element. Matching
 is deterministic and rigid (no statistical language processing):
 
 * literals match case-insensitively; a run of articles is skipped anywhere;
-* a slot consumes a span of one to four words that starts and ends on a
-  non-article, resolved through :func:`lookup_elements` against the run's
+* a slot consumes a span that starts and ends on a non-article, of one
+  word up to its metaclass's span bound in ``Mentions.spans`` (at least
+  four), resolved through :func:`lookup_elements` against the run's
   :class:`Mentions`, which ``generator.complete_model`` builds once;
 * adjacent parsed clauses may be re-merged (undoing an ``and`` split) when a
   single template spans them, which is how ``and`` inside a noun phrase is
@@ -22,6 +23,7 @@ is deterministic and rigid (no statistical language processing):
   Halt or Reset").
 """
 
+import re
 from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
@@ -45,8 +47,6 @@ __all__ = [
     "match_clause",
     "match_requirement",
 ]
-
-SPAN_LIMIT = 4  # raw words per slot span
 
 
 class Binding(NamedTuple):
@@ -184,17 +184,26 @@ class AmbiguousMatch(MatchError):
 class Mentions:
     """One run's phrase lookup over a model. ``index`` holds element names
     by (metaclass, scope, normal form), each once, sorted; the scope is None
-    but for states, keyed by their block and by None. ``memo`` holds
-    ``lookup_elements`` results by (phrase, metaclass, scope of a state)."""
+    but for states, keyed by their block and by None. ``spans`` holds each
+    metaclass's span bound, the most raw words a slot span may cover: the
+    most words in a name of that metaclass, plus one for a signal's filler
+    noun ("Message"), and at least 4. ``memo`` holds ``lookup_elements``
+    results by (phrase, metaclass, scope of a state)."""
 
-    __slots__ = ("index", "memo")
+    __slots__ = ("index", "spans", "memo")
 
     def __init__(self, model: SystemModel) -> None:
-        self.index = _mention_index(model)
+        self.index, self.spans = _mention_index(model)
         self.memo: dict[tuple, tuple[str, ...]] = {}
 
 
-def _mention_index(model: SystemModel) -> dict[tuple[Metaclass, str | None, str], tuple[str, ...]]:
+# A name's words are its whitespace words, each split before a capital
+# that follows a lower-case letter or a digit. Each match here is one such
+# split, so "RadioBlock" is two words.
+_CAMEL_HUMP = re.compile(r"[a-z0-9][A-Z]")
+
+
+def _mention_index(model: SystemModel) -> tuple[dict, dict[Metaclass, int]]:
     index: dict[tuple[Metaclass, str | None, str], set[str]] = defaultdict(set)
     for block in model.blocks:
         index[(Metaclass.BLOCK, None, normalize_phrase(block.name))].add(block.name)
@@ -205,7 +214,13 @@ def _mention_index(model: SystemModel) -> dict[tuple[Metaclass, str | None, str]
                 index[(Metaclass.STATE, None, form)].add(state)
     for signal in model.signals:
         index[(Metaclass.SIGNAL, None, normalize_phrase(signal.name))].add(signal.name)
-    return {key: tuple(sorted(names)) for key, names in index.items()}
+    spans = dict.fromkeys(Metaclass, 4)
+    for (metaclass, scope, _), names in index.items():
+        if scope is None:  # each name once, a state too
+            for name in names:
+                words = len(name.split()) + len(_CAMEL_HUMP.findall(name)) + (metaclass is Metaclass.SIGNAL)
+                spans[metaclass] = max(spans[metaclass], words)
+    return {key: tuple(sorted(names)) for key, names in index.items()}, spans
 
 
 def lookup_elements(
@@ -314,7 +329,7 @@ def match_clause(
         # A span starts on a non-article (the run before it was skipped)
         # and never ends on one: those articles are skipped by the next step.
         resolved_any = False
-        for length in range(1, min(SPAN_LIMIT, len(words) - wi) + 1):
+        for length in range(1, min(mentions.spans[item.metaclass], len(words) - wi) + 1):
             span = words[wi : wi + length]
             if span[-1].lower in ARTICLES:
                 continue
@@ -380,8 +395,8 @@ def _match_section(
     A group is matched once for each context that reaches it, and only the
     contexts it extends go on to the next template, so the groupings are
     visited in lexicographic order without matching a shared prefix again.
-    Returns the distinct extended contexts, or the diagnostic of the group
-    that got furthest.
+    Returns the distinct extended contexts, or the diagnostic of the failure
+    that got furthest (by template, item, word; the first met on ties).
     """
     if not templates:
         if clauses:
@@ -396,7 +411,7 @@ def _match_section(
         )
 
     results: list[BindingSet] = []
-    best: tuple[tuple[int, int, int], MetaReqDiagnostic] | None = None
+    best: tuple[int, ClauseFailure] | None = None  # template index, deepest failure there
 
     def extend(ti, start, branch):
         nonlocal best
@@ -404,28 +419,26 @@ def _match_section(
         for end in range(start + 1 if ti < last else n, n - last + ti + 1):
             group = merge_clauses(clauses[start:end])
             extended = []
-            deepest = None
             for ctx in branch:
                 cm = match_clause(group, templates[ti], mentions, owner_role=owner_role,
                                   scope=_owner_scope(ctx, owner_role))
                 extended.extend(ctx + mp for mp in cm.maps)
-                if cm.failure is not None and (deepest is None or cm.failure[:2] > deepest[:2]):
-                    deepest = cm.failure
-            if not extended:
-                progress = (ti, *deepest[:2])
-                diag = MetaReqDiagnostic(
-                    metareq_id, deepest.detail, section, ti, deepest.role, deepest.phrase
-                )
-                if best is None or progress > best[0]:
-                    best = (progress, diag)
-            elif ti < last:
-                extend(ti + 1, end, extended)
-            else:
+                # A failure beside a fitting context never wins: that context
+                # goes on to yield results or to fail at a later template.
+                failure = cm.failure
+                if failure is not None and (best is None or (ti, *failure[:2]) > (best[0], *best[1][:2])):
+                    best = (ti, failure)
+            if ti == last:
                 results.extend(extended)
+            elif extended:
+                extend(ti + 1, end, extended)
 
     extend(0, 0, ctxs)
     del extend  # as ``step`` in match_clause
-    return _distinct(results) if results else best[1]
+    if results:
+        return _distinct(results)
+    ti, failure = best
+    return MetaReqDiagnostic(metareq_id, failure.detail, section, ti, failure.role, failure.phrase)
 
 
 def _tail_template(template: ClauseTemplate) -> ClauseTemplate:

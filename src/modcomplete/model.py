@@ -472,31 +472,17 @@ def _check_part_cycles(graph: dict[str, tuple[str, ...]]) -> None:
 def dump_canonical(value: Any) -> str:
     """Canonical JSON text of ``value``, the format of every output file.
 
-    Returns exactly ``json.dumps(value, indent=2, sort_keys=True,
-    ensure_ascii=False) + "\\n"``. The standard library encodes with
-    ``indent`` in pure Python, one generator per container; this writer
-    emits the same bytes with one call per container and the C string
-    escaper. Takes what outputs hold: dicts with string keys, lists,
-    tuples, strings and None; anything else raises TypeError.
+    On plain data (dicts with string keys, lists, tuples, strings, None),
+    returns exactly ``json.dumps(value, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"``, in one call per container with the C
+    string escaper, where the standard library runs a generator per
+    container. A ``NamedTuple`` record is written as the object of its
+    fields and a metaclass as its name; anything else raises TypeError.
     """
     chunks: list[str] = []
     _write_canonical(value, "\n", chunks)
     chunks.append("\n")
     return "".join(chunks)
-
-
-def record_doc(value: Any) -> Any:
-    """``value`` as data for ``dump_canonical``: each ``NamedTuple`` record
-    becomes a dict of its fields, each other tuple or list a list, and each
-    metaclass its name. Report and trace entries are written this way, so
-    their record types alone state those file formats."""
-    if isinstance(value, Metaclass):
-        return value.value
-    if hasattr(value, "_asdict"):
-        return {name: record_doc(item) for name, item in value._asdict().items()}
-    if isinstance(value, (tuple, list)):
-        return [record_doc(item) for item in value]
-    return value
 
 
 def _write_canonical(value: Any, newline: str, chunks: list[str]) -> None:
@@ -505,13 +491,14 @@ def _write_canonical(value: Any, newline: str, chunks: list[str]) -> None:
     written inline, saving a call for most leaves."""
     if isinstance(value, str):
         chunks.append(encode_basestring(value))
-    elif isinstance(value, dict):
-        if not value:
+    elif isinstance(value, dict) or hasattr(value, "_fields"):
+        fields = sorted(value.items() if isinstance(value, dict) else zip(value._fields, value))
+        if not fields:
             chunks.append("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
-        for key, item in sorted(value.items()):
+        for key, item in fields:
             if isinstance(item, str):
                 chunks.append(f"{sep}{encode_basestring(key)}: {encode_basestring(item)}")
             else:
@@ -538,6 +525,8 @@ def _write_canonical(value: Any, newline: str, chunks: list[str]) -> None:
         chunks.append(newline + "]")
     elif value is None:
         chunks.append("null")
+    elif isinstance(value, Metaclass):
+        chunks.append(encode_basestring(value.value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -10,12 +10,13 @@ matcher against it; the two must agree on result or error class.
 
 No ``complete``, ``check`` or ``kb-lint`` run uses it. The module is imported
 only on first use, when ``modcomplete.oracle_match`` is read. It takes only
-records from ``matcher``: the span bound, the clause rejoining, the
+records from ``matcher``: the span bounds, the clause rejoining, the
 elliptical tail and the de-duplication below are its own, so a bug in the
 matcher's versions is not shared.
 """
 
 import itertools
+from string import ascii_lowercase, ascii_uppercase, digits
 from typing import Sequence
 
 from .gherkin import Clause, RequirementAST, Token
@@ -26,7 +27,6 @@ from .normalize import ARTICLES, core_words, normalize_phrase, normalize_signal_
 
 __all__ = ["oracle_match"]
 
-SPAN_LIMIT = 4  # raw words per slot span
 BindingSet = tuple[Binding, ...]
 
 
@@ -53,6 +53,24 @@ def _oracle_unique(candidates: Sequence[BindingSet]) -> list[BindingSet]:
     for candidate in candidates:
         first.setdefault(tuple((b.role, b.element) for b in candidate), candidate)
     return list(first.values())
+
+
+def _oracle_span_bound(model: SystemModel, metaclass: Metaclass) -> int:
+    """The most raw words a span of ``metaclass`` may cover: the most words
+    in a name of that kind (its whitespace words, plus one per capital right
+    after a lower-case letter or a digit), one more for a signal's trailing
+    filler noun, and never less than 4."""
+    if metaclass is Metaclass.BLOCK:
+        names = [b.name for b in model.blocks]
+    elif metaclass is Metaclass.SIGNAL:
+        names = [s.name for s in model.signals]
+    else:
+        names = [st for b in model.blocks if b.state_machine is not None for st in b.state_machine.states]
+    return max([4] + [
+        len(name.split()) + (metaclass is Metaclass.SIGNAL)
+        + sum(a in ascii_lowercase + digits and b in ascii_uppercase for a, b in zip(name, name[1:]))
+        for name in names
+    ])
 
 
 def _span_phrase(span: Sequence[Token]) -> str:
@@ -119,6 +137,7 @@ def _oracle_clause_maps(
     words = clause.words
     items = template.items
     slot_positions = [i for i, item in enumerate(items) if isinstance(item, SlotPattern)]
+    bounds = [_oracle_span_bound(model, items[i].metaclass) for i in slot_positions]
     n = len(words)
     out: list[BindingSet] = []
 
@@ -127,7 +146,7 @@ def _oracle_clause_maps(
             yield list(acc)
             return
         for a in range(start, n):
-            for b in range(a + 1, min(a + SPAN_LIMIT, n) + 1):
+            for b in range(a + 1, min(a + bounds[index], n) + 1):
                 acc.append((a, b))
                 yield from all_span_tuples(index + 1, b, acc)
                 acc.pop()

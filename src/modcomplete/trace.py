@@ -10,7 +10,7 @@ import re
 from typing import NamedTuple
 
 from .matcher import MatchResult
-from .model import Metaclass, dump_canonical, record_doc
+from .model import Metaclass, dump_canonical
 
 
 class TraceBinding(NamedTuple):
@@ -44,16 +44,12 @@ def build_trace(match: MatchResult, transition_ids: tuple[str, ...], text: str) 
     under several roles appears once per role in ``bindings`` and once with
     all its roles in ``satisfies``. ``transition_ids`` are kept as given.
     """
-    bindings: list[TraceBinding] = []
-    seen: set[tuple[str, str, str]] = set()
+    bindings = tuple(dict.fromkeys(
+        TraceBinding(b.role, b.metaclass, b.element) for binding_set in match.binding_sets for b in binding_set
+    ))
     roles_by_element: dict[tuple[str, Metaclass], set[str]] = {}
-    for binding_set in match.binding_sets:
-        for b in binding_set:
-            key = (b.role, b.metaclass.value, b.element)
-            if key not in seen:
-                seen.add(key)
-                bindings.append(TraceBinding(b.role, b.metaclass, b.element))
-            roles_by_element.setdefault((b.element, b.metaclass), set()).add(b.role)
+    for b in bindings:
+        roles_by_element.setdefault((b.element, b.metaclass), set()).add(b.role)
     # A block and a signal may share a name: order them by metaclass name.
     satisfies = tuple(
         SatisfyLink(element=el, metaclass=mc, roles=tuple(sorted(roles_by_element[(el, mc)])))
@@ -63,7 +59,7 @@ def build_trace(match: MatchResult, transition_ids: tuple[str, ...], text: str) 
         requirement_id=match.requirement_id,
         metareq_id=match.metareq_id,
         text=text,
-        bindings=tuple(bindings),
+        bindings=bindings,
         generated=transition_ids,
         satisfies=satisfies,
     )
@@ -71,9 +67,7 @@ def build_trace(match: MatchResult, transition_ids: tuple[str, ...], text: str) 
 
 def emit_trace_json(records: tuple[TraceRecord, ...] | list[TraceRecord]) -> str:
     """Canonical JSON array of trace records, ordered by requirement id."""
-    return dump_canonical([
-        record_doc(record) for record in sorted(records, key=lambda r: r.requirement_id)
-    ])
+    return dump_canonical(sorted(records, key=lambda r: r.requirement_id))
 
 
 def _node_id(prefix: str, name: str) -> str:

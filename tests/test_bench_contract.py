@@ -50,6 +50,7 @@ def run_traced(out_path: Path, mode: str, *cli_args: str, cwd: Path | None = Non
         ],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         timeout=120,

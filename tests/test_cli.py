@@ -42,10 +42,10 @@ def test_complete_railway_fixture(tmp_path, capsys):
     assert (out / "report.json").is_file()
     assert (out / "trace.json").is_file()
     assert (out / "diagrams" / "RD-REQ-001.puml").is_file()
-    model_doc = json.loads((out / "model.json").read_text())
+    model_doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
     train = next(b for b in model_doc["blocks"] if b["name"] == "Train")
     assert len(train["state_machine"]["transitions"]) == 1
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert len(report["added"]) == 1 and report["conflicts"] == []
     assert "1 added" in capsys.readouterr().out
 
@@ -55,7 +55,7 @@ def test_complete_conflict_fixture(tmp_path):
         tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "conflict.feature")
     )
     assert code == 2
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert len(report["conflicts"]) == 1
     assert report["conflicts"][0]["requirement_ids"] == ["REQ-A", "REQ-B"]
     assert any(f["kind"] == "Conflict" and f["severity"] == "error" for f in report["findings"])
@@ -233,6 +233,12 @@ def _doubly_tagged_corpus(tmp_path: Path) -> dict[str, str]:
     return {"--reqs": str(reqs)}
 
 
+def _glued_tag_corpus(tmp_path: Path) -> dict[str, str]:
+    reqs = tmp_path / "reqs.feature"
+    reqs.write_text(f"Scenario: A\n@id:R1@smoke\n{RAILWAY_REQUIREMENT}\n", encoding="utf-8")
+    return {"--reqs": str(reqs)}
+
+
 def _empty_tag_corpus(tmp_path: Path) -> dict[str, str]:
     reqs = tmp_path / "reqs.feature"
     reqs.write_text(f"Scenario: A\n@smoke @id:\n{RAILWAY_REQUIREMENT}\n", encoding="utf-8")
@@ -245,10 +251,12 @@ def _empty_tag_corpus(tmp_path: Path) -> dict[str, str]:
     (_repeated_id_corpus, "requirement id 'R1' used twice"),
     (_doubly_tagged_corpus, "lines 2 and 4: two @id: tags with no requirement between them"),
     (_empty_tag_corpus, "line 2: @id: tag names no id"),
-], ids=["dangling-part", "repeated-id", "two-tags", "empty-tag"])
+    (_glued_tag_corpus, "line 2: @id: tag 'R1@smoke' holds '@'"),
+], ids=["dangling-part", "repeated-id", "two-tags", "empty-tag", "glued-tag"])
 def test_an_invalid_model_or_corpus_is_exit_1(tmp_path, capsys, command, make_input, message):
-    """A model that fails validation and a corpus that repeats an ``@id:``
-    or leaves one empty end like an unreadable input: exit 1, one error line, nothing written."""
+    """A model that fails validation and a corpus that repeats an ``@id:``,
+    leaves one empty or glues a tag to one end like an unreadable input:
+    exit 1, one error line, nothing written."""
     assert main(io_argv(tmp_path, command, make_input(tmp_path))) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]
@@ -590,7 +598,7 @@ def test_check_explain_shows_ambiguous_sets(tmp_path, capsys):
         encoding="utf-8",
     )
     reqs = tmp_path / "r.feature"
-    reqs.write_text("Given Gate in s1, When Gate receives Stops, Then Gate goes in s2\n")
+    reqs.write_text("Given Gate in s1, When Gate receives Stops, Then Gate goes in s2\n", encoding="utf-8")
     code = main(["check", "--model", str(model), "--reqs", str(reqs), "--explain"])
     out = capsys.readouterr().out
     assert "AmbiguousMatch" in out
@@ -772,7 +780,7 @@ def run_module(*args: str, stdout=subprocess.PIPE, env_update=None) -> subproces
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     env.update(env_update or {})
     return subprocess.run([sys.executable, "-m", "modcomplete", *args],
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, encoding="utf-8", env=env)
 
 
 @pytest.mark.parametrize("reqs, code", [("railway.feature", 0), ("conflict.feature", 2), ("no-such.feature", 1)])
@@ -863,6 +871,7 @@ def test_a_run_imports_no_dataclasses_inspect_or_string(tmp_path):
          str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"), str(tmp_path)],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=env,
     )
     assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,7 @@ from modcomplete.gherkin import (
     TERMINAL_PUNCT,
     DuplicateId,
     EmptyId,
+    InvalidId,
     MissingGiven,
     MissingThen,
     MixedAndOr,
@@ -199,6 +200,8 @@ def _requirement(text):
         (parse_corpus, "@id:A@id:B\nGiven a Then b\n", DuplicateId, "line 1: two @id: tags on one line"),
         (parse_corpus, "@id: @id: B\nGiven a Then b\n", DuplicateId, "line 1: two @id: tags on one line"),
         (parse_corpus, "Given a Then b\n@id:\nGiven c Then d\n", EmptyId, "line 2: @id: tag names no id"),
+        (parse_corpus, "Given a Then b\n\n@id:A@smoke\nGiven c Then d\n", InvalidId,
+         "line 3: @id: tag 'A@smoke' holds '@'"),
     ],
 )
 def test_each_parse_error_has_its_class_message_and_position(parse, text, error, message):
@@ -406,6 +409,22 @@ def test_parse_corpus_feature_and_multiline_body():
         RequirementDoc("REQ-001", "Given alpha Then beta"),
         RequirementDoc("REQ-002", "Given gamma Then delta"),
     ]
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("@id: X\nGiven a Then b\n@id: X\nGiven c Then d\n@id:\nGiven e Then f\n", DuplicateId,
+     "requirement id 'X' used twice"),
+    ("@id: REQ-002\nGiven a Then b\nScenario: s\nGiven c Then d\n@id: A@wip\nGiven e Then f\n", DuplicateId,
+     "requirement id 'REQ-002' used twice"),
+    ("@id: X\nGiven a Then b\n@id: Y@wip\nGiven c Then d\n@id: X\nGiven e Then f\n", InvalidId,
+     "line 3: @id: tag 'Y@wip' holds '@'"),
+], ids=["repeat-before-empty", "numbered-repeat-before-invalid", "invalid-before-repeat"])
+def test_parse_corpus_raises_the_first_fault_in_file_order(text, error, message):
+    """A repeated id is a fault of the block that repeats it, found when
+    that block closes, before any tag line after it is read."""
+    with pytest.raises(error) as info:
+        parse_corpus(text)
+    assert str(info.value) == message
 
 
 def test_parse_corpus_duplicate_id():

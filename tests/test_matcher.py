@@ -28,6 +28,7 @@ from modcomplete.gherkin import ParseError, RequirementDoc
 from modcomplete.matcher import MetaReqDiagnostic, SpanAmbiguity
 from modcomplete.oracle import _oracle_clause_maps  # white-box: segmentation oracle
 
+from conftest import RAILWAY_REQUIREMENT
 from support import (
     ARTICLE_SPELLINGS,
     agreement,
@@ -174,6 +175,25 @@ def test_a_literal_before_full_width_punctuation_matches(railway_model, comma, p
     assert [(b.role, b.element) for b in result.bindings] == [
         ("b", "Train"), ("s", "Running"), ("c", "Train"), ("t", "Braking"),
     ]
+
+
+@pytest.mark.parametrize("old, new, mention, phrase", [
+    ("BrakingSupervision", "Radio Block Centre Interface Unit", "the Braking Supervision",
+     "Radio Block Centre Interface Unit"),
+    ("Running", "waiting for radio block centre", "running", "waiting for radio block centre"),
+    ("EmergencyStop", "RadioBlockCentreInterfaceReset", "an Emergency Stop Message",
+     "Radio Block Centre Interface Reset Message"),
+], ids=["block", "state", "signal-with-filler"])
+def test_a_name_of_five_words_is_matched(railway_model_text, kb, old, new, mention, phrase):
+    """A slot span may cover as many words as the wordiest name of its
+    metaclass has, one more for a signal; four words used to be the limit."""
+    model = load_model(railway_model_text.replace(old, new))
+    ast = ast_of(RAILWAY_REQUIREMENT.replace(mention, phrase))
+    result = match_requirement(ast, kb, model)
+    assert result == oracle_match(ast, kb, model)
+    bound = [b.element for b in result.bindings if b.phrase == phrase]
+    assert bound == [new] * RAILWAY_REQUIREMENT.count(mention)
+    assert max(Mentions(model).spans.values()) == (6 if old == "EmergencyStop" else 5)
 
 
 def test_empty_kb_no_match(railway_model, railway_ast):
@@ -677,6 +697,35 @@ def test_a_clause_group_is_matched_once_per_context(monkeypatch):
     trailing = " ".join(["and Pump goes in On"] * (n - k))
     assert info.value.diagnostics == (
         MetaReqDiagnostic("M", f"trailing words {trailing!r} fit no template item", "then", 5),
+    )
+
+
+def test_a_failure_beside_a_match_in_one_clause_group_is_not_reported():
+    """The Given reads two ways: owner Gate (other "Pump Valve") and owner
+    Pump ("Gate Pump", other Valve). Only Gate's machine has s2, so the first
+    Then group fits for Gate and fails for Pump at its state slot, deeper in
+    the clause than Gate's failure in the second group. The diagnostic names
+    the second template, where the last context still standing failed."""
+    model = small_model(blocks=[
+        {"name": "Gate", "state_machine": {"states": ["s1", "s2"], "transitions": []}},
+        {"name": "Pump", "state_machine": {"states": ["s1"], "transitions": []}},
+        {"name": "Valve"},
+    ])
+    rules = parse_kb(
+        'metareq M -> F:\n'
+        '  given: "<<Block as owner>> <<Block as other>> in <<State as src>>"\n'
+        '  then:  "goes in <<State as dst>> now"\n'
+        '  then:  "sends <<Signal as sig>>"\n'
+        'fragment F:\n  owner: owner  source: src  target: dst\n'
+    )
+    text = "Given Gate Pump Valve in s1, Then goes in s2 now and emits Halt."
+    given = matcher._match_section("M", "given", ast_of(text).given, rules.metareqs[0].given,
+                                   Mentions(model), "owner", [()])
+    assert [{b.role: b.element for b in ctx}["owner"] for ctx in given] == ["Gate", "Pump"]
+    with pytest.raises(NoMatch) as info:
+        match_requirement(ast_of(text), rules, model)
+    assert info.value.diagnostics == (
+        MetaReqDiagnostic("M", "expected literal 'sends', got 'emits'", "then", 1),
     )
 
 

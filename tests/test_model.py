@@ -25,8 +25,18 @@ from modcomplete import (
     parse_kb,
     save_model,
 )
+from modcomplete.cli import _report_doc
+from modcomplete.generator import (
+    CompletionReport,
+    ConflictRecord,
+    ConflictVariant,
+    Finding,
+    MergeEntry,
+    UnmatchedEntry,
+)
 from modcomplete.gherkin import RequirementDoc
 from modcomplete.normalize import normalize_phrase
+from modcomplete.trace import SatisfyLink, TraceBinding, TraceRecord, emit_trace_json
 from modcomplete.model import (
     Block,
     Signal,
@@ -868,6 +878,65 @@ def test_dump_canonical_rejects_numbers_and_bools(scalar):
 
 NAMES = st.text(st.characters() | st.sampled_from('"\\\u2028\xe9\U0001f686'), max_size=8)
 EFFECTS = st.lists(st.builds(SendEffect, NAMES, NAMES), max_size=4).map(tuple)
+
+
+def record_doc(value):
+    """A report or trace record as plain data: each ``NamedTuple`` the dict
+    of its fields, each other tuple or list a list, each metaclass its name."""
+    if isinstance(value, Metaclass):
+        return value.value
+    if hasattr(value, "_asdict"):
+        return {name: record_doc(item) for name, item in value._asdict().items()}
+    if isinstance(value, (tuple, list)):
+        return [record_doc(item) for item in value]
+    return value
+
+
+# Record fields: short non-ASCII text, quotes and control characters.
+FIELD_TEXT = st.text(st.sampled_from('Gate "\\\x00\u2028\xe9\U0001f686'), max_size=4)
+
+
+def _tuples(element):
+    return st.lists(element, max_size=2).map(tuple)
+
+
+TEXTS = _tuples(FIELD_TEXT)
+FIELD_EFFECTS = _tuples(st.builds(SendEffect, FIELD_TEXT, FIELD_TEXT))
+MERGE_ENTRIES = _tuples(st.builds(MergeEntry, FIELD_TEXT, FIELD_TEXT, TEXTS))
+REPORTS = st.builds(
+    CompletionReport,
+    MERGE_ENTRIES,
+    MERGE_ENTRIES,
+    _tuples(st.builds(
+        ConflictRecord, FIELD_TEXT, FIELD_TEXT, st.none() | FIELD_TEXT,
+        _tuples(st.builds(ConflictVariant, FIELD_TEXT, FIELD_EFFECTS, TEXTS)), TEXTS,
+    )),
+    _tuples(st.builds(UnmatchedEntry, FIELD_TEXT, TEXTS)),
+)
+FINDINGS = st.lists(st.builds(Finding, FIELD_TEXT, FIELD_TEXT, FIELD_TEXT, TEXTS), max_size=3)
+TRACE_RECORDS = st.lists(st.builds(
+    TraceRecord, FIELD_TEXT, FIELD_TEXT, FIELD_TEXT,
+    _tuples(st.builds(TraceBinding, FIELD_TEXT, st.sampled_from(Metaclass), FIELD_TEXT)),
+    TEXTS,
+    _tuples(st.builds(SatisfyLink, FIELD_TEXT, st.sampled_from(Metaclass), TEXTS, FIELD_TEXT)),
+), max_size=3)
+
+
+@given(REPORTS, FINDINGS, TRACE_RECORDS)
+def test_report_and_trace_are_the_stdlib_encoding_of_their_records(report, findings, records):
+    """``report.json`` and ``trace.json`` hold each record as the object of
+    its fields, each metaclass as its name, and nothing else."""
+    assert dump_canonical(_report_doc(report, findings)) == stdlib_canonical(
+        {"version": "1", **record_doc(report), "findings": record_doc(findings)}
+    )
+    ordered = sorted(records, key=lambda r: r.requirement_id)
+    assert emit_trace_json(records) == stdlib_canonical(record_doc(ordered))
+
+
+@given(REPORTS, FINDINGS, TRACE_RECORDS)
+def test_dump_canonical_writes_each_record_as_the_object_of_its_fields(report, findings, records):
+    value = (report, findings, tuple(records), list(Metaclass))
+    assert dump_canonical(value) == stdlib_canonical(record_doc(value))
 
 
 @given(NAMES, NAMES, NAMES, st.none() | NAMES, EFFECTS)

@@ -107,7 +107,7 @@ def test_oracle_match_is_loaded_on_first_read():
 def test_oracle_shares_only_records_with_the_matcher():
     """The reference oracle bounds spans, rejoins clauses, cuts the
     elliptical tail and drops repeated binding sets with its own code, so a
-    bug in the matcher's ``SPAN_LIMIT``, ``merge_clauses``,
+    bug in the matcher's span bounds, ``merge_clauses``,
     ``_tail_template`` or ``_binding_key`` cannot hide from the differential
     tests. From ``matcher`` it takes only records."""
     from modcomplete import oracle

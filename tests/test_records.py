@@ -333,6 +333,6 @@ def test_import_creates_no_forward_refs():
     ``typing.ForwardRef``, each of which would ``compile()`` its string."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", COUNT_FORWARD_REFS, src],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["forward refs 0"]
