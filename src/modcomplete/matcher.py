@@ -8,7 +8,9 @@ is deterministic and rigid (no statistical language processing):
 * a slot consumes a span that starts and ends on a non-article, of one
   word up to its metaclass's span bound in ``Mentions.spans`` (at least
   four), resolved through :func:`lookup_elements` against the run's
-  :class:`Mentions`, which ``generator.complete_model`` builds once;
+  :class:`Mentions`, which ``generator.complete_model`` builds once. A
+  clause is searched once per slot state (word, item, scope), so paths
+  that meet there share the maps that finish the clause from it;
 * adjacent parsed clauses may be re-merged (undoing an ``and`` split) when a
   single template spans them, which is how ``and`` inside a noun phrase is
   told apart from ``and`` between clauses. A section's groupings are searched
@@ -258,10 +260,6 @@ def _lookup_exact(index: dict, phrase, metaclass: Metaclass, scope: str | None) 
     return ()
 
 
-def _binding_key(bindings: Iterable[Binding]) -> tuple[tuple[str, str], ...]:
-    return tuple((b.role, b.element) for b in bindings)
-
-
 def _owner_scope(ctx: BindingSet, owner_role: str | None) -> str | None:
     """The element ``ctx`` binds to ``owner_role`` (its last binding), or None."""
     return {b.role: b.element for b in ctx}.get(owner_role)
@@ -283,12 +281,15 @@ def match_clause(
     element. A state slot is looked up in the machine of ``scope``, the
     block the context binds to ``owner_role``, until the clause binds
     ``owner_role`` itself; with neither, it is looked up in every machine.
-    So (word, item, scope) is the whole state of the search.
+    So (word, item, scope) is the whole state of the search. Each slot state
+    is searched once per call, and the maps that finish the clause from it
+    serve every path that reaches it. Each (role, element) assignment is
+    returned once, the first found first.
     """
     words = clause.words
     items = template.items
 
-    maps: dict[tuple, BindingSet] = {}  # binding key -> first map with it
+    memo: dict[tuple, list[BindingSet]] = {}  # slot state -> its suffix maps
     best_failure: ClauseFailure | None = None
 
     def note_failure(ii, wi, detail, role=None, phrase=None):
@@ -296,36 +297,38 @@ def match_clause(
         if best_failure is None or (ii, wi) > best_failure[:2]:
             best_failure = ClauseFailure(ii, wi, detail, role, phrase)
 
-    def step(wi, ii, acc, scope):
-        # Skip the whole run of articles here, once: every nested call then
-        # consumes a template item, so the recursion depth is bounded by
-        # len(items), not by the clause length.
+    def step(wi, ii, scope):
+        # The maps that finish the clause from here, in search order; a
+        # caller only reads the list. Skip the whole run of articles here,
+        # once: every nested call then consumes a template item, so the
+        # recursion depth is bounded by len(items), not by the clause length.
         while wi < len(words) and words[wi].lower in ARTICLES:
             wi += 1
         if ii == len(items):
             if wi == len(words):
-                maps.setdefault(_binding_key(acc), acc)
-            else:
-                trailing = " ".join(t.text for t in words[wi:])
-                note_failure(ii, wi, f"trailing words {trailing!r} fit no template item")
-            return
+                return [()]
+            trailing = " ".join(t.text for t in words[wi:])
+            note_failure(ii, wi, f"trailing words {trailing!r} fit no template item")
+            return []
         item = items[ii]
         if isinstance(item, Literal):
             if wi < len(words) and words[wi].lower == item.word:
-                step(wi + 1, ii + 1, acc, scope)
-            else:
-                got = words[wi].text if wi < len(words) else "end of clause"
-                note_failure(ii, wi, f"expected literal {item.word!r}, got {got!r}")
-            return
+                return step(wi + 1, ii + 1, scope)
+            got = words[wi].text if wi < len(words) else "end of clause"
+            note_failure(ii, wi, f"expected literal {item.word!r}, got {got!r}")
+            return []
         if isinstance(item, OptionalLiteral):
-            if wi < len(words) and words[wi].lower in item.words:
-                step(wi + 1, ii + 1, acc, scope)
-            step(wi, ii + 1, acc, scope)
-            return
-        # slot
+            taken = step(wi + 1, ii + 1, scope) if wi < len(words) and words[wi].lower in item.words else []
+            return taken + step(wi, ii + 1, scope)
+        # slot: paths branch here, so its state is searched once. A repeat
+        # would only note the same failures again, and a tie keeps the first.
+        key = (wi, ii, scope)
+        if key in memo:
+            return memo[key]
+        out = memo[key] = []
         if wi == len(words):
             note_failure(ii, wi, f"clause ended before slot {item.role!r}", role=item.role)
-            return
+            return out
         # A span starts on a non-article (the run before it was skipped)
         # and never ends on one: those articles are skipped by the next step.
         resolved_any = False
@@ -337,22 +340,17 @@ def match_clause(
             for element in lookup_elements(mentions, [t.text for t in span], item.metaclass, scope=scope):
                 resolved_any = True
                 binding = Binding(item.role, item.metaclass, phrase, element)
-                step(wi + length, ii + 1, acc + (binding,),
-                     element if item.role == owner_role else scope)
+                rests = step(wi + length, ii + 1, element if item.role == owner_role else scope)
+                out.extend((binding,) + rest for rest in rests)
         if not resolved_any:
-            note_failure(
-                ii,
-                wi,
-                f"no {item.metaclass.value} matches",
-                role=item.role,
-                phrase=phrase,
-            )
+            note_failure(ii, wi, f"no {item.metaclass.value} matches", role=item.role, phrase=phrase)
+        return out
 
-    step(0, 0, (), scope)
+    maps = _distinct(step(0, 0, scope))
     # ``step`` reaches itself through its closure cell; emptying the cell
-    # lets reference counting free it, with ``maps``.
+    # lets reference counting free it, with ``memo``.
     del step
-    return ClauseMatches(tuple(maps.values()), None if maps else best_failure)
+    return ClauseMatches(tuple(maps), None if maps else best_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +373,7 @@ def _distinct(candidates: Iterable[BindingSet]) -> list[BindingSet]:
     """``candidates`` without repeated (role, element) assignments, first seen first."""
     out: dict[tuple, BindingSet] = {}
     for candidate in candidates:
-        out.setdefault(_binding_key(candidate), candidate)
+        out.setdefault(tuple((b.role, b.element) for b in candidate), candidate)
     return list(out.values())
 
 

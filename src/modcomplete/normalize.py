@@ -111,17 +111,13 @@ def normalize_signal_phrase(phrase: WordSpan) -> frozenset[str]:
     True
     """
     base = core_words(phrase)
-    word_lists = {tuple(base)}
     stripped = list(base)
     while stripped and stripped[-1] in SIGNAL_STOPWORDS:
         stripped.pop()
-    if stripped:
-        word_lists.add(tuple(stripped))
     variants: set[str] = set()
-    for words in word_lists:
-        if not words:
-            continue
-        variants.add("".join(words))
-        variants.add("".join(words[:-1]) + stem_word(words[-1]))
-    return frozenset(v for v in variants if v)
+    for words in (base, stripped):
+        if words:
+            variants.add("".join(words))
+            variants.add("".join(words[:-1]) + stem_word(words[-1]))
+    return frozenset(variants)
 

@@ -25,7 +25,8 @@ from modcomplete import (
 )
 from modcomplete import matcher
 from modcomplete.gherkin import ParseError, RequirementDoc
-from modcomplete.matcher import MetaReqDiagnostic, SpanAmbiguity
+from modcomplete.kb import ClauseTemplate, Literal, OptionalLiteral, SlotPattern
+from modcomplete.matcher import ClauseFailure, ClauseMatches, MetaReqDiagnostic, SpanAmbiguity
 from modcomplete.oracle import _oracle_clause_maps  # white-box: segmentation oracle
 
 from conftest import RAILWAY_REQUIREMENT
@@ -102,6 +103,56 @@ def test_match_clause_only_resolving_split_survives(kb):
     assert [{b.role: b.element for b in m} for m in oracle_maps] == [
         {"context2": "BrakeMonitor", "event": "Halt"}
     ]
+
+
+def test_two_paths_into_one_slot_state_both_finish_in_search_order():
+    """"Pump" then the optional "now", and the span "Pump now" with the
+    optional skipped, both reach the event slot at word 2 and finish there.
+    The reading that skips "now" after "Pump" binds "now Halt" to Halt, a
+    repeat of the first map's (role, element) pairs, so the first map's
+    phrases are kept."""
+    model = small_model(
+        signals=[{"name": "Halt"}],
+        blocks=[{"name": "Pump"}, {"name": "PumpNow"}],
+    )
+    template = ClauseTemplate((SlotPattern(BLOCK, "owner"), OptionalLiteral(("now",)), SlotPattern(SIGNAL, "event")))
+    clause = ast_of("Given Pump now Halt Then x").given[0]
+    result = match_clause(clause, template, Mentions(model))
+    assert [[(b.role, b.phrase, b.element) for b in mp] for mp in result.maps] == [
+        [("owner", "Pump", "Pump"), ("event", "Halt", "Halt")],
+        [("owner", "Pump now", "PumpNow"), ("event", "Halt", "Halt")],
+    ]
+    assert result.failure is None
+    oracle_maps = _oracle_clause_maps(clause, template, model, None, ())
+    assert [[(b.role, b.element) for b in mp] for mp in oracle_maps] == [
+        [("owner", "Pump"), ("event", "Halt")],
+        [("owner", "PumpNow"), ("event", "Halt")],
+    ]
+
+
+def test_split_names_are_searched_once_per_clause_state(monkeypatch):
+    """m × "Emergency Brake" then "end", against 1.5·m block slots and a
+    literal that never matches, with blocks Emergency, Brake and
+    EmergencyBrake. Every slot state (word, item, scope) is searched once,
+    so the lookups grow as m², not exponentially: searching each state
+    again for every path that reaches it would take 79,190 at m = 8."""
+    m = 20
+    model = small_model(blocks=[{"name": n} for n in ("Emergency", "Brake", "EmergencyBrake")])
+    slots = tuple(SlotPattern(BLOCK, f"b{i}") for i in range(3 * m // 2))
+    template = ClauseTemplate(slots + (Literal("zzz"),))
+    clause = ast_of("Given " + "Emergency Brake " * m + "end Then x").given[0]
+    calls = 0
+    real = matcher.lookup_elements
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matcher, "lookup_elements", counting)
+    result = match_clause(clause, template, Mentions(model))
+    assert result == ClauseMatches((), ClauseFailure(3 * m // 2, 2 * m, "expected literal 'zzz', got 'end'"))
+    assert calls == 2180 <= 6 * m * m
 
 
 def test_match_requirement_railway_table(railway_model, railway_ast, kb):

@@ -108,11 +108,11 @@ def test_oracle_shares_only_records_with_the_matcher():
     """The reference oracle bounds spans, rejoins clauses, cuts the
     elliptical tail and drops repeated binding sets with its own code, so a
     bug in the matcher's span bounds, ``merge_clauses``,
-    ``_tail_template`` or ``_binding_key`` cannot hide from the differential
+    ``_tail_template`` or ``_distinct`` cannot hide from the differential
     tests. From ``matcher`` it takes only records."""
     from modcomplete import oracle
 
-    helpers = (matcher.merge_clauses, matcher._tail_template, matcher._binding_key)
+    helpers = (matcher.merge_clauses, matcher._tail_template, matcher._distinct)
     own = (oracle._oracle_join, oracle._oracle_tail, oracle._oracle_unique)
     assert all(mine is not theirs for mine in own for theirs in helpers)
     taken = [alias.name for node in ast.walk(ast.parse(inspect.getsource(oracle)))
