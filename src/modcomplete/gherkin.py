@@ -87,7 +87,7 @@ class DuplicateId(ModcompleteError):
 
 
 class EmptyId(ModcompleteError):
-    """An ``@id:`` tag names no id."""
+    """An ``@id:`` tag names no id, or no requirement follows it."""
 
 
 class InvalidId(ModcompleteError):
@@ -196,7 +196,8 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
         DuplicateId: two blocks resolve to the same requirement id, one tag
             line holds two ``@id:`` tags (glued or empty ones included), or
             two ``@id:`` tag lines have no body text between them.
-        EmptyId: an ``@id:`` tag is followed by no id on its line.
+        EmptyId: an ``@id:`` tag is followed by no id on its line, or by
+            no requirement in the file (raised after the walk).
         InvalidId: an ``@id:`` tag's id holds an ``@``.
     """
     docs: dict[str, RequirementDoc] = {}
@@ -227,4 +228,6 @@ def parse_corpus(text: str) -> list[RequirementDoc]:
             if tag:
                 raise DuplicateId(f"lines {tag[1]} and {line_no}: two @id: tags with no requirement between them")
             tag = found[1], line_no
+    if tag:
+        raise EmptyId(f"line {tag[1]}: @id: tag {tag[0]!r} tags no requirement")
     return list(docs.values())

@@ -13,9 +13,9 @@ is deterministic and rigid (no statistical language processing):
   that meet there share the maps that finish the clause from it;
 * adjacent parsed clauses may be re-merged (undoing an ``and`` split) when a
   single template spans them, which is how ``and`` inside a noun phrase is
-  told apart from ``and`` between clauses. A section's groupings are searched
-  depth-first, so a clause group is matched once per context that reaches
-  it, not once per grouping that starts with it;
+  told apart from ``and`` between clauses. A section is searched one template
+  at a time, keeping each (next clause, bindings) once, so its cost grows
+  with the distinct readings per clause start, not with the groupings;
 * rules are tried in priority order; the first one with a complete binding
   wins, and a complete-but-non-unique binding is an error, never a silent
   pick;
@@ -386,21 +386,19 @@ def _match_section(
     owner_role: str | None,
     ctxs: list[BindingSet],
 ) -> list[BindingSet] | MetaReqDiagnostic:
-    """Thread contexts through one section, grouping its clauses depth-first.
+    """Thread contexts through one section, one template at a time.
 
     Consecutive clauses are grouped, one group per template, with every
     group end tried in increasing order; the last template takes the rest.
-    A group is matched once for each context that reaches it, and only the
-    contexts it extends go on to the next template, so the groupings are
-    visited in lexicographic order without matching a shared prefix again.
-    Returns the distinct extended contexts, or the diagnostic of the failure
-    that got furthest (by template, item, word; the first met on ties).
+    ``runs`` holds one (next clause, contexts) pair per grouping so far, in
+    grouping order, each (next clause, bindings) once, so the cost grows
+    with the distinct readings per clause start. Returns the distinct
+    contexts, first found first, or the diagnostic of the failure that got
+    furthest (by template, item, word; the first met on ties).
     """
-    if not templates:
-        if clauses:
-            return MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section)
-        return list(ctxs)
     n, last = len(clauses), len(templates) - 1
+    if clauses and not templates:
+        return MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section)
     if n < len(templates):
         return MetaReqDiagnostic(
             metareq_id,
@@ -408,33 +406,35 @@ def _match_section(
             section,
         )
 
-    results: list[BindingSet] = []
+    runs = [(0, ctxs)]  # (next clause, contexts), one per grouping so far
     best: tuple[int, ClauseFailure] | None = None  # template index, deepest failure there
-
-    def extend(ti, start, branch):
-        nonlocal best
-        # Leave one clause for each later template; the last takes all the rest.
-        for end in range(start + 1 if ti < last else n, n - last + ti + 1):
-            group = merge_clauses(clauses[start:end])
-            extended = []
-            for ctx in branch:
-                cm = match_clause(group, templates[ti], mentions, owner_role=owner_role,
-                                  scope=_owner_scope(ctx, owner_role))
-                extended.extend(ctx + mp for mp in cm.maps)
-                # A failure beside a fitting context never wins: that context
-                # goes on to yield results or to fail at a later template.
-                failure = cm.failure
-                if failure is not None and (best is None or (ti, *failure[:2]) > (best[0], *best[1][:2])):
-                    best = (ti, failure)
-            if ti == last:
-                results.extend(extended)
-            elif extended:
-                extend(ti + 1, end, extended)
-
-    extend(0, 0, ctxs)
-    del extend  # as ``step`` in match_clause
-    if results:
-        return _distinct(results)
+    for ti, template in enumerate(templates):
+        # A context with the next clause and elements of an earlier one could
+        # only repeat its matches and failures. All bind the same roles in the
+        # same order, so elements alone tell their (role, element) pairs apart.
+        seen, previous, runs = set(), runs, []
+        for start, run in previous:
+            # Leave one clause for each later template; the last takes all the rest.
+            for end in range(start + 1 if ti < last else n, n - last + ti + 1):
+                group = merge_clauses(clauses[start:end])
+                extended = []
+                for ctx in run:
+                    cm = match_clause(group, template, mentions, owner_role=owner_role,
+                                      scope=_owner_scope(ctx, owner_role))
+                    for mp in cm.maps:
+                        key = (end, *[b.element for b in ctx + mp])
+                        if key not in seen:
+                            seen.add(key)
+                            extended.append(ctx + mp)
+                    # A failure beside a fitting context never wins: that context
+                    # goes on to yield results or to fail at a later template.
+                    failure = cm.failure
+                    if failure is not None and (best is None or (ti, *failure[:2]) > (best[0], *best[1][:2])):
+                        best = (ti, failure)
+                if extended:
+                    runs.append((end, extended))
+    if runs:
+        return [ctx for _, run in runs for ctx in run]
     ti, failure = best
     return MetaReqDiagnostic(metareq_id, failure.detail, section, ti, failure.role, failure.phrase)
 

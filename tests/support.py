@@ -16,7 +16,9 @@ from modcomplete import (
     load_model,
     match_requirement,
     oracle_match,
+    parse_kb,
 )
+from modcomplete import matcher
 from modcomplete.gherkin import ParseError, RequirementDoc, parse_requirement
 from modcomplete.kb import (
     ClauseTemplate,
@@ -355,6 +357,57 @@ def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemMod
     return " ".join(words) + "."
 
 
+SECTION_BLOCK_POOL = ["Brake", "Gate", "Pump", "Pump And Gate", "Gate And Brake", "Valve"]
+SECTION_THEN_POOL = [
+    "<<Block as {r}>>",
+    "stops <<Block as {r}>>",
+    "<<Block as {r}>> stops",
+    "goes in <<State as {r}>>",
+    "sends <<Signal as {r}>>",
+]
+
+
+def random_section_case(rng: random.Random) -> tuple[SystemModel, KnowledgeBase, str]:
+    """A (model, rule, text) case for section grouping: one to six Then
+    templates, block names holding "And" (so a name splits into clauses the
+    matcher re-merges), and in half the cases a Given of two adjacent block
+    slots, which reads two ways when a name's words can go to either slot."""
+    names = rng.sample(SECTION_BLOCK_POOL, rng.randint(2, 5))
+    doc = {
+        "version": "1",
+        "name": "Sections",
+        "signals": [{"name": "Halt"}, {"name": "Stop"}],
+        "blocks": [
+            {"name": name, "state_machine": {"states": ["s1", "s2"], "transitions": []}}
+            if i == 0 or rng.random() < 0.5 else {"name": name}
+            for i, name in enumerate(names)
+        ],
+    }
+    model = load_model(json.dumps(doc))
+    two_way = rng.random() < 0.5
+    given = "<<Block as owner>> <<Block as other>> in <<State as src>>" if two_way else (
+        "<<Block as owner>> in <<State as src>>"
+    )
+    then = [rng.choice(SECTION_THEN_POOL).format(r=f"t{i}") for i in range(rng.randint(1, 6))]
+    kb = parse_kb(
+        f'metareq M -> F:\n  given: "{given}"\n'
+        + "".join(f'  then:  "{template}"\n' for template in then)
+        + "fragment F:\n  owner: owner  source: src  target: src\n"
+    )
+    fillers = {
+        "Block": lambda: _render_block(rng, rng.choice(names)),
+        "State": lambda: rng.choice(["s1", "s2"]),
+        "Signal": lambda: rng.choice(["Halt", "Stop", "Ghost"]),
+    }
+    slot = re.compile(r"<<(\w+) as \w+>>")
+    clauses = [slot.sub(lambda m: fillers[m.group(1)](), template) for template in then]
+    for _ in range(rng.choice([0, 0, 1, 2])):  # extra clauses a slot may absorb
+        clauses.insert(rng.randint(0, len(clauses)), fillers["Block"]())
+    words = " ".join(_render_block(rng, rng.choice(names)) for _ in range(1 + two_way))
+    text = f"Given {words} in {rng.choice(['s1', 's2'])}, Then " + " and ".join(clauses) + "."
+    return model, kb, text
+
+
 def sized_rule(items: int, templates: int) -> str:
     """A rule whose first Then template has ``items`` items and whose Then
     section has ``templates`` templates."""
@@ -402,6 +455,51 @@ def _reference_lookup_exact(
             if normalize_phrase(state) == form:
                 found.append(state)
     return found
+
+
+def reference_match_section(
+    metareq_id, section, clauses, templates, mentions, owner_role, ctxs
+) -> list | matcher.MetaReqDiagnostic:
+    """``matcher._match_section`` as a depth-first recursion over groupings:
+    each group is matched once per context that reaches it, and the results
+    of every grouping are de-duplicated at the end. The reference whose
+    contexts (in order, with phrases) and diagnostics the table must equal."""
+    if not templates:
+        if clauses:
+            return matcher.MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section)
+        return list(ctxs)
+    n, last = len(clauses), len(templates) - 1
+    if n < len(templates):
+        return matcher.MetaReqDiagnostic(
+            metareq_id,
+            f"rule expects {len(templates)} {section} clause(s), requirement has {n}",
+            section,
+        )
+    results: list = []
+    best = None  # template index, deepest failure there
+
+    def extend(ti, start, branch):
+        nonlocal best
+        for end in range(start + 1 if ti < last else n, n - last + ti + 1):
+            group = matcher.merge_clauses(clauses[start:end])
+            extended = []
+            for ctx in branch:
+                cm = matcher.match_clause(group, templates[ti], mentions, owner_role=owner_role,
+                                          scope=matcher._owner_scope(ctx, owner_role))
+                extended.extend(ctx + mp for mp in cm.maps)
+                failure = cm.failure
+                if failure is not None and (best is None or (ti, *failure[:2]) > (best[0], *best[1][:2])):
+                    best = (ti, failure)
+            if ti == last:
+                results.extend(extended)
+            elif extended:
+                extend(ti + 1, end, extended)
+
+    extend(0, 0, ctxs)
+    if results:
+        return matcher._distinct(results)
+    ti, failure = best
+    return matcher.MetaReqDiagnostic(metareq_id, failure.detail, section, ti, failure.role, failure.phrase)
 
 
 def reference_template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:

@@ -245,6 +245,12 @@ def _empty_tag_corpus(tmp_path: Path) -> dict[str, str]:
     return {"--reqs": str(reqs)}
 
 
+def _trailing_tag_corpus(tmp_path: Path) -> dict[str, str]:
+    reqs = tmp_path / "reqs.feature"
+    reqs.write_text(f"Scenario: A\n{RAILWAY_REQUIREMENT}\nScenario: B\n@id: R2\n", encoding="utf-8")
+    return {"--reqs": str(reqs)}
+
+
 @pytest.mark.parametrize("command", ["check", "complete"])
 @pytest.mark.parametrize("make_input, message", [
     (_dangling_part_model, "$.blocks[0].parts[0]: part 'Ghost' is not a block"),
@@ -252,11 +258,12 @@ def _empty_tag_corpus(tmp_path: Path) -> dict[str, str]:
     (_doubly_tagged_corpus, "lines 2 and 4: two @id: tags with no requirement between them"),
     (_empty_tag_corpus, "line 2: @id: tag names no id"),
     (_glued_tag_corpus, "line 2: @id: tag 'R1@smoke' holds '@'"),
-], ids=["dangling-part", "repeated-id", "two-tags", "empty-tag", "glued-tag"])
+    (_trailing_tag_corpus, "line 4: @id: tag 'R2' tags no requirement"),
+], ids=["dangling-part", "repeated-id", "two-tags", "empty-tag", "glued-tag", "trailing-tag"])
 def test_an_invalid_model_or_corpus_is_exit_1(tmp_path, capsys, command, make_input, message):
     """A model that fails validation and a corpus that repeats an ``@id:``,
-    leaves one empty or glues a tag to one end like an unreadable input:
-    exit 1, one error line, nothing written."""
+    leaves one empty, glues a tag to one or ends on one end like an
+    unreadable input: exit 1, one error line, nothing written."""
     assert main(io_argv(tmp_path, command, make_input(tmp_path))) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]

@@ -200,6 +200,7 @@ def _requirement(text):
         (parse_corpus, "@id:A@id:B\nGiven a Then b\n", DuplicateId, "line 1: two @id: tags on one line"),
         (parse_corpus, "@id: @id: B\nGiven a Then b\n", DuplicateId, "line 1: two @id: tags on one line"),
         (parse_corpus, "Given a Then b\n@id:\nGiven c Then d\n", EmptyId, "line 2: @id: tag names no id"),
+        (parse_corpus, "Given a Then b\n@id:B\n", EmptyId, "line 2: @id: tag 'B' tags no requirement"),
         (parse_corpus, "Given a Then b\n\n@id:A@smoke\nGiven c Then d\n", InvalidId,
          "line 3: @id: tag 'A@smoke' holds '@'"),
     ],

@@ -38,6 +38,8 @@ from support import (
     random_model,
     random_multi_kb,
     random_requirement,
+    random_section_case,
+    reference_match_section,
     rendered_requirement,
     semantic,
 )
@@ -717,19 +719,34 @@ def test_outcome_ambiguity_is_listed_once_per_ambiguous_phrase(
     )
 
 
-def test_a_clause_group_is_matched_once_per_context(monkeypatch):
-    """Only one-clause groups fit here, so each (template, first clause) is
-    reached by one context and the search makes at most n·k·(n−k+1)
-    match_clause calls. Matching every grouping again (C(n−1, k−1) = 33,649
-    of them) made 42,505."""
-    n, k = 24, 6
+GOES_IN = "<<Block as b{i}>> goes in <<State as s{i}>>"
+
+
+@pytest.mark.parametrize(
+    "template, clauses, k, then_phrases, trailing",
+    [
+        (GOES_IN, ["Pump goes in On"] * 24, 6, None, " ".join(["and Pump goes in On"] * 18)),
+        ("<<Block as b{i}>>", ["Pump"] * 30, 20, ["Pump"] * 10 + ["Pump and Pump"] * 10, None),
+        ("<<Block as b{i}>>", ["Pump"] * 30 + ["Valve"], 20, None,
+         " ".join(["and Pump"] * 9 + ["and Valve"])),
+    ],
+    ids=["24x6", "30x20", "30x20-valve"],
+)
+def test_a_clause_group_is_matched_once_per_context(monkeypatch, template, clauses, k, then_phrases, trailing):
+    """Each (next clause, bindings) is kept once per template, so the search
+    makes at most k·(n−k+1)² match_clause calls for n clauses. A span may
+    absorb "Pump and Pump", so in the "Pump" rows one- and two-clause groups
+    both fit and every grouping reads the same: matching each grouping's
+    groups once per context that reached them made 1,732,099 calls on
+    30x20 and 2,288,172 with the "Valve" tail."""
+    n = len(clauses)
     model = small_model(
         blocks=[{"name": "Pump", "state_machine": {"states": ["Off", "On"], "transitions": []}}]
     )
     rules = parse_kb(
         'metareq M -> F:\n  given: "<<Block as owner>> in <<State as src>>"\n'
-        + "".join(f'  then:  "<<Block as b{i}>> goes in <<State as s{i}>>"\n' for i in range(k))
-        + "fragment F:\n  owner: owner  source: src  target: s0\n"
+        + "".join(f'  then:  "{template.format(i=i)}"\n' for i in range(k))
+        + "fragment F:\n  owner: owner  source: src  target: src\n"
     )
     calls = 0
     real = matcher.match_clause
@@ -740,15 +757,68 @@ def test_a_clause_group_is_matched_once_per_context(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(matcher, "match_clause", counting)
-    text = "Given Pump in Off, Then " + " and ".join(["Pump goes in On"] * n) + "."
-    with pytest.raises(NoMatch) as info:
-        match_requirement(ast_of(text), rules, model)
-    assert calls <= n * k * (n - k + 1)
-    # The last template gets the 19 clauses left by five one-clause groups.
-    trailing = " ".join(["and Pump goes in On"] * (n - k))
-    assert info.value.diagnostics == (
-        MetaReqDiagnostic("M", f"trailing words {trailing!r} fit no template item", "then", 5),
+    ast = ast_of("Given Pump in Off, Then " + " and ".join(clauses) + ".")
+    if then_phrases is not None:
+        result = match_requirement(ast, rules, model)
+        assert [b.phrase for b in result.bindings] == ["Pump", "Off"] + then_phrases
+        assert {b.element for b in result.bindings[2:]} == {"Pump"}
+    else:
+        with pytest.raises(NoMatch) as info:
+            match_requirement(ast, rules, model)
+        # The first grouping that fails deepest gives its last template the rest.
+        assert info.value.diagnostics == (
+            MetaReqDiagnostic("M", f"trailing words {trailing!r} fit no template item", "then", k - 1),
+        )
+    assert calls <= k * (n - k + 1) ** 2
+
+
+def _sections_as_reference(ast, metareq, model) -> int:
+    """Thread each section of ``ast`` through ``_match_section`` and through
+    the depth-first reference; their contexts (in order, with phrases) or
+    diagnostics must be equal. Returns how many Then contexts were found."""
+    mentions, owner, ctxs = Mentions(model), metareq.fragment.owner_role, [()]
+    for section in ("given", "when", "then"):
+        args = (metareq.id, section, getattr(ast, section), getattr(metareq, section), mentions, owner, ctxs)
+        ctxs = matcher._match_section(*args)
+        assert ctxs == reference_match_section(*args), (section, ast)
+        if isinstance(ctxs, MetaReqDiagnostic):
+            return 0
+    return len(ctxs)
+
+
+def test_section_search_keeps_the_depth_first_contexts_and_diagnostics():
+    """On random sections (``random_multi_kb`` rules, and ``random_section_case``
+    with block names holding "And" and Givens read two ways) and on a fixed
+    case whose groupings reach clause starts out of order, so that runs
+    sorted by start would reorder its ten binding sets."""
+    rng = random.Random(35)
+    found = []
+    for i in range(2400):
+        if i % 2:
+            model, kb = random_model(rng), random_multi_kb(rng)
+            text = rendered_requirement(rng, kb, model)
+        else:
+            model, kb, text = random_section_case(rng)
+        try:
+            ast = ast_of(text)
+        except ParseError:
+            continue
+        found.extend(_sections_as_reference(ast, metareq, model) for metareq in kb.metareqs)
+    assert sum(n > 0 for n in found) >= len(found) // 5
+    assert sum(n > 1 for n in found) >= 40
+
+    model = small_model(signals=[], blocks=[
+        {"name": name, "state_machine": {"states": ["s1", "s2"], "transitions": []}}
+        for name in ["Brake", "Gate", "Gate And Brake"]
+    ] + [{"name": "Pump"}])
+    then = ["stops <<Block as t0>>"] + [f"<<Block as t{i}>>" for i in (1, 2, 3)] + ["<<Block as t4>> stops"]
+    rules = parse_kb(
+        'metareq M -> F:\n  given: "<<Block as owner>> in <<State as src>>"\n'
+        + "".join(f'  then:  "{template}"\n' for template in then)
+        + "fragment F:\n  owner: owner  source: src  target: src\n"
     )
+    text = "Given Gate in s2, Then stops Gate And Brake and Gate And Brake and Pump and the Gate and the Brake stops."
+    assert _sections_as_reference(ast_of(text), rules.metareqs[0], model) == 10
 
 
 def test_a_failure_beside_a_match_in_one_clause_group_is_not_reported():
