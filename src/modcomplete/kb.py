@@ -125,9 +125,9 @@ _ITEM_RE = re.compile(
 )
 _FRAG_KEY_RE = re.compile(r"\b(owner|source|target|trigger|effect)\s*:")
 
-#: The most items one template keeps (article words are not kept), and the
-#: most templates one section of a metareq holds. The matcher recurses once
-#: per item and once per template.
+#: The most items the templates of one section of a metareq keep together
+#: (article words are not kept). The matcher reads a section as one clause
+#: against its templates joined, and recurses once per item.
 SIZE_LIMIT = 100
 
 
@@ -160,8 +160,6 @@ def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemp
                 items.append(Literal(word))
     if not any(isinstance(i, SlotPattern) for i in items):
         raise KBSyntaxError(f"{kind} template declares no slot", line_no, col0)
-    if len(items) > SIZE_LIMIT:
-        raise KBSyntaxError(f"{kind} template has {len(items)} items, more than {SIZE_LIMIT}", line_no, col0)
     return ClauseTemplate(tuple(items))
 
 
@@ -207,7 +205,7 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     Raises:
         KBSyntaxError: a malformed line, template or block, a repeated id,
-            a template or section larger than ``SIZE_LIMIT``, or, as its
+            a section of more than ``SIZE_LIMIT`` items, or, as its
             subclasses ``UnknownFragment``, ``UntypedRole`` and
             ``DuplicateRole``, a fault of step 3 at the rule's header line.
     """
@@ -252,9 +250,10 @@ def parse_kb(text: str) -> KnowledgeBase:
                 raise KBSyntaxError("clause template outside a metareq block", line_no)
             kind, body = m.groups()
             section = rules[rule][2][("given", "when", "then").index(kind)]
-            if len(section) == SIZE_LIMIT:
-                raise KBSyntaxError(f"more than {SIZE_LIMIT} {kind} templates in one metareq", line_no)
-            section.append(_parse_template(kind, body, line_no, raw.index('"') + 2))
+            col = raw.index('"') + 2
+            section.append(_parse_template(kind, body, line_no, col))
+            if (size := sum(len(t.items) for t in section)) > SIZE_LIMIT:
+                raise KBSyntaxError(f"{kind} section has {size} items, more than {SIZE_LIMIT}", line_no, col)
             continue
         if fragment is None:
             raise KBSyntaxError(f"unrecognized line {stripped!r}", line_no)

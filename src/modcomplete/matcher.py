@@ -11,11 +11,10 @@ is deterministic and rigid (no statistical language processing):
   :class:`Mentions`, which ``generator.complete_model`` builds once. A
   clause is searched once per slot state (word, item, scope), so paths
   that meet there share the maps that finish the clause from it;
-* adjacent parsed clauses may be re-merged (undoing an ``and`` split) when a
-  single template spans them, which is how ``and`` inside a noun phrase is
-  told apart from ``and`` between clauses. A section is searched one template
-  at a time, keeping each (next clause, bindings) once, so its cost grows
-  with the distinct readings per clause start, not with the groupings;
+* a section is read as one clause: its clauses merged (undoing the ``and``
+  splits) against its templates joined by ``and``. Each ``and`` then reads
+  as a template boundary or as a word inside a noun phrase, and the slot
+  states bound the search of every grouping at once;
 * rules are tried in priority order; the first one with a complete binding
   wins, and a complete-but-non-unique binding is an error, never a silent
   pick;
@@ -30,7 +29,7 @@ from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ModcompleteError
-from .gherkin import Clause, RequirementAST, Token
+from .gherkin import KEYWORDS, Clause, RequirementAST, Token
 from .kb import ClauseTemplate, KnowledgeBase, Literal, MetaReq, OptionalLiteral, SlotPattern
 from .model import Metaclass, SystemModel
 from .normalize import ARTICLES, core_words, normalize_phrase, normalize_signal_phrase
@@ -96,8 +95,9 @@ class SpanAmbiguity(NamedTuple):
 
 
 class ClauseFailure(NamedTuple):
-    """Deepest failure point while matching one clause against a template;
-    its first two fields are how far the match got."""
+    """Furthest failure point while matching one clause against a template;
+    its first two fields are how far the match got, and they alone fix the
+    rest."""
 
     item_index: int
     word_index: int
@@ -265,6 +265,10 @@ def _owner_scope(ctx: BindingSet, owner_role: str | None) -> str | None:
     return {b.role: b.element for b in ctx}.get(owner_role)
 
 
+# A KB template holds no keyword, so this literal only joins templates.
+_BOUNDARY = Literal("and")
+
+
 def match_clause(
     clause: Clause,
     template: ClauseTemplate,
@@ -284,73 +288,89 @@ def match_clause(
     So (word, item, scope) is the whole state of the search. Each slot state
     is searched once per call, and the maps that finish the clause from it
     serve every path that reaches it. Each (role, element) assignment is
-    returned once, the first found first.
+    returned once, the first found first. Without a map, the failure is the
+    one furthest into the template, by (item, word).
     """
     words = clause.words
     items = template.items
 
     memo: dict[tuple, list[BindingSet]] = {}  # slot state -> its suffix maps
-    best_failure: ClauseFailure | None = None
-
-    def note_failure(ii, wi, detail, role=None, phrase=None):
-        nonlocal best_failure
-        if best_failure is None or (ii, wi) > best_failure[:2]:
-            best_failure = ClauseFailure(ii, wi, detail, role, phrase)
+    furthest = (-1, -1)  # (item, word) of the furthest failure
 
     def step(wi, ii, scope):
         # The maps that finish the clause from here, in search order; a
         # caller only reads the list. Skip the whole run of articles here,
         # once: every nested call then consumes a template item, so the
         # recursion depth is bounded by len(items), not by the clause length.
+        nonlocal furthest
         while wi < len(words) and words[wi].lower in ARTICLES:
             wi += 1
         if ii == len(items):
             if wi == len(words):
                 return [()]
-            trailing = " ".join(t.text for t in words[wi:])
-            note_failure(ii, wi, f"trailing words {trailing!r} fit no template item")
+            furthest = max(furthest, (ii, wi))
             return []
         item = items[ii]
         if isinstance(item, Literal):
             if wi < len(words) and words[wi].lower == item.word:
                 return step(wi + 1, ii + 1, scope)
-            got = words[wi].text if wi < len(words) else "end of clause"
-            note_failure(ii, wi, f"expected literal {item.word!r}, got {got!r}")
+            furthest = max(furthest, (ii, wi))
             return []
         if isinstance(item, OptionalLiteral):
             taken = step(wi + 1, ii + 1, scope) if wi < len(words) and words[wi].lower in item.words else []
             return taken + step(wi, ii + 1, scope)
-        # slot: paths branch here, so its state is searched once. A repeat
-        # would only note the same failures again, and a tie keeps the first.
+        # slot: paths branch here, so its state is searched once, and its
+        # maps are kept once per (role, element) assignment.
         key = (wi, ii, scope)
         if key in memo:
             return memo[key]
-        out = memo[key] = []
-        if wi == len(words):
-            note_failure(ii, wi, f"clause ended before slot {item.role!r}", role=item.role)
-            return out
+        out = []
         # A span starts on a non-article (the run before it was skipped)
         # and never ends on one: those articles are skipped by the next step.
-        resolved_any = False
         for length in range(1, min(mentions.spans[item.metaclass], len(words) - wi) + 1):
             span = words[wi : wi + length]
             if span[-1].lower in ARTICLES:
                 continue
             phrase = " ".join(t.text for t in span)
             for element in lookup_elements(mentions, [t.text for t in span], item.metaclass, scope=scope):
-                resolved_any = True
                 binding = Binding(item.role, item.metaclass, phrase, element)
                 rests = step(wi + length, ii + 1, element if item.role == owner_role else scope)
                 out.extend((binding,) + rest for rest in rests)
-        if not resolved_any:
-            note_failure(ii, wi, f"no {item.metaclass.value} matches", role=item.role, phrase=phrase)
+        if not out:
+            furthest = max(furthest, (ii, wi))
+        memo[key] = out = _distinct(out) if len(out) > 1 else out
         return out
 
     maps = _distinct(step(0, 0, scope))
     # ``step`` reaches itself through its closure cell; emptying the cell
     # lets reference counting free it, with ``memo``.
     del step
-    return ClauseMatches(tuple(maps), None if maps else best_failure)
+    return ClauseMatches(tuple(maps), None if maps else _failure_at(words, items, mentions, *furthest))
+
+
+def _failure_at(words: Sequence[Token], items: Sequence, mentions: Mentions, ii: int, wi: int) -> ClauseFailure:
+    """Why the search fails at (item ``ii``, word ``wi``), which nothing else
+    decides. A connective (a keyword left in a merged clause) ends a clause:
+    a literal or a slot meets the end there, a slot's phrase stops before
+    it, and a template whose clause goes on leaves the words up to it."""
+    if ii == len(items):  # the last template's clause runs to the end
+        item, end = _BOUNDARY, len(words)
+    else:
+        item = items[ii]
+        end = next((i for i in range(wi, len(words)) if words[i].lower in KEYWORDS), len(words))
+    if item == _BOUNDARY and wi < end:
+        trailing = " ".join(t.text for t in words[wi:end])
+        return ClauseFailure(ii, wi, f"trailing words {trailing!r} fit no template item")
+    if isinstance(item, Literal):
+        got = words[wi].text if wi < end else "end of clause"
+        return ClauseFailure(ii, wi, f"expected literal {item.word!r}, got {got!r}")
+    if wi == end:
+        return ClauseFailure(ii, wi, f"clause ended before slot {item.role!r}", item.role)
+    stop = min(wi + mentions.spans[item.metaclass], end)
+    while words[stop - 1].lower in ARTICLES:
+        stop -= 1
+    phrase = " ".join(t.text for t in words[wi:stop])
+    return ClauseFailure(ii, wi, f"no {item.metaclass.value} matches", item.role, phrase)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +380,8 @@ def match_clause(
 
 def merge_clauses(clauses: Sequence[Clause]) -> Clause:
     """Undo connective splits: rejoin clauses, demoting separators to words."""
-    if len(clauses) == 1:
-        return clauses[0]
-    words: list[Token] = list(clauses[0].words)
-    for clause in clauses[1:]:
-        words.append(clause.lead)
-        words.extend(clause.words)
-    return Clause(tuple(words), clauses[0].lead)
+    words = clauses[0].words + tuple(t for clause in clauses[1:] for t in (clause.lead, *clause.words))
+    return Clause(words, clauses[0].lead)
 
 
 def _distinct(candidates: Iterable[BindingSet]) -> list[BindingSet]:
@@ -386,56 +401,34 @@ def _match_section(
     owner_role: str | None,
     ctxs: list[BindingSet],
 ) -> list[BindingSet] | MetaReqDiagnostic:
-    """Thread contexts through one section, one template at a time.
+    """Thread contexts through one section, read as one clause.
 
-    Consecutive clauses are grouped, one group per template, with every
-    group end tried in increasing order; the last template takes the rest.
-    ``runs`` holds one (next clause, contexts) pair per grouping so far, in
-    grouping order, each (next clause, bindings) once, so the cost grows
-    with the distinct readings per clause start. Returns the distinct
-    contexts, first found first, or the diagnostic of the failure that got
-    furthest (by template, item, word; the first met on ties).
+    The section's clauses are merged and its templates joined by ``and``;
+    the clauses are joined only by ``and`` too, so each one reads either as
+    a template boundary or as a word of a span: every grouping of clauses
+    into templates. Returns each context extended by each of its maps, in
+    order, or the diagnostic of the failure furthest into the section (by
+    item of the joined template, then word), at the template it fell in.
     """
-    n, last = len(clauses), len(templates) - 1
-    if clauses and not templates:
-        return MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section)
-    if n < len(templates):
+    if not templates:
+        return MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section) if clauses else ctxs
+    if len(clauses) < len(templates):
         return MetaReqDiagnostic(
             metareq_id,
-            f"rule expects {len(templates)} {section} clause(s), requirement has {n}",
+            f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}",
             section,
         )
-
-    runs = [(0, ctxs)]  # (next clause, contexts), one per grouping so far
-    best: tuple[int, ClauseFailure] | None = None  # template index, deepest failure there
-    for ti, template in enumerate(templates):
-        # A context with the next clause and elements of an earlier one could
-        # only repeat its matches and failures. All bind the same roles in the
-        # same order, so elements alone tell their (role, element) pairs apart.
-        seen, previous, runs = set(), runs, []
-        for start, run in previous:
-            # Leave one clause for each later template; the last takes all the rest.
-            for end in range(start + 1 if ti < last else n, n - last + ti + 1):
-                group = merge_clauses(clauses[start:end])
-                extended = []
-                for ctx in run:
-                    cm = match_clause(group, template, mentions, owner_role=owner_role,
-                                      scope=_owner_scope(ctx, owner_role))
-                    for mp in cm.maps:
-                        key = (end, *[b.element for b in ctx + mp])
-                        if key not in seen:
-                            seen.add(key)
-                            extended.append(ctx + mp)
-                    # A failure beside a fitting context never wins: that context
-                    # goes on to yield results or to fail at a later template.
-                    failure = cm.failure
-                    if failure is not None and (best is None or (ti, *failure[:2]) > (best[0], *best[1][:2])):
-                        best = (ti, failure)
-                if extended:
-                    runs.append((end, extended))
-    if runs:
-        return [ctx for _, run in runs for ctx in run]
-    ti, failure = best
+    clause = merge_clauses(clauses)
+    joined = ClauseTemplate(sum(((_BOUNDARY, *t.items) for t in templates[1:]), templates[0].items))
+    out, failures = [], []
+    for ctx in ctxs:
+        cm = match_clause(clause, joined, mentions, owner_role=owner_role, scope=_owner_scope(ctx, owner_role))
+        out.extend(ctx + mp for mp in cm.maps)
+        failures.append(cm.failure)  # None where the context fits
+    if out:
+        return out
+    failure = max(failures, key=lambda f: f[:2])
+    ti = joined.items[: failure.item_index].count(_BOUNDARY)
     return MetaReqDiagnostic(metareq_id, failure.detail, section, ti, failure.role, failure.phrase)
 
 

@@ -19,7 +19,7 @@ from modcomplete import (
     parse_kb,
 )
 from modcomplete import matcher
-from modcomplete.gherkin import ParseError, RequirementDoc, parse_requirement
+from modcomplete.gherkin import KEYWORDS, ParseError, RequirementDoc, parse_requirement
 from modcomplete.kb import (
     ClauseTemplate,
     Literal,
@@ -29,7 +29,9 @@ from modcomplete.kb import (
     SlotPattern,
 )
 from modcomplete.model import Metaclass, SchemaError, SendEffect, Transition
+from modcomplete.oracle import _oracle_span_bound
 from modcomplete.normalize import (
+    ARTICLES,
     core_words,
     normalize_phrase,
     normalize_signal_phrase,
@@ -460,10 +462,12 @@ def _reference_lookup_exact(
 def reference_match_section(
     metareq_id, section, clauses, templates, mentions, owner_role, ctxs
 ) -> list | matcher.MetaReqDiagnostic:
-    """``matcher._match_section`` as a depth-first recursion over groupings:
-    each group is matched once per context that reaches it, and the results
-    of every grouping are de-duplicated at the end. The reference whose
-    contexts (in order, with phrases) and diagnostics the table must equal."""
+    """A section's search as a depth-first recursion over groupings of its
+    clauses into templates: each group is matched once per context that
+    reaches it, and the results of every grouping are de-duplicated at the
+    end. ``matcher._match_section`` must give the same outcome kind, the
+    same contexts as a multiset (phrases included), and the same
+    diagnostic where a rule expects more or fewer clauses."""
     if not templates:
         if clauses:
             return matcher.MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section)
@@ -500,6 +504,89 @@ def reference_match_section(
         return matcher._distinct(results)
     ti, failure = best
     return matcher.MetaReqDiagnostic(metareq_id, failure.detail, section, ti, failure.role, failure.phrase)
+
+
+def reference_section_failure(
+    metareq_id, section, clauses, templates, model, owner_role, ctxs
+) -> matcher.MetaReqDiagnostic:
+    """Why a section that has a clause per template fits no context, found
+    without ``match_clause``: a breadth-first walk over (joined item, section
+    word, owner scope) states from every context, the section's words read
+    against its templates joined by ``and``. The failing state furthest in,
+    by (item, word), gives the diagnostic, at the template it falls in. A
+    keyword left in the words ends a clause in its text."""
+    words, items, boundaries = list(clauses[0].words), [], set()
+    for clause in clauses[1:]:
+        words += [clause.lead, *clause.words]
+    for template in templates:
+        if items:
+            boundaries.add(len(items))
+            items.append(Literal("and"))
+        items.extend(template.items)
+
+    def skip_articles(wi):
+        while wi < len(words) and words[wi].lower in ARTICLES:
+            wi += 1
+        return wi
+
+    def owner_of(ctx):
+        return next((b.element for b in ctx if b.role == owner_role), None)
+
+    frontier = {(0, skip_articles(0), owner_of(ctx)) for ctx in ctxs}
+    seen, failures = set(), []
+    while frontier:
+        seen |= frontier
+        reached = set()
+        for ii, wi, scope in frontier:
+            if ii == len(items):
+                if wi < len(words):
+                    failures.append((ii, wi))
+                continue
+            item = items[ii]
+            has_word = wi < len(words)
+            if isinstance(item, Literal):
+                if has_word and words[wi].lower == item.word:
+                    reached.add((ii + 1, skip_articles(wi + 1), scope))
+                else:
+                    failures.append((ii, wi))
+            elif isinstance(item, OptionalLiteral):
+                reached.add((ii + 1, wi, scope))
+                if has_word and words[wi].lower in item.words:
+                    reached.add((ii + 1, skip_articles(wi + 1), scope))
+            else:
+                resolved = False
+                for stop in range(wi + 1, min(wi + _oracle_span_bound(model, item.metaclass), len(words)) + 1):
+                    if words[stop - 1].lower in ARTICLES:
+                        continue
+                    for element in reference_lookup_elements(
+                        model, [t.text for t in words[wi:stop]], item.metaclass, scope
+                    ):
+                        resolved = True
+                        reached.add((ii + 1, skip_articles(stop), element if item.role == owner_role else scope))
+                if not resolved:
+                    failures.append((ii, wi))
+        frontier = reached - seen
+
+    ii, wi = max(failures)
+    clause_end = next((i for i in range(wi, len(words)) if words[i].lower in KEYWORDS), len(words))
+    role = phrase = None
+    if ii == len(items):
+        reason = f"trailing words {' '.join(t.text for t in words[wi:])!r} fit no template item"
+    elif ii in boundaries and wi < len(words):
+        reason = f"trailing words {' '.join(t.text for t in words[wi:clause_end])!r} fit no template item"
+    elif isinstance(items[ii], Literal):
+        got = words[wi].text if wi < clause_end else "end of clause"
+        reason = f"expected literal {items[ii].word!r}, got {got!r}"
+    elif wi == clause_end:
+        role, reason = items[ii].role, f"clause ended before slot {items[ii].role!r}"
+    else:
+        last = min(wi + _oracle_span_bound(model, items[ii].metaclass), clause_end)
+        while words[last - 1].lower in ARTICLES:
+            last -= 1
+        role, reason = items[ii].role, f"no {items[ii].metaclass.value} matches"
+        phrase = " ".join(t.text for t in words[wi:last])
+    template_index = sum(b < ii for b in boundaries)
+    return matcher.MetaReqDiagnostic(metareq_id, reason, section, template_index, role, phrase)
 
 
 def reference_template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:

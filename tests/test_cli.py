@@ -751,17 +751,17 @@ def test_kb_lint_rule_with_thirty_optional_literals(tmp_path, capsys, gos, code)
 # templates; a Then section that spells it out; and the error for the rule.
 OVERSIZED_RULES = {
     "items": (sized_rule(1103, 1), "goes in braking" + " go" * 1100,
-              "line 3, column 11: then template has 1103 items, more than 100"),
+              "line 3, column 11: then section has 1103 items, more than 100"),
     "templates": (sized_rule(3, 1100), "goes in braking" + " and Train stops" * 1099,
-                  "line 103, column 1: more than 100 then templates in one metareq"),
+                  "line 52, column 11: then section has 101 items, more than 100"),
 }
 
 
 @pytest.mark.parametrize("shape", ["items", "templates"])
 @pytest.mark.parametrize("command", ["check", "complete", "kb-lint"])
 def test_an_oversized_rule_is_one_error_line(tmp_path, capsys, command, shape):
-    """The matcher recurses once per template item and once per template,
-    so ``parse_kb`` refuses a rule past the limit before any matching."""
+    """The matcher recurses once per item of a section, so ``parse_kb``
+    refuses a rule past the limit before any matching."""
     kb_text, then, error = OVERSIZED_RULES[shape]
     kb, reqs = tmp_path / "kb.txt", tmp_path / "reqs.feature"
     kb.write_text(kb_text, encoding="utf-8")

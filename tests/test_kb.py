@@ -242,13 +242,13 @@ def test_each_rule_error_names_its_metareq_line(text, error, line, message):
 
 
 def test_a_rule_may_reach_the_size_limit():
-    (metareq,) = parse_kb(sized_rule(100, 100)).metareqs
-    assert len(metareq.then) == 100 and len(metareq.then[0].items) == 100
+    (metareq,) = parse_kb(sized_rule(10, 46)).metareqs
+    assert len(metareq.then) == 46 and sum(len(t.items) for t in metareq.then) == SIZE_LIMIT
 
 
 @pytest.mark.parametrize("items, templates, line, message", [
-    (101, 1, 3, "then template has 101 items, more than 100"),
-    (3, 101, 103, "more than 100 then templates in one metareq"),
+    (101, 1, 3, "then section has 101 items, more than 100"),
+    (3, 50, 52, "then section has 101 items, more than 100"),
 ])
 def test_a_rule_past_the_size_limit_is_rejected_with_its_line(items, templates, line, message):
     with pytest.raises(KBSyntaxError) as info:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, reject, strategies as st
@@ -25,7 +26,7 @@ from modcomplete import (
 )
 from modcomplete import matcher
 from modcomplete.gherkin import ParseError, RequirementDoc
-from modcomplete.kb import ClauseTemplate, Literal, OptionalLiteral, SlotPattern
+from modcomplete.kb import SIZE_LIMIT, ClauseTemplate, KBSyntaxError, Literal, OptionalLiteral, SlotPattern
 from modcomplete.matcher import ClauseFailure, ClauseMatches, MetaReqDiagnostic, SpanAmbiguity
 from modcomplete.oracle import _oracle_clause_maps  # white-box: segmentation oracle
 
@@ -40,6 +41,7 @@ from support import (
     random_requirement,
     random_section_case,
     reference_match_section,
+    reference_section_failure,
     rendered_requirement,
     semantic,
 )
@@ -719,44 +721,56 @@ def test_outcome_ambiguity_is_listed_once_per_ambiguous_phrase(
     )
 
 
+PUMP = {"name": "Pump", "state_machine": {"states": ["Off", "On"], "transitions": []}}
 GOES_IN = "<<Block as b{i}>> goes in <<State as s{i}>>"
+SIGNAL_SLOT, BLOCK_SLOT = "<<Signal as b{i}>>", "<<Block as b{i}>>"
+
+
+def signal_chain(n: int) -> list[str]:
+    return [f"Sig{i}" for i in range(n)] + ["Valve"]
 
 
 @pytest.mark.parametrize(
     "template, clauses, k, then_phrases, trailing",
     [
         (GOES_IN, ["Pump goes in On"] * 24, 6, None, " ".join(["and Pump goes in On"] * 18)),
-        ("<<Block as b{i}>>", ["Pump"] * 30, 20, ["Pump"] * 10 + ["Pump and Pump"] * 10, None),
-        ("<<Block as b{i}>>", ["Pump"] * 30 + ["Valve"], 20, None,
-         " ".join(["and Pump"] * 9 + ["and Valve"])),
+        (BLOCK_SLOT, ["Pump"] * 30, 20, ["Pump"] * 10 + ["Pump and Pump"] * 10, None),
+        (BLOCK_SLOT, ["Pump"] * 30 + ["Valve"], 20, None, "and Valve"),
+        (SIGNAL_SLOT, signal_chain(24), 16, None, "and Valve"),
+        (SIGNAL_SLOT, signal_chain(60), 40, None, "and Valve"),
+        (BLOCK_SLOT, ["Pump"] * 2000, 3, None, " ".join(["and Pump"] * 1994)),
     ],
-    ids=["24x6", "30x20", "30x20-valve"],
+    ids=["24x6", "30x20", "30x20-valve", "24x16-distinct-valve", "60x40-distinct-valve", "2000x3"],
 )
 def test_a_clause_group_is_matched_once_per_context(monkeypatch, template, clauses, k, then_phrases, trailing):
-    """Each (next clause, bindings) is kept once per template, so the search
-    makes at most k·(n−k+1)² match_clause calls for n clauses. A span may
-    absorb "Pump and Pump", so in the "Pump" rows one- and two-clause groups
-    both fit and every grouping reads the same: matching each grouping's
-    groups once per context that reached them made 1,732,099 calls on
-    30x20 and 2,288,172 with the "Valve" tail."""
-    n = len(clauses)
-    model = small_model(
-        blocks=[{"name": "Pump", "state_machine": {"states": ["Off", "On"], "transitions": []}}]
-    )
+    """A section is one ``match_clause`` search per context, and that search
+    makes at most one lookup per (word, slot, span length). A span may
+    absorb "Pump and Pump" or "Sig0 and Sig1", so one- and two-clause groups
+    both fit, and the signal chains read differently in every grouping. When
+    each grouping was searched apart, 30x20 took 1,732,099 calls (1,046 once
+    each (next clause, bindings) was kept once), 24x16-distinct-valve
+    143,216 calls and 431,113 lookups, and 2000x3 5,997 calls."""
+    model = small_model(signals=[{"name": f"Sig{i}"} for i in range(60)], blocks=[PUMP])
     rules = parse_kb(
         'metareq M -> F:\n  given: "<<Block as owner>> in <<State as src>>"\n'
         + "".join(f'  then:  "{template.format(i=i)}"\n' for i in range(k))
         + "fragment F:\n  owner: owner  source: src  target: src\n"
     )
-    calls = 0
-    real = matcher.match_clause
+    calls = lookups = 0
+    real_match, real_lookup = matcher.match_clause, matcher.lookup_elements
 
-    def counting(*args, **kwargs):
+    def counting_match(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return real(*args, **kwargs)
+        return real_match(*args, **kwargs)
 
-    monkeypatch.setattr(matcher, "match_clause", counting)
+    def counting_lookup(*args, **kwargs):
+        nonlocal lookups
+        lookups += 1
+        return real_lookup(*args, **kwargs)
+
+    monkeypatch.setattr(matcher, "match_clause", counting_match)
+    monkeypatch.setattr(matcher, "lookup_elements", counting_lookup)
     ast = ast_of("Given Pump in Off, Then " + " and ".join(clauses) + ".")
     if then_phrases is not None:
         result = match_requirement(ast, rules, model)
@@ -765,32 +779,73 @@ def test_a_clause_group_is_matched_once_per_context(monkeypatch, template, claus
     else:
         with pytest.raises(NoMatch) as info:
             match_requirement(ast, rules, model)
-        # The first grouping that fails deepest gives its last template the rest.
+        # Every template has read a clause, and the furthest reading leaves the rest.
         assert info.value.diagnostics == (
             MetaReqDiagnostic("M", f"trailing words {trailing!r} fit no template item", "then", k - 1),
         )
-    assert calls <= k * (n - k + 1) ** 2
+    assert calls == 2  # the Given and the Then section, each entered by one context
+    # At most one lookup per (word, slot) state and span length (at most 4
+    # words): 3 words and 2 slots in the Given, and the Then's words
+    # (connectives included) and slots.
+    then_words = sum(len(c.words) for c in ast.then) + len(ast.then) - 1
+    assert lookups <= 4 * (3 * 2 + then_words * k * template.count("<<"))
 
 
-def _sections_as_reference(ast, metareq, model) -> int:
-    """Thread each section of ``ast`` through ``_match_section`` and through
-    the depth-first reference; their contexts (in order, with phrases) or
-    diagnostics must be equal. Returns how many Then contexts were found."""
+def every_item_case(items: int, templates: int) -> tuple[str, str]:
+    """A rule whose Then section has ``templates`` templates of ``items``
+    items each, and a requirement whose Then reads through every item."""
+    clause = " go" * (items - 1)
+    rule = (
+        'metareq M -> F:\n  given: "<<Block as owner>> in <<State as src>>"\n'
+        + "".join(f'  then:  "<<Block as b{i}>>{clause}"\n' for i in range(templates))
+        + "fragment F:\n  owner: owner  source: src  target: src\n"
+    )
+    return rule, "Given Pump in Off, Then " + " and ".join([f"Pump{clause}"] * templates) + "."
+
+
+@pytest.mark.parametrize("items, templates", [(SIZE_LIMIT, 1), (2, SIZE_LIMIT // 2)])
+def test_a_section_at_the_size_limit_is_matched_through_every_item(items, templates):
+    rule, text = every_item_case(items, templates)
+    result = match_requirement(ast_of(text), parse_kb(rule), small_model(blocks=[PUMP]))
+    assert [b.element for b in result.bindings] == ["Pump", "Off"] + ["Pump"] * templates
+
+
+def test_a_rule_too_large_to_match_is_refused():
+    """The matcher recurses once per item of a section, which it reads as
+    one clause. 100 templates of 100 items each passed the former bounds
+    (per template and per section), and matching them raised RecursionError;
+    ``parse_kb`` refuses them now, so no match is tried."""
+    rule, text = every_item_case(SIZE_LIMIT, SIZE_LIMIT)
+    with pytest.raises(KBSyntaxError):
+        match_requirement(ast_of(text), parse_kb(rule), small_model(blocks=[PUMP]))
+
+
+def _sections_as_reference(ast, metareq, model) -> list:
+    """Thread each section of ``ast`` through ``_match_section``. The outcome
+    kind and the contexts as a multiset (phrases included) must equal the
+    depth-first reference's, and a diagnostic the breadth-first reference's.
+    Returns the Then contexts, or [] where a section fails."""
     mentions, owner, ctxs = Mentions(model), metareq.fragment.owner_role, [()]
     for section in ("given", "when", "then"):
-        args = (metareq.id, section, getattr(ast, section), getattr(metareq, section), mentions, owner, ctxs)
-        ctxs = matcher._match_section(*args)
-        assert ctxs == reference_match_section(*args), (section, ast)
-        if isinstance(ctxs, MetaReqDiagnostic):
-            return 0
-    return len(ctxs)
+        clauses, templates = getattr(ast, section), getattr(metareq, section)
+        args = (metareq.id, section, clauses, templates, mentions, owner, ctxs)
+        found, expected = matcher._match_section(*args), reference_match_section(*args)
+        assert type(found) is type(expected), (section, ast)
+        if isinstance(found, MetaReqDiagnostic):
+            if expected.template_index is not None:  # the rule has a template per clause
+                expected = reference_section_failure(metareq.id, section, clauses, templates, model, owner, ctxs)
+            assert found == expected, (section, ast)
+            return []
+        assert Counter(found) == Counter(expected), (section, ast)
+        ctxs = found
+    return ctxs
 
 
 def test_section_search_keeps_the_depth_first_contexts_and_diagnostics():
     """On random sections (``random_multi_kb`` rules, and ``random_section_case``
     with block names holding "And" and Givens read two ways) and on a fixed
-    case whose groupings reach clause starts out of order, so that runs
-    sorted by start would reorder its ten binding sets."""
+    case whose ten binding sets come in ``match_clause``'s order: the first
+    Then slot's shorter spans first, each with every reading of the rest."""
     rng = random.Random(35)
     found = []
     for i in range(2400):
@@ -803,7 +858,7 @@ def test_section_search_keeps_the_depth_first_contexts_and_diagnostics():
             ast = ast_of(text)
         except ParseError:
             continue
-        found.extend(_sections_as_reference(ast, metareq, model) for metareq in kb.metareqs)
+        found.extend(len(_sections_as_reference(ast, metareq, model)) for metareq in kb.metareqs)
     assert sum(n > 0 for n in found) >= len(found) // 5
     assert sum(n > 1 for n in found) >= 40
 
@@ -818,7 +873,19 @@ def test_section_search_keeps_the_depth_first_contexts_and_diagnostics():
         + "fragment F:\n  owner: owner  source: src  target: src\n"
     )
     text = "Given Gate in s2, Then stops Gate And Brake and Gate And Brake and Pump and the Gate and the Brake stops."
-    assert _sections_as_reference(ast_of(text), rules.metareqs[0], model) == 10
+    ctxs = _sections_as_reference(ast_of(text), rules.metareqs[0], model)
+    assert [[b.phrase for b in ctx[2:]] for ctx in ctxs] == [
+        ["Gate", "Brake", "Gate", "Brake and Pump", "Gate and the Brake"],
+        ["Gate", "Brake", "Gate And Brake", "Pump", "Gate and the Brake"],
+        ["Gate", "Brake", "Gate And Brake", "Pump and the Gate", "Brake"],
+        ["Gate", "Brake and Gate", "Brake", "Pump", "Gate and the Brake"],
+        ["Gate", "Brake and Gate", "Brake", "Pump and the Gate", "Brake"],
+        ["Gate", "Brake and Gate", "Brake and Pump", "Gate", "Brake"],
+        ["Gate And Brake", "Gate", "Brake", "Pump", "Gate and the Brake"],
+        ["Gate And Brake", "Gate", "Brake", "Pump and the Gate", "Brake"],
+        ["Gate And Brake", "Gate", "Brake and Pump", "Gate", "Brake"],
+        ["Gate And Brake", "Gate And Brake", "Pump", "Gate", "Brake"],
+    ]
 
 
 def test_a_failure_beside_a_match_in_one_clause_group_is_not_reported():
@@ -848,6 +915,56 @@ def test_a_failure_beside_a_match_in_one_clause_group_is_not_reported():
     assert info.value.diagnostics == (
         MetaReqDiagnostic("M", "expected literal 'sends', got 'emits'", "then", 1),
     )
+
+
+def test_the_failure_furthest_into_the_section_is_reported():
+    """The Given reads owner Gate (state "p and q") or owner Pump (state p).
+    Gate's context reads "p and q" as one state and fails on "Xray" at "zz";
+    Pump's fails at "zz" two words sooner, on "q". The furthest word wins,
+    whichever context or grouping meets it first."""
+    model = small_model(blocks=[
+        {"name": "Gate", "state_machine": {"states": ["s1", "p and q"], "transitions": []}},
+        {"name": "Pump", "state_machine": {"states": ["s1", "p"], "transitions": []}},
+        {"name": "Valve"},
+    ])
+    rules = parse_kb(
+        'metareq M -> F:\n'
+        '  given: "<<Block as owner>> <<Block as other>> in <<State as src>>"\n'
+        '  then:  "<<State as x>>"\n'
+        '  then:  "zz <<Block as y>>"\n'
+        'fragment F:\n  owner: owner  source: src  target: x\n'
+    )
+    with pytest.raises(NoMatch) as info:
+        match_requirement(ast_of("Given Gate Pump Valve in s1, Then p and q and Xray."), rules, model)
+    assert info.value.diagnostics == (MetaReqDiagnostic("M", "expected literal 'zz', got 'Xray'", "then", 1),)
+
+
+@pytest.mark.parametrize("then, ti, reason, role, phrase", [
+    # A literal meets a connective as the end of its clause.
+    ("Gate stops and goes and in s2", 1, "expected literal 'in', got 'end of clause'", None, None),
+    # A slot that reads nothing at a connective meets the end of its clause.
+    ("Gate stops and goes in and Xray", 1, "clause ended before slot 'dst'", "dst", None),
+    # A slot's failure phrase stops before a connective.
+    ("Gate stops and goes in Nowhere and Xray", 1, "no State matches", "dst", "Nowhere"),
+    # A template whose clause goes on leaves the rest of that clause.
+    ("Gate stops now and goes in s2 and Pump", 0, "trailing words 'now' fit no template item", None, None),
+])
+def test_a_connective_ends_a_clause_in_a_diagnostic(then, ti, reason, role, phrase):
+    kb = parse_kb(PATH_KB_HEAD + '  then:  "<<Block as b>> stops"\n' + PATH_KB_TAIL)
+    assert path_outcome(f"Given Gate in s1, Then {then}.", kb) == (
+        "NoMatch", "R", (MetaReqDiagnostic("M", reason, "then", ti, role, phrase),)
+    )
+
+
+@pytest.mark.parametrize("diagnostics, message", [
+    ((), "R: no rule fits (knowledge base is empty)"),
+    ((MetaReqDiagnostic("M1", "rule expects no when clause", "when"),
+      MetaReqDiagnostic("M2", "no Block matches", "then", 1, "b", "Ghost")),
+     "R: no rule fits (M1 at when: rule expects no when clause; "
+     "M2 at then[1]: no Block matches (slot b, phrase 'Ghost'))"),
+])
+def test_a_no_match_message_lists_every_diagnostic(diagnostics, message):
+    assert str(NoMatch("R", diagnostics)) == message
 
 
 def test_outcome_ambiguous_elliptical_alternative_leaves_out_the_failed_reading():

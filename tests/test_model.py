@@ -769,7 +769,7 @@ def _bench_workload(monkeypatch, name: str):
     return load_model(workload.model_text()), parse_corpus(workload.feature_text()), parse_kb(workloads.KB_TEXT)
 
 
-@pytest.mark.parametrize("name, keys", [("wide-model", 343), ("clause-search", 279), ("dense-machines", 543)])
+@pytest.mark.parametrize("name, keys", [("wide-model", 360), ("clause-search", 304), ("dense-machines", 564)])
 def test_each_run_builds_one_index_and_resolves_each_key_once(monkeypatch, name, keys):
     """Counts calls, times nothing: a ``complete_model`` run builds one
     lookup index, and its requirements share one memo, so each distinct
@@ -1090,9 +1090,15 @@ def test_save_model_is_the_stdlib_encoding_of_its_document(models):
 
 TRANSITION_FIELDS = ["id", "source", "target", "trigger", "guard", "effects", "provenance", "zz"]
 EFFECT_FIELDS = ["signal", "target_block", "zz"]
+def _json_containers(inner):
+    # A named function: hypothesis reads an ``extend`` lambda's source to
+    # check that it uses its argument, and warns when it cannot.
+    return st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(EFFECT_FIELDS), inner, max_size=3)
+
+
 SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(EFFECT_FIELDS), inner, max_size=3),
+    _json_containers,
     max_leaves=6,
 )
 _DROP = object()
