@@ -129,7 +129,7 @@ class RequirementOutcome(NamedTuple):
         if isinstance(self.error, ParseError):
             return (f"parse error: {self.error}",)
         if isinstance(self.error, NoMatch):
-            return tuple(d.render() for d in self.error.diagnostics) or ("knowledge base is empty",)
+            return self.error.lines
         return (str(self.error),)
 
 

@@ -19,7 +19,8 @@ from typing import NamedTuple
 from .errors import ModcompleteError
 from .normalize import fold_word
 
-KEYWORDS = frozenset({"given", "when", "then", "and", "or"})
+SECTIONS = ("given", "when", "then")  # the section keywords, in the order they must appear
+KEYWORDS = frozenset({*SECTIONS, "and", "or"})
 TERMINAL_PUNCT = frozenset({",", ".", ";"})
 
 
@@ -135,7 +136,7 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
     if not any(t.lower == "given" for t in tokens):
         raise MissingGiven("requirement has no 'Given'", 0)
 
-    clauses: dict[str, list[Clause]] = {"given": [], "when": [], "then": []}
+    clauses: dict[str, list[Clause]] = {section: [] for section in SECTIONS}
     section = ""  # the open section's keyword; "" before 'Given'
     lead: Token | None = None  # the open clause's lead
     words: list[Token] = []
@@ -150,8 +151,7 @@ def parse_requirement(doc: RequirementDoc) -> RequirementAST:
             words.append(tok)
             continue
         if section:
-            # ``clauses`` holds the sections in the order they must appear.
-            if key in clauses and [*clauses].index(key) <= [*clauses].index(section):
+            if key in clauses and SECTIONS.index(key) <= SECTIONS.index(section):
                 raise OutOfOrderKeyword(f"{tok.text!r} cannot follow the {section.capitalize()} section", tok.index)
             if key == "or" and section != "when":
                 raise OutOfOrderKeyword("'or' is only allowed between When clauses", tok.index)

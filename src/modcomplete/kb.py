@@ -26,7 +26,7 @@ import re
 from typing import NamedTuple
 
 from .errors import ModcompleteError
-from .gherkin import KEYWORDS
+from .gherkin import KEYWORDS, SECTIONS
 from .model import Metaclass
 from .normalize import ARTICLES, fold_word
 
@@ -126,8 +126,9 @@ _ITEM_RE = re.compile(
 _FRAG_KEY_RE = re.compile(r"\b(owner|source|target|trigger|effect)\s*:")
 
 #: The most items the templates of one section of a metareq keep together
-#: (article words are not kept). The matcher reads a section as one clause
-#: against its templates joined, and recurses once per item.
+#: (article words are not kept). The matcher reads a requirement as one
+#: clause against the rule's templates joined, at most 3 × 100 + 2 items
+#: with the two section keywords, and recurses once per item.
 SIZE_LIMIT = 100
 
 
@@ -249,7 +250,7 @@ def parse_kb(text: str) -> KnowledgeBase:
             if rule is None:
                 raise KBSyntaxError("clause template outside a metareq block", line_no)
             kind, body = m.groups()
-            section = rules[rule][2][("given", "when", "then").index(kind)]
+            section = rules[rule][2][SECTIONS.index(kind)]
             col = raw.index('"') + 2
             section.append(_parse_template(kind, body, line_no, col))
             if (size := sum(len(t.items) for t in section)) > SIZE_LIMIT:
@@ -308,7 +309,7 @@ def serialize_kb(kb: KnowledgeBase) -> str:
         if lines:
             lines.append("")
         lines.append(f"metareq {metareq.id} -> {metareq.fragment.id}:")
-        for kind, templates in (("given", metareq.given), ("when", metareq.when), ("then", metareq.then)):
+        for kind, templates in zip(SECTIONS, (metareq.given, metareq.when, metareq.then)):
             label = (kind + ":").ljust(6)
             for template in templates:
                 body = " ".join(_render_item(i) for i in template.items)

@@ -7,21 +7,25 @@ is deterministic and rigid (no statistical language processing):
 * literals match case-insensitively; a run of articles is skipped anywhere;
 * a slot consumes a span that starts and ends on a non-article, of one
   word up to its metaclass's span bound in ``Mentions.spans`` (at least
-  four), resolved through :func:`lookup_elements` against the run's
-  :class:`Mentions`, which ``generator.complete_model`` builds once. A
-  clause is searched once per slot state (word, item, scope), so paths
-  that meet there share the maps that finish the clause from it;
-* a section is read as one clause: its clauses merged (undoing the ``and``
-  splits) against its templates joined by ``and``. Each ``and`` then reads
-  as a template boundary or as a word inside a noun phrase, and the slot
-  states bound the search of every grouping at once;
+  four) and never past a section keyword, resolved through
+  :func:`lookup_elements` against the run's :class:`Mentions`, which
+  ``generator.complete_model`` builds once. A clause is searched once per
+  slot state (word, item, scope), so paths that meet there share the maps
+  that finish the clause from it;
+* a requirement is read as one clause: its clauses merged (undoing the
+  ``and`` splits) against the rule's templates joined by ``and`` inside a
+  section and by the section keywords. Each ``and`` then reads as a
+  template boundary or as a word inside a noun phrase, the slot states
+  bound the search of every grouping at once, and a failure is the one
+  furthest into the rule, whatever its section;
 * rules are tried in priority order; the first one with a complete binding
   wins, and a complete-but-non-unique binding is an error, never a silent
   pick;
-* a disjunctive When fans out into one binding set per alternative. An
-  alternative is first read as a complete clause; only if that fails it is
-  read as an elliptical mention of the template's final slot ("... receives
-  Halt or Reset").
+* a disjunctive When fans out into one binding set per alternative, each
+  read with the Given and the Then. An alternative is first read as a
+  complete clause; only if that fails in the When it is read as an
+  elliptical mention of the template's final slot ("... receives Halt or
+  Reset").
 """
 
 import re
@@ -29,7 +33,7 @@ from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ModcompleteError
-from .gherkin import KEYWORDS, Clause, RequirementAST, Token
+from .gherkin import KEYWORDS, SECTIONS, Clause, RequirementAST, Token
 from .kb import ClauseTemplate, KnowledgeBase, Literal, MetaReq, OptionalLiteral, SlotPattern
 from .model import Metaclass, SystemModel
 from .normalize import ARTICLES, core_words, normalize_phrase, normalize_signal_phrase
@@ -145,11 +149,12 @@ class MatchError(ModcompleteError):
 
 
 class NoMatch(MatchError):
-    """No rule fits; carries one diagnostic per rule tried."""
+    """No rule fits; carries one diagnostic per rule tried, and ``lines``,
+    the report lines that render them."""
 
     def __init__(self, requirement_id: str, diagnostics: tuple[MetaReqDiagnostic, ...]) -> None:
-        lines = "; ".join(d.render() for d in diagnostics) or "knowledge base is empty"
-        super().__init__(f"{requirement_id}: no rule fits ({lines})")
+        self.lines = tuple(d.render() for d in diagnostics) or ("knowledge base is empty",)
+        super().__init__(f"{requirement_id}: no rule fits ({'; '.join(self.lines)})")
         self.requirement_id = requirement_id
         self.diagnostics = diagnostics
 
@@ -265,8 +270,10 @@ def _owner_scope(ctx: BindingSet, owner_role: str | None) -> str | None:
     return {b.role: b.element for b in ctx}.get(owner_role)
 
 
-# A KB template holds no keyword, so this literal only joins templates.
+# A KB template holds no keyword, so these literals only join templates:
+# ``and`` inside a section, and a section's keyword before its first one.
 _BOUNDARY = Literal("and")
+_HEADS = frozenset(map(Literal, SECTIONS))
 
 
 def match_clause(
@@ -329,6 +336,8 @@ def match_clause(
         # and never ends on one: those articles are skipped by the next step.
         for length in range(1, min(mentions.spans[item.metaclass], len(words) - wi) + 1):
             span = words[wi : wi + length]
+            if span[-1].lower in SECTIONS:  # a span stays in its section
+                break
             if span[-1].lower in ARTICLES:
                 continue
             phrase = " ".join(t.text for t in span)
@@ -352,13 +361,17 @@ def _failure_at(words: Sequence[Token], items: Sequence, mentions: Mentions, ii:
     """Why the search fails at (item ``ii``, word ``wi``), which nothing else
     decides. A connective (a keyword left in a merged clause) ends a clause:
     a literal or a slot meets the end there, a slot's phrase stops before
-    it, and a template whose clause goes on leaves the words up to it."""
-    if ii == len(items):  # the last template's clause runs to the end
-        item, end = _BOUNDARY, len(words)
+    it, and a template whose clause goes on leaves the words up to it. A
+    section keyword, like the end of the words, ends a section too, so the
+    last template of a section leaves the words up to it."""
+    if ii == len(items) or items[ii] in _HEADS:
+        item, ends = _BOUNDARY, SECTIONS
     else:
-        item = items[ii]
-        end = next((i for i in range(wi, len(words)) if words[i].lower in KEYWORDS), len(words))
-    if item == _BOUNDARY and wi < end:
+        item, ends = items[ii], KEYWORDS
+    end = next((i for i in range(wi, len(words)) if words[i].lower in ends), len(words))
+    if item == _BOUNDARY:
+        if wi == end:  # a slot read the rest of the section
+            return ClauseFailure(ii, wi, "section ended before the next template")
         trailing = " ".join(t.text for t in words[wi:end])
         return ClauseFailure(ii, wi, f"trailing words {trailing!r} fit no template item")
     if isinstance(item, Literal):
@@ -392,44 +405,43 @@ def _distinct(candidates: Iterable[BindingSet]) -> list[BindingSet]:
     return list(out.values())
 
 
-def _match_section(
-    metareq_id: str,
-    section: str,
-    clauses: Sequence[Clause],
-    templates: Sequence[ClauseTemplate],
-    mentions: Mentions,
-    owner_role: str | None,
-    ctxs: list[BindingSet],
-) -> list[BindingSet] | MetaReqDiagnostic:
-    """Thread contexts through one section, read as one clause.
-
-    The section's clauses are merged and its templates joined by ``and``;
-    the clauses are joined only by ``and`` too, so each one reads either as
-    a template boundary or as a word of a span: every grouping of clauses
-    into templates. Returns each context extended by each of its maps, in
-    order, or the diagnostic of the failure furthest into the section (by
-    item of the joined template, then word), at the template it fell in.
-    """
-    if not templates:
-        return MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section) if clauses else ctxs
-    if len(clauses) < len(templates):
-        return MetaReqDiagnostic(
-            metareq_id,
-            f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}",
-            section,
-        )
-    clause = merge_clauses(clauses)
-    joined = ClauseTemplate(sum(((_BOUNDARY, *t.items) for t in templates[1:]), templates[0].items))
-    out, failures = [], []
-    for ctx in ctxs:
-        cm = match_clause(clause, joined, mentions, owner_role=owner_role, scope=_owner_scope(ctx, owner_role))
-        out.extend(ctx + mp for mp in cm.maps)
-        failures.append(cm.failure)  # None where the context fits
-    if out:
-        return out
-    failure = max(failures, key=lambda f: f[:2])
-    ti = joined.items[: failure.item_index].count(_BOUNDARY)
-    return MetaReqDiagnostic(metareq_id, failure.detail, section, ti, failure.role, failure.phrase)
+def _match_joined(
+    metareq_id: str, sections: list, mentions: Mentions, owner_role: str | None, disjunctive: bool = False
+) -> tuple[BindingSet, ...] | MetaReqDiagnostic:
+    """Read ``sections`` (keyword, clauses, templates) as one clause, their
+    templates joined by ``and`` inside a section and by a section's keyword
+    before it, so each ``and`` reads as a template boundary or as a word of
+    a span. A section of the wrong shape is the reason only if the sections
+    before it fit; a failed search is reported at the section whose keyword
+    last precedes the failing item (a keyword closes its section), and the
+    template it falls in."""
+    for n, (section, clauses, templates) in enumerate(sections):
+        if section == "when" and disjunctive and len(templates) != 1:
+            reason = "a disjunctive When requires a rule with exactly one When template"
+        elif clauses and not templates:
+            reason = f"rule expects no {section} clause"
+        elif len(clauses) < len(templates):
+            reason = f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}"
+        else:
+            continue
+        found = _match_joined(metareq_id, sections[:n], mentions, owner_role) if n else ()
+        return found if isinstance(found, MetaReqDiagnostic) else MetaReqDiagnostic(metareq_id, reason, section)
+    sections = [s for s in sections if s[2]]
+    joined = tuple(
+        item for keyword, _, templates in sections for i, template in enumerate(templates)
+        for item in (_BOUNDARY if i else Literal(keyword), *template.items)
+    )[1:]
+    clause = merge_clauses([c for _, clauses, _ in sections for c in clauses])
+    cm = match_clause(clause, ClauseTemplate(joined), mentions, owner_role=owner_role)
+    if cm.maps:
+        return cm.maps
+    failure, section, ti = cm.failure, 0, 0
+    for item in joined[: failure.item_index]:
+        if item in _HEADS:
+            section, ti = section + 1, 0
+        elif item == _BOUNDARY:
+            ti += 1
+    return MetaReqDiagnostic(metareq_id, failure.detail, sections[section][0], ti, failure.role, failure.phrase)
 
 
 def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
@@ -439,60 +451,37 @@ def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
     return ClauseTemplate(template.items[slots[-1]:])
 
 
-def _try_metareq(
-    ast: RequirementAST, metareq: MetaReq, mentions: Mentions
-) -> MatchResult | MetaReqDiagnostic:
+def _try_metareq(ast: RequirementAST, metareq: MetaReq, mentions: Mentions) -> MatchResult | MetaReqDiagnostic:
     """The rule's match, or the diagnostic of why it does not fit.
 
     Raises:
         AmbiguousMatch: the rule fits with two distinct complete binding sets.
     """
     owner_role = metareq.fragment.owner_role
-    given = _match_section(metareq.id, "given", ast.given, metareq.given, mentions, owner_role, [()])
-    if isinstance(given, MetaReqDiagnostic):
-        return given
-
     # A conjunctive When is one alternative holding every When clause; a
     # disjunctive When (its second clause led by ``or``) is one alternative
-    # per clause.
+    # per clause, led by the When keyword.
     disjunctive = len(ast.when) > 1 and ast.when[1].lead.lower == "or"
-    if not disjunctive:
-        alternatives = [ast.when]
-    elif len(metareq.when) == 1:
-        alternatives = [[clause] for clause in ast.when]
-    else:
-        return MetaReqDiagnostic(
-            metareq.id, "a disjunctive When requires a rule with exactly one When template", "when"
-        )
+    alternatives = [(c._replace(lead=ast.when[0].lead),) for c in ast.when] if disjunctive else [ast.when]
 
     sets: list[BindingSet] = []
     for i, when_clauses in enumerate(alternatives):
-        when = _match_section(
-            metareq.id, "when", when_clauses, metareq.when, mentions, owner_role, given
-        )
-        if not isinstance(when, MetaReqDiagnostic):
-            candidates = _match_section(
-                metareq.id, "then", ast.then, metareq.then, mentions, owner_role, when
-            )
-            if isinstance(candidates, MetaReqDiagnostic):
+        sections = zip(SECTIONS, (ast.given, when_clauses, ast.then), (metareq.given, metareq.when, metareq.then))
+        candidates = _match_joined(metareq.id, list(sections), mentions, owner_role, disjunctive)
+        if isinstance(candidates, MetaReqDiagnostic):
+            if candidates.section != "when" or not sets:
                 return candidates
-        elif not sets:
-            return when
-        else:
             # Elliptical alternative: only the final slot of the template,
             # read against the first alternative's bindings.
             cm = match_clause(when_clauses[0], _tail_template(metareq.when[0]), mentions,
                               owner_role=owner_role, scope=_owner_scope(sets[0], owner_role))
             if not cm.maps:
-                return MetaReqDiagnostic(
-                    metareq.id, f"When alternative {i + 1}: {cm.failure.detail}", "when", 0,
-                    cm.failure.role, cm.failure.phrase,
-                )
+                failure = cm.failure
+                detail = f"When alternative {i + 1}: {failure.detail}"
+                return MetaReqDiagnostic(metareq.id, detail, "when", 0, failure.role, failure.phrase)
             # The tail binds one slot of ``sets[0]``, and its maps differ
             # in that slot's element, so the candidates are distinct too.
-            candidates = [
-                tuple({b.role: b for b in mp}.get(b.role, b) for b in sets[0]) for mp in cm.maps
-            ]
+            candidates = [tuple({b.role: b for b in mp}.get(b.role, b) for b in sets[0]) for mp in cm.maps]
         if len(candidates) > 1:
             raise AmbiguousMatch(ast.id, metareq.id, tuple(candidates))
         sets.append(candidates[0])

@@ -316,10 +316,14 @@ def with_articles(rng: random.Random, kb_text: str) -> str:
     return _KB_TEMPLATE_LINE.sub(spell_out, kb_text)
 
 
-def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemModel) -> str:
+def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemModel, disjunctive: float = 0.0) -> str:
     """Requirement text rendered from one rule's templates (each slot named
     by a model element of its metaclass), with one word mutated in a third
-    of the cases. Block names with "and" add clauses the matcher re-merges."""
+    of the cases. Block names with "and" add clauses the matcher re-merges.
+    A ``disjunctive`` share of the When sections join their clauses by "or":
+    a rule's several templates, or a rule's one template followed by one or
+    two alternatives, each a whole clause, an elliptical mention of its last
+    slot, or an elliptical mention that names nothing."""
     metareq = rng.choice(kb.metareqs)
     owner = metareq.fragment.owner_role
     machines = [b for b in model.blocks if b.state_machine]
@@ -345,12 +349,21 @@ def rendered_requirement(rng: random.Random, kb: KnowledgeBase, model: SystemMod
                 out.append(words_by_metaclass[item.metaclass]())
         return " ".join(out)
 
+    def alternative(template: ClauseTemplate) -> str:
+        last = [item for item in template.items if isinstance(item, SlotPattern)][-1]
+        return rng.choice([lambda: render(template), words_by_metaclass[last.metaclass], lambda: "Nothing"])()
+
+    def render_section(keyword: str, templates: tuple[ClauseTemplate, ...]) -> str:
+        clauses = [render(t) for t in templates]
+        if keyword == "When" and disjunctive and rng.random() < disjunctive:
+            if len(templates) == 1:
+                clauses += [alternative(templates[0]) for _ in range(rng.randint(1, 2))]
+            if "and" not in " ".join(clauses).lower().split():  # "or" and "and" do not mix
+                return f"{keyword} " + " or ".join(clauses)
+        return f"{keyword} " + " and ".join(clauses[: len(templates)])
+
     sections = [("Given", metareq.given), ("When", metareq.when), ("Then", metareq.then)]
-    text = ", ".join(
-        f"{keyword} " + " and ".join(render(t) for t in templates)
-        for keyword, templates in sections
-        if templates
-    )
+    text = ", ".join(render_section(keyword, templates) for keyword, templates in sections if templates)
     words = text.split()
     if rng.random() < 1 / 3:
         at = rng.randrange(1, len(words))
@@ -465,9 +478,10 @@ def reference_match_section(
     """A section's search as a depth-first recursion over groupings of its
     clauses into templates: each group is matched once per context that
     reaches it, and the results of every grouping are de-duplicated at the
-    end. ``matcher._match_section`` must give the same outcome kind, the
-    same contexts as a multiset (phrases included), and the same
-    diagnostic where a rule expects more or fewer clauses."""
+    end. Threaded through a requirement's sections, it must give
+    ``match_requirement``'s outcome kind, its binding sets as a multiset
+    (phrases included), and its diagnostic where a rule expects more or
+    fewer clauses."""
     if not templates:
         if clauses:
             return matcher.MetaReqDiagnostic(metareq_id, f"rule expects no {section} clause", section)
@@ -514,7 +528,8 @@ def reference_section_failure(
     word, owner scope) states from every context, the section's words read
     against its templates joined by ``and``. The failing state furthest in,
     by (item, word), gives the diagnostic, at the template it falls in. A
-    keyword left in the words ends a clause in its text."""
+    keyword left in the words ends a clause in its text, and a boundary met
+    at the end of the words reports that the section ended."""
     words, items, boundaries = list(clauses[0].words), [], set()
     for clause in clauses[1:]:
         words += [clause.lead, *clause.words]
@@ -574,6 +589,8 @@ def reference_section_failure(
         reason = f"trailing words {' '.join(t.text for t in words[wi:])!r} fit no template item"
     elif ii in boundaries and wi < len(words):
         reason = f"trailing words {' '.join(t.text for t in words[wi:clause_end])!r} fit no template item"
+    elif ii in boundaries:
+        reason = "section ended before the next template"
     elif isinstance(items[ii], Literal):
         got = words[wi].text if wi < clause_end else "end of clause"
         reason = f"expected literal {items[ii].word!r}, got {got!r}"
