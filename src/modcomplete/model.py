@@ -36,6 +36,11 @@ class Metaclass(Enum):
     STATE = "State"
     SIGNAL = "Signal"
 
+    # Members compare by identity, so the identity hash agrees with ``==``
+    # and runs in C; ``Enum.__hash__`` would hash the name in Python for
+    # every lookup-index and memo key.
+    __hash__ = object.__hash__
+
 
 class SchemaError(ModcompleteError):
     """Malformed model document; carries the offending element path."""
