@@ -11,17 +11,18 @@ command, :func:`run`) stdout was closed before all output was written.
 With ``--strict``, warnings count as errors for the exit code.
 
 Stdout is for humans; machine-readable data goes to the output files, which
-are canonical JSON. ``complete`` stages every output as a temp file before it
-renames any into place, so a failed write replaces no output and leaves no
-directory it created; new files get the mode the umask allows.
+are canonical JSON. ``complete`` stages every regular-file output as a temp
+file before it renames any into place, so a failed write replaces no output
+and leaves no directory it created; new files get the mode the umask allows.
+An output that exists and is neither a regular file nor a directory, such as
+a FIFO or a device, is written in place, before any rename.
 """
-
-from __future__ import annotations
 
 import argparse
 import errno
 import gc
 import os
+import stat
 import sys
 from typing import NoReturn
 
@@ -85,8 +86,6 @@ def _stage(path: str, text: str, n: int) -> str:
     ``.modcomplete-<pid>-<n>.tmp`` with the first free ``n`` from the one
     given; return its path. Nothing is renamed yet. The file is created as
     ``open(path, "w")`` creates one, so the umask sets its mode."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     while True:
         tmp = os.path.join(directory, f".modcomplete-{os.getpid()}-{n}.tmp")
@@ -109,10 +108,13 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
 
     Two outputs naming one file, or an output inside a directory that
     another output names, are refused before anything is staged. Missing
-    directories are created, every output is staged as a temp file, and
-    only then are they renamed into place: an output that cannot be written
-    leaves every existing file as it was and no new empty directory. Files
-    get the mode ``open(path, "w")`` would give a new file. Raises InputError.
+    directories are created, every output that is or will be a regular
+    file is staged as a temp file beside the file a symbolic link names,
+    outputs such as a FIFO or a device are written in place, and only then
+    are the temp files renamed into place: an output that cannot be written
+    leaves every existing regular file as it was and no new empty directory.
+    Files get the mode ``open(path, "w")`` would give a new file. Raises
+    InputError.
     """
     seen: dict[str, tuple[str, str]] = {}
     reals = [os.path.realpath(path) for _, _, path, _ in outputs]
@@ -128,21 +130,34 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
             other, other_path = seen[parent]
             raise InputError(f"--{other} and --{option} name the same file {other_path!r}")
     made: list[str] = []
-    staged: list[str] = []
+    staged: list[tuple[str, str, str, str]] = []  # what, path, temp file, the file it replaces
+    in_place: list[tuple[str, str, str]] = []  # what, path, text
     renamed = 0
     try:
         # An OSError leaves ``what`` and ``path`` naming the output it hit.
         for _, what, path, _ in outputs:
             _make_parents(path, made)
-        for _, what, path, text in outputs:
-            staged.append(_stage(path, text, len(staged)))
-        for (_, what, path, _), tmp in zip(outputs, staged):
-            os.replace(tmp, path)
+        for (_, what, path, text), real in zip(outputs, reals):
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = stat.S_IFREG
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if stat.S_ISREG(mode):
+                staged.append((what, path, _stage(real, text, len(staged)), real))
+            else:
+                in_place.append((what, path, text))
+        for what, path, text in in_place:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        for what, path, tmp, real in staged:
+            os.replace(tmp, real)
             renamed += 1
     except BaseException as exc:
         # Only names not yet renamed are still this run's: once renamed, a
         # name is free for another writer to create.
-        for tmp in staged[renamed:]:
+        for _, _, tmp, _ in staged[renamed:]:
             try:
                 os.unlink(tmp)
             except FileNotFoundError:

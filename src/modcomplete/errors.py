@@ -1,7 +1,5 @@
 """Common exception base for the package."""
 
-from __future__ import annotations
-
 
 class ModcompleteError(Exception):
     """Base class for every error raised by this package."""

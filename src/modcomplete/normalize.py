@@ -14,8 +14,6 @@ suffix ladder, so "an Emergency Stop Message" reaches the signal
 EmergencyStop and the verb "activates" reaches Activate.
 """
 
-from __future__ import annotations
-
 from typing import Sequence
 
 ARTICLES = frozenset({"a", "an", "the"})

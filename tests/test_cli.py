@@ -559,6 +559,91 @@ def test_same_file_name_in_distinct_directories_is_not_a_collision(tmp_path):
     assert isinstance(json.loads((tmp_path / "c" / "x.json").read_text(encoding="utf-8")), list)
 
 
+def _read_all(fd: int) -> bytes:
+    """Read a non-blocking FIFO to its end; with no writer left it ends at once."""
+    data = b""
+    while chunk := os.read(fd, 65536):
+        data += chunk
+    return data
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_output_is_written_in_place(tmp_path):
+    """A FIFO named as ``--trace`` stays a FIFO and its reader gets the
+    trace. The reader is opened, non-blocking, before the run, so the run
+    never waits for one, and the trace fits the pipe's buffer."""
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _ = run_complete(
+            tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
+            "--trace", str(fifo),
+        )
+        data = _read_all(reader)
+    finally:
+        os.close(reader)
+    assert code == 0
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    code, out = run_complete(tmp_path / "plain", str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"))
+    assert code == 0
+    assert data == (out / "trace.json").read_bytes()
+    assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == []
+
+
+def test_a_symlinked_output_is_written_through_the_link(tmp_path):
+    """``--report`` naming a symbolic link replaces the file the link names
+    and keeps the link; the temp file is staged beside that file."""
+    real = tmp_path / "real" / "r.json"
+    real.parent.mkdir()
+    real.write_text("old report\n", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(os.path.join("real", "r.json"))
+    code, out = run_complete(
+        tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
+        "--report", str(link),
+    )
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("real", "r.json")
+    assert json.loads(real.read_text(encoding="utf-8"))["added"]
+    assert sorted(p.name for p in real.parent.iterdir()) == ["r.json"]
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_failed_in_place_write_replaces_no_output(tmp_path, capsys, monkeypatch):
+    """Outputs such as a FIFO are written before any staged file is renamed:
+    when that write fails, the model and report of an earlier run stay byte
+    for byte as they were, no temp file is left and the FIFO stays."""
+    import modcomplete.cli as cli_module
+
+    out = tmp_path / "out"
+    out.mkdir()
+    old = {name: f"old {name}\n".encode() for name in ("model.json", "report.json")}
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise OSError(28, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "open", failing_open, raising=False)
+    code, _ = run_complete(
+        tmp_path, str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"),
+        "--trace", str(fifo),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write trace {str(fifo)!r}: [Errno 28] No space left on device\n"
+    )
+    assert {name: (out / name).read_bytes() for name in old} == old
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p for p in tmp_path.rglob("*") if p.name.startswith(".modcomplete-")] == []
+
+
 def test_check_railway(capsys):
     code = main(
         [

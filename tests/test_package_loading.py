@@ -4,6 +4,7 @@ and that every exported name still reads as the object its module defines."""
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -107,3 +108,67 @@ def test_layer_modules_are_attributes_after_a_bare_import():
         *(f"{name} modcomplete.{name}" for name in SUBMODULES),
         "module 'modcomplete' has no attribute 'nope'",
     ]
+
+
+def _builtin_sha256() -> str | None:
+    for name in ("_sha2", "_sha256"):
+        try:
+            importlib.import_module(name)
+        except ImportError:
+            continue
+        return name
+    return None
+
+
+COMPLETE_RUN = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from modcomplete import cli
+out = sys.argv[4]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["complete", "--model", sys.argv[2], "--reqs", sys.argv[3],
+                     "--out", out + "/m.json", "--report", out + "/r.json", "--trace", out + "/t.json"])
+print(code, *(name for name in ("__future__", "_hashlib", "_sha2", "_sha256", "hashlib")
+               if name in sys.modules))
+"""
+
+
+@pytest.mark.skipif(_builtin_sha256() is None, reason="this interpreter has no built-in SHA-256")
+def test_a_run_hashes_with_the_built_in_sha256(tmp_path):
+    """Counts modules, times nothing: a fresh ``python -S`` process that
+    completes the railway model takes SHA-256 from the interpreter's own
+    module, never from ``hashlib`` and the OpenSSL behind it, and no
+    package module imports ``__future__``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COMPLETE_RUN, src,
+         str(FIXTURES / "railway_model.json"), str(FIXTURES / "railway.feature"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        env={k: v for k, v in os.environ.items() if k != "MODCOMPLETE_KB"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", _builtin_sha256()]
+    assert json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["name"]
+
+
+def test_without_the_built_in_sha256_ids_come_from_hashlib():
+    """An interpreter built without its own hashes falls back to
+    ``hashlib``, and the ids stay the golden ones."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1])\n"
+         "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+         "from modcomplete.model import SendEffect, transition_identity\n"
+         "print('hashlib' in sys.modules)\n"
+         "print(transition_identity('Gate', 'open', 'closed', None, ()))\n"
+         "effects = (SendEffect('Stop', 'Brake'), SendEffect('Alarm', 'Horn'))\n"
+         "print(transition_identity('Zug', 'F\\xe4hrt', 'Bremst', 'Nothalt', effects))\n",
+         str(Path(__file__).resolve().parents[1] / "src")],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "39bd433fe26a", "dc59ef2723c0"]
