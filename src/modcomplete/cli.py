@@ -14,8 +14,8 @@ Stdout is for humans; machine-readable data goes to the output files, which
 are canonical JSON. ``complete`` stages every regular-file output as a temp
 file before it renames any into place, so a failed write replaces no output
 and leaves no directory it created; new files get the mode the umask allows.
-An output that exists and is neither a regular file nor a directory, such as
-a FIFO or a device, is written in place, before any rename.
+An output that exists and is neither a regular file nor a directory (a FIFO,
+a device) is written in place before any rename, stdout's file through stdout.
 """
 
 import argparse
@@ -110,11 +110,11 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
     another output names, are refused before anything is staged. Missing
     directories are created, every output that is or will be a regular
     file is staged as a temp file beside the file a symbolic link names,
-    outputs such as a FIFO or a device are written in place, and only then
-    are the temp files renamed into place: an output that cannot be written
-    leaves every existing regular file as it was and no new empty directory.
-    Files get the mode ``open(path, "w")`` would give a new file. Raises
-    InputError.
+    outputs such as a FIFO, a device or stdout's file (through stdout) are
+    written in place, and only then are the temp files renamed into place:
+    an output that cannot be written leaves every existing regular file as
+    it was and no new empty directory. Files get the mode ``open(path, "w")``
+    would give a new file. Raises InputError.
     """
     seen: dict[str, tuple[str, str]] = {}
     reals = [os.path.realpath(path) for _, _, path, _ in outputs]
@@ -129,9 +129,13 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
         if parent in seen:
             other, other_path = seen[parent]
             raise InputError(f"--{other} and --{option} name the same file {other_path!r}")
+    try:
+        stdout = os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # no descriptor, as under pytest's capsys
+        stdout = None
     made: list[str] = []
     staged: list[tuple[str, str, str, str]] = []  # what, path, temp file, the file it replaces
-    in_place: list[tuple[str, str, str]] = []  # what, path, text
+    in_place: list[tuple[str, str, str, os.stat_result]] = []  # what, path, text, its stat
     renamed = 0
     try:
         # An OSError leaves ``what`` and ``path`` naming the output it hit.
@@ -139,16 +143,20 @@ def _write_all(outputs: list[tuple[str, str, str, str]]) -> None:
             _make_parents(path, made)
         for (_, what, path, text), real in zip(outputs, reals):
             try:
-                mode = os.stat(path).st_mode
+                st = os.stat(path)
             except FileNotFoundError:
-                mode = stat.S_IFREG
-            if stat.S_ISDIR(mode):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            if stat.S_ISREG(mode):
+                st = None
+            if st is None or stat.S_ISREG(st.st_mode) and not (stdout and os.path.samestat(st, stdout)):
                 staged.append((what, path, _stage(real, text, len(staged)), real))
+            elif stat.S_ISDIR(st.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             else:
-                in_place.append((what, path, text))
-        for what, path, text in in_place:
+                in_place.append((what, path, text, st))
+        for what, path, text, st in in_place:
+            if stdout and os.path.samestat(st, stdout):  # at its offset, before the summary
+                sys.stdout.flush()
+                sys.stdout.buffer.write(text.encode("utf-8"))
+                continue
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         for what, path, tmp, real in staged:

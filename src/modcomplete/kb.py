@@ -23,7 +23,7 @@ group (and the group too if nothing is left). MetaReq priority is file order
 """
 
 import re
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ModcompleteError
 from .gherkin import KEYWORDS, SECTIONS
@@ -127,9 +127,20 @@ _FRAG_KEY_RE = re.compile(r"\b(owner|source|target|trigger|effect)\s*:")
 
 #: The most items the templates of one section of a metareq keep together
 #: (article words are not kept). The matcher reads a requirement as one
-#: clause against the rule's templates joined, at most 3 × 100 + 2 items
-#: with the two section keywords, and recurses once per item.
+#: clause against the rule's :func:`join_templates` template, at most
+#: 3 × 100 + 2 items with the two section keywords, and recurses once per item.
 SIZE_LIMIT = 100
+
+BOUNDARY = Literal("and")
+HEADS = frozenset(map(Literal, SECTIONS))
+
+
+def join_templates(sections: Iterable[tuple[str, tuple[ClauseTemplate, ...]]]) -> ClauseTemplate:
+    """The one template a rule reads as: its (keyword, templates) sections
+    joined by ``BOUNDARY`` inside a section and by each later section's
+    keyword. No template holds these literals, so they only join."""
+    return ClauseTemplate(tuple(item for keyword, templates in sections for i, template in enumerate(templates)
+                                for item in (BOUNDARY if i else Literal(keyword), *template.items))[1:])
 
 
 def _parse_template(kind: str, body: str, line_no: int, col0: int) -> ClauseTemplate:
@@ -337,9 +348,12 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
+def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate, owner_a: str | None, owner_b: str | None) -> bool:
     """True when every clause fitting ``tb`` fits ``ta``: a walk over ``ta``'s
-    items that keeps the set of positions in ``tb``'s items it can reach."""
+    items that keeps the set of positions in ``tb``'s items it can reach. A
+    slot fits a slot of its metaclass if both or neither are their rule's
+    owner role, as the owner's block scopes the state slots after it; that
+    fails, conservatively, a pair whose state slots all precede both owners."""
     b_items = tb.items
     reached = {0}
     for a in ta.items:
@@ -353,32 +367,23 @@ def _template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
             elif isinstance(a, Literal):
                 fits = isinstance(b, Literal) and a.word == b.word
             else:
-                fits = isinstance(b, SlotPattern) and a.metaclass is b.metaclass
+                fits = isinstance(b, SlotPattern) and (a.metaclass, a.role == owner_a) == (b.metaclass, b.role == owner_b)
             if fits:
                 nxt.add(bi + 1)
         reached = nxt
     return len(b_items) in reached
 
 
-def _metareq_subsumes(a: MetaReq, b: MetaReq) -> bool:
-    """True when every requirement matching b's templates also matches a's
-    (syntactic check; a shadows b because a has higher priority)."""
-    for sa, sb in ((a.given, b.given), (a.when, b.when), (a.then, b.then)):
-        if len(sa) != len(sb):
-            return False
-        if not all(_template_subsumes(ta, tb) for ta, tb in zip(sa, sb)):
-            return False
-    return True
-
-
 def shadowed_rules(kb: KnowledgeBase) -> list[tuple[MetaReq, MetaReq]]:
-    """(higher, lower) pairs where the earlier rule fits every requirement
+    """(higher, lower) pairs where the earlier rule, read as the matcher
+    reads it (its :func:`join_templates` template), fits every requirement
     the later one fits, so the later rule can never win."""
+    joined = [join_templates(zip(SECTIONS, (m.given, m.when, m.then))) for m in kb.metareqs]
     return [
         (high, low)
-        for i, high in enumerate(kb.metareqs)
-        for low in kb.metareqs[i + 1 :]
-        if _metareq_subsumes(high, low)
+        for i, (high, ta) in enumerate(zip(kb.metareqs, joined))
+        for low, tb in zip(kb.metareqs[i + 1 :], joined[i + 1 :])
+        if _template_subsumes(ta, tb, high.fragment.owner_role, low.fragment.owner_role)
     ]
 
 

@@ -13,8 +13,8 @@ is deterministic and rigid (no statistical language processing):
   slot state (word, item, scope), so paths that meet there share the maps
   that finish the clause from it;
 * a requirement is read as one clause: its clauses merged (undoing the
-  ``and`` splits) against the rule's templates joined by ``and`` inside a
-  section and by the section keywords. Each ``and`` then reads as a
+  ``and`` splits) against the rule's one template, ``kb.join_templates``,
+  which ``kb.shadowed_rules`` reads too. Each ``and`` then reads as a
   template boundary or as a word inside a noun phrase, the slot states
   bound the search of every grouping at once, and a failure is the one
   furthest into the rule, whatever its section;
@@ -34,7 +34,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ModcompleteError
 from .gherkin import KEYWORDS, SECTIONS, Clause, RequirementAST, Token
-from .kb import ClauseTemplate, KnowledgeBase, Literal, MetaReq, OptionalLiteral, SlotPattern
+from .kb import (BOUNDARY, HEADS, ClauseTemplate, KnowledgeBase, Literal, MetaReq, OptionalLiteral, SlotPattern,
+                 join_templates)
 from .model import Metaclass, SystemModel
 from .normalize import ARTICLES, core_words, normalize_phrase, normalize_signal_phrase
 
@@ -265,17 +266,6 @@ def _lookup_exact(index: dict, phrase, metaclass: Metaclass, scope: str | None) 
     return ()
 
 
-def _owner_scope(ctx: BindingSet, owner_role: str | None) -> str | None:
-    """The element ``ctx`` binds to ``owner_role`` (its last binding), or None."""
-    return {b.role: b.element for b in ctx}.get(owner_role)
-
-
-# A KB template holds no keyword, so these literals only join templates:
-# ``and`` inside a section, and a section's keyword before its first one.
-_BOUNDARY = Literal("and")
-_HEADS = frozenset(map(Literal, SECTIONS))
-
-
 def match_clause(
     clause: Clause,
     template: ClauseTemplate,
@@ -364,12 +354,12 @@ def _failure_at(words: Sequence[Token], items: Sequence, mentions: Mentions, ii:
     it, and a template whose clause goes on leaves the words up to it. A
     section keyword, like the end of the words, ends a section too, so the
     last template of a section leaves the words up to it."""
-    if ii == len(items) or items[ii] in _HEADS:
-        item, ends = _BOUNDARY, SECTIONS
+    if ii == len(items) or items[ii] in HEADS:
+        item, ends = BOUNDARY, SECTIONS
     else:
         item, ends = items[ii], KEYWORDS
     end = next((i for i in range(wi, len(words)) if words[i].lower in ends), len(words))
-    if item == _BOUNDARY:
+    if item == BOUNDARY:
         if wi == end:  # a slot read the rest of the section
             return ClauseFailure(ii, wi, "section ended before the next template")
         trailing = " ".join(t.text for t in words[wi:end])
@@ -408,13 +398,12 @@ def _distinct(candidates: Iterable[BindingSet]) -> list[BindingSet]:
 def _match_joined(
     metareq_id: str, sections: list, mentions: Mentions, owner_role: str | None, disjunctive: bool = False
 ) -> tuple[BindingSet, ...] | MetaReqDiagnostic:
-    """Read ``sections`` (keyword, clauses, templates) as one clause, their
-    templates joined by ``and`` inside a section and by a section's keyword
-    before it, so each ``and`` reads as a template boundary or as a word of
-    a span. A section of the wrong shape is the reason only if the sections
-    before it fit; a failed search is reported at the section whose keyword
-    last precedes the failing item (a keyword closes its section), and the
-    template it falls in."""
+    """Read ``sections`` (keyword, clauses, templates) as one clause against
+    their :func:`join_templates` template, so each ``and`` reads as a
+    template boundary or as a word of a span. A section of the wrong shape
+    is the reason only if the sections before it fit; a failed search is
+    reported at the section whose keyword last precedes the failing item (a
+    keyword closes its section), and the template it falls in."""
     for n, (section, clauses, templates) in enumerate(sections):
         if section == "when" and disjunctive and len(templates) != 1:
             reason = "a disjunctive When requires a rule with exactly one When template"
@@ -427,19 +416,16 @@ def _match_joined(
         found = _match_joined(metareq_id, sections[:n], mentions, owner_role) if n else ()
         return found if isinstance(found, MetaReqDiagnostic) else MetaReqDiagnostic(metareq_id, reason, section)
     sections = [s for s in sections if s[2]]
-    joined = tuple(
-        item for keyword, _, templates in sections for i, template in enumerate(templates)
-        for item in (_BOUNDARY if i else Literal(keyword), *template.items)
-    )[1:]
+    joined = join_templates((keyword, templates) for keyword, _, templates in sections)
     clause = merge_clauses([c for _, clauses, _ in sections for c in clauses])
-    cm = match_clause(clause, ClauseTemplate(joined), mentions, owner_role=owner_role)
+    cm = match_clause(clause, joined, mentions, owner_role=owner_role)
     if cm.maps:
         return cm.maps
     failure, section, ti = cm.failure, 0, 0
-    for item in joined[: failure.item_index]:
-        if item in _HEADS:
+    for item in joined.items[: failure.item_index]:
+        if item in HEADS:
             section, ti = section + 1, 0
-        elif item == _BOUNDARY:
+        elif item == BOUNDARY:
             ti += 1
     return MetaReqDiagnostic(metareq_id, failure.detail, sections[section][0], ti, failure.role, failure.phrase)
 
@@ -474,7 +460,7 @@ def _try_metareq(ast: RequirementAST, metareq: MetaReq, mentions: Mentions) -> M
             # Elliptical alternative: only the final slot of the template,
             # read against the first alternative's bindings.
             cm = match_clause(when_clauses[0], _tail_template(metareq.when[0]), mentions,
-                              owner_role=owner_role, scope=_owner_scope(sets[0], owner_role))
+                              owner_role=owner_role, scope={b.role: b.element for b in sets[0]}.get(owner_role))
             if not cm.maps:
                 failure = cm.failure
                 detail = f"When alternative {i + 1}: {failure.detail}"

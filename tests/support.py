@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+from typing import NamedTuple
 
 from modcomplete import (
     AmbiguousMatch,
@@ -503,7 +504,7 @@ def reference_match_section(
             extended = []
             for ctx in branch:
                 cm = matcher.match_clause(group, templates[ti], mentions, owner_role=owner_role,
-                                          scope=matcher._owner_scope(ctx, owner_role))
+                                          scope={b.role: b.element for b in ctx}.get(owner_role))
                 extended.extend(ctx + mp for mp in cm.maps)
                 failure = cm.failure
                 if failure is not None and (best is None or (ti, *failure[:2]) > (best[0], *best[1][:2])):
@@ -606,11 +607,26 @@ def reference_section_failure(
     return matcher.MetaReqDiagnostic(metareq_id, reason, section, template_index, role, phrase)
 
 
-def reference_template_subsumes(ta: ClauseTemplate, tb: ClauseTemplate) -> bool:
+class _SlotMark(NamedTuple):
+    """A slot as subsumption sees it: its metaclass, and whether it holds
+    its rule's owner role."""
+
+    metaclass: Metaclass
+    owner: bool
+
+
+def reference_template_subsumes(
+    ta: ClauseTemplate, tb: ClauseTemplate, owner_a: str | None = None, owner_b: str | None = None
+) -> bool:
     """``kb._template_subsumes`` as a depth-first recursion that tries both
     branches of every optional literal: exponential in optional literals,
-    so only for small templates."""
-    return _reference_subsumes_from(ta.items, tb.items, 0, 0)
+    so only for small templates. Each slot is first replaced by its mark,
+    so two slots fit when their marks are equal."""
+
+    def marked(items, owner):
+        return [_SlotMark(i.metaclass, i.role == owner) if isinstance(i, SlotPattern) else i for i in items]
+
+    return _reference_subsumes_from(marked(ta.items, owner_a), marked(tb.items, owner_b), 0, 0)
 
 
 def _reference_subsumes_from(a_items, b_items, ai: int, bi: int) -> bool:
@@ -631,7 +647,7 @@ def _reference_subsumes_from(a_items, b_items, ai: int, bi: int) -> bool:
     if isinstance(a, Literal):
         fits = isinstance(b, Literal) and a.word == b.word
     else:
-        fits = isinstance(b, SlotPattern) and a.metaclass is b.metaclass
+        fits = isinstance(b, _SlotMark) and a == b
     return fits and _reference_subsumes_from(a_items, b_items, ai + 1, bi + 1)
 
 

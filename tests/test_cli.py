@@ -610,6 +610,30 @@ def test_a_symlinked_output_is_written_through_the_link(tmp_path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
+@pytest.mark.parametrize("mode", ["wb", "ab"])
+def test_a_trace_to_stdout_comes_before_the_summary(tmp_path, mode):
+    """``--trace /dev/stdout`` with stdout redirected to a file, truncated
+    (``>``) or appended to (``>>``), leaves in it the trace followed by the
+    summary and findings: the trace is written through stdout, neither
+    renamed over the file nor written at another offset."""
+    golden = FIXTURES / "report_golden"
+    argv = ["complete", "--model", str(golden / "model.json"), "--reqs", str(golden / "reqs.feature"),
+            "--kb", str(golden / "kb.txt"),
+            "--out", str(tmp_path / "model.json"), "--report", str(tmp_path / "report.json")]
+    expected = run_module(*argv, "--trace", str(tmp_path / "trace.json"))
+    assert expected.returncode == 2 and "[error]" in expected.stdout
+    assert (tmp_path / "trace.json").read_bytes() == (golden / "trace.json").read_bytes()
+    out = tmp_path / "stdout.txt"
+    out.write_bytes(b"earlier output\n")
+    with open(out, mode) as stdout:
+        proc = run_module(*argv, "--trace", "/dev/stdout", stdout=stdout)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    earlier = b"earlier output\n" if mode == "ab" else b""
+    assert out.read_bytes() == earlier + (tmp_path / "trace.json").read_bytes() + expected.stdout.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "report.json", "stdout.txt", "trace.json"]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
 def test_a_failed_in_place_write_replaces_no_output(tmp_path, capsys, monkeypatch):
     """Outputs such as a FIFO are written before any staged file is renamed:
@@ -790,6 +814,13 @@ def test_kb_lint_detects_shadowing(tmp_path, capsys):
     path.write_text(shadowed, encoding="utf-8")
     assert main(["kb-lint", "--kb", str(path)]) == 2
     assert "NARROW is shadowed by higher-priority WIDE" in capsys.readouterr().out
+
+
+def test_kb_lint_keeps_a_twin_rule_with_another_owner(capsys):
+    """Same templates, different owners: each rule looks its states up in
+    another block's machine, so the later one can still win."""
+    assert main(["kb-lint", "--kb", str(FIXTURES / "owner_twins_kb.txt")]) == 0
+    assert capsys.readouterr().out == "ok: 2 rule(s), 2 fragment(s)\n"
 
 
 def test_kb_lint_reads_optional_groups_without_their_articles(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -15,6 +16,7 @@ from modcomplete.kb import (
     ClauseTemplate,
     DuplicateRole,
     KBSyntaxError,
+    KnowledgeBase,
     Literal,
     OptionalLiteral,
     SlotPattern,
@@ -23,10 +25,11 @@ from modcomplete.kb import (
     _template_subsumes,
     shadowed_rules,
 )
-from modcomplete.matcher import AmbiguousMatch, NoMatch, match_requirement
-from modcomplete.model import Metaclass
+from modcomplete.matcher import AmbiguousMatch, Mentions, NoMatch, match_requirement
+from modcomplete.model import Metaclass, load_model
 from modcomplete.normalize import ARTICLES
 
+from conftest import FIXTURES
 from support import (
     random_kb,
     random_model,
@@ -297,8 +300,10 @@ TEMPLATE_ITEMS = st.one_of(
     st.sampled_from([Literal(w) for w in SUBSUMPTION_WORDS]),
     st.lists(st.sampled_from(SUBSUMPTION_WORDS), min_size=1, max_size=3, unique=True)
     .map(lambda words: OptionalLiteral(tuple(words))),
-    st.sampled_from([SlotPattern(Metaclass.BLOCK, "b"), SlotPattern(Metaclass.SIGNAL, "s")]),
+    st.sampled_from([SlotPattern(Metaclass.BLOCK, r) for r in ("b", "o")] + [SlotPattern(Metaclass.SIGNAL, "s")]),
 )
+# A template's owner role: none, or one of its block roles (if it holds one).
+OWNERS = st.sampled_from([None, "b", "o"])
 TEMPLATES = st.lists(TEMPLATE_ITEMS, max_size=7).map(
     lambda items: ClauseTemplate(tuple(items))
 )
@@ -323,7 +328,75 @@ def specializations(template: ClauseTemplate):
 def test_template_subsumption_agrees_with_the_reference_recursion(data):
     ta = data.draw(TEMPLATES)
     tb = data.draw(st.one_of(TEMPLATES, specializations(ta)))
-    assert _template_subsumes(ta, tb) == reference_template_subsumes(ta, tb)
+    owners = data.draw(st.one_of(st.just((None, None)), st.tuples(OWNERS, OWNERS)))
+    assert _template_subsumes(ta, tb, *owners) == reference_template_subsumes(ta, tb, *owners)
+
+
+def with_twins(kb: KnowledgeBase, rng: random.Random, owner_twins: bool) -> KnowledgeBase:
+    """``kb`` with each rule followed by a twin of the same templates. An
+    owner twin's owner is another block slot of the rule, if it has one; an
+    exact twin keeps the rule's owner."""
+    rules = []
+    for metareq in kb.metareqs:
+        owner = metareq.fragment.owner_role
+        others = [s.role for s in slots(metareq) if s.metaclass is Metaclass.BLOCK and s.role != owner]
+        fragment = metareq.fragment._replace(
+            id=f"T{metareq.fragment.id}", owner_role=rng.choice(others) if owner_twins and others else owner
+        )
+        rules += [metareq, metareq._replace(id=f"T{metareq.id}", fragment=fragment)]
+    return KnowledgeBase(tuple(rules), tuple(rule.fragment for rule in rules))
+
+
+def reads_alone(ast, metareq, mentions) -> str | None:
+    """How ``metareq`` as the only rule reads ``ast``: "match", "ambiguous" or None."""
+    try:
+        match_requirement(ast, KnowledgeBase((metareq,)), mentions)
+    except AmbiguousMatch:
+        return "ambiguous"
+    except NoMatch:
+        return None
+    return "match"
+
+
+def test_a_twin_with_another_owner_matches_what_the_first_rule_misses():
+    """The two rules of ``owner_twins_kb.txt`` read the same words, and only
+    the second finds s1, in the machine of its owner Pump."""
+    kb = parse_kb((FIXTURES / "owner_twins_kb.txt").read_text(encoding="utf-8"))
+    model = load_model(json.dumps({"version": "1", "name": "Twins", "signals": [], "blocks": [
+        {"name": "Gate", "state_machine": {"states": ["g1", "g2"], "transitions": []}},
+        {"name": "Pump", "state_machine": {"states": ["s1", "s2"], "transitions": []}},
+    ]}))
+    ast = parse_requirement(RequirementDoc("R", "Given Gate Pump in s1, Then goes in s2."))
+    assert match_requirement(ast, kb, model).metareq_id == "B"
+    assert shadowed_rules(kb) == []
+
+
+@pytest.mark.parametrize("owner_twins", [True, False], ids=["owner-twins", "exact-twins"])
+def test_a_shadowed_rule_matches_nothing_its_shadow_misses(owner_twins):
+    """Differential of ``shadowed_rules`` against the matcher: for every
+    reported (high, low) pair, each requirement rendered from ``low`` that
+    ``low`` alone matches is matched by ``high`` alone, or is ambiguous
+    under it. Owner twins read the same words with another block's machine,
+    so they are not shadows whenever a state slot follows the owners."""
+    pairs = matches = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        kb = with_twins((random_kb if seed % 2 else random_multi_kb)(rng), rng, owner_twins)
+        model = random_model(rng)
+        mentions = Mentions(model)
+        for high, low in shadowed_rules(kb):
+            pairs += 1
+            for i in range(20):
+                text = rendered_requirement(rng, KnowledgeBase((low,)), model)
+                try:
+                    ast = parse_requirement(RequirementDoc(f"R{i}", text))
+                except ParseError:
+                    continue
+                if reads_alone(ast, low, mentions) == "match":
+                    matches += 1
+                    assert reads_alone(ast, high, mentions) is not None, (seed, high.id, low.id, text)
+    floors = (120, 1500) if owner_twins else (300, 3600)
+    assert pairs >= floors[0] and matches >= floors[1], (pairs, matches)
 
 
 # ---------------------------------------------------------------------------
