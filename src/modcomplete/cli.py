@@ -11,9 +11,13 @@ command, :func:`run`) stdout was closed before all output was written.
 With ``--strict``, warnings count as errors for the exit code.
 
 Stdout is for humans; machine-readable data goes to the output files, which
-are canonical JSON. ``complete`` stages every regular-file output as a temp
-file before it renames any into place, so a failed write replaces no output
-and leaves no directory it created; new files get the mode the umask allows.
+are canonical JSON and UTF-8 whatever the locale. The command (:func:`run`)
+sets stdout up once: a closed stdout (``>&-``) is ``os.devnull``, and text
+that stdout's encoding cannot encode (a model path or requirement id under
+an ASCII locale) is written with backslash escapes, as on stderr.
+``complete`` stages every regular-file output as a temp file before it
+renames any into place, so a failed write replaces no output and leaves no
+directory it created; new files get the mode the umask allows.
 An output that exists and is neither a regular file nor a directory (a FIFO,
 a device) is written in place before any rename, stdout's file through stdout.
 """
@@ -363,6 +367,10 @@ def run() -> NoReturn:
     ``python -m cProfile``) still run. Use :func:`main` to run the CLI in a
     process that goes on afterwards.
     """
+    if sys.stdout is None:  # descriptor 1 closed
+        sys.stdout = open(os.open(os.devnull, os.O_WRONLY), "w", encoding="utf-8", closefd=False)
+    elif sys.stdout.errors == "strict":  # a locale's surrogateescape is kept
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = main()
         sys.stdout.flush()

@@ -20,12 +20,16 @@ is deterministic and rigid (no statistical language processing):
   furthest into the rule, whatever its section;
 * rules are tried in priority order; the first one with a complete binding
   wins, and a complete-but-non-unique binding is an error, never a silent
-  pick;
+  pick. A rule whose sections the clauses cannot fill, or one of whose
+  template ``Literal`` words the requirement lacks, cannot fit, so it is
+  not searched while a later rule may fit; its diagnostic is found only if
+  no rule fits, and ``NoMatch`` lists every rule's in priority order;
 * a disjunctive When fans out into one binding set per alternative, each
   read with the Given and the Then. An alternative is first read as a
   complete clause; only if that fails in the When it is read as an
   elliptical mention of the template's final slot ("... receives Halt or
-  Reset").
+  Reset"). A later alternative that lacks a ``Literal`` word of the When
+  template can only fail in the When, so it is read as elliptical at once.
 """
 
 import re
@@ -196,13 +200,16 @@ class Mentions:
     metaclass's span bound, the most raw words a slot span may cover: the
     most words in a name of that metaclass, plus one for a signal's filler
     noun ("Message"), and at least 4. ``memo`` holds ``lookup_elements``
-    results by (phrase, metaclass, scope of a state)."""
+    results by (phrase, metaclass, scope of a state). ``rules`` holds the
+    last knowledge base matched through it and that base's rules as the
+    matcher reads them, which an equal knowledge base shares."""
 
-    __slots__ = ("index", "spans", "memo")
+    __slots__ = ("index", "spans", "memo", "rules")
 
     def __init__(self, model: SystemModel) -> None:
         self.index, self.spans = _mention_index(model)
         self.memo: dict[tuple, tuple[str, ...]] = {}
+        self.rules: tuple[KnowledgeBase, tuple[_Rule, ...]] = (KnowledgeBase(), ())
 
 
 # A name's words are its whitespace words, each split before a capital
@@ -290,6 +297,9 @@ def match_clause(
     """
     words = clause.words
     items = template.items
+    lower = [t.lower for t in words]
+    text = tuple(t.text for t in words)
+    n, spans = len(words), mentions.spans
 
     memo: dict[tuple, list[BindingSet]] = {}  # slot state -> its suffix maps
     furthest = (-1, -1)  # (item, word) of the furthest failure
@@ -300,21 +310,21 @@ def match_clause(
         # once: every nested call then consumes a template item, so the
         # recursion depth is bounded by len(items), not by the clause length.
         nonlocal furthest
-        while wi < len(words) and words[wi].lower in ARTICLES:
+        while wi < n and lower[wi] in ARTICLES:
             wi += 1
         if ii == len(items):
-            if wi == len(words):
+            if wi == n:
                 return [()]
             furthest = max(furthest, (ii, wi))
             return []
         item = items[ii]
         if isinstance(item, Literal):
-            if wi < len(words) and words[wi].lower == item.word:
+            if wi < n and lower[wi] == item.word:
                 return step(wi + 1, ii + 1, scope)
             furthest = max(furthest, (ii, wi))
             return []
         if isinstance(item, OptionalLiteral):
-            taken = step(wi + 1, ii + 1, scope) if wi < len(words) and words[wi].lower in item.words else []
+            taken = step(wi + 1, ii + 1, scope) if wi < n and lower[wi] in item.words else []
             return taken + step(wi, ii + 1, scope)
         # slot: paths branch here, so its state is searched once, and its
         # maps are kept once per (role, element) assignment.
@@ -324,16 +334,19 @@ def match_clause(
         out = []
         # A span starts on a non-article (the run before it was skipped)
         # and never ends on one: those articles are skipped by the next step.
-        for length in range(1, min(mentions.spans[item.metaclass], len(words) - wi) + 1):
-            span = words[wi : wi + length]
-            if span[-1].lower in SECTIONS:  # a span stays in its section
+        for end in range(wi + 1, min(wi + spans[item.metaclass], n) + 1):
+            if lower[end - 1] in SECTIONS:  # a span stays in its section
                 break
-            if span[-1].lower in ARTICLES:
+            if lower[end - 1] in ARTICLES:
                 continue
-            phrase = " ".join(t.text for t in span)
-            for element in lookup_elements(mentions, [t.text for t in span], item.metaclass, scope=scope):
+            span = text[wi:end]
+            elements = lookup_elements(mentions, span, item.metaclass, scope=scope)
+            if not elements:
+                continue
+            phrase = " ".join(span)
+            for element in elements:
                 binding = Binding(item.role, item.metaclass, phrase, element)
-                rests = step(wi + length, ii + 1, element if item.role == owner_role else scope)
+                rests = step(end, ii + 1, element if item.role == owner_role else scope)
                 out.extend((binding,) + rest for rest in rests)
         if not out:
             furthest = max(furthest, (ii, wi))
@@ -395,28 +408,69 @@ def _distinct(candidates: Iterable[BindingSet]) -> list[BindingSet]:
     return list(out.values())
 
 
-def _match_joined(
-    metareq_id: str, sections: list, mentions: Mentions, owner_role: str | None, disjunctive: bool = False
-) -> tuple[BindingSet, ...] | MetaReqDiagnostic:
-    """Read ``sections`` (keyword, clauses, templates) as one clause against
-    their :func:`join_templates` template, so each ``and`` reads as a
-    template boundary or as a word of a span. A section of the wrong shape
-    is the reason only if the sections before it fit; a failed search is
-    reported at the section whose keyword last precedes the failing item (a
-    keyword closes its section), and the template it falls in."""
+class _Rule(NamedTuple):
+    """A rule as the matcher reads it: its :func:`join_templates` template,
+    the words a requirement must hold for it to fit (its templates'
+    ``Literal`` words), those of its first When template, and the tail of
+    that template that an elliptical alternative is read against."""
+
+    metareq: MetaReq
+    joined: ClauseTemplate
+    needs: frozenset[str]
+    when_needs: frozenset[str]
+    tail: ClauseTemplate | None
+
+
+def _literal_words(templates: Iterable[ClauseTemplate]) -> frozenset[str]:
+    return frozenset(item.word for template in templates for item in template.items if isinstance(item, Literal))
+
+
+def _rules(kb: KnowledgeBase, mentions: Mentions) -> tuple[_Rule, ...]:
+    """``kb``'s rules as the matcher reads them, built once per run and
+    knowledge base: ``mentions.rules`` keeps them for a base equal in value."""
+    last, rules = mentions.rules
+    if last != kb:
+        rules = tuple(
+            _Rule(m, join_templates(zip(SECTIONS, (m.given, m.when, m.then))),
+                  _literal_words(m.given + m.when + m.then), _literal_words(m.when[:1]),
+                  _tail_template(m.when[0]) if m.when else None)
+            for m in kb.metareqs
+        )
+        mentions.rules = kb, rules
+    return rules
+
+
+def _shape_failure(sections: list, disjunctive: bool) -> tuple[int, str] | None:
+    """The first of the (keyword, clauses, templates) ``sections`` whose
+    clauses cannot fill its templates, and why; None if each one can."""
     for n, (section, clauses, templates) in enumerate(sections):
         if section == "when" and disjunctive and len(templates) != 1:
-            reason = "a disjunctive When requires a rule with exactly one When template"
-        elif clauses and not templates:
-            reason = f"rule expects no {section} clause"
-        elif len(clauses) < len(templates):
-            reason = f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}"
-        else:
-            continue
-        found = _match_joined(metareq_id, sections[:n], mentions, owner_role) if n else ()
-        return found if isinstance(found, MetaReqDiagnostic) else MetaReqDiagnostic(metareq_id, reason, section)
+            return n, "a disjunctive When requires a rule with exactly one When template"
+        if clauses and not templates:
+            return n, f"rule expects no {section} clause"
+        if len(clauses) < len(templates):
+            return n, f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}"
+    return None
+
+
+def _match_joined(
+    metareq_id: str, sections: list, joined: ClauseTemplate, mentions: Mentions, owner_role: str | None,
+    disjunctive: bool = False,
+) -> tuple[BindingSet, ...] | MetaReqDiagnostic:
+    """Read ``sections`` (keyword, clauses, templates) as one clause against
+    ``joined``, their :func:`join_templates` template, so each ``and`` reads
+    as a template boundary or as a word of a span. A section of the wrong
+    shape is the reason only if the sections before it fit; a failed search
+    is reported at the section whose keyword last precedes the failing item
+    (a keyword closes its section), and the template it falls in."""
+    shape = _shape_failure(sections, disjunctive)
+    if shape is not None:
+        n, reason = shape
+        before = sections[:n]
+        found = _match_joined(metareq_id, before, join_templates((s[0], s[2]) for s in before), mentions,
+                              owner_role) if n else ()
+        return found if isinstance(found, MetaReqDiagnostic) else MetaReqDiagnostic(metareq_id, reason, sections[n][0])
     sections = [s for s in sections if s[2]]
-    joined = join_templates((keyword, templates) for keyword, _, templates in sections)
     clause = merge_clauses([c for _, clauses, _ in sections for c in clauses])
     cm = match_clause(clause, joined, mentions, owner_role=owner_role)
     if cm.maps:
@@ -437,29 +491,39 @@ def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
     return ClauseTemplate(template.items[slots[-1]:])
 
 
-def _try_metareq(ast: RequirementAST, metareq: MetaReq, mentions: Mentions) -> MatchResult | MetaReqDiagnostic:
+def _sections(ast: RequirementAST, when_clauses: tuple[Clause, ...], metareq: MetaReq) -> list:
+    return list(zip(SECTIONS, (ast.given, when_clauses, ast.then), (metareq.given, metareq.when, metareq.then)))
+
+
+def _try_metareq(
+    ast: RequirementAST, rule: _Rule, alternatives: list[tuple[Clause, ...]], mentions: Mentions
+) -> MatchResult | MetaReqDiagnostic:
     """The rule's match, or the diagnostic of why it does not fit.
 
     Raises:
         AmbiguousMatch: the rule fits with two distinct complete binding sets.
     """
+    metareq = rule.metareq
     owner_role = metareq.fragment.owner_role
-    # A conjunctive When is one alternative holding every When clause; a
-    # disjunctive When (its second clause led by ``or``) is one alternative
-    # per clause, led by the When keyword.
-    disjunctive = len(ast.when) > 1 and ast.when[1].lead.lower == "or"
-    alternatives = [(c._replace(lead=ast.when[0].lead),) for c in ast.when] if disjunctive else [ast.when]
-
+    disjunctive = len(alternatives) > 1
     sets: list[BindingSet] = []
     for i, when_clauses in enumerate(alternatives):
-        sections = zip(SECTIONS, (ast.given, when_clauses, ast.then), (metareq.given, metareq.when, metareq.then))
-        candidates = _match_joined(metareq.id, list(sections), mentions, owner_role, disjunctive)
-        if isinstance(candidates, MetaReqDiagnostic):
-            if candidates.section != "when" or not sets:
-                return candidates
+        # A later alternative that lacks a word of the When template can
+        # only fail in the When, since the first one read the same Given:
+        # it is read as elliptical straight away.
+        if i and not rule.when_needs <= {t.lower for t in when_clauses[0].words}:
+            candidates = None
+        else:
+            candidates = _match_joined(metareq.id, _sections(ast, when_clauses, metareq), rule.joined, mentions,
+                                       owner_role, disjunctive)
+            if isinstance(candidates, MetaReqDiagnostic):
+                if candidates.section != "when" or not sets:
+                    return candidates
+                candidates = None
+        if candidates is None:
             # Elliptical alternative: only the final slot of the template,
             # read against the first alternative's bindings.
-            cm = match_clause(when_clauses[0], _tail_template(metareq.when[0]), mentions,
+            cm = match_clause(when_clauses[0], rule.tail, mentions,
                               owner_role=owner_role, scope={b.role: b.element for b in sets[0]}.get(owner_role))
             if not cm.maps:
                 failure = cm.failure
@@ -481,6 +545,10 @@ def match_requirement(
     """Match a parsed requirement against the rules in priority order. A
     model is read through a new :class:`Mentions`; pass one to share it.
 
+    A rule whose sections the requirement's clauses cannot fill, or one of
+    whose template words the requirement lacks, is not searched while a
+    later rule may fit; its diagnostic is found only if no rule fits.
+
     Raises:
         NoMatch: no rule fits (diagnostics say which clause, slot and phrase
             failed per rule).
@@ -488,11 +556,21 @@ def match_requirement(
             complete binding sets.
     """
     mentions = model if isinstance(model, Mentions) else Mentions(model)
-    diagnostics: list[MetaReqDiagnostic] = []
-    for metareq in kb.metareqs:
-        outcome = _try_metareq(ast, metareq, mentions)
-        if isinstance(outcome, MatchResult):
-            return outcome
-        diagnostics.append(outcome)
-    raise NoMatch(ast.id, tuple(diagnostics))
-
+    # A conjunctive When is one alternative holding every When clause; a
+    # disjunctive When (its second clause led by ``or``) is one alternative
+    # per clause, led by the When keyword.
+    disjunctive = len(ast.when) > 1 and ast.when[1].lead.lower == "or"
+    alternatives = [(c._replace(lead=ast.when[0].lead),) for c in ast.when] if disjunctive else [ast.when]
+    words = {t.lower for clause in (*ast.given, *ast.when, *ast.then) for t in clause.words}
+    tried: list[MetaReqDiagnostic | _Rule] = []  # each rule's diagnostic, or the rule if skipped
+    for rule in _rules(kb, mentions):
+        if rule.needs <= words and _shape_failure(_sections(ast, alternatives[0], rule.metareq), disjunctive) is None:
+            outcome = _try_metareq(ast, rule, alternatives, mentions)
+            if isinstance(outcome, MatchResult):
+                return outcome
+            tried.append(outcome)
+        else:
+            tried.append(rule)
+    raise NoMatch(ast.id, tuple(
+        d if isinstance(d, MetaReqDiagnostic) else _try_metareq(ast, d, alternatives, mentions) for d in tried
+    ))

@@ -20,14 +20,17 @@ from modcomplete import (
     parse_kb,
 )
 from modcomplete import matcher
-from modcomplete.gherkin import KEYWORDS, ParseError, RequirementDoc, parse_requirement
+from modcomplete.gherkin import KEYWORDS, SECTIONS, ParseError, RequirementDoc, parse_requirement
 from modcomplete.kb import (
+    BOUNDARY,
+    HEADS,
     ClauseTemplate,
     Literal,
     MetaFragment,
     MetaReq,
     OptionalLiteral,
     SlotPattern,
+    join_templates,
 )
 from modcomplete.model import Metaclass, SchemaError, SendEffect, Transition
 from modcomplete.oracle import _oracle_span_bound
@@ -605,6 +608,76 @@ def reference_section_failure(
         phrase = " ".join(t.text for t in words[wi:last])
     template_index = sum(b < ii for b in boundaries)
     return matcher.MetaReqDiagnostic(metareq_id, reason, section, template_index, role, phrase)
+
+
+def reference_match_requirement(ast, kb: KnowledgeBase, model) -> MatchResult:
+    """``match_requirement`` as a loop that searches every rule in priority
+    order, and each disjunctive When alternative first as a complete clause
+    and only then as an elliptical one. The matcher, which skips what cannot
+    fit, must give the same match (binding sets in order, phrases included),
+    the same ``AmbiguousMatch`` binding sets and the same ``NoMatch``
+    diagnostics."""
+    mentions = model if isinstance(model, matcher.Mentions) else matcher.Mentions(model)
+    diagnostics = []
+    for metareq in kb.metareqs:
+        outcome = _reference_try_metareq(ast, metareq, mentions)
+        if isinstance(outcome, MatchResult):
+            return outcome
+        diagnostics.append(outcome)
+    raise NoMatch(ast.id, tuple(diagnostics))
+
+
+def _reference_try_metareq(ast, metareq: MetaReq, mentions) -> MatchResult | matcher.MetaReqDiagnostic:
+    owner_role = metareq.fragment.owner_role
+    disjunctive = len(ast.when) > 1 and ast.when[1].lead.lower == "or"
+    alternatives = [(c._replace(lead=ast.when[0].lead),) for c in ast.when] if disjunctive else [ast.when]
+    sets = []
+    for i, when_clauses in enumerate(alternatives):
+        sections = zip(SECTIONS, (ast.given, when_clauses, ast.then), (metareq.given, metareq.when, metareq.then))
+        candidates = _reference_match_joined(metareq.id, list(sections), mentions, owner_role, disjunctive)
+        if isinstance(candidates, matcher.MetaReqDiagnostic):
+            if candidates.section != "when" or not sets:
+                return candidates
+            cm = matcher.match_clause(when_clauses[0], matcher._tail_template(metareq.when[0]), mentions,
+                                      owner_role=owner_role, scope={b.role: b.element for b in sets[0]}.get(owner_role))
+            if not cm.maps:
+                failure = cm.failure
+                detail = f"When alternative {i + 1}: {failure.detail}"
+                return matcher.MetaReqDiagnostic(metareq.id, detail, "when", 0, failure.role, failure.phrase)
+            candidates = [tuple({b.role: b for b in mp}.get(b.role, b) for b in sets[0]) for mp in cm.maps]
+        if len(candidates) > 1:
+            raise AmbiguousMatch(ast.id, metareq.id, tuple(candidates))
+        sets.append(candidates[0])
+    return MatchResult(ast.id, metareq.id, tuple(sets))
+
+
+def _reference_match_joined(metareq_id, sections, mentions, owner_role, disjunctive=False):
+    for n, (section, clauses, templates) in enumerate(sections):
+        if section == "when" and disjunctive and len(templates) != 1:
+            reason = "a disjunctive When requires a rule with exactly one When template"
+        elif clauses and not templates:
+            reason = f"rule expects no {section} clause"
+        elif len(clauses) < len(templates):
+            reason = f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}"
+        else:
+            continue
+        found = _reference_match_joined(metareq_id, sections[:n], mentions, owner_role) if n else ()
+        if isinstance(found, matcher.MetaReqDiagnostic):
+            return found
+        return matcher.MetaReqDiagnostic(metareq_id, reason, section)
+    sections = [s for s in sections if s[2]]
+    joined = join_templates((keyword, templates) for keyword, _, templates in sections)
+    clause = matcher.merge_clauses([c for _, clauses, _ in sections for c in clauses])
+    cm = matcher.match_clause(clause, joined, mentions, owner_role=owner_role)
+    if cm.maps:
+        return cm.maps
+    failure, section, ti = cm.failure, 0, 0
+    for item in joined.items[: failure.item_index]:
+        if item in HEADS:
+            section, ti = section + 1, 0
+        elif item == BOUNDARY:
+            ti += 1
+    return matcher.MetaReqDiagnostic(metareq_id, failure.detail, sections[section][0], ti, failure.role, failure.phrase)
 
 
 class _SlotMark(NamedTuple):

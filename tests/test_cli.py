@@ -931,6 +931,69 @@ def test_a_closed_stdout_is_exit_1_without_traceback(unbuffered):
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+#: Two rules of one template under non-ASCII ids: ``kb-lint`` prints that
+#: the second is shadowed, and exits 2.
+TWIN_KB = (
+    'metareq ÜBER-1 -> F:\n  given: "<<Block as b>> in <<State as s>>"\n  then:  "goes in <<State as t>>"\n'
+    'metareq ÜBER-2 -> F:\n  given: "<<Block as b>> in <<State as s>>"\n  then:  "goes in <<State as t>>"\n'
+    "fragment F:\n  owner: b  source: s  target: t\n"
+)
+STREAM_RUNS = {
+    "complete": (["complete", "--model", "modèle.json", "--reqs", "reqs.feature"], 0),
+    "check": (["check", "--model", "modèle.json", "--reqs", "reqs.feature", "--explain"], 0),
+    "kb-lint": (["kb-lint", "--kb", "règles.txt"], 2),
+}
+OUTPUTS = ("completed_model.json", "report.json", "trace.json")
+
+
+def run_in_stream_env(directory: Path, command: str, env_update: dict, close_stdout: bool = False):
+    """Run ``python -m modcomplete`` in ``directory`` on a model named
+    ``modèle.json``, a requirement whose id is ``ÜBER-1`` and the rules of
+    ``TWIN_KB``; stdout and stderr are bytes."""
+    directory.mkdir()
+    (directory / "modèle.json").write_bytes((FIXTURES / "railway_model.json").read_bytes())
+    (directory / "reqs.feature").write_text(
+        "@id:ÜBER-1\n" + (FIXTURES / "railway.feature").read_text(encoding="utf-8"), encoding="utf-8")
+    (directory / "règles.txt").write_text(TWIN_KB, encoding="utf-8")
+    argv = [sys.executable, "-m", "modcomplete", *STREAM_RUNS[command][0]]
+    if close_stdout:
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    env = {k: v for k, v in os.environ.items() if k not in ("MODCOMPLETE_KB", "PYTHONIOENCODING")}
+    env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env_update)
+    return subprocess.run(argv, capture_output=True, cwd=directory, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command", STREAM_RUNS)
+def test_a_missing_stdout_is_devnull(tmp_path, command):
+    """With descriptor 1 closed (``>&-``) there is no stdout at all; the run
+    writes its files, prints into ``os.devnull`` and ends with its own exit
+    code, where it used to end in an AttributeError traceback."""
+    proc = run_in_stream_env(tmp_path / "run", command, {}, close_stdout=True)
+    assert (proc.returncode, proc.stderr) == (STREAM_RUNS[command][1], b"")
+    assert all((tmp_path / "run" / name).is_file() for name in OUTPUTS) == (command == "complete")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("command", STREAM_RUNS)
+def test_stdout_escapes_what_its_encoding_cannot_write(tmp_path, command, encoding):
+    """A model path, requirement id or rule id that stdout's encoding cannot
+    encode is written with backslash escapes, where it used to end the run in
+    a UnicodeEncodeError traceback. What the encoding can write is written as
+    on a UTF-8 stdout, and the output files, UTF-8 whatever the locale, are
+    the same."""
+    utf8 = run_in_stream_env(tmp_path / "utf-8", command, {"PYTHONIOENCODING": "utf-8"})
+    other = run_in_stream_env(tmp_path / encoding, command, {"PYTHONIOENCODING": encoding})
+    code = STREAM_RUNS[command][1]
+    assert (utf8.returncode, utf8.stderr, other.returncode, other.stderr) == (code, b"", code, b"")
+    text = utf8.stdout.decode("utf-8")
+    assert not text.isascii()
+    assert other.stdout == text.encode(encoding, "backslashreplace")
+    for name in OUTPUTS:
+        assert (tmp_path / encoding / name).exists() == (command == "complete")
+        if command == "complete":
+            assert (tmp_path / encoding / name).read_bytes() == (tmp_path / "utf-8" / name).read_bytes()
+
+
 STARTUP_RUN = """
 import gc
 import sys

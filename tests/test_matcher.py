@@ -40,6 +40,7 @@ from support import (
     random_multi_kb,
     random_requirement,
     random_section_case,
+    reference_match_requirement,
     reference_match_section,
     reference_section_failure,
     rendered_requirement,
@@ -1125,3 +1126,130 @@ def test_outcome_disjunctive_success_with_an_elliptical_alternative():
     assert path_outcome(text, kb) == MatchResult(
         "R", "M", (path_set("Halt", "Ping", "Ping"), path_set("Halt", "Halt", "Halt"))
     )
+
+
+def match_outcome(fn, ast, kb, model) -> tuple:
+    """A match whole, an ambiguity's rule and binding sets in order, or a
+    NoMatch's diagnostics and lines."""
+    try:
+        return ("ok", fn(ast, kb, model))
+    except AmbiguousMatch as exc:
+        return ("AmbiguousMatch", exc.metareq_id, exc.binding_sets)
+    except NoMatch as exc:
+        return ("NoMatch", exc.diagnostics, exc.lines)
+
+
+def literal_words(templates) -> set[str]:
+    return {item.word for template in templates for item in template.items if isinstance(item, Literal)}
+
+
+def fills(ast, metareq) -> bool:
+    """Whether each section of ``ast`` has a clause for each of the rule's
+    templates, and the rule a template for a section that has clauses; a
+    disjunctive When reads one clause at a time, against exactly one template."""
+    when = ast.when
+    if len(when) > 1 and when[1].lead.lower == "or":
+        when = when[:1] if len(metareq.when) == 1 else ()
+    return all(len(clauses) >= len(templates) and (templates or not clauses)
+               for clauses, templates in zip((ast.given, when, ast.then), (metareq.given, metareq.when, metareq.then)))
+
+
+def test_skipping_what_cannot_fit_keeps_every_outcome(monkeypatch):
+    """``match_requirement`` does not search a rule that a missing template
+    word or the clause shape rules out while a later rule may fit, and reads
+    a later disjunctive alternative that lacks a When word as elliptical
+    straight away. ``reference_match_requirement`` searches everything. On
+    the built-in rules, ``random_kb`` rules and ``random_multi_kb`` rules
+    (several templates a section, so many rules fail by shape), with
+    disjunctive, complete-clause and elliptical Whens, both give the same
+    outcome, and the matcher never searches more. Each rule before the
+    winner that lacks a word or fails by shape, and each of the winner's
+    alternatives that lacks a When word, saves at least one ``match_clause``
+    call. Reading an alternative that holds every When word as elliptical,
+    counting an optional word as required, or leaving a skipped rule out
+    of ``NoMatch`` changes outcomes here."""
+    rng = random.Random(41)
+    calls = counted(monkeypatch, "match_clause")
+    seen: Counter = Counter()
+    for i in range(3000):
+        if i % 3 == 0:  # the built-in rules: "receives Halt or Reset", a Then too short for MR1
+            model, _, ast = random_case(rng)
+            kb = default_kb()
+        else:
+            model = random_model(rng)
+            kb = random_kb(rng) if i % 3 == 1 else random_multi_kb(rng)
+            try:
+                ast = ast_of(rendered_requirement(rng, kb, model, disjunctive=0.6))
+            except ParseError:
+                continue
+        calls.clear()
+        expected = match_outcome(reference_match_requirement, ast, kb, Mentions(model))
+        searched = calls["match_clause"]
+        calls.clear()
+        assert match_outcome(match_requirement, ast, kb, Mentions(model)) == expected, ast
+        saved = searched - calls["match_clause"]
+        assert saved >= 0
+        words = {t.lower for clause in ast.given + ast.when + ast.then for t in clause.words}
+        lacking = [not literal_words(m.given + m.when + m.then) <= words for m in kb.metareqs]
+        misshapen = [not fills(ast, m) for m in kb.metareqs]
+        if expected[0] == "NoMatch":
+            seen["NoMatch with a rule lacking a word"] += any(lacking)
+            continue
+        winner = [m.id for m in kb.metareqs].index(expected[1].metareq_id if expected[0] == "ok" else expected[1])
+        # The reference searches a rule whose Given the clauses can fill at
+        # least once, if only to report a later section's shape.
+        skipped = [(a or b) and len(m.given) <= len(ast.given)
+                   for a, b, m in zip(lacking[:winner], misshapen, kb.metareqs)]
+        # A match reads every alternative; an ambiguity stops at the one it is found in.
+        read = ast.when[1:] if expected[0] == "ok" and expected[1].alternatives_consumed else ()
+        when_words = literal_words(kb.metareqs[winner].when[:1])
+        alternatives = sum(not when_words <= {t.lower for t in c.words} for c in read)
+        assert saved >= sum(skipped) + alternatives, ast
+        seen["rule lacking a word before the winner"] += sum(a and s for a, s in zip(lacking, skipped))
+        seen["rule of the wrong shape before the winner"] += sum(not a and s for a, s in zip(lacking, skipped))
+        seen["alternative lacking a When word"] += alternatives
+    # Seeded counts: 635, 268, 100 and 677.
+    assert seen["rule lacking a word before the winner"] >= 300
+    assert seen["rule of the wrong shape before the winner"] >= 130
+    assert seen["alternative lacking a When word"] >= 50
+    assert seen["NoMatch with a rule lacking a word"] >= 300
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_elliptical_alternatives_skip_the_full_search(monkeypatch, k):
+    """Each "or Sig" alternative lacks the When word "receives", so it is
+    read against the When template's tail alone: one full search of the
+    requirement, then one tail search per alternative. MR1, whose two Then
+    templates the one Then clause cannot fill, is not searched. Searching
+    every rule and each alternative in full first took 2 + 2k calls."""
+    model = small_model(signals=[{"name": f"Sig{i}"} for i in range(k + 1)])
+    ast = ast_of("Given Gate in s1, When Gate receives "
+                 + " or ".join(f"Sig{i}" for i in range(k + 1)) + ", Then Gate goes in s2.")
+    calls = counted(monkeypatch, "match_clause")
+    result = match_requirement(ast, default_kb(), model)
+    assert calls["match_clause"] == 1 + k
+    assert result.metareq_id == "MR2"
+    assert [{b.role: b.element for b in s}["event"] for s in result.binding_sets] == [f"Sig{i}" for i in range(k + 1)]
+    assert result == reference_match_requirement(ast, default_kb(), model)
+
+
+def test_a_rule_lacking_a_word_is_searched_only_when_no_rule_fits(monkeypatch):
+    """HALT's Then needs the word "halts". A requirement without it never
+    reaches HALT's search when GO fits, yet HALT's diagnostic still comes
+    first when no rule fits."""
+    rules = parse_kb(
+        'metareq HALT -> F:\n  given: "<<Block as b>> in <<State as s>>"\n  then:  "halts in <<State as t>>"\n'
+        'metareq GO -> F:\n  given: "<<Block as b>> in <<State as s>>"\n  then:  "goes in <<State as t>>"\n'
+        "fragment F:\n  owner: b  source: s  target: t\n"
+    )
+    calls = counted(monkeypatch, "match_clause")
+    assert match_requirement(ast_of("Given Gate in s1, Then goes in s2."), rules, small_model()).metareq_id == "GO"
+    assert calls["match_clause"] == 1
+    ast = ast_of("Given Gate in s1, Then goes in Nowhere.")
+    with pytest.raises(NoMatch) as info:
+        match_requirement(ast, rules, small_model())
+    assert info.value.lines == (
+        "HALT at then[0]: expected literal 'halts', got 'goes'",
+        "GO at then[0]: no State matches (slot t, phrase 'Nowhere')",
+    )
+    assert match_outcome(reference_match_requirement, ast, rules, small_model())[2] == info.value.lines
