@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "kb": (
         "ClauseTemplate", "KnowledgeBase", "MetaFragment", "MetaReq", "SlotPattern",
-        "default_kb", "parse_kb", "serialize_kb",
+        "default_kb", "parse_kb",
     ),
     "matcher": (
         "AmbiguousMatch", "Binding", "MatchResult", "Mentions", "NoMatch",

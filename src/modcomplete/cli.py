@@ -7,14 +7,19 @@ its schema or validation, a corpus that repeats an ``@id:``, a malformed
 knowledge base), an output file could not be written, two of ``complete``'s
 outputs, a diagram and the model, report or trace included, name the same
 file (or one names a directory that another must be written in), or (in the
-command, :func:`run`) stdout was closed before all output was written.
+command, :func:`run`) stdout could not take all the output.
 With ``--strict``, warnings count as errors for the exit code.
 
 Stdout is for humans; machine-readable data goes to the output files, which
-are canonical JSON and UTF-8 whatever the locale. The command (:func:`run`)
-sets stdout up once: a closed stdout (``>&-``) is ``os.devnull``, and text
-that stdout's encoding cannot encode (a model path or requirement id under
-an ASCII locale) is written with backslash escapes, as on stderr.
+are canonical JSON and UTF-8 whatever the locale. Error lines go to stderr.
+The command (:func:`run`) sets both streams up once: a closed stdout or
+stderr (``>&-``, ``2>&-``) is ``os.devnull``, and text that stdout's
+encoding cannot encode (a model path or requirement id under an ASCII
+locale) is written with backslash escapes, as on stderr. A stdout that
+fails a write (a reader that has gone away, a full device, a read-only
+descriptor) gets the rest of the output as ``os.devnull`` does, and the
+exit code is 1. A stderr that fails a write loses its error lines, and the
+exit code stays what the error sets (1, or 2 for ``kb-lint``).
 ``complete`` stages every regular-file output as a temp file before it
 renames any into place, so a failed write replaces no output and leaves no
 directory it created; new files get the mode the umask allows.
@@ -58,6 +63,20 @@ _FILENAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxy
 
 class InputError(ModcompleteError):
     pass
+
+
+def _error(message: str) -> None:
+    """Print ``error: message`` to stderr; a stderr that cannot take it loses it."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
+def _devnull():
+    """``os.devnull`` for writing, opened without owning its descriptor, so
+    ``-X dev`` reports no unclosed file at exit."""
+    return open(os.open(os.devnull, os.O_WRONLY), "w", encoding="utf-8", closefd=False)
 
 
 def _read_file(path: str, what: str) -> str:
@@ -300,7 +319,7 @@ def cmd_kb_lint(args: argparse.Namespace) -> int:
     try:
         kb = default_kb() if text is None else parse_kb(text)
     except ModcompleteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     if not kb.metareqs:
         print("warning: knowledge base defines no templates")
@@ -351,16 +370,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 1
 
 
 def run() -> NoReturn:
     """The ``modcomplete`` command: run :func:`main` on ``sys.argv`` and exit.
 
-    A reader that closes stdout early (``modcomplete check ... | head -1``)
-    ends the run with exit code 1 and no traceback; the rest of the output
-    goes to ``os.devnull``. The run leaves no reference cycles, so before
+    A stdout that fails a write, such as a reader that closes it early
+    (``modcomplete check ... | head -1``) or a full device, ends the run
+    with exit code 1 and no traceback; the rest of the output goes to
+    ``os.devnull``. The run leaves no reference cycles, so before
     exiting every object is moved out of the collector's reach with
     ``gc.freeze()``: the interpreter's collections at shutdown then have
     nothing to traverse. The exit is ``sys.exit``, so atexit handlers (and
@@ -368,13 +388,15 @@ def run() -> NoReturn:
     process that goes on afterwards.
     """
     if sys.stdout is None:  # descriptor 1 closed
-        sys.stdout = open(os.open(os.devnull, os.O_WRONLY), "w", encoding="utf-8", closefd=False)
+        sys.stdout = _devnull()
     elif sys.stdout.errors == "strict":  # a locale's surrogateescape is kept
         sys.stdout.reconfigure(errors="backslashreplace")
+    if sys.stderr is None:  # descriptor 2 closed: error lines are lost, not printed to stdout
+        sys.stderr = _devnull()
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError:  # a write to stdout: main() turns every other OSError into an InputError
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = 1

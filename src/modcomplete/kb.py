@@ -301,49 +301,6 @@ def parse_kb(text: str) -> KnowledgeBase:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def _render_item(item: TemplateItem) -> str:
-    if isinstance(item, SlotPattern):
-        return f"<<{item.metaclass.value} as {item.role}>>"
-    if isinstance(item, OptionalLiteral):
-        return "(" + "|".join(item.words) + ")?"
-    return item.word
-
-
-def serialize_kb(kb: KnowledgeBase) -> str:
-    """Canonical text form; ``parse_kb`` of the result reproduces ``kb``."""
-    lines: list[str] = []
-    for metareq in kb.metareqs:
-        if lines:
-            lines.append("")
-        lines.append(f"metareq {metareq.id} -> {metareq.fragment.id}:")
-        for kind, templates in zip(SECTIONS, (metareq.given, metareq.when, metareq.then)):
-            label = (kind + ":").ljust(6)
-            for template in templates:
-                body = " ".join(_render_item(i) for i in template.items)
-                lines.append(f'  {label} "{body}"')
-    for fragment in kb.fragments:
-        if lines:
-            lines.append("")
-        lines.append(f"fragment {fragment.id}:")
-        lines.append(
-            f"  owner: {fragment.owner_role}   source: {fragment.source_role}   "
-            f"target: {fragment.target_role}"
-        )
-        extras = []
-        if fragment.trigger_role is not None:
-            extras.append(f"trigger: {fragment.trigger_role}")
-        for sig, tgt in fragment.effect_specs:
-            extras.append(f"effect: {sig} -> {tgt}")
-        if extras:
-            lines.append("  " + "   ".join(extras))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Shadowing analysis
 # ---------------------------------------------------------------------------
 

@@ -20,10 +20,11 @@ is deterministic and rigid (no statistical language processing):
   furthest into the rule, whatever its section;
 * rules are tried in priority order; the first one with a complete binding
   wins, and a complete-but-non-unique binding is an error, never a silent
-  pick. A rule whose sections the clauses cannot fill, or one of whose
-  template ``Literal`` words the requirement lacks, cannot fit, so it is
-  not searched while a later rule may fit; its diagnostic is found only if
-  no rule fits, and ``NoMatch`` lists every rule's in priority order;
+  pick. A rule's shape (can the clauses fill its sections) is checked once,
+  before any search. A rule of the wrong shape, or one of whose template
+  ``Literal`` words the requirement lacks, cannot fit, so it is not
+  searched while a later rule may fit; its diagnostic is found only if no
+  rule fits, and ``NoMatch`` lists every rule's in priority order;
 * a disjunctive When fans out into one binding set per alternative, each
   read with the Given and the Then. An alternative is first read as a
   complete clause; only if that fails in the When it is read as an
@@ -312,45 +313,39 @@ def match_clause(
         nonlocal furthest
         while wi < n and lower[wi] in ARTICLES:
             wi += 1
-        if ii == len(items):
-            if wi == n:
-                return [()]
-            furthest = max(furthest, (ii, wi))
-            return []
-        item = items[ii]
-        if isinstance(item, Literal):
-            if wi < n and lower[wi] == item.word:
-                return step(wi + 1, ii + 1, scope)
-            furthest = max(furthest, (ii, wi))
-            return []
-        if isinstance(item, OptionalLiteral):
+        item = items[ii] if ii < len(items) else None
+        if item is None:
+            out = [()] if wi == n else []
+        elif isinstance(item, Literal):
+            out = step(wi + 1, ii + 1, scope) if wi < n and lower[wi] == item.word else []
+        elif isinstance(item, OptionalLiteral):
             taken = step(wi + 1, ii + 1, scope) if wi < n and lower[wi] in item.words else []
-            return taken + step(wi, ii + 1, scope)
-        # slot: paths branch here, so its state is searched once, and its
-        # maps are kept once per (role, element) assignment.
-        key = (wi, ii, scope)
-        if key in memo:
-            return memo[key]
-        out = []
-        # A span starts on a non-article (the run before it was skipped)
-        # and never ends on one: those articles are skipped by the next step.
-        for end in range(wi + 1, min(wi + spans[item.metaclass], n) + 1):
-            if lower[end - 1] in SECTIONS:  # a span stays in its section
-                break
-            if lower[end - 1] in ARTICLES:
-                continue
-            span = text[wi:end]
-            elements = lookup_elements(mentions, span, item.metaclass, scope=scope)
-            if not elements:
-                continue
-            phrase = " ".join(span)
-            for element in elements:
-                binding = Binding(item.role, item.metaclass, phrase, element)
-                rests = step(end, ii + 1, element if item.role == owner_role else scope)
-                out.extend((binding,) + rest for rest in rests)
-        if not out:
+            out = taken + step(wi, ii + 1, scope)
+        elif (wi, ii, scope) in memo:
+            out = memo[wi, ii, scope]
+        else:
+            # slot: paths branch here, so its state is searched once, and
+            # its maps are kept once per (role, element) assignment.
+            out = []
+            # A span starts on a non-article (the run before it was skipped)
+            # and never ends on one: those articles are skipped by the next step.
+            for end in range(wi + 1, min(wi + spans[item.metaclass], n) + 1):
+                if lower[end - 1] in SECTIONS:  # a span stays in its section
+                    break
+                if lower[end - 1] in ARTICLES:
+                    continue
+                span = text[wi:end]
+                elements = lookup_elements(mentions, span, item.metaclass, scope=scope)
+                if not elements:
+                    continue
+                phrase = " ".join(span)
+                for element in elements:
+                    binding = Binding(item.role, item.metaclass, phrase, element)
+                    rests = step(end, ii + 1, element if item.role == owner_role else scope)
+                    out.extend((binding,) + rest for rest in rests)
+            memo[wi, ii, scope] = out = _distinct(out) if len(out) > 1 else out
+        if not out:  # a dead end: the furthest one names the failure
             furthest = max(furthest, (ii, wi))
-        memo[key] = out = _distinct(out) if len(out) > 1 else out
         return out
 
     maps = _distinct(step(0, 0, scope))
@@ -440,48 +435,40 @@ def _rules(kb: KnowledgeBase, mentions: Mentions) -> tuple[_Rule, ...]:
     return rules
 
 
-def _shape_failure(sections: list, disjunctive: bool) -> tuple[int, str] | None:
-    """The first of the (keyword, clauses, templates) ``sections`` whose
-    clauses cannot fill its templates, and why; None if each one can."""
-    for n, (section, clauses, templates) in enumerate(sections):
+def _shape_failure(clauses: tuple, metareq: MetaReq, disjunctive: bool) -> tuple[int, str] | None:
+    """The first section whose (given, when, then) ``clauses`` cannot fill
+    the rule's templates of that section, and why; None if each one can."""
+    sections = zip(SECTIONS, clauses, (metareq.given, metareq.when, metareq.then))
+    for n, (section, found, templates) in enumerate(sections):
         if section == "when" and disjunctive and len(templates) != 1:
             return n, "a disjunctive When requires a rule with exactly one When template"
-        if clauses and not templates:
+        if found and not templates:
             return n, f"rule expects no {section} clause"
-        if len(clauses) < len(templates):
-            return n, f"rule expects {len(templates)} {section} clause(s), requirement has {len(clauses)}"
+        if len(found) < len(templates):
+            return n, f"rule expects {len(templates)} {section} clause(s), requirement has {len(found)}"
     return None
 
 
 def _match_joined(
-    metareq_id: str, sections: list, joined: ClauseTemplate, mentions: Mentions, owner_role: str | None,
-    disjunctive: bool = False,
+    metareq: MetaReq, clauses: Sequence[Clause], template: ClauseTemplate, mentions: Mentions
 ) -> tuple[BindingSet, ...] | MetaReqDiagnostic:
-    """Read ``sections`` (keyword, clauses, templates) as one clause against
-    ``joined``, their :func:`join_templates` template, so each ``and`` reads
-    as a template boundary or as a word of a span. A section of the wrong
-    shape is the reason only if the sections before it fit; a failed search
-    is reported at the section whose keyword last precedes the failing item
-    (a keyword closes its section), and the template it falls in."""
-    shape = _shape_failure(sections, disjunctive)
-    if shape is not None:
-        n, reason = shape
-        before = sections[:n]
-        found = _match_joined(metareq_id, before, join_templates((s[0], s[2]) for s in before), mentions,
-                              owner_role) if n else ()
-        return found if isinstance(found, MetaReqDiagnostic) else MetaReqDiagnostic(metareq_id, reason, sections[n][0])
-    sections = [s for s in sections if s[2]]
-    clause = merge_clauses([c for _, clauses, _ in sections for c in clauses])
-    cm = match_clause(clause, joined, mentions, owner_role=owner_role)
+    """Read ``clauses`` as one clause against ``template``, the rule's
+    :func:`join_templates` template or its start, so each ``and`` reads as a
+    template boundary or as a word of a span. A failed search is reported at
+    the section whose keyword last precedes the failing item (a keyword
+    closes its section; before the first one it is the rule's first
+    section), and the template it falls in."""
+    cm = match_clause(merge_clauses(clauses), template, mentions, owner_role=metareq.fragment.owner_role)
     if cm.maps:
         return cm.maps
-    failure, section, ti = cm.failure, 0, 0
-    for item in joined.items[: failure.item_index]:
+    failure, section, ti = cm.failure, None, 0
+    for item in template.items[: failure.item_index]:
         if item in HEADS:
-            section, ti = section + 1, 0
+            section, ti = item.word, 0
         elif item == BOUNDARY:
             ti += 1
-    return MetaReqDiagnostic(metareq_id, failure.detail, sections[section][0], ti, failure.role, failure.phrase)
+    section = section or next(s for s, ts in zip(SECTIONS, (metareq.given, metareq.when, metareq.then)) if ts)
+    return MetaReqDiagnostic(metareq.id, failure.detail, section, ti, failure.role, failure.phrase)
 
 
 def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
@@ -491,21 +478,16 @@ def _tail_template(template: ClauseTemplate) -> ClauseTemplate:
     return ClauseTemplate(template.items[slots[-1]:])
 
 
-def _sections(ast: RequirementAST, when_clauses: tuple[Clause, ...], metareq: MetaReq) -> list:
-    return list(zip(SECTIONS, (ast.given, when_clauses, ast.then), (metareq.given, metareq.when, metareq.then)))
-
-
 def _try_metareq(
     ast: RequirementAST, rule: _Rule, alternatives: list[tuple[Clause, ...]], mentions: Mentions
 ) -> MatchResult | MetaReqDiagnostic:
-    """The rule's match, or the diagnostic of why it does not fit.
+    """The match of a rule whose shape fits, or the diagnostic of why not.
 
     Raises:
         AmbiguousMatch: the rule fits with two distinct complete binding sets.
     """
     metareq = rule.metareq
     owner_role = metareq.fragment.owner_role
-    disjunctive = len(alternatives) > 1
     sets: list[BindingSet] = []
     for i, when_clauses in enumerate(alternatives):
         # A later alternative that lacks a word of the When template can
@@ -514,8 +496,7 @@ def _try_metareq(
         if i and not rule.when_needs <= {t.lower for t in when_clauses[0].words}:
             candidates = None
         else:
-            candidates = _match_joined(metareq.id, _sections(ast, when_clauses, metareq), rule.joined, mentions,
-                                       owner_role, disjunctive)
+            candidates = _match_joined(metareq, (*ast.given, *when_clauses, *ast.then), rule.joined, mentions)
             if isinstance(candidates, MetaReqDiagnostic):
                 if candidates.section != "when" or not sets:
                     return candidates
@@ -539,15 +520,32 @@ def _try_metareq(
     return MatchResult(ast.id, metareq.id, tuple(sets))
 
 
+def _skipped_diagnostic(ast: RequirementAST, rule: _Rule, shape: tuple[int, str] | None, alternatives: list,
+                        mentions: Mentions) -> MetaReqDiagnostic:
+    """Why a skipped rule does not fit: its search if its ``shape`` fits,
+    else the failure of the sections before the misshapen one against
+    ``rule.joined`` up to the first later section's keyword, or the shape."""
+    if shape is None:
+        return _try_metareq(ast, rule, alternatives, mentions)
+    n, reason = shape
+    clauses = [c for found in (ast.given, alternatives[0], ast.then)[:n] for c in found]
+    items = rule.joined.items
+    end = next((i for i, item in enumerate(items) if item in HEADS and item.word in SECTIONS[n:]), len(items))
+    found = _match_joined(rule.metareq, clauses, ClauseTemplate(items[:end]), mentions) if clauses else ()
+    return found if isinstance(found, MetaReqDiagnostic) else MetaReqDiagnostic(rule.metareq.id, reason, SECTIONS[n])
+
+
 def match_requirement(
     ast: RequirementAST, kb: KnowledgeBase, model: SystemModel | Mentions
 ) -> MatchResult:
     """Match a parsed requirement against the rules in priority order. A
     model is read through a new :class:`Mentions`; pass one to share it.
 
-    A rule whose sections the requirement's clauses cannot fill, or one of
-    whose template words the requirement lacks, is not searched while a
-    later rule may fit; its diagnostic is found only if no rule fits.
+    Here alone a rule is found able to fit: its shape is checked once, on
+    the first When alternative (each has the same shape), and its words. A
+    rule that cannot fit is not searched while a later rule may fit; if none
+    does, a wrong shape's diagnostic searches the sections before it against
+    the start of the rule's joined template.
 
     Raises:
         NoMatch: no rule fits (diagnostics say which clause, slot and phrase
@@ -562,15 +560,16 @@ def match_requirement(
     disjunctive = len(ast.when) > 1 and ast.when[1].lead.lower == "or"
     alternatives = [(c._replace(lead=ast.when[0].lead),) for c in ast.when] if disjunctive else [ast.when]
     words = {t.lower for clause in (*ast.given, *ast.when, *ast.then) for t in clause.words}
-    tried: list[MetaReqDiagnostic | _Rule] = []  # each rule's diagnostic, or the rule if skipped
+    tried: list = []  # each rule's diagnostic, or the rule and its shape if skipped
     for rule in _rules(kb, mentions):
-        if rule.needs <= words and _shape_failure(_sections(ast, alternatives[0], rule.metareq), disjunctive) is None:
+        shape = _shape_failure((ast.given, alternatives[0], ast.then), rule.metareq, disjunctive)
+        if shape is None and rule.needs <= words:
             outcome = _try_metareq(ast, rule, alternatives, mentions)
             if isinstance(outcome, MatchResult):
                 return outcome
             tried.append(outcome)
         else:
-            tried.append(rule)
+            tried.append((rule, shape))
     raise NoMatch(ast.id, tuple(
-        d if isinstance(d, MetaReqDiagnostic) else _try_metareq(ast, d, alternatives, mentions) for d in tried
+        d if isinstance(d, MetaReqDiagnostic) else _skipped_diagnostic(ast, *d, alternatives, mentions) for d in tried
     ))

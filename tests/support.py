@@ -30,6 +30,7 @@ from modcomplete.kb import (
     MetaReq,
     OptionalLiteral,
     SlotPattern,
+    TemplateItem,
     join_templates,
 )
 from modcomplete.model import Metaclass, SchemaError, SendEffect, Transition
@@ -288,6 +289,44 @@ def random_multi_kb(rng: random.Random) -> KnowledgeBase:
         fragments.append(fragment)
         metareqs.append(MetaReq(f"MR{i + 1}", given, when, then, fragment))
     return KnowledgeBase(metareqs=tuple(metareqs), fragments=tuple(fragments))
+
+
+def _render_item(item: TemplateItem) -> str:
+    if isinstance(item, SlotPattern):
+        return f"<<{item.metaclass.value} as {item.role}>>"
+    if isinstance(item, OptionalLiteral):
+        return "(" + "|".join(item.words) + ")?"
+    return item.word
+
+
+def serialize_kb(kb: KnowledgeBase) -> str:
+    """Canonical text form; ``parse_kb`` of the result reproduces ``kb``."""
+    lines: list[str] = []
+    for metareq in kb.metareqs:
+        if lines:
+            lines.append("")
+        lines.append(f"metareq {metareq.id} -> {metareq.fragment.id}:")
+        for kind, templates in zip(SECTIONS, (metareq.given, metareq.when, metareq.then)):
+            label = (kind + ":").ljust(6)
+            for template in templates:
+                body = " ".join(_render_item(i) for i in template.items)
+                lines.append(f'  {label} "{body}"')
+    for fragment in kb.fragments:
+        if lines:
+            lines.append("")
+        lines.append(f"fragment {fragment.id}:")
+        lines.append(
+            f"  owner: {fragment.owner_role}   source: {fragment.source_role}   "
+            f"target: {fragment.target_role}"
+        )
+        extras = []
+        if fragment.trigger_role is not None:
+            extras.append(f"trigger: {fragment.trigger_role}")
+        for sig, tgt in fragment.effect_specs:
+            extras.append(f"effect: {sig} -> {tgt}")
+        if extras:
+            lines.append("  " + "   ".join(extras))
+    return "\n".join(lines) + "\n"
 
 
 _KB_TEMPLATE_LINE = re.compile(r'^(\s*(?:given|when|then):\s*")(.*)"\s*$', re.M)

@@ -22,13 +22,12 @@ from modcomplete import (
     parse_kb,
     parse_requirement,
     save_model,
-    serialize_kb,
 )
 from modcomplete.cli import main
 from modcomplete.gherkin import TERMINAL_PUNCT, ParseError, RequirementDoc, tokenize
 
 from conftest import FIXTURES, RAILWAY_REQUIREMENT
-from support import agreement, random_case, random_kb, random_model
+from support import agreement, random_case, random_kb, random_model, serialize_kb
 
 TABLE_BINDINGS = [
     ("context1", "Block", "Train"),

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -992,6 +994,215 @@ def test_stdout_escapes_what_its_encoding_cannot_write(tmp_path, command, encodi
         assert (tmp_path / encoding / name).exists() == (command == "complete")
         if command == "complete":
             assert (tmp_path / encoding / name).read_bytes() == (tmp_path / "utf-8" / name).read_bytes()
+
+
+#: Each command on the railway inputs, read from ``model.json``,
+#: ``reqs.feature`` and ``kb.txt`` (the built-in rules) in the working
+#: directory, and its exit code; ``complete`` writes ``OUTPUTS`` there.
+ENV_RUNS = {
+    "complete": (["complete", "--model", "model.json", "--reqs", "reqs.feature", "--kb", "kb.txt"], 0),
+    "check": (["check", "--model", "model.json", "--reqs", "reqs.feature", "--kb", "kb.txt", "--explain"], 0),
+    "kb-lint": (["kb-lint", "--kb", "kb.txt"], 0),
+}
+ENV_INPUTS = {
+    "--model": ("model.json", "model", (FIXTURES / "railway_model.json").read_bytes()),
+    "--reqs": ("reqs.feature", "requirements", (FIXTURES / "railway.feature").read_bytes()),
+    "--kb": ("kb.txt", "knowledge base", DEFAULT_KB_TEXT.encode("utf-8")),
+}
+
+
+def env_inputs(directory: Path) -> Path:
+    """``directory``, made and given the input files of ``ENV_RUNS``."""
+    directory.mkdir()
+    for name, _, data in ENV_INPUTS.values():
+        (directory / name).write_bytes(data)
+    return directory
+
+
+def env_run(directory: Path, command: str, *, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env_update: dict | None = None, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run ``python -m modcomplete`` as ``ENV_RUNS[command]`` in ``directory``;
+    stdout and stderr are bytes."""
+    env = {k: v for k, v in os.environ.items() if k not in ("MODCOMPLETE_KB", "PYTHONIOENCODING")}
+    env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **(env_update or {}))
+    return subprocess.run([sys.executable, "-m", "modcomplete", *ENV_RUNS[command][0]], stdout=stdout,
+                          stderr=stderr, cwd=directory, env=env, preexec_fn=preexec_fn, timeout=120)
+
+
+def written(directory: Path) -> bool:
+    """Whether ``complete`` wrote every output in ``directory``; it must have
+    written all of them or none, and left no temp file."""
+    present = [(directory / name).is_file() for name in OUTPUTS]
+    assert all(present) or not any(present)
+    assert not list(directory.glob(".modcomplete-*.tmp"))
+    return all(present)
+
+
+def close_stderr() -> None:
+    os.close(2)
+
+
+def small_file_limit() -> None:
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+
+@pytest.fixture(scope="module")
+def env_baseline(tmp_path_factory) -> dict[str, tuple[subprocess.CompletedProcess, dict[str, bytes]]]:
+    """Each command's run with ordinary streams and files: its process and
+    the bytes of each output it wrote."""
+    out = {}
+    for command in ENV_RUNS:
+        directory = env_inputs(tmp_path_factory.mktemp("baseline") / command)
+        proc = env_run(directory, command)
+        assert (proc.returncode, proc.stderr) == (ENV_RUNS[command][1], b"")
+        assert written(directory) == (command == "complete")
+        out[command] = proc, {name: (directory / name).read_bytes() for name in OUTPUTS if (directory / name).exists()}
+    return out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("stdout", ["full", "read-only"])
+@pytest.mark.parametrize("command", ENV_RUNS)
+def test_a_stdout_that_fails_a_write_is_exit_1_without_traceback(tmp_path, command, stdout):
+    """A stdout on a full device (``> /dev/full``) or on a descriptor opened
+    read-only takes no output: the run ends as when its reader has gone,
+    exit code 1 and nothing on stderr. ``complete`` has written its files by
+    then. Each used to end in an ``OSError`` traceback."""
+    with open("/dev/full", "wb") if stdout == "full" else open(os.devnull, "rb") as handle:
+        proc = env_run(env_inputs(tmp_path / "run"), command, stdout=handle)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert written(tmp_path / "run") == (command == "complete")
+
+
+#: Each command on an input it rejects: a malformed knowledge base for
+#: ``kb-lint``, a missing model for the others; and the exit code.
+REJECTED_RUNS = {"kb-lint": ("kb.txt", b"metareq X\n", 2), "check": ("model.json", None, 1),
+                 "complete": ("model.json", None, 1)}
+
+
+@pytest.mark.parametrize("stderr", ["full", "read-only", "closed"])
+@pytest.mark.parametrize("command", REJECTED_RUNS)
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, command, stderr):
+    """An error line that stderr cannot take, on a full device, on a
+    descriptor opened read-only or with descriptor 2 closed, is lost; the
+    exit code stays 2 for ``kb-lint`` on a malformed knowledge base and 1
+    for a missing model, and nothing goes to stdout. ``kb-lint`` used to
+    exit 1 on a full or read-only stderr, as the ``OSError`` of its error
+    line ended the run, and every command printed its error line to stdout
+    when descriptor 2 was closed."""
+    if stderr == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    directory = env_inputs(tmp_path / "run")
+    name, data, code = REJECTED_RUNS[command]
+    if data is None:
+        (directory / name).unlink()
+    else:
+        (directory / name).write_bytes(data)
+    if stderr == "closed":
+        proc = env_run(directory, command, stderr=subprocess.DEVNULL, preexec_fn=close_stderr)
+    else:
+        with open("/dev/full", "wb") if stderr == "full" else open(os.devnull, "rb") as handle:
+            proc = env_run(directory, command, stderr=handle)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert not written(directory)
+
+
+@pytest.mark.parametrize("command", ENV_RUNS)
+def test_a_closed_stderr_changes_no_run(tmp_path, env_baseline, command):
+    """With descriptor 2 closed before the run starts, each command prints
+    and writes what it does with a stderr, with the same exit code."""
+    proc = env_run(env_inputs(tmp_path / "run"), command, stderr=subprocess.DEVNULL, preexec_fn=close_stderr)
+    baseline, outputs = env_baseline[command]
+    assert (proc.returncode, proc.stdout) == (baseline.returncode, baseline.stdout)
+    assert {name: (tmp_path / "run" / name).read_bytes() for name in outputs} == outputs
+    assert written(tmp_path / "run") == (command == "complete")
+
+
+@pytest.mark.parametrize("command", ENV_RUNS)
+def test_the_c_locale_changes_no_run(tmp_path, env_baseline, command):
+    """``LC_ALL=C`` changes neither stdout, stderr, the exit code nor an
+    output byte: the files are UTF-8 whatever the locale."""
+    proc = env_run(env_inputs(tmp_path / "run"), command, env_update={"LC_ALL": "C"})
+    baseline, outputs = env_baseline[command]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (baseline.returncode, baseline.stdout, b"")
+    assert {name: (tmp_path / "run" / name).read_bytes() for name in outputs} == outputs
+    assert written(tmp_path / "run") == (command == "complete")
+
+
+@pytest.mark.parametrize("command", ENV_RUNS)
+def test_a_file_size_limit_fails_complete_and_leaves_no_file(tmp_path, env_baseline, command):
+    """Under ``RLIMIT_FSIZE`` of 1 KiB (``ulimit -f 1``), set in the child
+    alone, ``complete`` cannot write its 1,026-byte model: one error line,
+    exit code 1, and no output or temp file left. ``check`` and ``kb-lint``
+    write no file, so they run as without the limit."""
+    proc = env_run(env_inputs(tmp_path / "run"), command, preexec_fn=small_file_limit,
+                   env_update={"PYTHONDONTWRITEBYTECODE": "1"})
+    if command == "complete":
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, b"", b"error: cannot write model 'completed_model.json': [Errno 27] File too large\n")
+    else:
+        baseline, _ = env_baseline[command]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (baseline.returncode, baseline.stdout, b"")
+    assert not written(tmp_path / "run")
+
+
+ENV_INPUT_CASES = [(command, option) for command in ENV_RUNS for option in ENV_INPUTS
+                   if command != "kb-lint" or option == "--kb"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "unreadable"])
+@pytest.mark.parametrize("command, option", ENV_INPUT_CASES)
+def test_an_input_that_cannot_be_read_is_one_error_line(tmp_path, command, option, kind):
+    """A directory, or a file of mode 000, where an input file should be:
+    exit code 1, one ``cannot read`` line naming the input, nothing on
+    stdout and no output written."""
+    if kind == "unreadable" and os.geteuid() == 0:
+        pytest.skip("root reads a file of mode 000")
+    directory = env_inputs(tmp_path / "run")
+    name, what, _ = ENV_INPUTS[option]
+    if kind == "directory":
+        (directory / name).unlink()
+        (directory / name).mkdir()
+        reason = f"[Errno 21] Is a directory: {name!r}"
+    else:
+        (directory / name).chmod(0)
+        reason = f"[Errno 13] Permission denied: {name!r}"
+    proc = env_run(directory, command)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == f"error: cannot read {what} {name!r}: {reason}\n".encode("utf-8")
+    assert not written(directory)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("command, option", ENV_INPUT_CASES)
+def test_a_fifo_input_reads_as_a_file(tmp_path, env_baseline, command, option):
+    """A FIFO where an input file should be, fed by another thread, is read
+    as that file: the same stdout, exit code and output bytes."""
+    directory = env_inputs(tmp_path / "run")
+    name, _, data = ENV_INPUTS[option]
+    fifo = directory / name
+    fifo.unlink()
+    os.mkfifo(fifo)
+
+    def feed() -> None:
+        with open(fifo, "wb") as handle:
+            handle.write(data)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        proc = env_run(directory, command)
+    finally:
+        # A run that never opened the FIFO leaves the feeder waiting for a
+        # reader: open one, so that it writes into the pipe and ends.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        feeder.join(timeout=60)
+        os.close(reader)
+    assert not feeder.is_alive()
+    baseline, outputs = env_baseline[command]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (baseline.returncode, baseline.stdout, b"")
+    assert {name: (directory / name).read_bytes() for name in outputs} == outputs
+    assert written(directory) == (command == "complete")
 
 
 STARTUP_RUN = """

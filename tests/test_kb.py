@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcomplete import default_kb, parse_kb, serialize_kb
+from modcomplete import default_kb, parse_kb
 from modcomplete.gherkin import ParseError, RequirementDoc, parse_requirement
 from modcomplete.kb import (
     DEFAULT_KB_TEXT,
@@ -37,6 +37,7 @@ from support import (
     random_requirement,
     reference_template_subsumes,
     rendered_requirement,
+    serialize_kb,
     sized_rule,
     with_articles,
 )

@@ -26,7 +26,8 @@ from modcomplete import (
 )
 from modcomplete import matcher
 from modcomplete.gherkin import SECTIONS, ParseError, RequirementDoc
-from modcomplete.kb import SIZE_LIMIT, ClauseTemplate, KBSyntaxError, Literal, OptionalLiteral, SlotPattern
+from modcomplete.kb import (SIZE_LIMIT, ClauseTemplate, KBSyntaxError, Literal, MetaFragment, MetaReq, OptionalLiteral,
+                           SlotPattern)
 from modcomplete.matcher import ClauseFailure, ClauseMatches, MetaReqDiagnostic, SpanAmbiguity
 from modcomplete.oracle import _oracle_clause_maps  # white-box: segmentation oracle
 
@@ -1165,9 +1166,13 @@ def test_skipping_what_cannot_fit_keeps_every_outcome(monkeypatch):
     outcome, and the matcher never searches more. Each rule before the
     winner that lacks a word or fails by shape, and each of the winner's
     alternatives that lacks a When word, saves at least one ``match_clause``
-    call. Reading an alternative that holds every When word as elliptical,
-    counting an optional word as required, or leaving a skipped rule out
-    of ``NoMatch`` changes outcomes here."""
+    call. A NoMatch's rules of the wrong shape are diagnosed by searching
+    the sections before the misshapen one, which fails for some and fits
+    for others (the shape is then the reason). Reading an alternative that
+    holds every When word as elliptical, counting an optional word as
+    required, leaving a skipped rule out of ``NoMatch``, dropping that
+    search, or cutting the joined template at the wrong keyword for it
+    changes outcomes here."""
     rng = random.Random(41)
     calls = counted(monkeypatch, "match_clause")
     seen: Counter = Counter()
@@ -1194,6 +1199,10 @@ def test_skipping_what_cannot_fit_keeps_every_outcome(monkeypatch):
         misshapen = [not fills(ast, m) for m in kb.metareqs]
         if expected[0] == "NoMatch":
             seen["NoMatch with a rule lacking a word"] += any(lacking)
+            # A shape reason names no template; one at the Given searched nothing.
+            for d, bad in zip(expected[1], misshapen):
+                seen["shape diagnostic from a failed search"] += bad and d.template_index is not None
+                seen["shape diagnostic after a fitting search"] += bad and d.template_index is None and d.section != "given"
             continue
         winner = [m.id for m in kb.metareqs].index(expected[1].metareq_id if expected[0] == "ok" else expected[1])
         # The reference searches a rule whose Given the clauses can fill at
@@ -1208,11 +1217,13 @@ def test_skipping_what_cannot_fit_keeps_every_outcome(monkeypatch):
         seen["rule lacking a word before the winner"] += sum(a and s for a, s in zip(lacking, skipped))
         seen["rule of the wrong shape before the winner"] += sum(not a and s for a, s in zip(lacking, skipped))
         seen["alternative lacking a When word"] += alternatives
-    # Seeded counts: 635, 268, 100 and 677.
+    # Seeded counts: 635, 268, 100, 677, 630 and 578.
     assert seen["rule lacking a word before the winner"] >= 300
     assert seen["rule of the wrong shape before the winner"] >= 130
     assert seen["alternative lacking a When word"] >= 50
     assert seen["NoMatch with a rule lacking a word"] >= 300
+    assert seen["shape diagnostic from a failed search"] >= 300
+    assert seen["shape diagnostic after a fitting search"] >= 280
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -1252,4 +1263,76 @@ def test_a_rule_lacking_a_word_is_searched_only_when_no_rule_fits(monkeypatch):
         "HALT at then[0]: expected literal 'halts', got 'goes'",
         "GO at then[0]: no State matches (slot t, phrase 'Nowhere')",
     )
+    assert match_outcome(reference_match_requirement, ast, rules, small_model())[2] == info.value.lines
+
+
+#: Requirements over ``small_model`` with the built-in rules: a match by
+#: MR3 after MR1 and MR2 fail by shape, a disjunctive When whose second
+#: alternative holds "receives" and is read in full, and a NoMatch in which
+#: MR1 (two Then templates) and MR3 (no When template) fail by shape: MR1's
+#: diagnostic is the failure of its Given and When, which its shape
+#: diagnostic searches, and MR3's the shape, as its Given fits.
+SHAPE_CASES = {
+    "match after shapes": "Given Gate in s1, Then Gate goes in s2.",
+    "alternative read in full": "Given Gate in s1, When Gate receives Halt or Gate receives Reset, Then Gate goes in s2.",
+    "NoMatch": "Given Gate in s1, When Gate receives Ghost, Then Gate goes in s2.",
+}
+
+
+def test_one_mentions_joins_each_rule_once(monkeypatch):
+    """Each rule's joined template is built once per run: one ``Mentions``
+    over a whole corpus calls ``join_templates`` once per rule, however many
+    requirements fail. A shape diagnostic searches the start of the rule's
+    joined template and builds no template of its own, where it used to
+    build one per diagnosed rule and NoMatch (7 calls here, not 3)."""
+    model = small_model(signals=[{"name": "Halt"}, {"name": "Reset"}])
+    mentions = Mentions(model)
+    calls = counted(monkeypatch, "join_templates")
+    for text in [*SHAPE_CASES.values(), *SHAPE_CASES.values()]:
+        try:
+            match_requirement(ast_of(text), default_kb(), mentions)
+        except NoMatch:
+            pass
+    assert calls["join_templates"] == len(default_kb().metareqs)
+
+
+@pytest.mark.parametrize("case", SHAPE_CASES)
+def test_each_rule_shape_is_checked_once_per_requirement(monkeypatch, case):
+    """``match_requirement`` checks a rule's shape once, against the first
+    When alternative, and nothing else checks it: one ``_shape_failure``
+    call per rule tried, a NoMatch's diagnostics and each alternative read
+    in full included. It used to check a rule again inside each search and
+    each NoMatch diagnostic: 4 calls for 2 rules on the disjunctive When, 8
+    for 3 on the NoMatch, and 2 on the first case, which checked MR3 twice
+    and the shapes of MR1 and MR2, skipped for a word, not at all."""
+    model = small_model(signals=[{"name": "Halt"}, {"name": "Reset"}])
+    ast = ast_of(SHAPE_CASES[case])
+    calls = counted(monkeypatch, "_shape_failure")
+    outcome = match_outcome(match_requirement, ast, default_kb(), Mentions(model))
+    assert calls["_shape_failure"] == (2 if case == "alternative read in full" else 3)
+    assert outcome == match_outcome(reference_match_requirement, ast, default_kb(), Mentions(model))
+    if case == "NoMatch":
+        assert outcome[2] == (
+            "MR1 at when[0]: no Signal matches (slot event, phrase 'Ghost')",
+            "MR2 at when[0]: no Signal matches (slot event, phrase 'Ghost')",
+            "MR3 at when: rule expects no when clause",
+        )
+    else:
+        assert outcome[1].metareq_id == ("MR3" if case == "match after shapes" else "MR2")
+
+
+def test_a_failure_before_the_first_keyword_is_in_the_first_section():
+    """The joined template holds no keyword before its second section, so
+    a failure there is in the rule's first section: the When of a
+    hand-built rule without a Given template, read against a hand-built
+    requirement without a Given clause."""
+    when = ClauseTemplate((SlotPattern(Metaclass.BLOCK, "b"), Literal("receives"), SlotPattern(Metaclass.SIGNAL, "e")))
+    then = ClauseTemplate((Literal("goes"), Literal("in"), SlotPattern(Metaclass.STATE, "t")))
+    fragment = MetaFragment("F", "b", "t", "t", "e")
+    rules = KnowledgeBase((MetaReq("W", (), (when,), (then,), fragment),), (fragment,))
+    parsed = ast_of("Given Gate receives Ghost, Then goes in s2.")
+    ast = parsed._replace(given=(), when=parsed.given)
+    with pytest.raises(NoMatch) as info:
+        match_requirement(ast, rules, small_model())
+    assert info.value.lines == ("W at when[0]: no Signal matches (slot e, phrase 'Ghost')",)
     assert match_outcome(reference_match_requirement, ast, rules, small_model())[2] == info.value.lines

@@ -20,7 +20,7 @@ PACKAGE_ALL = [
     "CompletionResult", "ConflictRecord", "Finding", "RequirementOutcome",
     "StateNotInOwnerMachine", "check_acceptability", "complete_model",
     "instantiate_fragment", "ClauseTemplate", "KnowledgeBase", "MetaFragment", "MetaReq",
-    "SlotPattern", "default_kb", "parse_kb", "serialize_kb", "AmbiguousMatch", "Binding",
+    "SlotPattern", "default_kb", "parse_kb", "AmbiguousMatch", "Binding",
     "MatchResult", "Mentions", "NoMatch", "lookup_elements", "match_clause", "match_requirement",
     "normalize_phrase",
     "normalize_signal_phrase", "oracle_match", "Block",
